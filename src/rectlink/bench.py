@@ -26,8 +26,7 @@ class BenchRow:
 CSV_HEADER = "n,N,events,ms"
 
 
-def run_bench(sizes: list[int], reps: int = 3, seed: int = 0,
-              tree_shadow: bool = False) -> list[BenchRow]:
+def run_bench(sizes: list[int], reps: int = 3, seed: int = 0) -> list[BenchRow]:
     rows = []
     for n in sizes:
         events, times, verts = [], [], []
@@ -35,7 +34,7 @@ def run_bench(sizes: list[int], reps: int = 3, seed: int = 0,
             inst = generate_instance(seed * 10_000 + 97 * n + r, n_obstacles=n,
                                      coord_limit=max(200, 30 * n))
             t0 = time.perf_counter()
-            report = solve(inst, run_tree_shadow=tree_shadow)
+            report = solve(inst)
             times.append((time.perf_counter() - t0) * 1000.0)
             events.append(report.stats.get("events", 0))
             verts.append(sum(len(p.vertices) for p in inst.obstacles))

@@ -70,10 +70,7 @@ def _cmd_solve(args) -> int:
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    stats = dict(report.stats)
-    if not args.debug_events:
-        stats.pop("event_log", None)
-    obj = result_to_obj(report.distance, report.links, report.path, stats)
+    obj = result_to_obj(report.distance, report.links, report.path, report.stats)
     _emit_json(obj, args.json)
     if args.svg:
         with open(args.svg, "w") as fp:
@@ -162,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--json", metavar="OUT", help="write the result JSON here")
     p.add_argument("--svg", metavar="OUT", help="also render the solution")
-    p.add_argument("--debug-events", action="store_true",
-                   help="keep per-event details in the stats block")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="run the exact grid oracle")

@@ -32,7 +32,7 @@ from .partition import (
     classify,
     trace_ru,
 )
-from .sweep import INF, NaiveStore, SweepResult, TreeStore, reconstruct_path, run_sweep
+from .sweep import INF, NaiveStore, SweepResult, reconstruct_path, run_sweep
 
 Pred = tuple[str, int]  # ("mid", node index) or ("direct", -1)
 
@@ -110,7 +110,6 @@ def _xy_quadrant_ok(s: Point, p: Point, curves: dict[str, StepCurve]) -> bool:
 
 def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
                  dir_links: Optional[dict[Point, float]] = None,
-                 run_tree_shadow: bool = True,
                  ) -> tuple[int, dict[Point, tuple[int, list[Point]]], SubregionDag]:
     """Distance and per-arrival-direction links for an x-monotone pair.
 
@@ -225,10 +224,6 @@ def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
         res = run_sweep(region, store, seed_h=seed_h, seed_v=seed_v)
         dag.regions += 1
         dag.events += len(region.events)
-        if run_tree_shadow:
-            shadow = run_sweep(region, TreeStore(region.m), seed_h=seed_h, seed_v=seed_v)
-            if shadow.event_values != res.event_values or shadow.final != res.final:
-                raise GeometryError("store implementations disagree")
         return res, region, store
 
     # best leg into the target, kept separately per arrival direction

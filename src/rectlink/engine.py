@@ -13,7 +13,7 @@ from typing import Optional
 from .composer import solve_x_case
 from .geometry import GeometryError, PathResult, Point, RectPolygon, Xform
 from .partition import World, build_staircase_region, classify
-from .sweep import INF, NaiveStore, TreeStore, reconstruct_path, run_sweep
+from .sweep import INF, NaiveStore, reconstruct_path, run_sweep
 
 UNIT_DIRS: tuple[Point, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -93,8 +93,7 @@ def build_world(obstacles: list[RectPolygon]) -> World:
 
 
 def solve_pair_raw(world: World, s2: Point, t2: Point,
-                   dir_links: Optional[dict[Point, float]] = None,
-                   run_tree_shadow: bool = True) -> RawAnswer:
+                   dir_links: Optional[dict[Point, float]] = None) -> RawAnswer:
     """Doubled-coordinate solve with direction-seeded link counts.
 
     ``dir_links`` gives the link count of a path that leaves ``s2`` in each
@@ -122,11 +121,6 @@ def solve_pair_raw(world: World, s2: Point, t2: Point,
         region = build_staircase_region(world, frame, s2, t2)
         store = NaiveStore(region.m)
         res = run_sweep(region, store, seed_h=seed_h, seed_v=seed_v)
-        if run_tree_shadow:
-            shadow = run_sweep(region, TreeStore(region.m),
-                               seed_h=seed_h, seed_v=seed_v)
-            if shadow.event_values != res.event_values or shadow.final != res.final:
-                raise GeometryError("store implementations disagree")
         dist2 = abs(t2[0] - s2[0]) + abs(t2[1] - s2[1])
         arrivals: dict[Point, tuple[int, list[Point]]] = {}
         for arr, lam in (("h", res.lam_h), ("v", res.lam_v)):
@@ -142,23 +136,19 @@ def solve_pair_raw(world: World, s2: Point, t2: Point,
             arrivals[adir] = (int(lam), witness.points)
         stats = {"events": len(region.events), "regions": 1, "case": "xy"}
         return RawAnswer(dist2=dist2, arrivals=arrivals, case="xy", stats=stats)
-    dist2, arrivals, dag = solve_x_case(
-        world, frame, s2, t2, dir_links=dir_links,
-        run_tree_shadow=run_tree_shadow)
+    dist2, arrivals, dag = solve_x_case(world, frame, s2, t2, dir_links=dir_links)
     stats = {"events": dag.events, "regions": dag.regions,
              "midpoints": len(dag.nodes), "case": "x"}
     return RawAnswer(dist2=dist2, arrivals=arrivals, case="x", stats=stats)
 
 
-def solve_pair(world: World, s: Point, t: Point,
-               run_tree_shadow: bool = True) -> PairAnswer:
+def solve_pair(world: World, s: Point, t: Point) -> PairAnswer:
     """Distance, fewest links and a witness path between two points.
 
     ``world`` comes from ``build_world``; ``s`` and ``t`` are original
     coordinates and must lie outside every obstacle bounding box.
     """
-    raw = solve_pair_raw(world, _double(s), _double(t),
-                         run_tree_shadow=run_tree_shadow)
+    raw = solve_pair_raw(world, _double(s), _double(t))
     if raw.case == "same":
         return PairAnswer(distance=0, links=0, path=[s], case="same")
     links, path2 = min(raw.arrivals.values())

@@ -173,7 +173,7 @@ def _align_runs(points: list[Point], xs: list[int], ys: list[int]) -> list[Point
     return pts
 
 
-def solve(instance: Instance, run_tree_shadow: bool = True) -> SolveReport:
+def solve(instance: Instance) -> SolveReport:
     """Shortest-distance, fewest-link path between the two terminals."""
     problems = validate(instance)
     if problems:
@@ -224,8 +224,7 @@ def solve(instance: Instance, run_tree_shadow: bool = True) -> SolveReport:
                 offer(a.d2 + b.d2, a.links + b.links - merge, pts)
             continue
         raw = solve_pair_raw(world, a.junction2, b.junction2,
-                             dir_links=_seed_links(a),
-                             run_tree_shadow=run_tree_shadow)
+                             dir_links=_seed_links(a))
         stats["middle_solves"] += 1
         stats["events"] += raw.stats.get("events", 0)
         stats["regions"] += raw.stats.get("regions", 0)

@@ -1,16 +1,11 @@
-"""Problem instances, validation, coordinate doubling and ray shooting."""
+"""Problem instances and their validation."""
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import (
     COORD_LIMIT,
-    FLIP_X,
-    IDENTITY,
-    SWAP,
-    GeometryError,
     OrthoSegment,
     Point,
     Rect,
@@ -67,14 +62,6 @@ class Terminal:
             return Terminal.of_segment(t.apply(self.segment.p), t.apply(self.segment.q))
         return Terminal.of_polygon([t.apply(v) for v in self.polygon.vertices])
 
-    def scale(self, k: int) -> "Terminal":
-        if self.kind == POINT:
-            return Terminal.of_point((self.point[0] * k, self.point[1] * k))
-        if self.kind == SEGMENT:
-            p, q = self.segment.p, self.segment.q
-            return Terminal.of_segment((p[0] * k, p[1] * k), (q[0] * k, q[1] * k))
-        return Terminal.of_polygon([(v[0] * k, v[1] * k) for v in self.polygon.vertices])
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -96,40 +83,6 @@ class Instance:
                 xs.add(x)
                 ys.add(y)
         return xs, ys
-
-    def scale(self, k: int) -> "Instance":
-        obs = tuple(
-            RectPolygon([(x * k, y * k) for x, y in ob.vertices]) for ob in self.obstacles
-        )
-        return Instance(obs, self.source.scale(k), self.target.scale(k))
-
-
-@dataclass(frozen=True)
-class ScaledInstance:
-    """An instance with every coordinate doubled.
-
-    Doubling makes the midpoint of every obstacle side integral, so divider
-    points are exact; lengths computed on the scaled instance are halved on
-    the way out.
-    """
-
-    scaled: Instance
-    factor: int = 2
-
-    def unscale_length(self, d: int) -> int:
-        q, r = divmod(d, self.factor)
-        if r:
-            raise GeometryError(f"scaled length {d} is not divisible by {self.factor}")
-        return q
-
-    def unscale_point(self, p: Point) -> Point:
-        if p[0] % self.factor or p[1] % self.factor:
-            raise GeometryError(f"scaled point {p} does not map back to the integer grid")
-        return (p[0] // self.factor, p[1] // self.factor)
-
-
-def scale_by_two(instance: Instance) -> ScaledInstance:
-    return ScaledInstance(instance.scale(2))
 
 
 # ---------------------------------------------------------------------------
@@ -280,126 +233,3 @@ def _segment_meets_open_rect(seg: OrthoSegment, box: Rect) -> bool:
     lo_y, hi_y = sorted((seg.p[1], seg.q[1]))
     return not (hi_x <= box.xlo or lo_x >= box.xhi or hi_y <= box.ylo or lo_y >= box.yhi)
 
-
-# ---------------------------------------------------------------------------
-# ray shooting
-
-@dataclass(frozen=True)
-class RayHit:
-    distance: int
-    point: Point
-    segment: OrthoSegment
-    tag: object
-
-
-class _AxisShooter:
-    """First-hit queries for rightward rays against vertical segments.
-
-    Static interval-stabbing tree: each canonical segment-tree node keeps the
-    sorted x's of the segments covering it, so a query walks one root-to-leaf
-    path and binary-searches each node list.
-    """
-
-    def __init__(self, items: list[tuple[int, int, int, object]]):
-        # items: (x, ylo, yhi, tag)
-        ys = sorted({y for _, ylo, yhi, _ in items for y in (ylo, yhi)})
-        self.ys = ys
-        self.size = max(1, 2 * len(ys) - 1)
-        self._store: list[list[tuple[int, int, int, object]]] = [
-            [] for _ in range(4 * self.size)
-        ]
-        for x, ylo, yhi, tag in items:
-            lo = 2 * bisect.bisect_left(ys, ylo)
-            hi = 2 * bisect.bisect_left(ys, yhi)
-            self._insert(1, 0, self.size - 1, lo, hi, (x, ylo, yhi, tag))
-        for node in self._store:
-            node.sort(key=lambda it: it[0])
-
-    def _insert(self, node: int, lo: int, hi: int, a: int, b: int, item) -> None:
-        if b < lo or hi < a:
-            return
-        if a <= lo and hi <= b:
-            self._store[node].append(item)
-            return
-        mid = (lo + hi) // 2
-        self._insert(2 * node, lo, mid, a, b, item)
-        self._insert(2 * node + 1, mid + 1, hi, a, b, item)
-
-    def _position(self, y: int) -> Optional[int]:
-        ys = self.ys
-        if not ys or y < ys[0] or y > ys[-1]:
-            return None
-        i = bisect.bisect_left(ys, y)
-        if i < len(ys) and ys[i] == y:
-            return 2 * i
-        return 2 * i - 1
-
-    def query(self, x: int, y: int) -> Optional[tuple[int, int, int, object]]:
-        """First item with item.x > x whose y-span contains y."""
-        pos = self._position(y)
-        if pos is None:
-            return None
-        best = None
-        node, lo, hi = 1, 0, self.size - 1
-        while True:
-            bucket = self._store[node]
-            if bucket:
-                i = bisect.bisect_right(bucket, x, key=lambda it: it[0])
-                if i < len(bucket) and (best is None or bucket[i][0] < best[0]):
-                    best = bucket[i]
-            if lo == hi:
-                break
-            mid = (lo + hi) // 2
-            if pos <= mid:
-                node, hi = 2 * node, mid
-            else:
-                node, lo = 2 * node + 1, mid + 1
-        return best
-
-
-_DIR_XFORMS = {
-    "+x": IDENTITY,
-    "-x": FLIP_X,
-    "+y": SWAP,
-    "-y": SWAP.then(FLIP_X),
-}
-
-
-class RayShooter:
-    """Axis-ray first-hit queries against a fixed set of orthogonal segments."""
-
-    def __init__(self, segments: Iterable[tuple[OrthoSegment, object]]):
-        segs = list(segments)
-        self._shooters: dict[str, _AxisShooter] = {}
-        for d, xf in _DIR_XFORMS.items():
-            items = []
-            for seg, tag in segs:
-                p, q = xf.apply(seg.p), xf.apply(seg.q)
-                if p[0] == q[0] and p[1] != q[1]:
-                    ylo, yhi = sorted((p[1], q[1]))
-                    items.append((p[0], ylo, yhi, (seg, tag)))
-            self._shooters[d] = _AxisShooter(items)
-
-    def shoot(self, origin: Point, direction: str) -> Optional[RayHit]:
-        """First segment strictly ahead of ``origin`` in ``direction``.
-
-        A segment containing the origin itself does not count; callers that
-        care about standing on a boundary must check that separately.
-        """
-        xf = _DIR_XFORMS[direction]
-        ox, oy = xf.apply(origin)
-        found = self._shooters[direction].query(ox, oy)
-        if found is None:
-            return None
-        x, _, _, (seg, tag) = found
-        hit_local = (x, oy)
-        hit = xf.inverse().apply(hit_local)
-        return RayHit(distance=x - ox, point=hit, segment=seg, tag=tag)
-
-
-def obstacle_ray_shooter(polygons: Sequence[RectPolygon]) -> RayShooter:
-    items = []
-    for idx, poly in enumerate(polygons):
-        for e in poly.edges():
-            items.append((e, idx))
-    return RayShooter(items)

@@ -276,21 +276,6 @@ def oracle_solve(instance: Instance, want_path: bool = True, cap: int = GRID_CAP
     return _run_oracle(instance, want_path, cap)
 
 
-def oracle_distance_field(instance: Instance, from_source: bool, cap: int = GRID_CAP):
-    """Plain L1 geodesic distance from one terminal to every grid node."""
-    g = build_hanan_graph(instance, cap=cap)
-    sg = _StateGraph(g)
-    nx = g.shape[0]
-    term = instance.source if from_source else instance.target
-    nodes = [j * nx + i for i, j in _terminal_grid_points(term, g)]
-    m = sg.matrix(nodes, [])
-    dist = _csgraph_dijkstra(m, directed=True, indices=sg.sup_s)
-    per_state = dist[: 2 * sg.n_nodes].reshape(2, sg.n_nodes)
-    best = np.minimum(per_state[0], per_state[1])
-    d = np.floor((best + 0.5) / sg.big).astype(np.int64)
-    return g, d  # d indexed by node id, -huge where unreachable is impossible
-
-
 def oracle_closest_pairs(instance: Instance, cap: int = GRID_CAP) -> list[tuple[Point, Point]]:
     """All grid-representable closest pairs (p on source, q on target)."""
     touch = _terminals_touch(instance.source, instance.target)

@@ -22,7 +22,8 @@ from rectlink.partition import (
     trace_path,
 )
 from rectlink.pockets import BoxGrid, GridSearch, find_pockets
-from rectlink.sweep import INF, NaiveStore, TreeStore, reconstruct_path, run_sweep
+from rectlink.sweep import INF, NaiveStore, reconstruct_path, run_sweep
+from tree_store import TreeStore, final_state
 
 
 def _instances(kinds, want, n_mix=(4, 8, 12, 18, 24, 30), coord_limit=200,
@@ -56,7 +57,7 @@ def test_1_solver_matches_oracle_on_point_and_segment_terminals():
              ("segment", "point"), ("segment", "segment")]
     count = 0
     for seed, inst in _instances(kinds, want=1000):
-        got = solve(inst, run_tree_shadow=False)
+        got = solve(inst)
         ora = oracle_solve(inst, want_path=False)
         assert (got.distance, got.links) == (ora.distance, ora.links), \
             f"seed {seed}: solve {(got.distance, got.links)} " \
@@ -72,7 +73,7 @@ def test_2_solver_matches_oracle_on_polygon_terminals():
              ("segment", "polygon")]
     count = 0
     for seed, inst in _instances(kinds, want=200, start_seed=50_000):
-        got = solve(inst, run_tree_shadow=False)
+        got = solve(inst)
         ora = oracle_solve(inst, want_path=False)
         assert (got.distance, got.links) == (ora.distance, ora.links), \
             f"seed {seed}: solve {(got.distance, got.links)} " \
@@ -103,7 +104,7 @@ def test_3_box_interiors_can_save_links():
     assert len(pairs) >= 2, pairs
 
     true_ans = oracle_solve(inst, want_path=False)
-    got = solve(inst, run_tree_shadow=False)
+    got = solve(inst)
     assert (got.distance, got.links) == (true_ans.distance, true_ans.links)
 
     boxed = Instance(obstacles=(o1.bbox.to_polygon(), o2.bbox.to_polygon()),
@@ -145,9 +146,9 @@ def test_4_naive_and_tree_sweeps_agree():
         tree = run_sweep(region, TreeStore(region.m))
         assert naive.lam == tree.lam, f"seed {seed}"
         assert naive.event_values == tree.event_values, f"seed {seed}"
-        assert naive.final == tree.final, f"seed {seed}"
+        assert final_state(naive.store) == final_state(tree.store), f"seed {seed}"
         count += 1
-    print(f"\nacceptance 4/8 naive vs tree sweep shadow: PASS "
+    print(f"\nacceptance 4/8 naive vs tree sweep stores: PASS "
           f"({count} regions)")
 
 
@@ -223,7 +224,7 @@ def test_5_structural_invariants():
         assert ora.path is not None
         _assert_winder_sides(inst, list(ora.path.points), seed)
 
-        got = solve(inst, run_tree_shadow=False)
+        got = solve(inst)
         xs, ys = inst.all_coords()
         assert got.path is not None
         assert all(p[0] in xs and p[1] in ys for p in got.path), \

@@ -1,14 +1,5 @@
-import random
-
-from rectlink.geometry import OrthoSegment, Rect, RectPolygon
-from rectlink.model import (
-    Instance,
-    RayShooter,
-    Terminal,
-    obstacle_ray_shooter,
-    scale_by_two,
-    validate,
-)
+from rectlink.geometry import Rect
+from rectlink.model import Instance, Terminal, validate
 
 BOX = Rect(10, 10, 20, 20).to_polygon()
 
@@ -76,70 +67,3 @@ def test_polygon_terminal_box_must_avoid_obstacle_boxes():
     inst = _inst(bad, Terminal.of_point((40, 5)))
     assert validate(inst)
 
-
-def test_scale_by_two_roundtrip():
-    inst = _inst(Terminal.of_point((1, 2)), Terminal.of_point((7, 9)))
-    scaled = scale_by_two(inst)
-    assert scaled.scaled.source.point == (2, 4)
-    assert scaled.unscale_length(10) == 5
-    assert scaled.unscale_point((14, 18)) == (7, 9)
-
-
-def _brute_shoot(items, origin, direction):
-    # items: (segment, tag); find nearest hit strictly ahead of origin
-    ox, oy = origin
-    best = None
-    for seg, tag in items:
-        if direction in ("+x", "-x"):
-            if not seg.vertical:
-                continue
-            lo, hi = sorted((seg.p[1], seg.q[1]))
-            if not (lo <= oy <= hi):
-                continue
-            x = seg.p[0]
-            d = (x - ox) if direction == "+x" else (ox - x)
-        else:
-            if not seg.horizontal:
-                continue
-            lo, hi = sorted((seg.p[0], seg.q[0]))
-            if not (lo <= ox <= hi):
-                continue
-            y = seg.p[1]
-            d = (y - oy) if direction == "+y" else (oy - y)
-        if d <= 0:
-            continue
-        if best is None or d < best[0] or (d == best[0] and tag < best[1]):
-            best = (d, tag)
-    return best
-
-
-def test_ray_shooter_matches_brute_force():
-    rng = random.Random(7)
-    segs = []
-    for tag in range(40):
-        x, y = rng.randrange(0, 60), rng.randrange(0, 60)
-        if rng.random() < 0.5:
-            segs.append((OrthoSegment((x, y), (x, y + rng.randrange(1, 10))), tag))
-        else:
-            segs.append((OrthoSegment((x, y), (x + rng.randrange(1, 10), y)), tag))
-    shooter = RayShooter(segs)
-    for _ in range(400):
-        origin = (rng.randrange(-5, 65), rng.randrange(-5, 65))
-        direction = rng.choice(["+x", "-x", "+y", "-y"])
-        got = shooter.shoot(origin, direction)
-        want = _brute_shoot(segs, origin, direction)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert got.distance == want[0]
-
-
-def test_obstacle_ray_shooter_hits_nearest_edge():
-    shooter = obstacle_ray_shooter([BOX])
-    hit = shooter.shoot((0, 15), "+x")
-    assert hit is not None
-    assert hit.distance == 10
-    assert hit.point == (10, 15)
-    assert shooter.shoot((0, 15), "-x") is None
-    assert shooter.shoot((25, 15), "+x") is None

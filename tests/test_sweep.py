@@ -5,15 +5,9 @@ import pytest
 from rectlink.engine import _double, build_world
 from rectlink.generator import generate_instance
 from rectlink.partition import build_staircase_region, classify
-from rectlink.sweep import (
-    INF,
-    ActiveRanges,
-    NaiveStore,
-    TreeStore,
-    reconstruct_path,
-    run_sweep,
-)
+from rectlink.sweep import INF, NaiveStore, reconstruct_path, run_sweep
 from rectlink.geometry import PathResult
+from tree_store import ActiveRanges, TreeStore, final_state
 
 
 def _regions(seeds, n_obstacles=8, coord_limit=120):
@@ -87,18 +81,23 @@ class TestTreeStore:
                     tree.deactivate(lo, hi)
                 else:
                     assert naive.query(lo, hi)[0] == tree.query(lo, hi)[0]
-            assert naive.snapshot() == tree.snapshot()
+            assert final_state(naive) == final_state(tree)
 
 
-def test_shadow_equivalence_on_random_regions():
+# (1, 2) seeds a fresh source; (2, 4) is a composer leg out of a winder
+# midpoint reached in 2 links; (4, 5) and (3, 3) seed a path continued
+# through its start point with per-direction link counts (dir_links)
+@pytest.mark.parametrize("seed_h, seed_v", [(1, 2), (4, 5), (3, 3), (2, 4)])
+def test_shadow_equivalence_on_random_regions(seed_h, seed_v):
     regions = _regions(range(0, 140))
     assert len(regions) >= 40
     for seed, region in regions:
-        naive = run_sweep(region, NaiveStore(region.m))
-        tree = run_sweep(region, TreeStore(region.m))
-        assert naive.lam == tree.lam, f"seed {seed}"
+        naive = run_sweep(region, NaiveStore(region.m), seed_h=seed_h, seed_v=seed_v)
+        tree = run_sweep(region, TreeStore(region.m), seed_h=seed_h, seed_v=seed_v)
+        assert naive.lam_h == tree.lam_h, f"seed {seed}"
+        assert naive.lam_v == tree.lam_v, f"seed {seed}"
         assert naive.event_values == tree.event_values, f"seed {seed}"
-        assert naive.final == tree.final, f"seed {seed}"
+        assert final_state(naive.store) == final_state(tree.store), f"seed {seed}"
 
 
 def test_reconstruction_matches_sweep_value():
