@@ -11,14 +11,13 @@ import json
 import sys
 from typing import Optional
 
-from .bench import CSV_HEADER, rows_to_csv, run_bench
+from .bench import rows_to_csv, run_bench
 from .frontend import solve as solve_instance
 from .generator import GenerationError, generate_instance
 from .geometry import GeometryError
 from .io import (
     FormatError,
     dump_instance,
-    instance_to_obj,
     load_instance,
     result_to_obj,
 )

@@ -22,9 +22,9 @@ from .geometry import (
     PathResult,
     Point,
     Xform,
-    path_metrics,
 )
 from .partition import (
+    FrameView,
     StaircaseRegion,
     StepCurve,
     World,
@@ -70,14 +70,14 @@ def _horiz_readout(res: SweepResult) -> float:
     return min(res.lam_h, res.lam_v + 1)
 
 
-def _rise_curves(wf: World, p: Point, x_hi: int, y_hi: int) -> dict[str, StepCurve]:
+def _rise_curves(wf: FrameView, p: Point, x_hi: int, y_hi: int) -> dict[str, StepCurve]:
     return {
         "ru": StepCurve(trace_ru(wf.frame(IDENTITY), p, x_hi).points),
         "ur": StepCurve(trace_ru(wf.frame(SWAP), (p[1], p[0]), y_hi).points),
     }
 
 
-def _fall_curves(wf: World, p: Point, x_hi: int, y_lo: int) -> dict[str, StepCurve]:
+def _fall_curves(wf: FrameView, p: Point, x_hi: int, y_lo: int) -> dict[str, StepCurve]:
     return {
         "rd": StepCurve(trace_ru(wf.frame(Xform(1, 0, 0, -1)), (p[0], -p[1]), x_hi).points),
         "dr": StepCurve(trace_ru(wf.frame(Xform(0, -1, 1, 0)), (-p[1], p[0]), -y_lo).points),
@@ -122,26 +122,26 @@ def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
     """
     if dir_links is None:
         dir_links = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}
-    wf = World([h.transform(frame) for h in world.hulls])
+    # the instance world seen in this frame; its cache serves every leg
+    wf = FrameView(world, frame)
     sf, tf = frame.apply(s), frame.apply(t)
     sx, sy = sf
     tx, ty = tf
 
     nodes: list[_Node] = []
-    for i, hull in enumerate(wf.hulls):
-        box = hull.bbox
+    for i, fp in enumerate(wf.frame(IDENTITY)):
+        box = fp.box
         if box.xhi <= sx or box.xlo >= tx:
             continue
-        tops = [e for e in hull.horizontal_edges() if e.p[1] == box.yhi]
-        bots = [e for e in hull.horizontal_edges() if e.p[1] == box.ylo]
-        for e in tops + bots:
-            lo_x, hi_x = sorted((e.p[0], e.q[0]))
+        tops = [e for e in fp.horiz if e[2] == box.yhi]
+        bots = [e for e in fp.horiz if e[2] == box.ylo]
+        for lo_x, hi_x, y in tops + bots:
             mx = (lo_x + hi_x) // 2
             # a winder contains the full side, so it must fit in the strip
             if (lo_x + hi_x) % 2 or lo_x < sx or hi_x > tx or not sx < mx < tx:
                 continue
-            side = "top" if e.p[1] == box.yhi else "bot"
-            nodes.append(_Node(point=(mx, e.p[1]), hull=i, side=side))
+            side = "top" if y == box.yhi else "bot"
+            nodes.append(_Node(point=(mx, y), hull=i, side=side))
     nodes.sort(key=lambda nd: nd.point)
     target = _Node(point=tf, hull=-1)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .composer import solve_x_case
-from .geometry import GeometryError, PathResult, Point, RectPolygon, Xform
+from .geometry import GeometryError, PathResult, Point, RectPolygon
 from .partition import World, build_staircase_region, classify
 from .sweep import INF, NaiveStore, reconstruct_path, run_sweep
 

@@ -33,7 +33,7 @@ from .geometry import (
     Point,
     Rect,
 )
-from .model import POINT, POLYGON, SEGMENT, Instance, Terminal, validate
+from .model import POINT, SEGMENT, Instance, Terminal, validate
 from .pockets import BoxGrid, GridSearch
 
 

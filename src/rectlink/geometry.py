@@ -6,7 +6,7 @@ are small frozen dataclasses on top of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 Coord = int
@@ -252,7 +252,19 @@ class RectPolygon:
         return 1 if inside else -1
 
     def transform(self, t: Xform) -> "RectPolygon":
-        return RectPolygon([t.apply(v) for v in self.vertices])
+        """The image under ``t``, equal to ``RectPolygon`` of the mapped ring.
+
+        A signed axis permutation keeps the ring free of repeats and
+        collinear runs, so the image only needs re-orienting (a reflection
+        turns it clockwise) and rotating to its canonical start.
+        """
+        vs = [t.apply(v) for v in self.vertices]
+        if t.a * t.d - t.b * t.c < 0:
+            vs.reverse()
+        k = vs.index(min(vs))
+        out = object.__new__(RectPolygon)
+        object.__setattr__(out, "vertices", tuple(vs[k:] + vs[:k]))
+        return out
 
     def horizontal_edges(self) -> list[OrthoSegment]:
         return [e for e in self.edges() if e.horizontal]

@@ -4,8 +4,8 @@ from __future__ import annotations
 import json
 from typing import Any, IO
 
-from .geometry import OrthoSegment, PathResult, RectPolygon
-from .model import Instance, POINT, POLYGON, SEGMENT, Terminal
+from .geometry import RectPolygon
+from .model import Instance, POINT, SEGMENT, Terminal
 
 
 class FormatError(ValueError):

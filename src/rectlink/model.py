@@ -100,10 +100,8 @@ def validate(instance: Instance) -> list[str]:
             break
 
     boxes = [ob.bbox for ob in obs]
-    for i in range(len(obs)):
-        for j in range(i + 1, len(obs)):
-            if not boxes[i].interior_disjoint(boxes[j]):
-                problems.append(f"obstacle boxes {i} and {j} overlap")
+    for i, j in _overlapping_boxes(boxes):
+        problems.append(f"obstacle boxes {i} and {j} overlap")
 
     # general position: no two obstacles share a vertex x or y, and terminal
     # coordinates stay off every obstacle's coordinate lines
@@ -128,13 +126,34 @@ def validate(instance: Instance) -> list[str]:
     return problems
 
 
+def _overlapping_boxes(boxes: Sequence[Rect]) -> list[tuple[int, int]]:
+    """Index pairs ``i < j`` of boxes whose interiors meet, in sorted order.
+
+    Sort and sweep on x: a box leaves the active list once its east side is
+    at or west of the sweep line, since no box still to come can then meet
+    its interior.  Every remaining active box is tested exactly.
+    """
+    pairs: list[tuple[int, int]] = []
+    active: list[int] = []
+    for j in sorted(range(len(boxes)), key=lambda k: boxes[k].xlo):
+        b = boxes[j]
+        active = [i for i in active if boxes[i].xhi > b.xlo]
+        for i in active:
+            if not boxes[i].interior_disjoint(b):
+                pairs.append((min(i, j), max(i, j)))
+        active.append(j)
+    pairs.sort()
+    return pairs
+
+
 def _validate_terminal(name: str, term: Terminal, instance: Instance) -> list[str]:
     problems: list[str] = []
     obs = instance.obstacles
     boxes = [ob.bbox for ob in obs]
     if term.kind == POINT:
         for i, ob in enumerate(obs):
-            if ob.contains(term.point):
+            # closed containment implies the closed box holds the point
+            if boxes[i].contains(term.point) and ob.contains(term.point):
                 problems.append(f"{name} point lies on obstacle {i}")
     elif term.kind == SEGMENT:
         seg = term.segment

@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .geometry import OrthoSegment, PathResult, Point, RectPolygon
-from .model import Instance, POINT, POLYGON, SEGMENT, Terminal
+from .model import Instance, POINT, SEGMENT, Terminal
 
 GRID_CAP = 500
 

@@ -12,7 +12,8 @@ one tracer conjugated by signed axis permutations.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -48,39 +49,30 @@ TRACE_FRAMES = {
 
 @dataclass
 class _FramePoly:
-    """One obstacle as seen in a trace frame, with its climb chain ready."""
+    """One obstacle as seen in a trace frame, with its climb chain ready.
+
+    The edge tables list edges in ring order as plain tuples, so the
+    per-event and per-step scans build no segment objects.
+    """
 
     poly: RectPolygon
     box: Rect
     west_lo: int          # y-range of the vertical edge on the box west wall
     west_hi: int
     hug: list[Point]      # west-side bottom up to the left end of the top side
-    east_horiz: frozenset[Point] = frozenset()  # west ends of horizontal edges
-    hug_xs: frozenset[int] = frozenset()        # x of vertical steps in hug
-
-    @property
-    def top_left(self) -> Point:
-        return self.hug[-1]
+    east_horiz: frozenset[Point]  # west ends of horizontal edges
+    hug_xs: frozenset[int]        # x of vertical steps in hug
+    west: list[tuple[int, int, int]]   # west-facing vertical edges (x, lo, hi)
+    horiz: list[tuple[int, int, int]]  # horizontal edges (xlo, xhi, y)
 
 
-def _west_side(poly: RectPolygon) -> tuple[int, int]:
-    box = poly.bbox
-    for e in poly.vertical_edges():
-        if e.p[0] == box.xlo:
-            lo, hi = sorted((e.p[1], e.q[1]))
-            return lo, hi
-    raise GeometryError("polygon does not touch the west wall of its box")
-
-
-def _build_hug(poly: RectPolygon) -> list[Point]:
+def _build_hug(verts: tuple[Point, ...], box: Rect, wlo: int, whi: int) -> list[Point]:
     """Boundary corners from the west-side bottom to the top side's left end.
 
+    ``wlo``..``whi`` is the polygon's edge on the west wall of its box.
     Valid for orthogonally convex polygons, whose upper-left boundary is a
     staircase rising to the east.
     """
-    box = poly.bbox
-    wlo, whi = _west_side(poly)
-    verts = list(poly.vertices)
     n = len(verts)
     start = verts.index((box.xlo, wlo))
     # walk towards (box.xlo, whi) first; ring orientation decides the step
@@ -95,8 +87,37 @@ def _build_hug(poly: RectPolygon) -> list[Point]:
     return chain
 
 
+def _frame_poly(p: RectPolygon) -> _FramePoly:
+    vs = p.vertices
+    box = p.bbox
+    west: list[tuple[int, int, int]] = []
+    horiz: list[tuple[int, int, int]] = []
+    for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+        if ax == bx:
+            if by < ay:           # runs downwards: west-facing
+                west.append((ax, by, ay))
+        elif ax < bx:
+            horiz.append((ax, bx, ay))
+        else:
+            horiz.append((bx, ax, ay))
+    side = [(lo, hi) for x, lo, hi in west if x == box.xlo]
+    if not side:
+        raise GeometryError("polygon does not touch the west wall of its box")
+    wlo, whi = side[0]
+    hug = _build_hug(vs, box, wlo, whi)
+    hug_xs = frozenset(a[0] for a, b in zip(hug, hug[1:]) if a[0] == b[0])
+    east_horiz = frozenset([(xlo, y) for xlo, _, y in horiz])
+    return _FramePoly(p, box, wlo, whi, hug, east_horiz, hug_xs, west, horiz)
+
+
 class World:
-    """Obstacle hulls plus cached per-frame trace structures."""
+    """Obstacle hulls plus cached per-frame trace structures.
+
+    Every frame is one of the eight signed axis permutations, so the cache
+    holds at most eight entries.  A sub-solve working in a frame of its own
+    reads this cache through a ``FrameView`` instead of building a world of
+    transformed hulls.
+    """
 
     def __init__(self, hulls: Sequence[RectPolygon]):
         self.hulls = tuple(hulls)
@@ -109,19 +130,27 @@ class World:
     def frame(self, t: Xform) -> list[_FramePoly]:
         got = self._frames.get(t)
         if got is None:
-            got = []
-            for h in self.hulls:
-                p = h.transform(t)
-                wlo, whi = _west_side(p)
-                hug = _build_hug(p)
-                east_horiz = frozenset(
-                    min((e.p, e.q)) for e in p.horizontal_edges())
-                hug_xs = frozenset(a[0] for a, b in zip(hug, hug[1:])
-                                   if a[0] == b[0])
-                got.append(_FramePoly(p, p.bbox, wlo, whi, hug,
-                                      east_horiz, hug_xs))
+            got = [_frame_poly(h.transform(t)) for h in self.hulls]
             self._frames[t] = got
         return got
+
+
+class FrameView:
+    """A world seen through a fixed frame ``base``, sharing its frame cache.
+
+    ``view.frame(g)`` is ``world.frame(base.then(g))``: transforming a hull
+    by ``base`` and then by ``g`` gives the same normalised polygon as
+    transforming it by ``base.then(g)``.  Everything in this module reads a
+    world only through ``frame``, so a view stands in for a world of hulls
+    transformed by ``base``.
+    """
+
+    def __init__(self, world: World, base: Xform):
+        self.world = world
+        self.base = base
+
+    def frame(self, t: Xform) -> list[_FramePoly]:
+        return self.world.frame(self.base.then(t))
 
 
 @dataclass
@@ -151,11 +180,7 @@ def _first_block(polys: list[_FramePoly], cur: Point, x_stop: int) -> Optional[t
     for i, fp in enumerate(polys):
         if fp.box.xhi <= cx or fp.box.ylo >= cy or fp.box.yhi <= cy:
             continue
-        for e in fp.poly.vertical_edges():
-            if not _west_facing(e):
-                continue
-            lo, hi = e.q[1], e.p[1]
-            x = e.p[0]
+        for x, lo, hi in fp.west:
             if lo <= cy <= hi and cx < x < x_stop \
                     and (x, cy) not in fp.east_horiz:
                 if best is None or x < best[1]:
@@ -169,11 +194,8 @@ def _standing_block(polys: list[_FramePoly], cur: Point) -> Optional[int]:
     for i, fp in enumerate(polys):
         if not (fp.box.xlo <= cx < fp.box.xhi and fp.box.ylo < cy < fp.box.yhi):
             continue
-        for e in fp.poly.vertical_edges():
-            if not _west_facing(e):
-                continue
-            lo, hi = e.q[1], e.p[1]
-            if e.p[0] == cx and lo <= cy <= hi \
+        for x, lo, hi in fp.west:
+            if x == cx and lo <= cy <= hi \
                     and (cx, cy) not in fp.east_horiz:
                 return i
     return None
@@ -222,7 +244,7 @@ def trace_ru(polys: list[_FramePoly], start: Point, x_stop: int) -> Trace:
     return Trace(pts, touched)
 
 
-def trace_path(world: World, mode: str, start: Point, stop: Point) -> Trace:
+def trace_path(world: World | FrameView, mode: str, start: Point, stop: Point) -> Trace:
     """One of the eight extreme monotone paths, in world coordinates.
 
     The trace runs until the primary coordinate reaches the matching
@@ -240,21 +262,28 @@ def trace_path(world: World, mode: str, start: Point, stop: Point) -> Trace:
 # step-function views of traces
 
 class StepCurve:
-    """Monotone staircase as a queryable step function of x."""
+    """Monotone staircase as a queryable step function of x.
+
+    Queries bisect the sorted xs into a prefix maximum or a suffix minimum
+    of the ys, so each costs O(log k).
+    """
 
     def __init__(self, points: Sequence[Point]):
-        self.points = sorted(points)
-        self.xs = [p[0] for p in self.points]
+        pts = sorted(points)
+        self.xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
+        self._prefix_max = list(accumulate(ys, max))
+        self._suffix_min = list(accumulate(reversed(ys), min))[::-1]
 
     def max_y_at(self, x: int) -> float:
         """Largest y among points with x' <= x (-inf if none)."""
         i = bisect.bisect_right(self.xs, x)
-        return max((p[1] for p in self.points[:i]), default=-INF)
+        return self._prefix_max[i - 1] if i else -INF
 
     def min_y_from(self, x: int) -> float:
         """Smallest y among points with x' >= x (+inf if none)."""
         i = bisect.bisect_left(self.xs, x)
-        return min((p[1] for p in self.points[i:]), default=INF)
+        return self._suffix_min[i] if i < len(self.xs) else INF
 
 
 def _jump_xs(curve_points: Sequence[Point]) -> list[int]:
@@ -269,7 +298,7 @@ def _jump_xs(curve_points: Sequence[Point]) -> list[int]:
 # ---------------------------------------------------------------------------
 # classification
 
-def classify(world: World, s: Point, t: Point) -> tuple[str, Xform]:
+def classify(world: World | FrameView, s: Point, t: Point) -> tuple[str, Xform]:
     """Which monotonicity case the pair falls into.
 
     Returns ("same", I), ("xy", f) or ("x", f): applying f maps the pair so
@@ -352,24 +381,25 @@ def _staircase_of(fn_changes: list[tuple[int, int]], x0: int, x1: int, y0: int) 
     return out
 
 
-def _hole_sections(world: World, frame: Xform, holes: list[int], x: int,
+def _hole_sections(polys: list[_FramePoly], holes: list[int], x: int,
                    skip: Optional[int] = None) -> list[tuple[int, int]]:
-    """Open y-intervals of hole interiors crossing the vertical line x."""
+    """Open y-intervals of hole interiors crossing the vertical line x.
+
+    ``polys`` is the world in the region's frame; ``holes`` index into it.
+    """
     out = []
     for hi in holes:
         if hi == skip:
             continue
-        p = world.hulls[hi].transform(frame)
-        box = p.bbox
-        if not (box.xlo < x < box.xhi):
+        fp = polys[hi]
+        if not (fp.box.xlo < x < fp.box.xhi):
             continue
-        ys = [e.p[1] for e in p.horizontal_edges()
-              if min(e.p[0], e.q[0]) <= x <= max(e.p[0], e.q[0])]
+        ys = [y for xlo, xhi, y in fp.horiz if xlo <= x <= xhi]
         out.append((min(ys), max(ys)))
     return out
 
 
-def build_staircase_region(world: World, frame: Xform, s: Point, t: Point) -> StaircaseRegion:
+def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: Point) -> StaircaseRegion:
     """Staircase region of an xy-monotone pair, with its sweep events.
 
     ``s`` and ``t`` are world points; the pair must classify as ("xy", frame).
@@ -412,15 +442,15 @@ def build_staircase_region(world: World, frame: Xform, s: Point, t: Point) -> St
 
     touched = set(ur.touched) | set(ld.touched) | set(ru.touched) | set(dl.touched)
     # frame-local indices map onto world hull indices 1:1 (same ordering)
+    polys = world.frame(frame)
     holes: list[int] = []
-    for i, hull in enumerate(world.hulls):
+    for i, fp in enumerate(polys):
         if i in touched:
             continue
-        hp = hull.transform(frame)
-        bx = hp.bbox
+        bx = fp.box
         if not (sx < bx.xlo and bx.xhi < tx and sy < bx.ylo and bx.yhi < ty):
             continue
-        vx, vy = hp.vertices[0]
+        vx, vy = fp.poly.vertices[0]
         if bottom(vx) < vy < top(vx):
             holes.append(i)
 
@@ -441,21 +471,20 @@ def build_staircase_region(world: World, frame: Xform, s: Point, t: Point) -> St
         if x > sx:
             ys.add(bottom_w(x))
     for hi in holes:
-        for e in world.hulls[hi].transform(frame).horizontal_edges():
-            ys.add(e.p[1])
+        ys.update(y for _, _, y in polys[hi].horiz)
     baselines = sorted(y for y in ys if sy <= y <= ty)
     idx = {y: i for i, y in enumerate(baselines)}
     m = len(baselines)
 
     def low_src(x: int, y_ref: int, skip: Optional[int]) -> int:
-        blocked = _hole_sections(world, frame, holes, x, skip)
+        blocked = _hole_sections(polys, holes, x, skip)
         t_star = max((hi2 for (lo2, hi2) in blocked if hi2 <= y_ref), default=None)
         if t_star is None:
             return 0
         return bisect.bisect_left(baselines, t_star)
 
     def high_dst(x: int, y_ref: int, skip: Optional[int]) -> int:
-        blocked = _hole_sections(world, frame, holes, x, skip)
+        blocked = _hole_sections(polys, holes, x, skip)
         b_star = min((lo2 for (lo2, hi2) in blocked if lo2 >= y_ref), default=None)
         if b_star is None:
             return m - 1
@@ -497,12 +526,12 @@ def build_staircase_region(world: World, frame: Xform, s: Point, t: Point) -> St
         ))
 
     for hi in holes:
-        hp = world.hulls[hi].transform(frame)
-        box = hp.bbox
-        wlo, whi = _west_side(hp)
-        east = [e for e in hp.vertical_edges() if e.p[0] == box.xhi][0]
+        fp = polys[hi]
+        hp, box, wlo, whi = fp.poly, fp.box, fp.west_lo, fp.west_hi
+        vertical = hp.vertical_edges()
+        east = [e for e in vertical if e.p[0] == box.xhi][0]
         elo, ehi = sorted((east.p[1], east.q[1]))
-        for e in hp.vertical_edges():
+        for e in vertical:
             x = e.p[0]
             lo, hi2 = sorted((e.p[1], e.q[1]))
             if _west_facing(e):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .partition import Event, StaircaseRegion
+from .partition import StaircaseRegion
 
 INF = float("inf")
 

@@ -1,11 +1,13 @@
 import pytest
 
+from rectlink import engine
 from rectlink.composer import solve_x_case
 from rectlink.engine import _double, build_world, solve_pair
+from rectlink.frontend import solve
 from rectlink.generator import generate_instance
 from rectlink.geometry import RectPolygon
 from rectlink.oracle import oracle_solve
-from rectlink.partition import classify
+from rectlink.partition import World, classify
 
 WALL = RectPolygon([(8, -40), (12, -40), (12, 40), (8, 40)])
 
@@ -78,3 +80,30 @@ def test_x_case_distance_matches_oracle():
         if count >= 20:
             break
     assert count >= 10
+
+
+def test_one_world_per_solve(monkeypatch):
+    """An x-case point pair and a polygon instance with several x-case
+    middle solves each build exactly one hull world."""
+    x_inst = next(inst for _, inst, *_ in _x_cases(range(200)))
+    poly_inst = generate_instance(58, n_obstacles=8, coord_limit=120,
+                                  source_kind="polygon", target_kind="point")
+    builds, x_solves = [], []
+    init, x_case = World.__init__, engine.solve_x_case
+
+    def counting_init(self, hulls):
+        builds.append(1)
+        init(self, hulls)
+
+    def counting_x_case(*args, **kw):
+        x_solves.append(1)
+        return x_case(*args, **kw)
+
+    monkeypatch.setattr(World, "__init__", counting_init)
+    monkeypatch.setattr(engine, "solve_x_case", counting_x_case)
+    for inst, min_x_solves in ((x_inst, 1), (poly_inst, 2)):
+        builds.clear()
+        x_solves.clear()
+        solve(inst)
+        assert len(x_solves) >= min_x_solves
+        assert len(builds) == 1

@@ -10,6 +10,7 @@ from rectlink.geometry import (
     OrthoSegment,
     Rect,
     RectPolygon,
+    Xform,
     path_metrics,
     rectilinear_convex_hull,
 )
@@ -167,3 +168,15 @@ def test_hull_is_convex_and_covers(poly):
     for v in poly.vertices:
         assert hull.locate(v) >= 0
     assert hull.area2() >= poly.area2()
+
+
+# the eight signed axis permutations
+XFORMS = ([Xform(sx, 0, 0, sy) for sx in (1, -1) for sy in (1, -1)]
+          + [Xform(0, sx, sy, 0) for sx in (1, -1) for sy in (1, -1)])
+
+
+@given(_rect_polys(), st.sampled_from(XFORMS))
+def test_transform_matches_normalising_the_mapped_ring(poly, t):
+    got = poly.transform(t)
+    assert got == RectPolygon([t.apply(v) for v in poly.vertices])
+    assert got.area2() == poly.area2()

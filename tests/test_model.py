@@ -1,3 +1,5 @@
+import random
+
 from rectlink.geometry import Rect
 from rectlink.model import Instance, Terminal, validate
 
@@ -67,3 +69,30 @@ def test_polygon_terminal_box_must_avoid_obstacle_boxes():
     inst = _inst(bad, Terminal.of_point((40, 5)))
     assert validate(inst)
 
+
+
+def _all_pairs_overlaps(boxes):
+    """Reference: every pair of boxes, in index order."""
+    return [f"obstacle boxes {i} and {j} overlap"
+            for i in range(len(boxes)) for j in range(i + 1, len(boxes))
+            if not boxes[i].interior_disjoint(boxes[j])]
+
+
+def test_overlap_messages_match_all_pairs_reference():
+    rng = random.Random(11)
+    overlapping = 0
+    for _ in range(300):
+        n = rng.randrange(0, 25)
+        span = rng.choice((40, 120, 400))
+        boxes = []
+        for _ in range(n):
+            x, y = rng.randrange(span), rng.randrange(span)
+            boxes.append(Rect(x, y, x + rng.randrange(1, 30),
+                              y + rng.randrange(1, 30)))
+        inst = _inst(Terminal.of_point((-7, -7)), Terminal.of_point((-9, -9)),
+                     [b.to_polygon() for b in boxes])
+        got = [e for e in validate(inst) if e.startswith("obstacle boxes")]
+        want = _all_pairs_overlaps(boxes)
+        assert got == want
+        overlapping += bool(want)
+    assert 50 < overlapping < 300

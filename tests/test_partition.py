@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from rectlink.engine import _double, build_world
 from rectlink.generator import generate_instance
-from rectlink.geometry import IDENTITY, RectPolygon
+from rectlink.geometry import IDENTITY, RectPolygon, Xform
 from rectlink.partition import (
+    FrameView,
     StepCurve,
     World,
     build_staircase_region,
@@ -111,3 +115,40 @@ class TestStaircaseRegion:
         for x in [p[0] for p in region.nw_chain + region.se_chain]:
             if region.s[0] <= x <= region.t[0]:
                 assert nw.max_y_at(x) >= se.max_y_at(x) or x == region.s[0]
+
+
+class TestStepCurve:
+    @given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+                    max_size=12),
+           st.integers(-40, 40))
+    def test_queries_match_a_scan(self, points, x):
+        curve = StepCurve(points)
+        assert curve.max_y_at(x) == max(
+            (py for px, py in points if px <= x), default=-float("inf"))
+        assert curve.min_y_from(x) == min(
+            (py for px, py in points if px >= x), default=float("inf"))
+
+    def test_outside_the_x_range(self):
+        curve = StepCurve([(0, 5), (3, 7), (3, 2), (8, 9)])
+        assert curve.max_y_at(-1) == -float("inf")
+        assert curve.min_y_from(9) == float("inf")
+        assert curve.max_y_at(100) == 9
+        assert curve.min_y_from(-100) == 2
+
+
+# the eight signed axis permutations
+XFORMS = ([Xform(sx, 0, 0, sy) for sx in (1, -1) for sy in (1, -1)]
+          + [Xform(0, sx, sy, 0) for sx in (1, -1) for sy in (1, -1)])
+
+
+class TestSharedFrames:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_view_matches_a_transformed_world(self, seed):
+        inst = generate_instance(seed, n_obstacles=8, coord_limit=120)
+        world = build_world(list(inst.obstacles))
+        for base, g in itertools.product(XFORMS, XFORMS):
+            fresh = World([h.transform(base) for h in world.hulls]).frame(g)
+            shared = FrameView(world, base).frame(g)
+            assert shared == fresh, (seed, base, g)
+        # every view reads the one cache: eight frames, however many views
+        assert len(world._frames) == 8

@@ -4,14 +4,15 @@ import pytest
 
 from rectlink.engine import _double, build_world
 from rectlink.generator import generate_instance
-from rectlink.partition import build_staircase_region, classify
+from rectlink.partition import _hole_sections, build_staircase_region, classify
 from rectlink.sweep import INF, NaiveStore, reconstruct_path, run_sweep
 from rectlink.geometry import PathResult
 from tree_store import ActiveRanges, TreeStore, final_state
 
 
-def _regions(seeds, n_obstacles=8, coord_limit=120):
-    """Staircase regions from random point pairs that classify as xy."""
+def _worlds_and_regions(seeds, n_obstacles=8, coord_limit=120):
+    """Staircase regions from random point pairs that classify as xy,
+    each with the world it was built from."""
     out = []
     for seed in seeds:
         inst = generate_instance(seed, n_obstacles=n_obstacles,
@@ -22,8 +23,13 @@ def _regions(seeds, n_obstacles=8, coord_limit=120):
         kind, frame = classify(world, s2, t2)
         if kind != "xy" or s2[0] == t2[0] or s2[1] == t2[1]:
             continue
-        out.append((seed, build_staircase_region(world, frame, s2, t2)))
+        out.append((seed, world, build_staircase_region(world, frame, s2, t2)))
     return out
+
+
+def _regions(seeds, n_obstacles=8, coord_limit=120):
+    return [(seed, region) for seed, _, region
+            in _worlds_and_regions(seeds, n_obstacles, coord_limit)]
 
 
 class TestActiveRanges:
@@ -127,3 +133,33 @@ def test_reseeding_shifts_both_readouts():
         assert bumped.lam_h == base.lam_h + 3
     if base.lam_v != INF:
         assert bumped.lam_v == base.lam_v + 3
+
+
+def _reference_sections(world, frame, holes, x, skip):
+    """Hole sections from freshly transformed hull polygons."""
+    out = []
+    for hi in holes:
+        if hi == skip:
+            continue
+        p = world.hulls[hi].transform(frame)
+        box = p.bbox
+        if not (box.xlo < x < box.xhi):
+            continue
+        ys = [e.p[1] for e in p.horizontal_edges()
+              if min(e.p[0], e.q[0]) <= x <= max(e.p[0], e.q[0])]
+        out.append((min(ys), max(ys)))
+    return out
+
+
+def test_hole_sections_match_transformed_hulls():
+    checked = 0
+    for seed, world, region in _worlds_and_regions(range(0, 140)):
+        polys = world.frame(region.frame)
+        for x in range(region.s[0] - 1, region.t[0] + 2):
+            for skip in [None] + region.holes:
+                got = _hole_sections(polys, region.holes, x, skip)
+                want = _reference_sections(world, region.frame, region.holes,
+                                           x, skip)
+                assert got == want, f"seed {seed}, x {x}, skip {skip}"
+                checked += len(want)
+    assert checked > 0
