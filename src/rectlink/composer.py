@@ -72,15 +72,15 @@ def _horiz_readout(res: SweepResult) -> float:
 
 def _rise_curves(wf: FrameView, p: Point, x_hi: int, y_hi: int) -> dict[str, StepCurve]:
     return {
-        "ru": StepCurve(trace_ru(wf.frame(IDENTITY), p, x_hi).points),
-        "ur": StepCurve(trace_ru(wf.frame(SWAP), (p[1], p[0]), y_hi).points),
+        "ru": trace_ru(wf.frame(IDENTITY), p, x_hi).curve,
+        "ur": trace_ru(wf.frame(SWAP), (p[1], p[0]), y_hi).curve,
     }
 
 
 def _fall_curves(wf: FrameView, p: Point, x_hi: int, y_lo: int) -> dict[str, StepCurve]:
     return {
-        "rd": StepCurve(trace_ru(wf.frame(Xform(1, 0, 0, -1)), (p[0], -p[1]), x_hi).points),
-        "dr": StepCurve(trace_ru(wf.frame(Xform(0, -1, 1, 0)), (-p[1], p[0]), -y_lo).points),
+        "rd": trace_ru(wf.frame(Xform(1, 0, 0, -1)), (p[0], -p[1]), x_hi).curve,
+        "dr": trace_ru(wf.frame(Xform(0, -1, 1, 0)), (-p[1], p[0]), -y_lo).curve,
     }
 
 

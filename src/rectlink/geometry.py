@@ -7,6 +7,7 @@ are small frozen dataclasses on top of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 Coord = int
@@ -174,28 +175,42 @@ def _signed_area2(vertices: Sequence[Point]) -> int:
 
 
 def _normalize_ring(vertices: Sequence[Point]) -> tuple[Point, ...]:
-    """Drop repeated/collinear vertices and rotate to a canonical start."""
-    vs = [tuple(v) for v in vertices]
+    """Drop repeated/collinear vertices and rotate to a canonical start.
+
+    One pass: a stack drops each vertex that turns out collinear with its
+    neighbours as the ring is read, then the seam between the ring's end
+    and its start is closed the same way.
+    """
+    vs: list[Point] = []
+    for v in vertices:
+        v = tuple(v)
+        if not vs or vs[-1] != v:
+            vs.append(v)
+    if len(vs) > 1 and vs[0] == vs[-1]:
+        vs.pop()
     out: list[Point] = []
+    unread = len(vs)
     for v in vs:
-        if not out or out[-1] != v:
-            out.append(v)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    changed = True
-    while changed and len(out) > 2:
-        changed = False
-        for i in range(len(out)):
-            a = out[i - 1]
-            b = out[i]
-            c = out[(i + 1) % len(out)]
-            if (a[0] == b[0] == c[0]) or (a[1] == b[1] == c[1]):
-                out.pop(i)
-                changed = True
+        # the ring now holds len(out) + unread vertices; keep at least two
+        while len(out) >= 2 and len(out) + unread > 2:
+            a, b = out[-2], out[-1]
+            if not (a[0] == b[0] == v[0] or a[1] == b[1] == v[1]):
                 break
-    start = min(range(len(out)), key=lambda i: out[i])
-    out = out[start:] + out[:start]
-    return tuple(out)
+            out.pop()
+        out.append(v)
+        unread -= 1
+    head = 0
+    while len(out) - head > 2:
+        a, b, c, d = out[-2], out[-1], out[head], out[head + 1]
+        if a[0] == b[0] == c[0] or a[1] == b[1] == c[1]:
+            out.pop()
+        elif b[0] == c[0] == d[0] or b[1] == c[1] == d[1]:
+            head += 1
+        else:
+            break
+    out = out[head:]
+    start = min(range(len(out)), key=out.__getitem__)
+    return tuple(out[start:] + out[:start])
 
 
 @dataclass(frozen=True)
@@ -209,7 +224,10 @@ class RectPolygon:
         if len(vs) < 4:
             raise GeometryError(f"degenerate polygon {vertices!r}")
         if _signed_area2(vs) < 0:
-            vs = _normalize_ring(tuple(reversed(vs)))
+            # the reversed ring is still normalised; only its start moves
+            vs = vs[::-1]
+            k = vs.index(min(vs))
+            vs = vs[k:] + vs[:k]
         for i in range(len(vs)):
             a, b = vs[i], vs[(i + 1) % len(vs)]
             if a[0] != b[0] and a[1] != b[1]:
@@ -221,8 +239,9 @@ class RectPolygon:
         for i in range(len(vs)):
             yield OrthoSegment(vs[i], vs[(i + 1) % len(vs)])
 
-    @property
+    @cached_property
     def bbox(self) -> Rect:
+        """Bounding box, computed on first use and kept."""
         return bounding_box(self.vertices)
 
     def area2(self) -> int:
@@ -256,14 +275,20 @@ class RectPolygon:
 
         A signed axis permutation keeps the ring free of repeats and
         collinear runs, so the image only needs re-orienting (a reflection
-        turns it clockwise) and rotating to its canonical start.
+        turns it clockwise) and rotating to its canonical start.  The box
+        maps corner to corner.
         """
         vs = [t.apply(v) for v in self.vertices]
         if t.a * t.d - t.b * t.c < 0:
             vs.reverse()
         k = vs.index(min(vs))
+        b = self.bbox
+        (x0, y0), (x1, y1) = t.apply((b.xlo, b.ylo)), t.apply((b.xhi, b.yhi))
         out = object.__new__(RectPolygon)
         object.__setattr__(out, "vertices", tuple(vs[k:] + vs[:k]))
+        # the image's cached bbox, so it is never rescanned
+        object.__setattr__(out, "bbox", Rect(min(x0, x1), min(y0, y1),
+                                             max(x0, x1), max(y0, y1)))
         return out
 
     def horizontal_edges(self) -> list[OrthoSegment]:

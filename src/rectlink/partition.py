@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -110,29 +111,66 @@ def _frame_poly(p: RectPolygon) -> _FramePoly:
     return _FramePoly(p, box, wlo, whi, hug, east_horiz, hug_xs, west, horiz)
 
 
+class FrameTables(list):
+    """The hulls as seen in one frame, in hull order, plus that frame's memos.
+
+    ``traces`` maps ``(start, x_stop)`` to the ``Trace`` that ``trace_ru``
+    returned for it in this frame.  ``regions`` maps ``(q, s, t)`` to the
+    ``StaircaseRegion`` that ``build_staircase_region`` returned, where
+    ``q`` is the frame the caller passed (relative to its view) and ``s``
+    and ``t`` are the pair's frame coordinates.
+    """
+
+    def __init__(self, polys: Sequence[_FramePoly]):
+        super().__init__(polys)
+        self.traces: dict[tuple[Point, int], Trace] = {}
+        self.regions: dict[tuple[Xform, Point, Point], StaircaseRegion] = {}
+
+
 class World:
-    """Obstacle hulls plus cached per-frame trace structures.
+    """Obstacle hulls plus cached per-frame tables and memos.
 
     Every frame is one of the eight signed axis permutations, so the cache
-    holds at most eight entries.  A sub-solve working in a frame of its own
-    reads this cache through a ``FrameView`` instead of building a world of
-    transformed hulls.
+    holds at most eight ``FrameTables``.  A sub-solve working in a frame of
+    its own reads this cache through a ``FrameView`` instead of building a
+    world of transformed hulls, so every middle solve of an instance shares
+    the work memoised in the tables:
+
+    * traces, keyed by their total frame, start point and ``x_stop``; each
+      trace builds its ``StepCurve`` once, on first use of ``curve``;
+    * staircase regions, keyed by their total frame, the view-relative
+      frame ``q`` stored in ``StaircaseRegion.frame``, and the endpoints in
+      frame coordinates.
+
+    Every caller receives the same memoised object, so none may mutate a
+    trace, a curve or a region: a sweep keeps its state in its own store.
+    The memos live as long as the world, which a solve builds for itself.
     """
 
     def __init__(self, hulls: Sequence[RectPolygon]):
         self.hulls = tuple(hulls)
-        self._frames: dict[Xform, list[_FramePoly]] = {}
+        self._frames: dict[Xform, FrameTables] = {}
 
     @classmethod
     def from_obstacles(cls, obstacles: Sequence[RectPolygon]) -> "World":
         return cls([rectilinear_convex_hull(ob) for ob in obstacles])
 
-    def frame(self, t: Xform) -> list[_FramePoly]:
+    def frame(self, t: Xform) -> FrameTables:
         got = self._frames.get(t)
         if got is None:
-            got = [_frame_poly(h.transform(t)) for h in self.hulls]
+            got = FrameTables([_frame_poly(h.transform(t)) for h in self.hulls])
             self._frames[t] = got
         return got
+
+    @property
+    def traces_built(self) -> int:
+        """Distinct traces computed so far, over all frames."""
+        return sum(len(ft.traces) for ft in self._frames.values())
+
+    @property
+    def regions_built(self) -> int:
+        """Distinct staircase regions built so far, over all frames."""
+        return sum(len(ft.regions) for ft in self._frames.values())
 
 
 class FrameView:
@@ -149,7 +187,7 @@ class FrameView:
         self.world = world
         self.base = base
 
-    def frame(self, t: Xform) -> list[_FramePoly]:
+    def frame(self, t: Xform) -> FrameTables:
         return self.world.frame(self.base.then(t))
 
 
@@ -159,6 +197,11 @@ class Trace:
 
     points: list[Point]
     touched: list[int]     # indices of obstacles the curve climbed
+
+    @cached_property
+    def curve(self) -> StepCurve:
+        """Step-function view of the points, built on first use."""
+        return StepCurve(self.points)
 
 
 def _west_facing(e) -> bool:
@@ -201,8 +244,19 @@ def _standing_block(polys: list[_FramePoly], cur: Point) -> Optional[int]:
     return None
 
 
-def trace_ru(polys: list[_FramePoly], start: Point, x_stop: int) -> Trace:
-    """Extreme weakly-rising x-monotone curve from start to the x_stop wall."""
+def trace_ru(polys: FrameTables, start: Point, x_stop: int) -> Trace:
+    """Extreme weakly-rising x-monotone curve from start to the x_stop wall.
+
+    Memoised in the frame's tables: repeated requests get the same object.
+    """
+    key = (start, x_stop)
+    got = polys.traces.get(key)
+    if got is None:
+        got = polys.traces[key] = _trace_ru(polys, start, x_stop)
+    return got
+
+
+def _trace_ru(polys: list[_FramePoly], start: Point, x_stop: int) -> Trace:
     pts: list[Point] = [start]
     touched: list[int] = []
     cur = start
@@ -315,12 +369,12 @@ def classify(world: World | FrameView, s: Point, t: Point) -> tuple[str, Xform]:
     sq, tq = q.apply(s), q.apply(t)
 
     ru = trace_ru(world.frame(q), sq, tq[0])
-    if tq[1] < StepCurve(ru.points).max_y_at(tq[0]):
+    if tq[1] < ru.curve.max_y_at(tq[0]):
         return ("x", q)
 
     g = q.then(SWAP)
     ur = trace_ru(world.frame(g), g.apply(s), g.apply(t)[0])
-    if g.apply(t)[1] < StepCurve(ur.points).max_y_at(g.apply(t)[0]):
+    if g.apply(t)[1] < ur.curve.max_y_at(g.apply(t)[0]):
         # y-monotone: swap axes to express it as an eastward x-case
         return ("x", g)
     return ("xy", q)
@@ -403,22 +457,34 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
     """Staircase region of an xy-monotone pair, with its sweep events.
 
     ``s`` and ``t`` are world points; the pair must classify as ("xy", frame).
+    Memoised in the world's tables for ``frame``: repeated requests get the
+    same object.
     """
     sq, tq = frame.apply(s), frame.apply(t)
+    # frame-local indices map onto world hull indices 1:1 (same ordering)
+    polys = world.frame(frame)
+    key = (frame, sq, tq)
+    got = polys.regions.get(key)
+    if got is None:
+        got = polys.regions[key] = _build_region(world, polys, frame, sq, tq)
+    return got
+
+
+def _build_region(world: World | FrameView, polys: list[_FramePoly],
+                  frame: Xform, sq: Point, tq: Point) -> StaircaseRegion:
     sx, sy = sq
     tx, ty = tq
 
     def sub(mode: str, start: Point, stop: Point) -> Trace:
         g = TRACE_FRAMES[mode]
-        total = frame.then(g)
-        tr = trace_ru(world.frame(total), total.apply(start), total.apply(stop)[0])
+        tr = trace_ru(world.frame(frame.then(g)), g.apply(start), g.apply(stop)[0])
         inv = g.inverse()
         return Trace([inv.apply(p) for p in tr.points], tr.touched)
 
-    ur = sub("ur", s, t)
-    ld = sub("ld", t, s)
-    ru = sub("ru", s, t)
-    dl = sub("dl", t, s)
+    ur = sub("ur", sq, tq)
+    ld = sub("ld", tq, sq)
+    ru = sub("ru", sq, tq)
+    dl = sub("dl", tq, sq)
 
     upper_s = StepCurve(ur.points)
     upper_t = StepCurve(ld.points)
@@ -441,8 +507,6 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
         return int(max(lower_s.max_y_at(x - 1), lower_t.min_y_from(x), sy))
 
     touched = set(ur.touched) | set(ld.touched) | set(ru.touched) | set(dl.touched)
-    # frame-local indices map onto world hull indices 1:1 (same ordering)
-    polys = world.frame(frame)
     holes: list[int] = []
     for i, fp in enumerate(polys):
         if i in touched:

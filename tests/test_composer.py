@@ -1,6 +1,6 @@
 import pytest
 
-from rectlink import engine
+from rectlink import composer, engine, partition
 from rectlink.composer import solve_x_case
 from rectlink.engine import _double, build_world, solve_pair
 from rectlink.frontend import solve
@@ -107,3 +107,61 @@ def test_one_world_per_solve(monkeypatch):
         solve(inst)
         assert len(x_solves) >= min_x_solves
         assert len(builds) == 1
+
+
+def _many_x_solves():
+    # 19 x-case middle solves over 20 attachment pairs
+    return generate_instance(18, n_obstacles=8, coord_limit=120,
+                             source_kind="polygon", target_kind="polygon")
+
+
+def test_each_trace_is_traced_once_per_solve(monkeypatch):
+    """Middle solves share the instance world's traces: every (frame,
+    start, x_stop) key reaches the tracer once, however often it is asked
+    for."""
+    traced, requests, x_solves = [], [], []
+    inner, outer, x_case = partition._trace_ru, partition.trace_ru, engine.solve_x_case
+
+    def counting_inner(polys, start, x_stop):
+        traced.append((id(polys), start, x_stop))
+        return inner(polys, start, x_stop)
+
+    def counting_outer(*args):
+        requests.append(1)
+        return outer(*args)
+
+    def counting_x_case(*args, **kw):
+        x_solves.append(1)
+        return x_case(*args, **kw)
+
+    monkeypatch.setattr(partition, "_trace_ru", counting_inner)
+    monkeypatch.setattr(partition, "trace_ru", counting_outer)
+    monkeypatch.setattr(composer, "trace_ru", counting_outer)
+    monkeypatch.setattr(engine, "solve_x_case", counting_x_case)
+    report = solve(_many_x_solves())
+    assert len(x_solves) >= 10
+    assert len(traced) == len(set(traced))
+    assert len(traced) < len(requests) / 2
+    assert report.stats["traces_built"] == len(traced)
+
+
+def test_two_solves_share_no_memo(monkeypatch):
+    """Each solve builds its own world, and with it fresh memos: the
+    second solve of an instance traces and builds as much as the first."""
+    worlds = []
+    init = World.__init__
+
+    def recording_init(self, hulls):
+        worlds.append(self)
+        init(self, hulls)
+
+    monkeypatch.setattr(World, "__init__", recording_init)
+    inst = _many_x_solves()
+    first, second = solve(inst), solve(inst)
+    assert len(worlds) == 2 and worlds[0] is not worlds[1]
+    assert not set(map(id, worlds[0]._frames.values())) \
+        & set(map(id, worlds[1]._frames.values()))
+    for key in ("traces_built", "regions_built"):
+        assert first.stats[key] == second.stats[key] > 0
+    assert (first.distance, first.links, first.path) \
+        == (second.distance, second.links, second.path)

@@ -152,3 +152,28 @@ class TestSharedFrames:
             assert shared == fresh, (seed, base, g)
         # every view reads the one cache: eight frames, however many views
         assert len(world._frames) == 8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_views_keep_their_own_region_frame(self, seed):
+        """A region asked for through a view is memoised under the frame the
+        view passed, so each view gets a region whose ``frame`` is its own."""
+        for k in range(seed * 50, seed * 50 + 50):
+            inst = generate_instance(k, n_obstacles=8, coord_limit=120)
+            world = build_world(list(inst.obstacles))
+            s2, t2 = _double(inst.source.point), _double(inst.target.point)
+            kind, q = classify(world, s2, t2)
+            if kind == "xy" and s2[0] != t2[0] and s2[1] != t2[1]:
+                break
+        else:
+            pytest.fail("no xy pair among the seeds")
+        region = build_staircase_region(world, q, s2, t2)
+        for base in XFORMS:
+            # the view's coordinates are base-mapped, and base.then(q2) == q
+            q2 = base.inverse().then(q)
+            got = build_staircase_region(FrameView(world, base), q2,
+                                         base.apply(s2), base.apply(t2))
+            assert got.frame == q2
+            assert (got is region) == (base == IDENTITY)
+            assert (got.s, got.t, got.baselines, got.events, got.holes) \
+                == (region.s, region.t, region.baselines, region.events, region.holes)
+        assert world.regions_built == 8

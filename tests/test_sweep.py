@@ -4,7 +4,7 @@ import pytest
 
 from rectlink.engine import _double, build_world
 from rectlink.generator import generate_instance
-from rectlink.partition import _hole_sections, build_staircase_region, classify
+from rectlink.partition import World, _hole_sections, build_staircase_region, classify
 from rectlink.sweep import INF, NaiveStore, reconstruct_path, run_sweep
 from rectlink.geometry import PathResult
 from tree_store import ActiveRanges, TreeStore, final_state
@@ -104,6 +104,32 @@ def test_shadow_equivalence_on_random_regions(seed_h, seed_v):
         assert naive.lam_v == tree.lam_v, f"seed {seed}"
         assert naive.event_values == tree.event_values, f"seed {seed}"
         assert final_state(naive.store) == final_state(tree.store), f"seed {seed}"
+
+
+def _sweep_readouts(region, seed_h, seed_v):
+    store = NaiveStore(region.m)
+    res = run_sweep(region, store, seed_h=seed_h, seed_v=seed_v)
+    paths = {arr: reconstruct_path(region, store, arr)
+             for arr, lam in (("h", res.lam_h), ("v", res.lam_v)) if lam < INF}
+    return res.lam_h, res.lam_v, res.event_values, paths
+
+
+def test_memoised_region_sweeps_like_a_fresh_one():
+    """A region served again from the world's memo and swept with other
+    seeds reads the same as a region built afresh for that sweep."""
+    checked = 0
+    for seed, world, region in _worlds_and_regions(range(60)):
+        inv = region.frame.inverse()
+        s2, t2 = inv.apply(region.s), inv.apply(region.t)
+        for seed_h, seed_v in ((1, 2), (4, 5), (3, 3)):
+            again = build_staircase_region(world, region.frame, s2, t2)
+            assert again is region, seed
+            fresh = build_staircase_region(World(world.hulls), region.frame, s2, t2)
+            assert fresh is not region
+            assert _sweep_readouts(again, seed_h, seed_v) \
+                == _sweep_readouts(fresh, seed_h, seed_v), (seed, seed_h, seed_v)
+        checked += len(region.holes) > 0
+    assert checked >= 5
 
 
 def test_reconstruction_matches_sweep_value():
