@@ -15,15 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .geometry import (
-    IDENTITY,
-    SWAP,
-    GeometryError,
-    PathResult,
-    Point,
-    Xform,
-)
+from .geometry import IDENTITY, GeometryError, PathResult, Point, Xform, first_dir
 from .partition import (
+    FRAME_DR,
+    FRAME_RD,
+    FRAME_RU,
+    FRAME_UR,
     FrameView,
     StaircaseRegion,
     StepCurve,
@@ -72,15 +69,15 @@ def _horiz_readout(res: SweepResult) -> float:
 
 def _rise_curves(wf: FrameView, p: Point, x_hi: int, y_hi: int) -> dict[str, StepCurve]:
     return {
-        "ru": trace_ru(wf.frame(IDENTITY), p, x_hi).curve,
-        "ur": trace_ru(wf.frame(SWAP), (p[1], p[0]), y_hi).curve,
+        "ru": trace_ru(wf.frame(FRAME_RU), p, x_hi).curve,
+        "ur": trace_ru(wf.frame(FRAME_UR), FRAME_UR.apply(p), y_hi).curve,
     }
 
 
 def _fall_curves(wf: FrameView, p: Point, x_hi: int, y_lo: int) -> dict[str, StepCurve]:
     return {
-        "rd": trace_ru(wf.frame(Xform(1, 0, 0, -1)), (p[0], -p[1]), x_hi).curve,
-        "dr": trace_ru(wf.frame(Xform(0, -1, 1, 0)), (-p[1], p[0]), -y_lo).curve,
+        "rd": trace_ru(wf.frame(FRAME_RD), FRAME_RD.apply(p), x_hi).curve,
+        "dr": trace_ru(wf.frame(FRAME_DR), FRAME_DR.apply(p), -y_lo).curve,
     }
 
 
@@ -288,11 +285,8 @@ def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
             continue
         world_pts = [inv_frame.apply(p) for p in stitch(pred, region, store, arr)]
         result = PathResult.from_points(world_pts)
-        p0, p1 = result.points[0], result.points[1]
-        d0 = ((p1[0] > p0[0]) - (p1[0] < p0[0]),
-              (p1[1] > p0[1]) - (p1[1] < p0[1]))
         # the first segment is charged its seeded link count, not 1
-        seeded = result.links - 1 + dir_links[d0]
+        seeded = result.links - 1 + dir_links[first_dir(result.points)]
         if result.length != target.dist or seeded != lam:
             raise GeometryError("witness disagrees with the relaxation values")
         inv_total = frame.then(region.frame).inverse()

@@ -25,13 +25,14 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import UNIT_DIRS, _double, _even_snap, build_world, solve_pair_raw
+from .engine import UNIT_DIRS, _double, build_world, solve_pair_raw
 from .geometry import (
     GeometryError,
     OrthoSegment,
     PathResult,
     Point,
     Rect,
+    first_dir,
 )
 from .model import POINT, SEGMENT, Instance, Terminal, validate
 from .pockets import BoxGrid, GridSearch
@@ -144,12 +145,16 @@ def _seed_links(att: Attachment) -> Optional[dict[Point, float]]:
 def _align_runs(points: list[Point], xs: list[int], ys: list[int]) -> list[Point]:
     """Slide off-grid runs of a witness onto instance coordinate lines.
 
-    No obstacle boundary lies strictly between two consecutive instance
-    coordinates, and obstacles are open, so moving a run within that strip
-    onto either bounding line is always legal.  Off-grid runs of an optimal
-    witness are staircase runs (an off-grid reversal run could slide inward
-    and shorten the path), so either direction preserves length; the one
-    that does not merge with a neighbouring run preserves links too.
+    ``solve`` passes the doubled witness with the doubled lines, whose
+    off-grid runs sit on winder midpoints and pocket junctions.  Every
+    obstacle line is an instance line, so no obstacle boundary lies
+    strictly between two consecutive lines, and obstacles are open: moving
+    a run within that strip onto either bounding line is always legal.
+    Off-grid runs of an optimal witness are staircase runs (an off-grid
+    reversal run could slide inward and shorten the path), so either
+    direction preserves length; the one that does not merge with a
+    neighbouring run preserves links too.  ``points`` must have no
+    zero-length steps and no collinear corners.
     """
     pts = list(points)
     for axis, lines in ((0, xs), (1, ys)):
@@ -229,9 +234,7 @@ def solve(instance: Instance) -> SolveReport:
         stats["events"] += raw.stats.get("events", 0)
         stats["regions"] += raw.stats.get("regions", 0)
         for adir, (lam, wit) in raw.arrivals.items():
-            d0 = (min(max(wit[1][0] - wit[0][0], -1), 1),
-                  min(max(wit[1][1] - wit[0][1], -1), 1))
-            if a.out_dir is not None and d0 == _neg(a.out_dir):
+            if a.out_dir is not None and first_dir(wit) == _neg(a.out_dir):
                 # the middle would double straight back into the box; a
                 # later crossing of the same pocket covers that route
                 continue
@@ -251,9 +254,9 @@ def solve(instance: Instance) -> SolveReport:
     if len(pts2) == 1:
         path = [(pts2[0][0] // 2, pts2[0][1] // 2)]
     else:
-        pts2 = _even_snap(pts2, d2, links)
-        path = _align_runs([(x // 2, y // 2) for x, y in pts2], xs, ys)
-        check = PathResult.from_points(path)
+        pts2 = _align_runs(PathResult.from_points(pts2).points,
+                           [2 * x for x in xs], [2 * y for y in ys])
+        check = PathResult.from_points([(x // 2, y // 2) for x, y in pts2])
         if check.length * 2 != d2 or check.links != links \
                 or any(p[0] not in xs_set or p[1] not in ys_set
                        for p in check.points):

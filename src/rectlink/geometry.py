@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-Coord = int
 Point = tuple[int, int]
 
 COORD_LIMIT = 1 << 30
@@ -91,14 +90,6 @@ class OrthoSegment:
     def length(self) -> int:
         return abs(self.p[0] - self.q[0]) + abs(self.p[1] - self.q[1])
 
-    def span(self) -> tuple[int, int]:
-        """(lo, hi) along the segment's own axis."""
-        if self.vertical:
-            lo, hi = sorted((self.p[1], self.q[1]))
-        else:
-            lo, hi = sorted((self.p[0], self.q[0]))
-        return lo, hi
-
     def contains(self, pt: Point) -> bool:
         x, y = pt
         x0, x1 = sorted((self.p[0], self.q[0]))
@@ -128,15 +119,6 @@ class Rect:
             or other.xhi <= self.xlo
             or self.yhi <= other.ylo
             or other.yhi <= self.ylo
-        )
-
-    def intersects(self, other: "Rect") -> bool:
-        """Closed-rectangle intersection test (shared boundary counts)."""
-        return not (
-            self.xhi < other.xlo
-            or other.xhi < self.xlo
-            or self.yhi < other.ylo
-            or other.yhi < self.ylo
         )
 
     @property
@@ -361,6 +343,12 @@ class PathResult:
     def from_points(points: Sequence[Point]) -> "PathResult":
         pts, length, links = path_metrics(points)
         return PathResult(tuple(pts), length, links)
+
+
+def first_dir(points: Sequence[Point]) -> Point:
+    """Unit direction of a polyline's first step (its first two corners)."""
+    (x0, y0), (x1, y1) = points[0], points[1]
+    return ((x1 > x0) - (x1 < x0), (y1 > y0) - (y1 < y0))
 
 
 def path_metrics(points: Sequence[Point]) -> tuple[list[Point], int, int]:

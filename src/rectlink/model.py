@@ -10,7 +10,6 @@ from .geometry import (
     Point,
     Rect,
     RectPolygon,
-    Xform,
     bounding_box,
 )
 
@@ -55,13 +54,6 @@ class Terminal:
     def bbox(self) -> Rect:
         return bounding_box(self.coords())
 
-    def transform(self, t: Xform) -> "Terminal":
-        if self.kind == POINT:
-            return Terminal.of_point(t.apply(self.point))
-        if self.kind == SEGMENT:
-            return Terminal.of_segment(t.apply(self.segment.p), t.apply(self.segment.q))
-        return Terminal.of_polygon([t.apply(v) for v in self.polygon.vertices])
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -99,6 +91,11 @@ def validate(instance: Instance) -> list[str]:
             problems.append(f"coordinate {c} exceeds |{COORD_LIMIT}|")
             break
 
+    for i, ob in enumerate(obs):
+        v = _repeated_vertex(ob)
+        if v is not None:
+            problems.append(f"obstacle {i} ring passes through vertex {v} twice")
+
     boxes = [ob.bbox for ob in obs]
     for i, j in _overlapping_boxes(boxes):
         problems.append(f"obstacle boxes {i} and {j} overlap")
@@ -124,6 +121,20 @@ def validate(instance: Instance) -> list[str]:
         problems.extend(_validate_terminal(name, term, instance))
 
     return problems
+
+
+def _repeated_vertex(poly: RectPolygon) -> Optional[Point]:
+    """A vertex the ring passes through more than once, if any.
+
+    Such a ring is not simple, and its normalised vertex tuple would depend
+    on where the input ring starts.
+    """
+    seen: set[Point] = set()
+    for v in poly.vertices:
+        if v in seen:
+            return v
+        seen.add(v)
+    return None
 
 
 def _overlapping_boxes(boxes: Sequence[Rect]) -> list[tuple[int, int]]:
@@ -166,6 +177,9 @@ def _validate_terminal(name: str, term: Terminal, instance: Instance) -> list[st
         if pierced > 2:
             problems.append(f"{name} segment pierces {pierced} bounding boxes")
     else:
+        v = _repeated_vertex(term.polygon)
+        if v is not None:
+            problems.append(f"{name} polygon ring passes through vertex {v} twice")
         tb = term.bbox
         for i, box in enumerate(boxes):
             if not tb.interior_disjoint(box):

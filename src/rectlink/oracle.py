@@ -38,7 +38,6 @@ class OracleAnswer:
 class HananGraph:
     xs: list[int]
     ys: list[int]
-    cell_blocked: np.ndarray      # (nx-1, ny-1) open-cell-inside-an-obstacle
     h_blocked: np.ndarray         # (nx-1, ny) horizontal step blocked
     v_blocked: np.ndarray         # (nx, ny-1) vertical step blocked
 
@@ -84,7 +83,7 @@ def build_hanan_graph(instance: Instance, cap: int = GRID_CAP) -> HananGraph:
     v_blocked = np.zeros((nx, max(ny - 1, 0)), dtype=bool)
     if nx > 1 and ny > 1:
         v_blocked[1:-1, :] = cell[:-1, :] & cell[1:, :]
-    return HananGraph(xs, ys, cell, h_blocked, v_blocked)
+    return HananGraph(xs, ys, h_blocked, v_blocked)
 
 
 def _terminal_grid_points(term: Terminal, g: HananGraph) -> list[tuple[int, int]]:
@@ -274,46 +273,6 @@ def _run_oracle(instance: Instance, want_path: bool, cap: int) -> OracleAnswer:
 def oracle_solve(instance: Instance, want_path: bool = True, cap: int = GRID_CAP) -> OracleAnswer:
     """Exact (distance, links) with an optional witness path."""
     return _run_oracle(instance, want_path, cap)
-
-
-def oracle_closest_pairs(instance: Instance, cap: int = GRID_CAP) -> list[tuple[Point, Point]]:
-    """All grid-representable closest pairs (p on source, q on target)."""
-    touch = _terminals_touch(instance.source, instance.target)
-    if touch is not None:
-        return [(touch, touch)]
-    g = build_hanan_graph(instance, cap=cap)
-    sg = _StateGraph(g)
-    nx = g.shape[0]
-    s_list = _terminal_grid_points(instance.source, g)
-    t_list = _terminal_grid_points(instance.target, g)
-    s_nodes = [j * nx + i for i, j in s_list]
-    t_nodes = [j * nx + i for i, j in t_list]
-
-    def field(nodes):
-        m = sg.matrix(nodes, [])
-        dist = _csgraph_dijkstra(m, directed=True, indices=sg.sup_s)
-        per_state = dist[: 2 * sg.n_nodes].reshape(2, sg.n_nodes)
-        best = np.minimum(per_state[0], per_state[1])
-        best = np.where(np.isfinite(best), best, -float(sg.big))
-        return np.floor(best / sg.big + 1e-9).astype(np.int64)
-
-    d_from_s = field(s_nodes)
-    d_from_t = field(t_nodes)
-    dmin = min(int(d_from_t[n]) for n in s_nodes)
-    pairs: list[tuple[Point, Point]] = []
-    cand_s = [(i, j) for (i, j), n in zip(s_list, s_nodes) if d_from_t[n] == dmin]
-    cand_t = {n: (i, j) for (i, j), n in zip(t_list, t_nodes) if d_from_s[n] == dmin}
-    for i, j in cand_s:
-        m = sg.matrix([j * nx + i], [])
-        dist = _csgraph_dijkstra(m, directed=True, indices=sg.sup_s)
-        per_state = dist[: 2 * sg.n_nodes].reshape(2, sg.n_nodes)
-        best = np.minimum(per_state[0], per_state[1])
-        best = np.where(np.isfinite(best), best, -float(sg.big))
-        dp = np.floor(best / sg.big + 1e-9).astype(np.int64)
-        for n, (ti, tj) in cand_t.items():
-            if dp[n] == dmin:
-                pairs.append(((g.xs[i], g.ys[j]), (g.xs[ti], g.ys[tj])))
-    return pairs
 
 
 # ---------------------------------------------------------------------------

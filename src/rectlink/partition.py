@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from .geometry import (
     FLIP_X,
     FLIP_XY,
+    FLIP_Y,
     IDENTITY,
     SWAP,
     GeometryError,
@@ -34,8 +35,8 @@ INF = float("inf")
 
 # frames mapping each (primary, sidestep) direction pair onto (+x, +y)
 FRAME_RU = IDENTITY                    # east, clear north
-FRAME_RD = Xform(1, 0, 0, -1)          # east, clear south
-FRAME_LU = Xform(-1, 0, 0, 1)          # west, clear north
+FRAME_RD = FLIP_Y                      # east, clear south
+FRAME_LU = FLIP_X                      # west, clear north
 FRAME_LD = FLIP_XY                     # west, clear south
 FRAME_UR = SWAP                        # north, clear east
 FRAME_UL = Xform(0, 1, -1, 0)          # north, clear west
@@ -299,7 +300,8 @@ def _trace_ru(polys: list[_FramePoly], start: Point, x_stop: int) -> Trace:
 
 
 def trace_path(world: World | FrameView, mode: str, start: Point, stop: Point) -> Trace:
-    """One of the eight extreme monotone paths, in world coordinates.
+    """One of the eight extreme monotone paths, in the coordinates that
+    ``world`` is read in (a view's own frame for a ``FrameView``).
 
     The trace runs until the primary coordinate reaches the matching
     coordinate of ``stop``.
@@ -363,7 +365,7 @@ def classify(world: World | FrameView, s: Point, t: Point) -> tuple[str, Xform]:
     if dx == 0 and dy == 0:
         return ("same", IDENTITY)
     if dx >= 0:
-        q = IDENTITY if dy >= 0 else Xform(1, 0, 0, -1)
+        q = IDENTITY if dy >= 0 else FLIP_Y
     else:
         q = FLIP_X if dy >= 0 else FLIP_XY
     sq, tq = q.apply(s), q.apply(t)
@@ -394,7 +396,6 @@ class Event:
     assign_inf: Optional[tuple[int, int]] = None   # activate unreachable
     chmin: Optional[tuple[int, int]] = None        # fold v + 2 into actives
     deactivate: Optional[tuple[int, int]] = None
-    eid: int = -1
 
 
 @dataclass
@@ -405,34 +406,13 @@ class StaircaseRegion:
     s: Point                      # frame coordinates
     t: Point
     baselines: list[int]          # ascending ys; first is y(s), last y(t)
-    events: list[Event]           # sorted by x; first is the originate
-    originate_top: int            # top baseline index of the initial climb
-    nw_chain: list[Point]
-    se_chain: list[Point]
+    events: list[Event]           # sorted by x; first is the originate;
+                                  # an event's id is its index here
     holes: list[int]              # world obstacle indices strictly inside
 
     @property
     def m(self) -> int:
         return len(self.baselines)
-
-
-def _staircase_of(fn_changes: list[tuple[int, int]], x0: int, x1: int, y0: int) -> list[Point]:
-    """Polyline of a non-decreasing step function given its jumps."""
-    pts: list[Point] = [(x0, y0)]
-    y = y0
-    for x, ny in fn_changes:
-        if ny == y:
-            continue
-        pts.append((x, y))
-        pts.append((x, ny))
-        y = ny
-    pts.append((x1, y))
-    # drop zero-length lead-in/outs
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p != out[-1]:
-            out.append(p)
-    return out
 
 
 def _hole_sections(polys: list[_FramePoly], holes: list[int], x: int,
@@ -474,17 +454,11 @@ def _build_region(world: World | FrameView, polys: list[_FramePoly],
                   frame: Xform, sq: Point, tq: Point) -> StaircaseRegion:
     sx, sy = sq
     tx, ty = tq
-
-    def sub(mode: str, start: Point, stop: Point) -> Trace:
-        g = TRACE_FRAMES[mode]
-        tr = trace_ru(world.frame(frame.then(g)), g.apply(start), g.apply(stop)[0])
-        inv = g.inverse()
-        return Trace([inv.apply(p) for p in tr.points], tr.touched)
-
-    ur = sub("ur", sq, tq)
-    ld = sub("ld", tq, sq)
-    ru = sub("ru", sq, tq)
-    dl = sub("dl", tq, sq)
+    view = FrameView(world, frame)
+    ur = trace_path(view, "ur", sq, tq)
+    ld = trace_path(view, "ld", tq, sq)
+    ru = trace_path(view, "ru", sq, tq)
+    dl = trace_path(view, "dl", tq, sq)
 
     upper_s = StepCurve(ur.points)
     upper_t = StepCurve(ld.points)
@@ -639,23 +613,5 @@ def _build_region(world: World | FrameView, polys: list[_FramePoly],
                     ))
 
     events.sort(key=lambda e: (e.x, e.kind != "originate"))
-    events = [
-        Event(x=e.x, kind=e.kind, src=e.src, assign=e.assign,
-              assign_inf=e.assign_inf, chmin=e.chmin,
-              deactivate=e.deactivate, eid=i)
-        for i, e in enumerate(events)
-    ]
-
-    top_changes = [(x, top(x)) for x in top_jumps]
-    bot_changes = [(x, bottom(x)) for x in bot_jumps if x > sx]
-    nw_chain = _staircase_of(top_changes, sx, tx, top(sx))
-    nw_chain = [(sx, sy)] + nw_chain if nw_chain[0] != (sx, sy) else nw_chain
-    se_chain = _staircase_of(bot_changes, sx, tx, sy)
-    if se_chain[-1] != (tx, ty):
-        se_chain = se_chain + [(tx, ty)]
-
-    return StaircaseRegion(
-        frame=frame, s=sq, t=tq, baselines=baselines, events=events,
-        originate_top=originate_top, nw_chain=nw_chain, se_chain=se_chain,
-        holes=holes,
-    )
+    return StaircaseRegion(frame=frame, s=sq, t=tq, baselines=baselines,
+                           events=events, holes=holes)

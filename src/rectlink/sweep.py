@@ -92,11 +92,11 @@ def run_sweep(region: StaircaseRegion, store=None, seed_h: float = 1,
     if store is None:
         store = NaiveStore(m)
     values: list[float] = []
-    for e in region.events:
-        store.seq = e.eid
+    for eid, e in enumerate(region.events):
+        store.seq = eid
         if e.kind == "originate":
             lo, hi = e.assign
-            store.assign(lo, hi, seed_v, (e.eid, 0))
+            store.assign(lo, hi, seed_v, (eid, 0))
             store.assign(lo, lo, seed_h, None)
             values.append(seed_h)
             continue
@@ -105,7 +105,7 @@ def run_sweep(region: StaircaseRegion, store=None, seed_h: float = 1,
         else:
             v, arg = INF, -1
         values.append(v)
-        tag = (e.eid, arg) if arg >= 0 else None
+        tag = (eid, arg) if arg >= 0 else None
         if _ok(e.chmin):
             store.chmin(e.chmin[0], e.chmin[1], v + 2, tag)
         if _ok(e.deactivate):

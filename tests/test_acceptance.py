@@ -13,7 +13,7 @@ from rectlink.frontend import solve
 from rectlink.generator import GenerationError, generate_instance
 from rectlink.geometry import RectPolygon, rectilinear_convex_hull
 from rectlink.model import Instance, Terminal, validate
-from rectlink.oracle import oracle_closest_pairs, oracle_solve
+from rectlink.oracle import oracle_solve
 from rectlink.partition import (
     TRACE_FRAMES,
     StepCurve,
@@ -21,8 +21,10 @@ from rectlink.partition import (
     classify,
     trace_path,
 )
-from rectlink.pockets import BoxGrid, GridSearch, find_pockets
+from rectlink.pockets import BoxGrid, GridSearch
 from rectlink.sweep import INF, NaiveStore, reconstruct_path, run_sweep
+from closest_pairs import oracle_closest_pairs
+from pocket_doors import find_pockets
 from tree_store import TreeStore, final_state
 
 

@@ -2,10 +2,11 @@ import pytest
 
 from rectlink import composer, engine, partition
 from rectlink.composer import solve_x_case
-from rectlink.engine import _double, build_world, solve_pair
+from rectlink.engine import _double, build_world
 from rectlink.frontend import solve
 from rectlink.generator import generate_instance
 from rectlink.geometry import RectPolygon
+from rectlink.model import Instance, Terminal
 from rectlink.oracle import oracle_solve
 from rectlink.partition import World, classify
 
@@ -28,8 +29,8 @@ def _x_cases(seeds, n_obstacles=10, coord_limit=160):
 
 
 def test_single_wall_detour():
-    world = build_world([WALL])
-    ans = solve_pair(world, (0, 0), (20, 0))
+    ans = solve(Instance(obstacles=(WALL,), source=Terminal.of_point((0, 0)),
+                         target=Terminal.of_point((20, 0))))
     assert ans.distance == 20 + 2 * 40
     assert ans.links == 3
 

@@ -1,6 +1,8 @@
 import random
 
-from rectlink.geometry import Rect
+import pytest
+
+from rectlink.geometry import Rect, RectPolygon
 from rectlink.model import Instance, Terminal, validate
 
 BOX = Rect(10, 10, 20, 20).to_polygon()
@@ -96,3 +98,18 @@ def test_overlap_messages_match_all_pairs_reference():
         assert got == want
         overlapping += bool(want)
     assert 50 < overlapping < 300
+
+
+# a ring through (0, 1) twice: its normalised vertex tuple depends on where
+# the input ring starts
+FIGURE_EIGHT = [(0, 1), (1, 1), (1, 5), (0, 5), (0, 1), (2, 1), (2, 4), (0, 4)]
+
+
+@pytest.mark.parametrize("start", range(len(FIGURE_EIGHT)))
+def test_validate_rejects_a_ring_through_a_vertex_twice(start):
+    ring = FIGURE_EIGHT[start:] + FIGURE_EIGHT[:start]
+    far = Terminal.of_point((30, 30))
+    as_obstacle = _inst(Terminal.of_point((-30, -30)), far, [RectPolygon(ring)])
+    assert validate(as_obstacle) == ["obstacle 0 ring passes through vertex (0, 1) twice"]
+    as_terminal = _inst(Terminal.of_polygon(ring), far, ())
+    assert validate(as_terminal) == ["source polygon ring passes through vertex (0, 1) twice"]

@@ -6,10 +6,10 @@ from rectlink.model import Instance, Terminal
 from rectlink.oracle import (
     OracleRefusal,
     build_hanan_graph,
-    oracle_closest_pairs,
     oracle_solve,
     oracle_solve_reference,
 )
+from closest_pairs import oracle_closest_pairs
 
 BOX = Rect(10, 10, 20, 20).to_polygon()
 

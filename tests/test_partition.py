@@ -107,14 +107,13 @@ class TestStaircaseRegion:
         assert region.events[0].kind == "originate"
         assert all(a.x <= b.x for a, b in
                    zip(region.events, region.events[1:]))
-        assert _monotone(region.nw_chain)
-        assert _monotone(region.se_chain)
-        # the region lies between its chains: the nw chain never dips
-        # below the se chain at shared x positions
-        nw, se = StepCurve(region.nw_chain), StepCurve(region.se_chain)
-        for x in [p[0] for p in region.nw_chain + region.se_chain]:
-            if region.s[0] <= x <= region.t[0]:
-                assert nw.max_y_at(x) >= se.max_y_at(x) or x == region.s[0]
+        # every event lies in the region's x-span and every non-empty
+        # range it reads or writes names existing baselines
+        for e in region.events:
+            assert region.s[0] <= e.x <= region.t[0]
+            for r in (e.src, e.assign, e.assign_inf, e.chmin, e.deactivate):
+                if r is not None and r[0] <= r[1]:
+                    assert 0 <= r[0] and r[1] < region.m
 
 
 class TestStepCurve:

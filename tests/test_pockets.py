@@ -4,13 +4,8 @@ import random
 import pytest
 
 from rectlink.geometry import GeometryError, OrthoSegment, Rect, RectPolygon
-from rectlink.pockets import (
-    DIRS,
-    BoxGrid,
-    GridSearch,
-    find_pockets,
-    pocket_containing,
-)
+from rectlink.pockets import DIRS, BoxGrid, GridSearch
+from pocket_doors import find_pockets, pocket_containing
 
 U_SHAPE = RectPolygon([(0, 0), (6, 0), (6, 4), (4, 4), (4, 2), (2, 2), (2, 4), (0, 4)])
 STAIR = RectPolygon([(0, 0), (6, 0), (6, 2), (4, 2), (4, 4), (2, 4), (2, 6), (0, 6)])
