@@ -22,7 +22,6 @@ from .io import (
     result_to_obj,
 )
 from .model import validate
-from .oracle import OracleRefusal, oracle_solve
 from .render import render
 
 EXIT_OK = 0
@@ -79,6 +78,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # the oracle pulls in numpy and scipy; only this subcommand needs them
+    from .oracle import OracleRefusal, oracle_solve
+
     inst = _validated(args.file)
     try:
         ans = oracle_solve(inst)

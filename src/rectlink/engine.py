@@ -38,8 +38,14 @@ def _double(p: Point) -> Point:
 
 
 def build_world(obstacles: list[RectPolygon]) -> World:
-    """Doubled-coordinate hull world for ``solve_pair_raw`` calls."""
-    scaled = [RectPolygon([_double(v) for v in o.vertices]) for o in obstacles]
+    """Doubled-coordinate hull world for ``solve_pair_raw`` calls.
+
+    Doubling keeps a normalised ring normalised (same orientation, same
+    least vertex, no new collinear runs), so each ring is mapped as plain
+    tuples and not normalised again.
+    """
+    scaled = [RectPolygon.from_normalised([(2 * x, 2 * y) for x, y in o.vertices])
+              for o in obstacles]
     return World.from_obstacles(scaled)
 
 

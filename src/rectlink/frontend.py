@@ -248,6 +248,7 @@ def solve(instance: Instance) -> SolveReport:
         raise GeometryError("terminals are not connected")
     stats["traces_built"] = world.traces_built
     stats["regions_built"] = world.regions_built
+    stats["hull_tables_built"] = world.hull_tables_built
     d2, links, pts2 = best
     if d2 % 2:
         raise GeometryError("odd doubled distance")

@@ -216,6 +216,17 @@ class RectPolygon:
                 raise GeometryError(f"polygon edge {a}-{b} is not axis-aligned")
         object.__setattr__(self, "vertices", vs)
 
+    @classmethod
+    def from_normalised(cls, vertices: Sequence[Point]) -> "RectPolygon":
+        """Wrap a ring that is already normalised and counterclockwise.
+
+        Nothing is checked: the caller vouches for the ring, as for the
+        image of a polygon's ring under a positive scaling.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "vertices", tuple(vertices))
+        return out
+
     def edges(self) -> Iterator[OrthoSegment]:
         vs = self.vertices
         for i in range(len(vs)):
@@ -252,27 +263,6 @@ class RectPolygon:
                     inside = not inside
         return 1 if inside else -1
 
-    def transform(self, t: Xform) -> "RectPolygon":
-        """The image under ``t``, equal to ``RectPolygon`` of the mapped ring.
-
-        A signed axis permutation keeps the ring free of repeats and
-        collinear runs, so the image only needs re-orienting (a reflection
-        turns it clockwise) and rotating to its canonical start.  The box
-        maps corner to corner.
-        """
-        vs = [t.apply(v) for v in self.vertices]
-        if t.a * t.d - t.b * t.c < 0:
-            vs.reverse()
-        k = vs.index(min(vs))
-        b = self.bbox
-        (x0, y0), (x1, y1) = t.apply((b.xlo, b.ylo)), t.apply((b.xhi, b.yhi))
-        out = object.__new__(RectPolygon)
-        object.__setattr__(out, "vertices", tuple(vs[k:] + vs[:k]))
-        # the image's cached bbox, so it is never rescanned
-        object.__setattr__(out, "bbox", Rect(min(x0, x1), min(y0, y1),
-                                             max(x0, x1), max(y0, y1)))
-        return out
-
     def horizontal_edges(self) -> list[OrthoSegment]:
         return [e for e in self.edges() if e.horizontal]
 
@@ -297,12 +287,31 @@ def _staircase(points: list[Point], sx: int, sy: int) -> list[Point]:
     return keep
 
 
+def _is_orthoconvex(vertices: Sequence[Point]) -> bool:
+    """No two consecutive reflex vertices in a counterclockwise ring.
+
+    For a simple rectilinear polygon that is orthogonal convexity: an edge
+    between two reflex vertices is a dent, and a line just inside the dent
+    parallel to it meets the polygon twice; without such an edge every
+    axis-parallel line meets it in one interval.
+    """
+    vs = list(vertices)
+    # a clockwise turn is reflex in a counterclockwise ring
+    reflex = [(bx - ax) * (cy - by) - (by - ay) * (cx - bx) < 0
+              for (ax, ay), (bx, by), (cx, cy) in zip(vs[-1:] + vs[:-1], vs, vs[1:] + vs[:1])]
+    return not any(p and q for p, q in zip(reflex, reflex[1:] + reflex[:1]))
+
+
 def rectilinear_convex_hull(poly: RectPolygon) -> RectPolygon:
     """Connected orthogonal convex hull of a simple rectilinear polygon.
 
     Every axis-parallel line meets the result in at most one segment.  The
-    hull's convex corners are vertices of the input polygon.
+    hull's convex corners are vertices of the input polygon.  A polygon
+    that is already orthogonally convex is its own hull and is returned as
+    it is.
     """
+    if _is_orthoconvex(poly.vertices):
+        return poly
     pts = list(poly.vertices)
     ne = _staircase(pts, 1, 1)        # x asc, y desc
     nw = _staircase(pts, -1, 1)       # x desc, y desc -> reverse: x asc, y asc

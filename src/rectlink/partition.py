@@ -8,6 +8,11 @@ and resume.  Hits below the obstacle's west side cannot be passed monotonely
 along the boundary, so the path turns up at the bounding-box west wall
 instead.  All eight extreme paths and both staircase-region chains are this
 one tracer conjugated by signed axis permutations.
+
+A world serves those frames from one cache.  A frame is built with every
+hull's box mapped into it, eagerly; a hull's ring and edge tables in that
+frame are filled on their first read, so a solve pays only for the hulls
+its traces and regions touch.
 """
 from __future__ import annotations
 
@@ -49,16 +54,27 @@ TRACE_FRAMES = {
 }
 
 
-@dataclass
 class _FramePoly:
-    """One obstacle as seen in a trace frame, with its climb chain ready.
+    """One hull as seen in a trace frame, with its climb chain ready.
+
+    ``box`` is set when the frame is built, by mapping two corners of the
+    identity hull's box.  Every other column is filled, all together, on
+    the first read of any of them: the identity hull's vertex tuples are
+    mapped, reversed on a reflection (which turns the ring clockwise) and
+    rotated to their least vertex, which is the ring ``RectPolygon`` of the
+    mapped vertices would hold.  A trace reads only the hulls its rays
+    reach, so most hulls of a frame never fill.
 
     The edge tables list edges in ring order as plain tuples, so the
     per-event and per-step scans build no segment objects.
     """
 
-    poly: RectPolygon
+    _LAZY = ("ring", "west_lo", "west_hi", "hug", "east_horiz", "hug_xs",
+             "west", "horiz")
+    __slots__ = ("box", "_source") + _LAZY
+
     box: Rect
+    ring: tuple[Point, ...]  # counterclockwise, from the least vertex
     west_lo: int          # y-range of the vertical edge on the box west wall
     west_hi: int
     hug: list[Point]      # west-side bottom up to the left end of the top side
@@ -67,8 +83,58 @@ class _FramePoly:
     west: list[tuple[int, int, int]]   # west-facing vertical edges (x, lo, hi)
     horiz: list[tuple[int, int, int]]  # horizontal edges (xlo, xhi, y)
 
+    def __init__(self, hull: RectPolygon, t: Xform):
+        b = hull.bbox
+        (x0, y0), (x1, y1) = t.apply((b.xlo, b.ylo)), t.apply((b.xhi, b.yhi))
+        self.box = Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+        # what the fill reads; None once the columns are filled
+        self._source: Optional[tuple[RectPolygon, Xform]] = (hull, t)
 
-def _build_hug(verts: tuple[Point, ...], box: Rect, wlo: int, whi: int) -> list[Point]:
+    @property
+    def filled(self) -> bool:
+        return self._source is None
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: the lazy columns before the fill
+        if name not in _FramePoly._LAZY or self.filled:
+            raise AttributeError(name)
+        self._fill()
+        return getattr(self, name)
+
+    def _fill(self) -> None:
+        hull, t = self._source
+        vs = [t.apply(v) for v in hull.vertices]
+        if t.a * t.d - t.b * t.c < 0:
+            vs.reverse()
+        k = vs.index(min(vs))
+        vs = vs[k:] + vs[:k]
+        box = self.box
+        west: list[tuple[int, int, int]] = []
+        horiz: list[tuple[int, int, int]] = []
+        for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+            if ax == bx:
+                if by < ay:           # runs downwards: west-facing
+                    west.append((ax, by, ay))
+            elif ax < bx:
+                horiz.append((ax, bx, ay))
+            else:
+                horiz.append((bx, ax, ay))
+        side = [(lo, hi) for x, lo, hi in west if x == box.xlo]
+        if not side:
+            raise GeometryError("polygon does not touch the west wall of its box")
+        wlo, whi = side[0]
+        hug = _build_hug(vs, box, wlo, whi)
+        self.ring = tuple(vs)
+        self.west_lo, self.west_hi = wlo, whi
+        self.hug = hug
+        self.hug_xs = frozenset(a[0] for a, b in zip(hug, hug[1:]) if a[0] == b[0])
+        self.east_horiz = frozenset([(xlo, y) for xlo, _, y in horiz])
+        self.west = west
+        self.horiz = horiz
+        self._source = None
+
+
+def _build_hug(verts: Sequence[Point], box: Rect, wlo: int, whi: int) -> list[Point]:
     """Boundary corners from the west-side bottom to the top side's left end.
 
     ``wlo``..``whi`` is the polygon's edge on the west wall of its box.
@@ -89,37 +155,16 @@ def _build_hug(verts: tuple[Point, ...], box: Rect, wlo: int, whi: int) -> list[
     return chain
 
 
-def _frame_poly(p: RectPolygon) -> _FramePoly:
-    vs = p.vertices
-    box = p.bbox
-    west: list[tuple[int, int, int]] = []
-    horiz: list[tuple[int, int, int]] = []
-    for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
-        if ax == bx:
-            if by < ay:           # runs downwards: west-facing
-                west.append((ax, by, ay))
-        elif ax < bx:
-            horiz.append((ax, bx, ay))
-        else:
-            horiz.append((bx, ax, ay))
-    side = [(lo, hi) for x, lo, hi in west if x == box.xlo]
-    if not side:
-        raise GeometryError("polygon does not touch the west wall of its box")
-    wlo, whi = side[0]
-    hug = _build_hug(vs, box, wlo, whi)
-    hug_xs = frozenset(a[0] for a, b in zip(hug, hug[1:]) if a[0] == b[0])
-    east_horiz = frozenset([(xlo, y) for xlo, _, y in horiz])
-    return _FramePoly(p, box, wlo, whi, hug, east_horiz, hug_xs, west, horiz)
-
-
 class FrameTables(list):
     """The hulls as seen in one frame, in hull order, plus that frame's memos.
 
-    ``traces`` maps ``(start, x_stop)`` to the ``Trace`` that ``trace_ru``
-    returned for it in this frame.  ``regions`` maps ``(q, s, t)`` to the
-    ``StaircaseRegion`` that ``build_staircase_region`` returned, where
-    ``q`` is the frame the caller passed (relative to its view) and ``s``
-    and ``t`` are the pair's frame coordinates.
+    Each entry is a ``_FramePoly`` whose box is ready and whose other
+    columns fill on first read.  ``traces`` maps ``(start, x_stop)`` to the
+    ``Trace`` that ``trace_ru`` returned for it in this frame.  ``regions``
+    maps ``(q, s, t)`` to the ``StaircaseRegion`` that
+    ``build_staircase_region`` returned, where ``q`` is the frame the
+    caller passed (relative to its view) and ``s`` and ``t`` are the pair's
+    frame coordinates.
     """
 
     def __init__(self, polys: Sequence[_FramePoly]):
@@ -132,10 +177,13 @@ class World:
     """Obstacle hulls plus cached per-frame tables and memos.
 
     Every frame is one of the eight signed axis permutations, so the cache
-    holds at most eight ``FrameTables``.  A sub-solve working in a frame of
-    its own reads this cache through a ``FrameView`` instead of building a
-    world of transformed hulls, so every middle solve of an instance shares
-    the work memoised in the tables:
+    holds at most eight ``FrameTables``.  Building a frame maps only each
+    hull's box; a hull's ring and edge tables in that frame are filled on
+    their first read, from the identity hull's vertices, so a frame costs
+    O(n) small boxes plus the hulls a solve actually touches.  A sub-solve
+    working in a frame of its own reads this cache through a ``FrameView``
+    instead of building a world of transformed hulls, so every middle solve
+    of an instance shares the work memoised in the tables:
 
     * traces, keyed by their total frame, start point and ``x_stop``; each
       trace builds its ``StepCurve`` once, on first use of ``curve``;
@@ -159,7 +207,7 @@ class World:
     def frame(self, t: Xform) -> FrameTables:
         got = self._frames.get(t)
         if got is None:
-            got = FrameTables([_frame_poly(h.transform(t)) for h in self.hulls])
+            got = FrameTables([_FramePoly(h, t) for h in self.hulls])
             self._frames[t] = got
         return got
 
@@ -173,15 +221,19 @@ class World:
         """Distinct staircase regions built so far, over all frames."""
         return sum(len(ft.regions) for ft in self._frames.values())
 
+    @property
+    def hull_tables_built(self) -> int:
+        """(frame, hull) table fills so far, over all frames."""
+        return sum(fp.filled for ft in self._frames.values() for fp in ft)
+
 
 class FrameView:
     """A world seen through a fixed frame ``base``, sharing its frame cache.
 
-    ``view.frame(g)`` is ``world.frame(base.then(g))``: transforming a hull
-    by ``base`` and then by ``g`` gives the same normalised polygon as
-    transforming it by ``base.then(g)``.  Everything in this module reads a
-    world only through ``frame``, so a view stands in for a world of hulls
-    transformed by ``base``.
+    ``view.frame(g)`` is ``world.frame(base.then(g))``: mapping a hull by
+    ``base`` and then by ``g`` is mapping it by ``base.then(g)``.
+    Everything in this module reads a world only through ``frame``, so a
+    view stands in for a world of hulls transformed by ``base``.
     """
 
     def __init__(self, world: World, base: Xform):
@@ -203,12 +255,6 @@ class Trace:
     def curve(self) -> StepCurve:
         """Step-function view of the points, built on first use."""
         return StepCurve(self.points)
-
-
-def _west_facing(e) -> bool:
-    # vertices are normalised counterclockwise, so edges with the interior
-    # on their east (west-facing boundary) run downwards
-    return e.q[1] < e.p[1]
 
 
 def _first_block(polys: list[_FramePoly], cur: Point, x_stop: int) -> Optional[tuple[int, int]]:
@@ -488,7 +534,7 @@ def _build_region(world: World | FrameView, polys: list[_FramePoly],
         bx = fp.box
         if not (sx < bx.xlo and bx.xhi < tx and sy < bx.ylo and bx.yhi < ty):
             continue
-        vx, vy = fp.poly.vertices[0]
+        vx, vy = fp.ring[0]
         if bottom(vx) < vy < top(vx):
             holes.append(i)
 
@@ -565,14 +611,16 @@ def _build_region(world: World | FrameView, polys: list[_FramePoly],
 
     for hi in holes:
         fp = polys[hi]
-        hp, box, wlo, whi = fp.poly, fp.box, fp.west_lo, fp.west_hi
-        vertical = hp.vertical_edges()
-        east = [e for e in vertical if e.p[0] == box.xhi][0]
-        elo, ehi = sorted((east.p[1], east.q[1]))
-        for e in vertical:
-            x = e.p[0]
-            lo, hi2 = sorted((e.p[1], e.q[1]))
-            if _west_facing(e):
+        ring, box, wlo, whi = fp.ring, fp.box, fp.west_lo, fp.west_hi
+        # vertical edges (x, y from, y to) in ring order; the ring is
+        # counterclockwise, so the west-facing ones run downwards
+        vertical = [(ax, ay, by) for (ax, ay), (bx, by)
+                    in zip(ring, ring[1:] + ring[:1]) if ax == bx]
+        elo, ehi = next(sorted((y0, y1)) for x, y0, y1 in vertical
+                        if x == box.xhi)
+        for x, y0, y1 in vertical:
+            lo, hi2 = sorted((y0, y1))
+            if y1 < y0:
                 if x == box.xlo:
                     events.append(Event(
                         x=x, kind="split",

@@ -1,9 +1,13 @@
 import io as _io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import rectlink
 from rectlink.bench import CSV_HEADER, rows_to_csv, run_bench
 from rectlink.cli import main
 from rectlink.frontend import solve
@@ -32,6 +36,19 @@ def test_solve_and_oracle_agree_end_to_end(inst_file, tmp_path):
     got_o = json.loads(out_o.read_text())
     assert got_s["distance"] == got_o["distance"]
     assert got_s["links"] == got_o["links"]
+
+
+def test_cli_import_loads_no_numpy_or_scipy():
+    """Only the oracle subcommand needs numpy and scipy, and it imports the
+    oracle itself, so loading the CLI (as ``rectlink solve`` does) does not
+    pay for them."""
+    src = os.path.dirname(os.path.dirname(rectlink.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, rectlink.cli; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_result_json_is_canonical(inst_file, tmp_path):

@@ -166,3 +166,27 @@ def test_two_solves_share_no_memo(monkeypatch):
         assert first.stats[key] == second.stats[key] > 0
     assert (first.distance, first.links, first.path) \
         == (second.distance, second.links, second.path)
+
+
+def test_a_solve_fills_only_the_hull_tables_it_reads(monkeypatch):
+    """A frame maps every hull's box but fills a hull's ring and edge
+    tables only on first read: a point solve among 200 obstacles fills far
+    fewer than frames x hulls, and ``hull_tables_built`` counts the fills."""
+    worlds, fills = [], []
+    init, fill = World.__init__, partition._FramePoly._fill
+
+    def recording_init(self, hulls):
+        worlds.append(self)
+        init(self, hulls)
+
+    def counting_fill(self):
+        fills.append(self)
+        fill(self)
+
+    monkeypatch.setattr(World, "__init__", recording_init)
+    monkeypatch.setattr(partition._FramePoly, "_fill", counting_fill)
+    report = solve(generate_instance(97 * 200, 200, coord_limit=6000))
+    (world,) = worlds
+    assert len(set(map(id, fills))) == len(fills)
+    assert report.stats["hull_tables_built"] == len(fills) > 0
+    assert len(fills) < len(world._frames) * len(world.hulls)

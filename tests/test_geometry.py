@@ -17,6 +17,7 @@ from rectlink.geometry import (
     path_metrics,
     rectilinear_convex_hull,
 )
+from rectlink.partition import _FramePoly
 
 L_SHAPE = [(0, 0), (4, 0), (4, 2), (2, 2), (2, 5), (0, 5)]
 
@@ -180,12 +181,149 @@ XFORMS = ([Xform(sx, 0, 0, sy) for sx in (1, -1) for sy in (1, -1)]
 
 @given(_rect_polys())
 def test_transform_matches_normalising_the_mapped_ring(poly):
+    """A hull's lazily filled frame ring and eager frame box equal the
+    vertices and box of ``RectPolygon`` of the mapped ring."""
     assert poly.bbox == bounding_box(poly.vertices)
     for t in XFORMS:
-        got = poly.transform(t)
-        assert got == RectPolygon([t.apply(v) for v in poly.vertices])
-        assert got.area2() == poly.area2()
-        assert got.bbox == bounding_box(got.vertices)
+        want = RectPolygon([t.apply(v) for v in poly.vertices])
+        fp = _FramePoly(poly, t)
+        assert fp.box == bounding_box(want.vertices)
+        assert not fp.filled
+        assert fp.ring == want.vertices
+        assert _signed_area2(fp.ring) == poly.area2()
+
+
+def _reference_staircase(points, sx, sy):
+    """Maxima of ``(sx*x, sy*y)`` dominance, sorted by sx*x ascending."""
+    pts = sorted(set(points), key=lambda p: (sx * p[0], sy * p[1]))
+    best = None
+    keep = []
+    for p in reversed(pts):
+        v = sy * p[1]
+        if best is None or v > best:
+            keep.append(p)
+            best = v
+    keep.reverse()
+    return keep
+
+
+def _reference_hull(poly):
+    """The four-staircase construction, for every polygon."""
+    pts = list(poly.vertices)
+    ne = _reference_staircase(pts, 1, 1)        # x asc, y desc
+    nw = _reference_staircase(pts, -1, 1)       # x desc, y desc -> reverse: x asc, y asc
+    sw = _reference_staircase(pts, -1, -1)
+    se = _reference_staircase(pts, 1, -1)
+
+    ring = []
+
+    def walk(chain, corner_of):
+        for i, p in enumerate(chain):
+            if ring and ring[-1] != p:
+                ring.append(corner_of(ring[-1], p))
+            ring.append(p)
+
+    # walk the four staircases, dipping to the inner corner between
+    # consecutive maxima so notches aligned with a staircase survive
+    nw_up = list(reversed(nw))        # x asc, y asc: leftmost to topmost
+    walk(nw_up, lambda a, b: (b[0], a[1]))
+    walk(ne, lambda a, b: (a[0], b[1]))
+    se_down = list(reversed(se))      # x desc, y desc: rightmost to bottommost
+    walk(se_down, lambda a, b: (b[0], a[1]))
+    walk(sw, lambda a, b: (a[0], b[1]))
+    return RectPolygon(ring)
+
+
+def _meets_every_line_once(poly):
+    """Brute force: every half-integer axis-parallel line crosses the
+    boundary at most twice, so meets the polygon in at most one interval."""
+    vs = poly.vertices
+    edges = list(zip(vs, vs[1:] + vs[:1]))
+    box = poly.bbox
+    for axis, lo, hi in ((0, box.xlo, box.xhi), (1, box.ylo, box.yhi)):
+        for c in range(lo, hi):
+            # edges along the other axis that span the line at c + 1/2
+            crossings = sum(1 for a, b in edges if a[1 - axis] == b[1 - axis]
+                            and min(a[axis], b[axis]) <= c < max(a[axis], b[axis]))
+            if crossings > 2:
+                return False
+    return True
+
+
+def _lattice_walk(ring):
+    """Lattice points of the ring's boundary, each step of length one."""
+    out = []
+    for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
+        dx, dy = (bx > ax) - (bx < ax), (by > ay) - (by < ay)
+        x, y = ax, ay
+        while (x, y) != (bx, by):
+            out.append((x, y))
+            x, y = x + dx, y + dy
+    return out
+
+
+@st.composite
+def _notched_polys(draw):
+    """A staircase polygon or a rectangle with rectangular notches cut
+    into its edges; notches that make the ring touch itself are redrawn."""
+    if draw(st.booleans()):
+        ring = list(draw(_rect_polys()).vertices)
+    else:
+        ring = list(Rect(0, 0, draw(st.integers(3, 12)),
+                         draw(st.integers(3, 12))).corners)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(ring) - 1))
+        (ax, ay), (bx, by) = ring[k], ring[(k + 1) % len(ring)]
+        length = abs(bx - ax) + abs(by - ay)
+        if length < 3:
+            continue
+        u = ((bx > ax) - (bx < ax), (by > ay) - (by < ay))
+        n = (-u[1], u[0])          # inward: left of a counterclockwise edge
+        a = draw(st.integers(1, length - 2))
+        b = draw(st.integers(a + 1, length - 1))
+        d = draw(st.integers(1, 6))
+        p0 = (ax + a * u[0], ay + a * u[1])
+        p1 = (ax + b * u[0], ay + b * u[1])
+        notch = [p0, (p0[0] + d * n[0], p0[1] + d * n[1]),
+                 (p1[0] + d * n[0], p1[1] + d * n[1]), p1]
+        cut = ring[:k + 1] + notch + ring[k + 1:]
+        walk = _lattice_walk(cut)
+        if len(set(walk)) == len(walk) and _signed_area2(cut) > 0:
+            ring = cut
+    return RectPolygon(ring)
+
+
+def _check_hull(poly):
+    hull = rectilinear_convex_hull(poly)
+    assert hull == _reference_hull(poly)
+    assert (hull is poly) == _meets_every_line_once(poly)
+    return hull
+
+
+@given(st.one_of(_rect_polys(), _notched_polys()))
+def test_hull_fast_path_matches_the_staircase_construction(poly):
+    _check_hull(poly)
+
+
+U_SHAPE = [(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)]
+T_SHAPE = [(0, 2), (6, 2), (6, 4), (4, 4), (4, 6), (2, 6), (2, 4), (0, 4)]
+COMB = [(0, 0), (5, 0), (5, 3), (4, 3), (4, 1), (3, 1), (3, 3), (2, 3),
+        (2, 1), (1, 1), (1, 3), (0, 3)]
+H_SHAPE = [(0, 0), (1, 0), (1, 2), (2, 2), (2, 0), (3, 0), (3, 5), (2, 5),
+           (2, 3), (1, 3), (1, 5), (0, 5)]
+Z_SHAPE = [(0, 0), (2, 0), (2, 1), (3, 1), (3, 3), (1, 3), (1, 2), (0, 2)]
+PLUS = [(2, 0), (4, 0), (4, 2), (6, 2), (6, 4), (4, 4), (4, 6), (2, 6),
+        (2, 4), (0, 4), (0, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("ring, own_hull", [
+    (U_SHAPE, False), (COMB, False), (H_SHAPE, False),
+    (L_SHAPE, True), (T_SHAPE, True), (Z_SHAPE, True), (PLUS, True),
+    (Rect(0, 0, 4, 3).corners, True),
+])
+def test_hull_takes_both_branches(ring, own_hull):
+    poly = RectPolygon(ring)
+    assert (_check_hull(poly) is poly) == own_hull
 
 
 def _reference_normalize_ring(vertices):

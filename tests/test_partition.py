@@ -14,6 +14,7 @@ from rectlink.partition import (
     classify,
     trace_ru,
 )
+from frame_reference import columns, reference_tables
 
 RECT = RectPolygon([(4, 4), (10, 4), (10, 8), (4, 8)])
 
@@ -143,14 +144,27 @@ XFORMS = ([Xform(sx, 0, 0, sy) for sx in (1, -1) for sy in (1, -1)]
 class TestSharedFrames:
     @pytest.mark.parametrize("seed", range(6))
     def test_view_matches_a_transformed_world(self, seed):
+        """Every column of every hull, read through each of the 64 (view,
+        frame) pairs, equals an eager table built from ``RectPolygon`` of
+        the mapped ring; a frame maps the boxes up front and fills the rest
+        of a hull's tables only when one of them is read."""
         inst = generate_instance(seed, n_obstacles=8, coord_limit=120)
         world = build_world(list(inst.obstacles))
         for base, g in itertools.product(XFORMS, XFORMS):
-            fresh = World([h.transform(base) for h in world.hulls]).frame(g)
+            total = base.then(g)
+            fresh = total not in world._frames
             shared = FrameView(world, base).frame(g)
-            assert shared == fresh, (seed, base, g)
+            assert shared is world.frame(total)
+            for h, fp in zip(world.hulls, shared):
+                want = reference_tables(h, total)
+                assert fp.box == want["box"], (seed, base, g)
+                # the box is eager; reading it fills nothing
+                assert fp.filled != fresh, (seed, base, g)
+                assert columns(fp) == want, (seed, base, g)
+                assert fp.filled
         # every view reads the one cache: eight frames, however many views
         assert len(world._frames) == 8
+        assert world.hull_tables_built == 8 * len(world.hulls)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_views_keep_their_own_region_frame(self, seed):

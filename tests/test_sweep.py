@@ -6,7 +6,8 @@ from rectlink.engine import _double, build_world
 from rectlink.generator import generate_instance
 from rectlink.partition import World, _hole_sections, build_staircase_region, classify
 from rectlink.sweep import INF, NaiveStore, reconstruct_path, run_sweep
-from rectlink.geometry import PathResult
+from rectlink.geometry import PathResult, bounding_box
+from frame_reference import columns, mapped_polygon, reference_tables
 from tree_store import ActiveRanges, TreeStore, final_state
 
 
@@ -162,13 +163,13 @@ def test_reseeding_shifts_both_readouts():
 
 
 def _reference_sections(world, frame, holes, x, skip):
-    """Hole sections from freshly transformed hull polygons."""
+    """Hole sections from freshly normalised mapped hull polygons."""
     out = []
     for hi in holes:
         if hi == skip:
             continue
-        p = world.hulls[hi].transform(frame)
-        box = p.bbox
+        p = mapped_polygon(world.hulls[hi], frame)
+        box = bounding_box(p.vertices)
         if not (box.xlo < x < box.xhi):
             continue
         ys = [e.p[1] for e in p.horizontal_edges()
@@ -181,6 +182,11 @@ def test_hole_sections_match_transformed_hulls():
     checked = 0
     for seed, world, region in _worlds_and_regions(range(0, 140)):
         polys = world.frame(region.frame)
+        for hi in region.holes:
+            # every column the region build read, against an eager table
+            assert polys[hi].filled, seed
+            assert columns(polys[hi]) \
+                == reference_tables(world.hulls[hi], region.frame), seed
         for x in range(region.s[0] - 1, region.t[0] + 2):
             for skip in [None] + region.holes:
                 got = _hole_sections(polys, region.holes, x, skip)
