@@ -12,6 +12,7 @@ pair reads as an eastward x-case; vertical-case inputs arrive pre-swapped.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -167,26 +168,61 @@ def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
             out_curves[k] = _rise_curves(wf, mu.point, tx, y_hi)
         return _rise_ok(q, out_curves[k])
 
+    # relaxed midpoints with a finite distance, per side, sorted by the part
+    # of a leg's cost that does not depend on where the leg ends: a leg out
+    # of a top-side midpoint k falls, so it reaches q at
+    # dist(k) - kx + ky + (qx - qy); one out of a bottom-side midpoint rises
+    # and costs dist(k) - kx - ky + (qx + qy)
+    keyed: dict[str, list[tuple[float, int]]] = {"top": [], "bot": []}
+
+    def enter(k: int) -> None:
+        mu = nodes[k]
+        kx, ky = mu.point
+        key = mu.dist - kx + ky if mu.side == "top" else mu.dist - kx - ky
+        bisect.insort(keyed[mu.side], (key, k))
+
     def relax(nd: _Node) -> None:
-        cands: list[tuple[float, Pred]] = []
-        for k, mu in enumerate(nodes):
-            if mu.point[0] >= nd.point[0]:
-                break
-            if mu.dist < INF and leg_ok(k, nd.point):
-                cands.append((mu.dist + _l1(mu.point, nd.point), ("mid", k)))
+        qx, qy = nd.point
         # the first turnaround of a chain is reached monotonically from s:
         # rising into a top-side midpoint, falling into a bottom-side one
         direct_ok = (nd.hull == -1 or
                      (nd.side == "top") == (nd.point[1] > sy))
+        direct = INF
         if direct_ok and _xy_quadrant_ok(sf, nd.point, curves):
-            cands.append((float(_l1(sf, nd.point)), ("direct", -1)))
-        if not cands:
+            direct = float(_l1(sf, nd.point))
+        best = direct
+        # in key order, a side's legs only get dearer: stop past the best
+        # valid cost, but keep every valid leg that ties it
+        mids: list[tuple[float, int]] = []
+        for side, offset in (("top", qx - qy), ("bot", qx + qy)):
+            for key, k in keyed[side]:
+                d = key + offset
+                if d > best:
+                    break
+                if leg_ok(k, nd.point):
+                    mids.append((d, k))
+                    best = d
+        if best == INF:
             return
-        nd.dist = min(c[0] for c in cands)
-        nd.preds = [p for (d, p) in cands if d == nd.dist]
+        nd.dist = best
+        nd.preds = [("mid", k) for d, k in sorted(mids, key=lambda m: m[1])
+                    if d == best]
+        if direct == best:
+            nd.preds.append(("direct", -1))
 
-    for nd in nodes:
+    # a midpoint enters its list once every node with its x is relaxed, so
+    # each leg runs strictly west to east
+    waiting: list[int] = []
+    for k, nd in enumerate(nodes):
+        if waiting and nodes[waiting[0]].point[0] < nd.point[0]:
+            for w in waiting:
+                enter(w)
+            waiting.clear()
         relax(nd)
+        if nd.dist < INF:
+            waiting.append(k)
+    for w in waiting:
+        enter(w)
     relax(target)
     if target.dist == INF:
         raise GeometryError("x-monotone pair with no winder chain to the source")

@@ -15,9 +15,11 @@ bounding box.  Everything else reduces to it by attachment enumeration:
   exact;
 * candidates outside every box feed the engine directly.
 
-The best combination over all source/target attachments, with an L1 lower
-bound to skip hopeless pairs, is the answer.  Every witness is re-measured
-before it is returned.
+The best combination over all source/target attachments is the answer.
+Pairs are tried in order of an obstacle-blind L1 lower bound, and a pair is
+skipped when a triangle bound through an already solved pair shows it cannot
+beat the best answer found so far.  Every witness is re-measured before it
+is returned.
 """
 from __future__ import annotations
 
@@ -133,6 +135,67 @@ def _attachments(instance: Instance, term: Terminal, xs: list[int],
     return atts, searches
 
 
+def _free_groups(term: Terminal, atts: list[Attachment],
+                 boxes: list[Rect]) -> list[Optional[int]]:
+    """The free group of each attachment, or None where it has none.
+
+    Two plain attachments of one group are joined by a staircase that meets
+    no open obstacle box, hence no hull, so their hull-world distance is at
+    most their L1 distance.  ``validate`` makes a polygon's box
+    interior-disjoint from every obstacle box, so all plain attachments of
+    a polygon (or the one of a point) form one group.  A segment can be
+    blocked by the hull inside a box it pierces, so each maximal piece of it
+    that meets no open box is its own group.  Pocket attachments, and
+    junctions strictly inside a box, belong to none.
+    """
+    if term.kind != SEGMENT:
+        return [0 if a.out_dir is None else None for a in atts]
+    seg = term.segment
+    ax = 0 if seg.horizontal else 1          # the axis the segment runs along
+    lo, hi = sorted((2 * seg.p[ax], 2 * seg.q[ax]))
+    line = 2 * seg.p[1 - ax]
+    cuts: list[tuple[int, int]] = []          # pierced boxes, doubled, along ax
+    for b in boxes:
+        bx, by = (b.xlo, b.xhi), (b.ylo, b.yhi)
+        along, across = (bx, by) if ax == 0 else (by, bx)
+        if 2 * across[0] < line < 2 * across[1] \
+                and 2 * along[0] < hi and 2 * along[1] > lo:
+            cuts.append((2 * along[0], 2 * along[1]))
+    groups: list[Optional[int]] = []
+    for a in atts:
+        # a plain attachment of a segment lies on it
+        v = a.junction2[ax]
+        if a.out_dir is not None or any(c < v < d for c, d in cuts):
+            groups.append(None)
+        else:
+            groups.append(sum(d <= v for _, d in cuts))
+    return groups
+
+
+def _pair_bound(a: Attachment, b: Attachment,
+                solved: list[tuple[Point, Point, int]]) -> int:
+    """Lower bound on every cost the pair (a, b) can offer.
+
+    ``solved`` holds ``(ja, jb, d)`` for middle solves of pairs whose source
+    attachment shares a free group with ``a`` (or is ``a``) and whose target
+    attachment shares one with ``b``.  The hull-world distance is a metric,
+    and within a group it is at most L1, so
+    ``d <= L1(ja, a) + dist(a, b) + L1(b, jb)`` bounds ``dist(a, b)`` from
+    below; so does the obstacle-blind ``L1(a, b)``.  Every cost the pair
+    offers is ``a.d2 + dist(a, b) + b.d2``.  ``solve`` skips a pair whose
+    bound exceeds the best distance found so far; that distance is at least
+    the final one, so a skipped pair could never have made a strict
+    improvement, and neither the answer nor its tie-breaking (the first
+    strict improvement in L1 order wins) changes.
+    """
+    (ax, ay), (bx, by) = a.junction2, b.junction2
+    gap = abs(ax - bx) + abs(ay - by)
+    for (kx, ky), (lx, ly), d in solved:
+        gap = max(gap, d - abs(ax - kx) - abs(ay - ky)
+                  - abs(bx - lx) - abs(by - ly))
+    return a.d2 + gap + b.d2
+
+
 def _seed_links(att: Attachment) -> Optional[dict[Point, float]]:
     if att.out_dir is None:
         return None
@@ -192,7 +255,7 @@ def solve(instance: Instance) -> SolveReport:
     if not atts_s or not atts_t:
         raise GeometryError("a terminal has no connection to the free plane")
 
-    stats = {"middle_solves": 0, "events": 0, "regions": 0,
+    stats = {"middle_solves": 0, "pairs_pruned": 0, "events": 0, "regions": 0,
              "attachments": (len(atts_s), len(atts_t))}
     best: Optional[tuple[int, int, list[Point]]] = None
 
@@ -212,13 +275,22 @@ def solve(instance: Instance) -> SolveReport:
             if got is not None:
                 offer(2 * got[0], got[1], [_double(v) for v in got[2]])
 
+    # middle solves are filed under their pair's keys: each attachment's
+    # free group, or the attachment itself where it has none; a pair's bound
+    # reads only the solves filed under its own keys
+    keys_s = [("a", i) if g is None else ("g", g) for i, g in
+              enumerate(_free_groups(instance.source, atts_s, boxes))]
+    keys_t = [("a", j) if g is None else ("g", g) for j, g in
+              enumerate(_free_groups(instance.target, atts_t, boxes))]
+    solved: dict[tuple, list[tuple[Point, Point, int]]] = {}
     pairs = sorted(
-        ((a.d2 + _l1(a.junction2, b.junction2) + b.d2, a, b)
-         for a in atts_s for b in atts_t),
+        ((a.d2 + _l1(a.junction2, b.junction2) + b.d2, i, j)
+         for i, a in enumerate(atts_s) for j, b in enumerate(atts_t)),
         key=lambda t: t[0])
-    for lb, a, b in pairs:
+    for lb, i, j in pairs:
         if best is not None and lb > best[0]:
             break
+        a, b = atts_s[i], atts_t[j]
         if a.junction2 == b.junction2:
             if a.out_dir is None and b.out_dir is None:
                 offer(0, 0, [a.junction2])
@@ -228,8 +300,13 @@ def solve(instance: Instance) -> SolveReport:
                 pts = list(a.lead2) + list(reversed(b.lead2))[1:]
                 offer(a.d2 + b.d2, a.links + b.links - merge, pts)
             continue
+        near = solved.setdefault((keys_s[i], keys_t[j]), [])
+        if best is not None and _pair_bound(a, b, near) > best[0]:
+            stats["pairs_pruned"] += 1
+            continue
         raw = solve_pair_raw(world, a.junction2, b.junction2,
                              dir_links=_seed_links(a))
+        near.append((a.junction2, b.junction2, raw.dist2))
         stats["middle_solves"] += 1
         stats["events"] += raw.stats.get("events", 0)
         stats["regions"] += raw.stats.get("regions", 0)

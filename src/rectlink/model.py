@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -63,7 +64,14 @@ class Instance:
     source: Terminal
     target: Terminal
 
-    def all_coords(self) -> tuple[set[int], set[int]]:
+    def all_coords(self) -> tuple[frozenset[int], frozenset[int]]:
+        """Every x and every y of the obstacle vertices and terminals."""
+        return self._coords
+
+    @cached_property
+    def _coords(self) -> tuple[frozenset[int], frozenset[int]]:
+        # the instance is immutable, so ``validate`` and ``solve`` share one
+        # computation; frozen sets keep every caller from changing them
         xs: set[int] = set()
         ys: set[int] = set()
         for ob in self.obstacles:
@@ -74,7 +82,7 @@ class Instance:
             for x, y in term.coords():
                 xs.add(x)
                 ys.add(y)
-        return xs, ys
+        return frozenset(xs), frozenset(ys)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from rectlink.generator import generate_instance
 from rectlink.geometry import RectPolygon
 from rectlink.model import Instance, Terminal
 from rectlink.oracle import oracle_solve
-from rectlink.partition import World, classify
+from rectlink.partition import FrameView, World, classify
+from rectlink.sweep import INF
 
 WALL = RectPolygon([(8, -40), (12, -40), (12, 40), (8, 40)])
 
@@ -111,8 +112,10 @@ def test_one_world_per_solve(monkeypatch):
 
 
 def _many_x_solves():
-    # 19 x-case middle solves over 20 attachment pairs
-    return generate_instance(18, n_obstacles=8, coord_limit=120,
+    # the first polygon-polygon seed (n = 8, coord limit 120) that makes at
+    # least 10 x-case middle solves: 19 of them over 10 x 28 attachments,
+    # with 34 pairs pruned
+    return generate_instance(150, n_obstacles=8, coord_limit=120,
                              source_kind="polygon", target_kind="polygon")
 
 
@@ -190,3 +193,66 @@ def test_a_solve_fills_only_the_hull_tables_it_reads(monkeypatch):
     assert len(set(map(id, fills))) == len(fills)
     assert report.stats["hull_tables_built"] == len(fills) > 0
     assert len(fills) < len(world._frames) * len(world.hulls)
+
+
+def _all_pairs_relaxation(world, frame, s2, t2, nodes):
+    """(dist, preds) of every node and then the target, by testing each
+    node against every relaxed midpoint strictly west of it."""
+    wf = FrameView(world, frame)
+    sf, (tx, ty) = frame.apply(s2), frame.apply(t2)
+    y_hi = max([ty] + [nd.point[1] for nd in nodes]) + 1
+    y_lo = min([ty] + [nd.point[1] for nd in nodes]) - 1
+    curves = dict(composer._rise_curves(wf, sf, tx, y_hi),
+                  **composer._fall_curves(wf, sf, tx, y_lo))
+
+    def leg_ok(mu, q):
+        if mu.side == "top":
+            return q[1] <= mu.point[1] and composer._fall_ok(
+                q, composer._fall_curves(wf, mu.point, tx, y_lo))
+        return q[1] >= mu.point[1] and composer._rise_ok(
+            q, composer._rise_curves(wf, mu.point, tx, y_hi))
+
+    dist = []
+    out = []
+    for nd in nodes + [composer._Node(point=(tx, ty), hull=-1)]:
+        cands = []
+        for k, mu in enumerate(nodes[:len(dist)]):
+            if mu.point[0] < nd.point[0] and dist[k] < INF \
+                    and leg_ok(mu, nd.point):
+                cands.append((dist[k] + composer._l1(mu.point, nd.point),
+                              ("mid", k)))
+        if (nd.hull == -1 or (nd.side == "top") == (nd.point[1] > sf[1])) \
+                and composer._xy_quadrant_ok(sf, nd.point, curves):
+            cands.append((float(composer._l1(sf, nd.point)), ("direct", -1)))
+        d = min((c[0] for c in cands), default=INF)
+        dist.append(d)
+        out.append((d, [p for c, p in cands if c == d]))
+    return out
+
+
+def test_key_ordered_relaxation_matches_all_pairs(monkeypatch):
+    """Every node's distance and optimal predecessors, in order, equal an
+    all-pairs relaxation's, on every x-case middle solve of fixed seeds."""
+    solves = []
+    x_case = engine.solve_x_case
+
+    def recording_x_case(world, frame, s2, t2, dir_links=None):
+        got = x_case(world, frame, s2, t2, dir_links=dir_links)
+        solves.append((world, frame, s2, t2, got[2]))
+        return got
+
+    monkeypatch.setattr(engine, "solve_x_case", recording_x_case)
+    for seed in range(60):
+        for kinds in (("point", "point"), ("polygon", "segment"),
+                      ("polygon", "polygon")):
+            solve(generate_instance(900 + seed, n_obstacles=20,
+                                    coord_limit=200, source_kind=kinds[0],
+                                    target_kind=kinds[1]))
+    assert len(solves) >= 100
+    ties = 0
+    for world, frame, s2, t2, dag in solves:
+        want = _all_pairs_relaxation(world, frame, s2, t2, dag.nodes)
+        got = [(nd.dist, nd.preds) for nd in dag.nodes + [dag.target]]
+        assert got == want
+        ties += sum(len(preds) > 1 for _, preds in got)
+    assert ties > 0

@@ -1,8 +1,10 @@
 import pytest
 
-from rectlink.frontend import solve
+from rectlink import frontend
+from rectlink.engine import _double
+from rectlink.frontend import Attachment, _attachments, _free_groups, solve
 from rectlink.generator import generate_instance
-from rectlink.geometry import GeometryError, PathResult, RectPolygon
+from rectlink.geometry import GeometryError, PathResult, Rect, RectPolygon
 from rectlink.model import Instance, Terminal
 from rectlink.oracle import oracle_solve
 
@@ -86,3 +88,109 @@ def test_path_is_on_the_instance_grid():
         xs, ys = inst.all_coords()
         for p in PathResult.from_points(report.path).points:
             assert p[0] in xs and p[1] in ys, f"seed {seed}: {p}"
+
+
+KINDS = ("point", "segment", "polygon")
+
+
+def _answer(report):
+    return report.distance, report.links, report.path
+
+
+def test_triangle_pruning_keeps_every_answer(monkeypatch):
+    """Against a frontend that prunes on the plain L1 bound alone: the same
+    (distance, links, path) on all nine terminal-kind pairs, half of them
+    with nearly every obstacle corner carved, and never more middle
+    solves."""
+    instances = [
+        generate_instance(7000 + k, n_obstacles=8, coord_limit=120,
+                          source_kind=KINDS[k % 3],
+                          target_kind=KINDS[k // 3 % 3],
+                          carve_prob=0.95 if k % 2 else 0.6)
+        for k in range(630)]
+    pruned = [solve(inst) for inst in instances]
+    monkeypatch.setattr(frontend, "_pair_bound", lambda a, b, solved:
+                        a.d2 + frontend._l1(a.junction2, b.junction2) + b.d2)
+    fewer = 0
+    for k, (inst, got) in enumerate(zip(instances, pruned)):
+        ref = solve(inst)
+        assert _answer(got) == _answer(ref), k
+        assert got.stats["middle_solves"] <= ref.stats["middle_solves"], k
+        assert ref.stats["pairs_pruned"] == 0
+        fewer += got.stats["middle_solves"] < ref.stats["middle_solves"]
+    assert fewer > 0
+
+
+def _plain(p):
+    q = _double(p)
+    return Attachment(junction2=q, d2=0, links=0, lead2=(q,), out_dir=None)
+
+
+@pytest.mark.parametrize("horizontal", [True, False])
+def test_a_pierced_box_splits_a_segment_into_two_groups(horizontal):
+    def flip(p):
+        return p if horizontal else (p[1], p[0])
+
+    def flip_box(b):
+        return b if horizontal else Rect(b.ylo, b.xlo, b.yhi, b.xhi)
+
+    term = Terminal.of_segment(flip((0, 5)), flip((30, 5)))
+    boxes = [flip_box(Rect(10, 0, 20, 10)),      # pierced
+             flip_box(Rect(22, 5, 26, 9)),       # touches the segment only
+             flip_box(Rect(0, 7, 30, 12))]       # clear of it
+    atts = [_plain(flip((x, 5))) for x in (0, 10, 15, 20, 24, 30)]
+    # doubled junctions between two grid columns, inside and past the box
+    atts += [Attachment(junction2=j, d2=0, links=0, lead2=(j,), out_dir=None)
+             for j in (flip((21, 10)), flip((41, 10)))]
+    assert _free_groups(term, atts, boxes) == [0, 0, None, 1, 1, 1, None, 1]
+
+
+def test_pocket_attachments_have_no_group():
+    # a U-shaped obstacle; a segment starts in its notch and leaves
+    # through the top opening, and a point sits deep in the notch
+    ob = RectPolygon([(10, 10), (22, 10), (22, 18), (18, 18),
+                      (18, 13), (14, 13), (14, 18), (10, 18)])
+    target = Terminal.of_point((30, 25))
+    for term in (Terminal.of_segment((16, 15), (16, 30)),
+                 Terminal.of_point((16, 15))):
+        inst = Instance(obstacles=(ob,), source=term, target=target)
+        xs, ys = (sorted(c) for c in inst.all_coords())
+        atts, _ = _attachments(inst, term, xs, ys, [ob.bbox])
+        groups = _free_groups(term, atts, [ob.bbox])
+        assert any(a.out_dir is not None for a in atts)
+        plain = set()
+        for a, g in zip(atts, groups):
+            if a.out_dir is not None:
+                assert g is None
+            else:
+                # plain ones lie on the segment's piece above the box
+                assert term.kind == "segment" and g is not None
+                assert a.junction2[0] == 32 and a.junction2[1] >= 36
+                plain.add(g)
+        assert len(plain) == (term.kind == "segment")
+        # a junction strictly inside the box has no group either
+        assert _free_groups(term, [_plain((16, 16))], [ob.bbox]) \
+            == [None if term.kind == "segment" else 0]
+
+
+def test_a_polygons_plain_attachments_form_one_group():
+    for seed in range(5):
+        inst = generate_instance(400 + seed, n_obstacles=8, coord_limit=120,
+                                 source_kind="polygon", target_kind="point")
+        xs, ys = (sorted(c) for c in inst.all_coords())
+        boxes = [ob.bbox for ob in inst.obstacles]
+        atts, _ = _attachments(inst, inst.source, xs, ys, boxes)
+        assert len(atts) >= 4
+        assert _free_groups(inst.source, atts, boxes) == [0] * len(atts)
+        pocket = Attachment(junction2=(1, 1), d2=3, links=1,
+                            lead2=((0, 0), (1, 1)), out_dir=(1, 0))
+        assert _free_groups(inst.source, [pocket], boxes) == [None]
+
+
+def test_pruned_pairs_are_counted():
+    inst = generate_instance(150, n_obstacles=8, coord_limit=120,
+                             source_kind="polygon", target_kind="polygon")
+    stats = solve(inst).stats
+    n_s, n_t = stats["attachments"]
+    assert stats["pairs_pruned"] > 0
+    assert stats["middle_solves"] + stats["pairs_pruned"] <= n_s * n_t

@@ -113,3 +113,20 @@ def test_validate_rejects_a_ring_through_a_vertex_twice(start):
     assert validate(as_obstacle) == ["obstacle 0 ring passes through vertex (0, 1) twice"]
     as_terminal = _inst(Terminal.of_polygon(ring), far, ())
     assert validate(as_terminal) == ["source polygon ring passes through vertex (0, 1) twice"]
+
+
+def test_all_coords_are_computed_once_per_instance():
+    """``validate`` and ``solve`` read one pair of frozen coordinate sets."""
+    from rectlink.frontend import solve
+    from rectlink.generator import generate_instance
+
+    inst = generate_instance(5, n_obstacles=6, coord_limit=120,
+                             source_kind="segment", target_kind="polygon")
+    xs, ys = inst.all_coords()
+    assert isinstance(xs, frozenset) and isinstance(ys, frozenset)
+    assert not validate(inst)
+    solve(inst)
+    got = inst.all_coords()
+    assert got[0] is xs and got[1] is ys
+    assert xs == {x for ob in inst.obstacles for x, _ in ob.vertices} \
+        | {x for t in (inst.source, inst.target) for x, _ in t.coords()}
