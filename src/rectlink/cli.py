@@ -74,11 +74,6 @@ def _cmd_solve(args) -> int:
         with open(args.svg, "w") as fp:
             fp.write(render(inst, report))
     print(f"distance={report.distance} links={report.links}", file=sys.stderr)
-    if args.stats:
-        for key, value in report.stats.items():
-            if isinstance(value, (tuple, list)):
-                value = ",".join(map(str, value))
-            print(f"{key}={value}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -165,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--json", metavar="OUT", help="write the result JSON here")
     p.add_argument("--svg", metavar="OUT", help="also render the solution")
-    p.add_argument("--stats", action="store_true",
-                   help="print the solve's stats as key=value lines on stderr")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="run the exact grid oracle")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .engine import UNIT_DIRS, _double, build_world, solve_pair_raw
 from .geometry import (
@@ -135,45 +135,29 @@ def _attachments(instance: Instance, term: Terminal, xs: list[int],
     return atts, searches
 
 
-def _free_groups(term: Terminal, atts: list[Attachment],
-                 boxes: list[Rect]) -> list[Optional[int]]:
+def _free_groups(atts: list[Attachment]) -> list[Optional[int]]:
     """The free group of each attachment, or None where it has none.
 
     Two plain attachments of one group are joined by a staircase that meets
     no open obstacle box, hence no hull, so their hull-world distance is at
-    most their L1 distance.  ``validate`` makes a polygon's box
-    interior-disjoint from every obstacle box, so all plain attachments of
-    a polygon (or the one of a point) form one group.  A segment can be
-    blocked by the hull inside a box it pierces, so each maximal piece of it
-    that meets no open box is its own group.  Pocket attachments, and
-    junctions strictly inside a box, belong to none.
+    most their L1 distance.  All plain attachments of a terminal form one
+    group.  A point has a single one.  ``validate`` makes a polygon's box
+    interior-disjoint from every obstacle box, so the polygon's box holds a
+    staircase between any two of them.  A plain attachment of a segment
+    lies on the segment, outside every open box or on a box's boundary (free
+    candidates are filtered with a strict ``contains``, and a crossing
+    without links ends on the boundary).  ``validate`` rejects a segment
+    that crosses an obstacle's interior, and a connected obstacle touches
+    all four sides of its box, so a valid segment never runs across a box:
+    it enters a box only to end inside it.  The segment's part between two
+    plain attachments therefore meets no open box.  Pocket attachments
+    belong to no group.
     """
-    if term.kind != SEGMENT:
-        return [0 if a.out_dir is None else None for a in atts]
-    seg = term.segment
-    ax = 0 if seg.horizontal else 1          # the axis the segment runs along
-    lo, hi = sorted((2 * seg.p[ax], 2 * seg.q[ax]))
-    line = 2 * seg.p[1 - ax]
-    cuts: list[tuple[int, int]] = []          # pierced boxes, doubled, along ax
-    for b in boxes:
-        bx, by = (b.xlo, b.xhi), (b.ylo, b.yhi)
-        along, across = (bx, by) if ax == 0 else (by, bx)
-        if 2 * across[0] < line < 2 * across[1] \
-                and 2 * along[0] < hi and 2 * along[1] > lo:
-            cuts.append((2 * along[0], 2 * along[1]))
-    groups: list[Optional[int]] = []
-    for a in atts:
-        # a plain attachment of a segment lies on it
-        v = a.junction2[ax]
-        if a.out_dir is not None or any(c < v < d for c, d in cuts):
-            groups.append(None)
-        else:
-            groups.append(sum(d <= v for _, d in cuts))
-    return groups
+    return [0 if a.out_dir is None else None for a in atts]
 
 
 def _pair_bound(a: Attachment, b: Attachment,
-                solved: list[tuple[Point, Point, int]]) -> int:
+                solved: Sequence[tuple[Point, Point, int]]) -> int:
     """Lower bound on every cost the pair (a, b) can offer.
 
     ``solved`` holds ``(ja, jb, d)`` for middle solves of pairs whose source
@@ -278,10 +262,10 @@ def solve(instance: Instance) -> SolveReport:
     # middle solves are filed under their pair's keys: each attachment's
     # free group, or the attachment itself where it has none; a pair's bound
     # reads only the solves filed under its own keys
-    keys_s = [("a", i) if g is None else ("g", g) for i, g in
-              enumerate(_free_groups(instance.source, atts_s, boxes))]
-    keys_t = [("a", j) if g is None else ("g", g) for j, g in
-              enumerate(_free_groups(instance.target, atts_t, boxes))]
+    keys_s = [("a", i) if g is None else ("g", g)
+              for i, g in enumerate(_free_groups(atts_s))]
+    keys_t = [("a", j) if g is None else ("g", g)
+              for j, g in enumerate(_free_groups(atts_t))]
     solved: dict[tuple, list[tuple[Point, Point, int]]] = {}
     pairs = sorted(
         ((a.d2 + _l1(a.junction2, b.junction2) + b.d2, i, j)
@@ -300,13 +284,14 @@ def solve(instance: Instance) -> SolveReport:
                 pts = list(a.lead2) + list(reversed(b.lead2))[1:]
                 offer(a.d2 + b.d2, a.links + b.links - merge, pts)
             continue
-        near = solved.setdefault((keys_s[i], keys_t[j]), [])
-        if best is not None and _pair_bound(a, b, near) > best[0]:
+        key = (keys_s[i], keys_t[j])
+        if best is not None \
+                and _pair_bound(a, b, solved.get(key, ())) > best[0]:
             stats["pairs_pruned"] += 1
             continue
         raw = solve_pair_raw(world, a.junction2, b.junction2,
                              dir_links=_seed_links(a))
-        near.append((a.junction2, b.junction2, raw.dist2))
+        solved.setdefault(key, []).append((a.junction2, b.junction2, raw.dist2))
         stats["middle_solves"] += 1
         stats["events"] += raw.stats.get("events", 0)
         stats["regions"] += raw.stats.get("regions", 0)

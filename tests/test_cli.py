@@ -38,25 +38,6 @@ def test_solve_and_oracle_agree_end_to_end(inst_file, tmp_path):
     assert got_s["links"] == got_o["links"]
 
 
-def test_solve_stats_go_to_stderr(inst_file, capsys):
-    path, inst = inst_file
-    assert main(["solve", str(path)]) == 0
-    plain = capsys.readouterr()
-    assert main(["solve", str(path), "--stats"]) == 0
-    got = capsys.readouterr()
-    assert got.out == plain.out
-    lines = got.err.splitlines()
-    assert lines[0] == plain.err.strip()
-    stats = solve(inst).stats
-    assert [line.split("=", 1)[0] for line in lines[1:]] == list(stats)
-    for line in lines[1:]:
-        key, value = line.split("=", 1)
-        want = stats[key]
-        if isinstance(want, tuple):
-            want = ",".join(map(str, want))
-        assert value == str(want)
-
-
 def test_cli_import_loads_no_numpy_or_scipy():
     """Only the oracle subcommand needs numpy and scipy, and it imports the
     oracle itself, so loading the CLI (as ``rectlink solve`` does) does not

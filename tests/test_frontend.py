@@ -1,11 +1,11 @@
 import pytest
 
 from rectlink import frontend
-from rectlink.engine import _double
 from rectlink.frontend import Attachment, _attachments, _free_groups, solve
 from rectlink.generator import generate_instance
-from rectlink.geometry import GeometryError, PathResult, Rect, RectPolygon
-from rectlink.model import Instance, Terminal
+from rectlink.geometry import GeometryError, PathResult, RectPolygon
+from rectlink.model import Instance, Terminal, validate
+from rectlink.oracle import oracle_solve
 from rectlink.oracle import oracle_solve
 
 KIND_MIXES = [
@@ -121,30 +121,6 @@ def test_triangle_pruning_keeps_every_answer(monkeypatch):
     assert fewer > 0
 
 
-def _plain(p):
-    q = _double(p)
-    return Attachment(junction2=q, d2=0, links=0, lead2=(q,), out_dir=None)
-
-
-@pytest.mark.parametrize("horizontal", [True, False])
-def test_a_pierced_box_splits_a_segment_into_two_groups(horizontal):
-    def flip(p):
-        return p if horizontal else (p[1], p[0])
-
-    def flip_box(b):
-        return b if horizontal else Rect(b.ylo, b.xlo, b.yhi, b.xhi)
-
-    term = Terminal.of_segment(flip((0, 5)), flip((30, 5)))
-    boxes = [flip_box(Rect(10, 0, 20, 10)),      # pierced
-             flip_box(Rect(22, 5, 26, 9)),       # touches the segment only
-             flip_box(Rect(0, 7, 30, 12))]       # clear of it
-    atts = [_plain(flip((x, 5))) for x in (0, 10, 15, 20, 24, 30)]
-    # doubled junctions between two grid columns, inside and past the box
-    atts += [Attachment(junction2=j, d2=0, links=0, lead2=(j,), out_dir=None)
-             for j in (flip((21, 10)), flip((41, 10)))]
-    assert _free_groups(term, atts, boxes) == [0, 0, None, 1, 1, 1, None, 1]
-
-
 def test_pocket_attachments_have_no_group():
     # a U-shaped obstacle; a segment starts in its notch and leaves
     # through the top opening, and a point sits deep in the notch
@@ -156,7 +132,7 @@ def test_pocket_attachments_have_no_group():
         inst = Instance(obstacles=(ob,), source=term, target=target)
         xs, ys = (sorted(c) for c in inst.all_coords())
         atts, _ = _attachments(inst, term, xs, ys, [ob.bbox])
-        groups = _free_groups(term, atts, [ob.bbox])
+        groups = _free_groups(atts)
         assert any(a.out_dir is not None for a in atts)
         plain = set()
         for a, g in zip(atts, groups):
@@ -168,9 +144,6 @@ def test_pocket_attachments_have_no_group():
                 assert a.junction2[0] == 32 and a.junction2[1] >= 36
                 plain.add(g)
         assert len(plain) == (term.kind == "segment")
-        # a junction strictly inside the box has no group either
-        assert _free_groups(term, [_plain((16, 16))], [ob.bbox]) \
-            == [None if term.kind == "segment" else 0]
 
 
 def test_a_polygons_plain_attachments_form_one_group():
@@ -181,10 +154,10 @@ def test_a_polygons_plain_attachments_form_one_group():
         boxes = [ob.bbox for ob in inst.obstacles]
         atts, _ = _attachments(inst, inst.source, xs, ys, boxes)
         assert len(atts) >= 4
-        assert _free_groups(inst.source, atts, boxes) == [0] * len(atts)
+        assert _free_groups(atts) == [0] * len(atts)
         pocket = Attachment(junction2=(1, 1), d2=3, links=1,
                             lead2=((0, 0), (1, 1)), out_dir=(1, 0))
-        assert _free_groups(inst.source, [pocket], boxes) == [None]
+        assert _free_groups([pocket]) == [None]
 
 
 def test_pruned_pairs_are_counted():
@@ -194,3 +167,34 @@ def test_pruned_pairs_are_counted():
     n_s, n_t = stats["attachments"]
     assert stats["pairs_pruned"] > 0
     assert stats["middle_solves"] + stats["pairs_pruned"] <= n_s * n_t
+
+
+
+def test_a_segments_plain_attachments_share_a_free_stretch():
+    """Why a segment's plain attachments form one free group: a valid
+    segment only ends inside the boxes it pierces, so the stretch between
+    its plain attachments meets no open box."""
+    low = RectPolygon([(10, 10), (22, 10), (22, 18), (18, 18),
+                       (18, 13), (14, 13), (14, 18), (10, 18)])
+    high = RectPolygon([(11, 40), (15, 40), (15, 45), (19, 45),
+                        (19, 40), (23, 40), (23, 48), (11, 48)])
+    target = Terminal.of_point((30, 25))
+    inst = Instance(obstacles=(low, high),
+                    source=Terminal.of_segment((16, 15), (16, 43)),
+                    target=target)
+    assert validate(inst) == []
+    xs, ys = (sorted(c) for c in inst.all_coords())
+    boxes = [low.bbox, high.bbox]
+    atts, _ = _attachments(inst, inst.source, xs, ys, boxes)
+    plain = [a.junction2 for a in atts if a.out_dir is None]
+    assert plain and all(x == 32 and 36 <= y <= 80 for x, y in plain)
+    assert {a.lead2[0][1] < 36 for a in atts if a.out_dir is not None} \
+        == {True, False}
+    got = solve(inst)
+    want = oracle_solve(inst)
+    assert (got.distance, got.links) == (want.distance, want.links)
+    # running on across the upper box would cross the obstacle itself
+    across = Instance(obstacles=(low, high),
+                      source=Terminal.of_segment((16, 15), (16, 50)),
+                      target=target)
+    assert any("crosses obstacle 1" in p for p in validate(across))
