@@ -22,6 +22,7 @@ from .partition import (
     FRAME_RD,
     FRAME_RU,
     FRAME_UR,
+    FrameTables,
     FrameView,
     StaircaseRegion,
     StepCurve,
@@ -106,6 +107,33 @@ def _xy_quadrant_ok(s: Point, p: Point, curves: dict[str, StepCurve]) -> bool:
     return True
 
 
+def _midpoints(ft: FrameTables, sx: int, tx: int) -> list[_Node]:
+    """Side-midpoint nodes of the hull sides that fit in the strip [sx, tx],
+    sorted by point.
+
+    Only hulls whose box meets the open strip (sx, tx) can have such a
+    side; their xlo lies in the width window (sx - width, tx).  They are
+    read in hull order, so nodes that share a point keep it.
+    """
+    nodes: list[_Node] = []
+    for i in sorted(ft.between(sx - ft.width, tx)):
+        if ft.xhi[i] <= sx:
+            continue
+        fp = ft[i]
+        box = fp.box
+        tops = [e for e in fp.horiz if e[2] == box.yhi]
+        bots = [e for e in fp.horiz if e[2] == box.ylo]
+        for lo_x, hi_x, y in tops + bots:
+            mx = (lo_x + hi_x) // 2
+            # a winder contains the full side, so it must fit in the strip
+            if (lo_x + hi_x) % 2 or lo_x < sx or hi_x > tx or not sx < mx < tx:
+                continue
+            side = "top" if y == box.yhi else "bot"
+            nodes.append(_Node(point=(mx, y), hull=i, side=side))
+    nodes.sort(key=lambda nd: nd.point)
+    return nodes
+
+
 def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
                  dir_links: Optional[dict[Point, float]] = None,
                  ) -> tuple[int, dict[Point, tuple[int, list[Point]]], SubregionDag]:
@@ -126,21 +154,7 @@ def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
     sx, sy = sf
     tx, ty = tf
 
-    nodes: list[_Node] = []
-    for i, fp in enumerate(wf.frame(IDENTITY)):
-        box = fp.box
-        if box.xhi <= sx or box.xlo >= tx:
-            continue
-        tops = [e for e in fp.horiz if e[2] == box.yhi]
-        bots = [e for e in fp.horiz if e[2] == box.ylo]
-        for lo_x, hi_x, y in tops + bots:
-            mx = (lo_x + hi_x) // 2
-            # a winder contains the full side, so it must fit in the strip
-            if (lo_x + hi_x) % 2 or lo_x < sx or hi_x > tx or not sx < mx < tx:
-                continue
-            side = "top" if y == box.yhi else "bot"
-            nodes.append(_Node(point=(mx, y), hull=i, side=side))
-    nodes.sort(key=lambda nd: nd.point)
+    nodes = _midpoints(wf.frame(IDENTITY), sx, tx)
     target = _Node(point=tf, hull=-1)
 
     # extreme curves out of s, for O(1) xy-reachability checks; each curve

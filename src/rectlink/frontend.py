@@ -13,7 +13,10 @@ bounding box.  Everything else reduces to it by attachment enumeration:
   the hand-over to the engine happens at a junction half a (doubled) unit
   outside the box, where the direction-seeded link counts make the join
   exact;
-* candidates outside every box feed the engine directly.
+* candidates outside every box feed the engine directly, and one lying on
+  the boundary of a box the other terminal searches from inside is also
+  reached by that search, since a junction outside the box cannot end on
+  its boundary without stepping back.
 
 The best combination over all source/target attachments is the answer.
 Pairs are tried in order of an obstacle-blind L1 lower bound, and a pair is
@@ -258,6 +261,23 @@ def solve(instance: Instance) -> SolveReport:
             got = gs.at(q)
             if got is not None:
                 offer(2 * got[0], got[1], [_double(v) for v in got[2]])
+
+    # a terminal point on the ring of a box that the other terminal searches
+    # from inside: a crossing's junction sits half a unit outside the ring
+    # and would have to step back onto it, so the search's own route to the
+    # point is offered instead (a plain attachment is its own lead, at no
+    # cost and no links)
+    for searches, atts, forward in ((search_s, atts_t, True),
+                                    (search_t, atts_s, False)):
+        for gs in searches.values():
+            for b in atts:
+                q = (b.junction2[0] // 2, b.junction2[1] // 2)
+                if b.out_dir is not None or not gs.grid.box.contains(q):
+                    continue
+                got = gs.at(q)
+                if got is not None:
+                    route = [_double(v) for v in got[2]]
+                    offer(2 * got[0], got[1], route if forward else route[::-1])
 
     # middle solves are filed under their pair's keys: each attachment's
     # free group, or the attachment itself where it has none; a pair's bound

@@ -9,10 +9,15 @@ along the boundary, so the path turns up at the bounding-box west wall
 instead.  All eight extreme paths and both staircase-region chains are this
 one tracer conjugated by signed axis permutations.
 
-A world serves those frames from one cache.  A frame is built with every
-hull's box mapped into it, eagerly; a hull's ring and edge tables in that
-frame are filled on their first read, so a solve pays only for the hulls
-its traces and regions touch.
+A world serves those frames from one cache and one box index.  The index
+holds every hull's box once, in identity coordinates, along each of the four
+signed axes, with the hulls sorted along each; a frame reads the lists of
+the axes its x and y map onto, so no box is mapped per frame.  The queries
+a trace step, a region event or an x-case solve makes about the obstacles
+bisect the frame's xlo order and read only a window of it: a box whose xlo
+is at most x minus the widest box's width ends at or before x.  A hull's
+ring and edge tables in a frame are built when a query first reaches the
+hull, so a solve pays only for the hulls its traces and regions touch.
 """
 from __future__ import annotations
 
@@ -57,21 +62,18 @@ TRACE_FRAMES = {
 class _FramePoly:
     """One hull as seen in a trace frame, with its climb chain ready.
 
-    ``box`` is set when the frame is built, by mapping two corners of the
-    identity hull's box.  Every other column is filled, all together, on
-    the first read of any of them: the identity hull's vertex tuples are
-    mapped, reversed on a reflection (which turns the ring clockwise) and
-    rotated to their least vertex, which is the ring ``RectPolygon`` of the
-    mapped vertices would hold.  A trace reads only the hulls its rays
-    reach, so most hulls of a frame never fill.
+    Built from the identity hull's vertex tuples: they are mapped, reversed
+    on a reflection (which turns the ring clockwise) and rotated to their
+    least vertex, which is the ring ``RectPolygon`` of the mapped vertices
+    would hold.  A frame builds one only when a query first reaches its
+    hull (see ``FrameTables``), so most hulls of a frame never get one.
 
     The edge tables list edges in ring order as plain tuples, so the
     per-event and per-step scans build no segment objects.
     """
 
-    _LAZY = ("ring", "west_lo", "west_hi", "hug", "east_horiz", "hug_xs",
-             "west", "horiz")
-    __slots__ = ("box", "_source") + _LAZY
+    __slots__ = ("box", "ring", "west_lo", "west_hi", "hug", "east_horiz",
+                 "hug_xs", "west", "horiz")
 
     box: Rect
     ring: tuple[Point, ...]  # counterclockwise, from the least vertex
@@ -86,29 +88,12 @@ class _FramePoly:
     def __init__(self, hull: RectPolygon, t: Xform):
         b = hull.bbox
         (x0, y0), (x1, y1) = t.apply((b.xlo, b.ylo)), t.apply((b.xhi, b.yhi))
-        self.box = Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
-        # what the fill reads; None once the columns are filled
-        self._source: Optional[tuple[RectPolygon, Xform]] = (hull, t)
-
-    @property
-    def filled(self) -> bool:
-        return self._source is None
-
-    def __getattr__(self, name: str):
-        # reached only for an unset slot: the lazy columns before the fill
-        if name not in _FramePoly._LAZY or self.filled:
-            raise AttributeError(name)
-        self._fill()
-        return getattr(self, name)
-
-    def _fill(self) -> None:
-        hull, t = self._source
+        box = self.box = Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
         vs = [t.apply(v) for v in hull.vertices]
         if t.a * t.d - t.b * t.c < 0:
             vs.reverse()
         k = vs.index(min(vs))
         vs = vs[k:] + vs[:k]
-        box = self.box
         west: list[tuple[int, int, int]] = []
         horiz: list[tuple[int, int, int]] = []
         for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
@@ -131,7 +116,6 @@ class _FramePoly:
         self.east_horiz = frozenset([(xlo, y) for xlo, _, y in horiz])
         self.west = west
         self.horiz = horiz
-        self._source = None
 
 
 def _build_hug(verts: Sequence[Point], box: Rect, wlo: int, whi: int) -> list[Point]:
@@ -155,35 +139,85 @@ def _build_hug(verts: Sequence[Point], box: Rect, wlo: int, whi: int) -> list[Po
     return chain
 
 
-class FrameTables(list):
-    """The hulls as seen in one frame, in hull order, plus that frame's memos.
+def _axis(a: int, b: int) -> int:
+    """Which signed axis the frame coordinate ``a*x + b*y`` reads: 0 for +x,
+    1 for -x, 2 for +y, 3 for -y (so ``k ^ 1`` is the opposite axis)."""
+    if a:
+        return 0 if a > 0 else 1
+    return 2 if b > 0 else 3
 
-    Each entry is a ``_FramePoly`` whose box is ready and whose other
-    columns fill on first read.  ``traces`` maps ``(start, x_stop)`` to the
-    ``Trace`` that ``trace_ru`` returned for it in this frame.  ``regions``
-    maps ``(q, s, t)`` to the ``StaircaseRegion`` that
-    ``build_staircase_region`` returned, where ``q`` is the frame the
-    caller passed (relative to its view) and ``s`` and ``t`` are the pair's
-    frame coordinates.
+
+class FrameTables:
+    """The hulls as seen in one frame, plus that frame's memos.
+
+    The boxes come from the world's index, unmapped: ``xlo[i]``, ``ylo[i]``,
+    ``xhi[i]`` and ``yhi[i]`` are hull ``i``'s box in frame coordinates,
+    read from the world's lists for the signed axes that the frame's x and y
+    map onto.  ``order`` lists the hulls by frame xlo, ties by index, and
+    ``keys`` holds their xlos, so ``between`` bisects.  ``width`` is the
+    widest box along the frame's x: a box with xlo <= x - width has
+    xhi <= x, so a query at x need look no further west than that.  Creating
+    a frame therefore costs O(1), whatever the number of hulls.
+
+    ``self[i]`` is hull ``i``'s ``_FramePoly``, built on first read.
+    ``traces`` maps ``(start, x_stop)`` to the ``Trace`` that ``trace_ru``
+    returned for it in this frame.  ``regions`` maps ``(q, s, t)`` to the
+    ``StaircaseRegion`` that ``build_staircase_region`` returned, where
+    ``q`` is the frame the caller passed (relative to its view) and ``s``
+    and ``t`` are the pair's frame coordinates.
     """
 
-    def __init__(self, polys: Sequence[_FramePoly]):
-        super().__init__(polys)
+    def __init__(self, world: World, t: Xform):
+        xa, ya = _axis(t.a, t.b), _axis(t.c, t.d)
+        self.xlo, self.xhi = world.lows[xa], world.highs[xa]
+        self.ylo, self.yhi = world.lows[ya], world.highs[ya]
+        self.order, self.keys = world.orders[xa], world.keys[xa]
+        self.width = world.widths[xa >> 1]
+        self._hulls = world.hulls
+        self._t = t
+        self._polys: dict[int, _FramePoly] = {}
         self.traces: dict[tuple[Point, int], Trace] = {}
         self.regions: dict[tuple[Xform, Point, Point], StaircaseRegion] = {}
 
+    def __len__(self) -> int:
+        return len(self._hulls)
+
+    def __getitem__(self, i: int) -> _FramePoly:
+        fp = self._polys.get(i)
+        if fp is None:
+            fp = self._polys[i] = _FramePoly(self._hulls[i], self._t)
+        return fp
+
+    @property
+    def tables_built(self) -> int:
+        """Hulls whose ``_FramePoly`` this frame has built."""
+        return len(self._polys)
+
+    def between(self, lo: int, hi: int) -> list[int]:
+        """Hulls with ``lo < xlo < hi`` in this frame, in frame-xlo order."""
+        keys = self.keys
+        return self.order[bisect.bisect_right(keys, lo):bisect.bisect_left(keys, hi)]
+
 
 class World:
-    """Obstacle hulls plus cached per-frame tables and memos.
+    """Obstacle hulls, one box index over them, and cached per-frame tables.
 
-    Every frame is one of the eight signed axis permutations, so the cache
-    holds at most eight ``FrameTables``.  Building a frame maps only each
-    hull's box; a hull's ring and edge tables in that frame are filled on
-    their first read, from the identity hull's vertices, so a frame costs
-    O(n) small boxes plus the hulls a solve actually touches.  A sub-solve
-    working in a frame of its own reads this cache through a ``FrameView``
-    instead of building a world of transformed hulls, so every middle solve
-    of an instance shares the work memoised in the tables:
+    The index is built once, in identity coordinates.  For each signed axis
+    (+x, -x, +y, -y) it keeps, as plain int lists in hull order, every box's
+    low and high end along that axis (``lows`` and ``highs``; the -x lows
+    are the negated xhi), the hulls sorted by that low end, ties by index
+    (``orders``, with the sorted lows in ``keys``), and the widest box along
+    the x and the y axis (``widths``).  Every frame is one of the eight
+    signed axis permutations, and its x and y each read one signed axis, so
+    a frame reuses these lists unchanged and no box is ever mapped.
+
+    The cache holds at most eight ``FrameTables``.  A hull's ring and edge
+    tables in a frame are built on the first query that reaches the hull,
+    from the identity hull's vertices, so a solve pays only for the hulls
+    its traces, regions and x-case solves touch.  A sub-solve working in a
+    frame of its own reads this cache through a ``FrameView`` instead of
+    building a world of transformed hulls, so every middle solve of an
+    instance shares the work memoised in the tables:
 
     * traces, keyed by their total frame, start point and ``x_stop``; each
       trace builds its ``StepCurve`` once, on first use of ``curve``;
@@ -198,6 +232,17 @@ class World:
 
     def __init__(self, hulls: Sequence[RectPolygon]):
         self.hulls = tuple(hulls)
+        boxes = [h.bbox for h in self.hulls]
+        xlo, xhi = [b.xlo for b in boxes], [b.xhi for b in boxes]
+        ylo, yhi = [b.ylo for b in boxes], [b.yhi for b in boxes]
+        self.lows = (xlo, [-v for v in xhi], ylo, [-v for v in yhi])
+        self.highs = (xhi, [-v for v in xlo], yhi, [-v for v in ylo])
+        self.orders = tuple(sorted(range(len(boxes)), key=lo.__getitem__)
+                            for lo in self.lows)
+        self.keys = tuple([lo[i] for i in order]
+                          for lo, order in zip(self.lows, self.orders))
+        self.widths = (max(map(int.__sub__, xhi, xlo), default=0),
+                       max(map(int.__sub__, yhi, ylo), default=0))
         self._frames: dict[Xform, FrameTables] = {}
 
     @classmethod
@@ -207,8 +252,7 @@ class World:
     def frame(self, t: Xform) -> FrameTables:
         got = self._frames.get(t)
         if got is None:
-            got = FrameTables([_FramePoly(h, t) for h in self.hulls])
-            self._frames[t] = got
+            got = self._frames[t] = FrameTables(self, t)
         return got
 
     @property
@@ -224,7 +268,7 @@ class World:
     @property
     def hull_tables_built(self) -> int:
         """(frame, hull) table fills so far, over all frames."""
-        return sum(fp.filled for ft in self._frames.values() for fp in ft)
+        return sum(ft.tables_built for ft in self._frames.values())
 
 
 class FrameView:
@@ -257,33 +301,53 @@ class Trace:
         return StepCurve(self.points)
 
 
-def _first_block(polys: list[_FramePoly], cur: Point, x_stop: int) -> Optional[tuple[int, int]]:
+def _first_block(polys: FrameTables, cur: Point, x_stop: int) -> Optional[tuple[int, int]]:
     """Nearest obstacle whose west flank blocks the eastward ray from cur.
 
     Returns (obstacle index, x of the blocking crossing) or None.  A ray
     grazing an edge endpoint still passes when a boundary edge continues
     east from that corner (the ray rides it; obstacles are open), and
-    blocks otherwise.
+    blocks otherwise.  Of two crossings at the same x the lower hull index
+    wins.
+
+    Candidates are read in frame-xlo order from the width window, and the
+    scan stops at the first box whose xlo lies past the best crossing found
+    so far, or at or past ``x_stop``: every crossing of a box lies at or
+    east of its xlo.
     """
     cx, cy = cur
+    keys, order = polys.keys, polys.order
+    xhi, ylo, yhi = polys.xhi, polys.ylo, polys.yhi
     best: Optional[tuple[int, int]] = None
-    for i, fp in enumerate(polys):
-        if fp.box.xhi <= cx or fp.box.ylo >= cy or fp.box.yhi <= cy:
+    for j in range(bisect.bisect_right(keys, cx - polys.width), len(keys)):
+        xlo = keys[j]
+        if xlo >= x_stop or (best is not None and xlo > best[1]):
+            break
+        i = order[j]
+        if xhi[i] <= cx or ylo[i] >= cy or yhi[i] <= cy:
             continue
+        fp = polys[i]
         for x, lo, hi in fp.west:
             if lo <= cy <= hi and cx < x < x_stop \
                     and (x, cy) not in fp.east_horiz:
-                if best is None or x < best[1]:
+                if best is None or (x, i) < (best[1], best[0]):
                     best = (i, x)
     return best
 
 
-def _standing_block(polys: list[_FramePoly], cur: Point) -> Optional[int]:
-    """Obstacle whose west flank passes through cur with interior just east."""
+def _standing_block(polys: FrameTables, cur: Point) -> Optional[int]:
+    """Obstacle whose west flank passes through cur with interior just east.
+
+    The boxes that can hold cur on their west flank or inside have xlo in
+    the width window ``(cx - width, cx]``; they are tried in hull order, so
+    the lowest index wins and no box past the answer is read.
+    """
     cx, cy = cur
-    for i, fp in enumerate(polys):
-        if not (fp.box.xlo <= cx < fp.box.xhi and fp.box.ylo < cy < fp.box.yhi):
-            continue
+    xhi, ylo, yhi = polys.xhi, polys.ylo, polys.yhi
+    boxed = sorted(i for i in polys.between(cx - polys.width, cx + 1)
+                   if cx < xhi[i] and ylo[i] < cy < yhi[i])
+    for i in boxed:
+        fp = polys[i]
         for x, lo, hi in fp.west:
             if x == cx and lo <= cy <= hi \
                     and (cx, cy) not in fp.east_horiz:
@@ -303,7 +367,7 @@ def trace_ru(polys: FrameTables, start: Point, x_stop: int) -> Trace:
     return got
 
 
-def _trace_ru(polys: list[_FramePoly], start: Point, x_stop: int) -> Trace:
+def _trace_ru(polys: FrameTables, start: Point, x_stop: int) -> Trace:
     pts: list[Point] = [start]
     touched: list[int] = []
     cur = start
@@ -461,20 +525,30 @@ class StaircaseRegion:
         return len(self.baselines)
 
 
-def _hole_sections(polys: list[_FramePoly], holes: list[int], x: int,
-                   skip: Optional[int] = None) -> list[tuple[int, int]]:
+def _hole_index(polys: FrameTables, holes: list[int]) -> tuple[list[int], list[int], int]:
+    """A region's holes (given in hull order) sorted by frame xlo, ties by
+    index; their xlos; and the widest hole's width, for ``_hole_sections``."""
+    by_x = sorted(holes, key=polys.xlo.__getitem__)
+    return (by_x, [polys.xlo[h] for h in by_x],
+            max((polys.xhi[h] - polys.xlo[h] for h in holes), default=0))
+
+
+def _hole_sections(polys: FrameTables, index: tuple[list[int], list[int], int],
+                   x: int, skip: Optional[int] = None) -> list[tuple[int, int]]:
     """Open y-intervals of hole interiors crossing the vertical line x.
 
-    ``polys`` is the world in the region's frame; ``holes`` index into it.
+    ``polys`` is the world in the region's frame and ``index`` is
+    ``_hole_index`` of the region's holes.  Only holes with xlo in the width
+    window ``(x - width, x)`` can cross x; the sections come in hull order.
     """
+    by_x, xlos, width = index
+    xhi = polys.xhi
+    crossing = sorted(h for h in by_x[bisect.bisect_right(xlos, x - width):
+                                      bisect.bisect_left(xlos, x)]
+                      if h != skip and x < xhi[h])
     out = []
-    for hi in holes:
-        if hi == skip:
-            continue
-        fp = polys[hi]
-        if not (fp.box.xlo < x < fp.box.xhi):
-            continue
-        ys = [y for xlo, xhi, y in fp.horiz if xlo <= x <= xhi]
+    for h in crossing:
+        ys = [y for xlo, xhi2, y in polys[h].horiz if xlo <= x <= xhi2]
         out.append((min(ys), max(ys)))
     return out
 
@@ -487,7 +561,7 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
     same object.
     """
     sq, tq = frame.apply(s), frame.apply(t)
-    # frame-local indices map onto world hull indices 1:1 (same ordering)
+    # frame tables index hulls as the world does
     polys = world.frame(frame)
     key = (frame, sq, tq)
     got = polys.regions.get(key)
@@ -496,7 +570,7 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
     return got
 
 
-def _build_region(world: World | FrameView, polys: list[_FramePoly],
+def _build_region(world: World | FrameView, polys: FrameTables,
                   frame: Xform, sq: Point, tq: Point) -> StaircaseRegion:
     sx, sy = sq
     tx, ty = tq
@@ -528,15 +602,16 @@ def _build_region(world: World | FrameView, polys: list[_FramePoly],
 
     touched = set(ur.touched) | set(ld.touched) | set(ru.touched) | set(dl.touched)
     holes: list[int] = []
-    for i, fp in enumerate(polys):
-        if i in touched:
+    # a hole's box lies strictly inside the strip, so its xlo is in (sx, tx)
+    for i in polys.between(sx, tx):
+        if i in touched or not (polys.xhi[i] < tx and sy < polys.ylo[i]
+                                and polys.yhi[i] < ty):
             continue
-        bx = fp.box
-        if not (sx < bx.xlo and bx.xhi < tx and sy < bx.ylo and bx.yhi < ty):
-            continue
-        vx, vy = fp.ring[0]
+        vx, vy = polys[i].ring[0]
         if bottom(vx) < vy < top(vx):
             holes.append(i)
+    holes.sort()
+    hole_index = _hole_index(polys, holes)
 
     ys = {sy, ty}
     # traces can overshoot the strip (the final hug keeps going past x_stop),
@@ -561,14 +636,14 @@ def _build_region(world: World | FrameView, polys: list[_FramePoly],
     m = len(baselines)
 
     def low_src(x: int, y_ref: int, skip: Optional[int]) -> int:
-        blocked = _hole_sections(polys, holes, x, skip)
+        blocked = _hole_sections(polys, hole_index, x, skip)
         t_star = max((hi2 for (lo2, hi2) in blocked if hi2 <= y_ref), default=None)
         if t_star is None:
             return 0
         return bisect.bisect_left(baselines, t_star)
 
     def high_dst(x: int, y_ref: int, skip: Optional[int]) -> int:
-        blocked = _hole_sections(polys, holes, x, skip)
+        blocked = _hole_sections(polys, hole_index, x, skip)
         b_star = min((lo2 for (lo2, hi2) in blocked if lo2 >= y_ref), default=None)
         if b_star is None:
             return m - 1

@@ -6,7 +6,8 @@ closed obstacle; its doors are the parts of its boundary on the box.
 from each terminal (``rectlink.pockets.GridSearch``) and reads the
 crossings off the search.  The acceptance check on door properties and
 ``tests/test_pockets.py`` use these helpers to find pockets and probe
-them independently of that search.
+them independently of that search.  ``into_pocket`` moves a terminal of a
+generated instance into a pocket, which the generator itself never does.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from rectlink.geometry import GeometryError, OrthoSegment, Point, RectPolygon
+from rectlink.model import Instance, Terminal, validate
 from rectlink.pockets import BoxGrid
 
 
@@ -109,4 +111,58 @@ def pocket_containing(pockets: list[Pocket], grid: BoxGrid,
     for pk in pockets:
         if (i, j) in pk.cells:
             return pk
+    return None
+
+
+def pocket_spots(inst: Instance) -> list[Point]:
+    """Integer points strictly inside some obstacle's box and outside the
+    closed obstacle, on no x and no y that an obstacle or a terminal of
+    ``inst`` uses: the unused coordinates strictly inside the free cells of
+    each obstacle's box grid."""
+    xs_used, ys_used = inst.all_coords()
+    spots = []
+    for ob in inst.obstacles:
+        grid = BoxGrid(ob.bbox, ob)
+        for i, column in enumerate(grid.cell_free):
+            free_x = [x for x in range(grid.xs[i] + 1, grid.xs[i + 1])
+                      if x not in xs_used]
+            for j, free in enumerate(column):
+                if free:
+                    spots.extend((x, y) for x in free_x
+                                 for y in range(grid.ys[j] + 1, grid.ys[j + 1])
+                                 if y not in ys_used)
+    return spots
+
+
+def into_pocket(inst: Instance, end: str, kind: str, rng,
+                tries: int = 20) -> Optional[Instance]:
+    """``inst`` with its ``end`` terminal ("source" or "target") replaced by
+    a point (``kind`` "point") or an axis-parallel segment (``kind``
+    "segment") that starts at a ``pocket_spots`` point.  A segment runs to
+    another unused coordinate up to 40 units away, so it may stay in the
+    pocket or leave the box through the pocket's door.  Candidates that
+    ``validate`` rejects are skipped; None when ``tries`` draws all fail or
+    no obstacle has a pocket spot.
+    """
+    spots = pocket_spots(inst)
+    if not spots:
+        return None
+    xs_used, ys_used = inst.all_coords()
+    for _ in range(tries):
+        p = rng.choice(spots)
+        if kind == "point":
+            term = Terminal.of_point(p)
+        else:
+            axis = rng.randrange(2)
+            used = xs_used if axis == 0 else ys_used
+            far = [c for c in range(p[axis] - 40, p[axis] + 41)
+                   if c != p[axis] and c not in used]
+            q = list(p)
+            q[axis] = rng.choice(far)
+            term = Terminal.of_segment(p, tuple(q))
+        source = term if end == "source" else inst.source
+        target = term if end == "target" else inst.target
+        moved = Instance(obstacles=inst.obstacles, source=source, target=target)
+        if not validate(moved):
+            return moved
     return None

@@ -1,0 +1,108 @@
+"""Linear scans that the indexed hull queries replaced, kept as references.
+
+Each function visits every hull of a frame in hull order, as the package
+did before ``partition.World`` kept a box index: the blocking queries of a
+trace step, the hole sections of a region event, a region's hole selection
+and the midpoint enumeration of an x-case solve.  They read the frame's
+boxes from ``FrameTables`` and a hull's edge tables through ``polys[i]``,
+so a reference builds the tables of exactly the hulls the old scan read.
+``tests/test_index.py`` checks the indexed queries against them.
+"""
+from rectlink.partition import FrameView, StepCurve, trace_path
+
+
+def first_block(polys, cur, x_stop):
+    cx, cy = cur
+    best = None
+    for i in range(len(polys)):
+        if polys.xhi[i] <= cx or polys.ylo[i] >= cy or polys.yhi[i] <= cy:
+            continue
+        fp = polys[i]
+        for x, lo, hi in fp.west:
+            if lo <= cy <= hi and cx < x < x_stop \
+                    and (x, cy) not in fp.east_horiz:
+                if best is None or x < best[1]:
+                    best = (i, x)
+    return best
+
+
+def standing_block(polys, cur):
+    cx, cy = cur
+    for i in range(len(polys)):
+        if not (polys.xlo[i] <= cx < polys.xhi[i]
+                and polys.ylo[i] < cy < polys.yhi[i]):
+            continue
+        fp = polys[i]
+        for x, lo, hi in fp.west:
+            if x == cx and lo <= cy <= hi \
+                    and (cx, cy) not in fp.east_horiz:
+                return i
+    return None
+
+
+def hole_sections(polys, holes, x, skip=None):
+    out = []
+    for hi in holes:
+        if hi == skip:
+            continue
+        if not (polys.xlo[hi] < x < polys.xhi[hi]):
+            continue
+        ys = [y for xlo, xhi, y in polys[hi].horiz if xlo <= x <= xhi]
+        out.append((min(ys), max(ys)))
+    return out
+
+
+def region_holes(world, frame, sq, tq):
+    """Holes of the staircase region of frame points ``sq`` and ``tq``:
+    hulls strictly inside the strip box, climbed by none of the four
+    boundary traces, whose least vertex lies strictly between the region's
+    bottom and top envelopes."""
+    (sx, sy), (tx, ty) = sq, tq
+    view = FrameView(world, frame)
+    ur = trace_path(view, "ur", sq, tq)
+    ld = trace_path(view, "ld", tq, sq)
+    ru = trace_path(view, "ru", sq, tq)
+    dl = trace_path(view, "dl", tq, sq)
+    upper_s, upper_t = StepCurve(ur.points), StepCurve(ld.points)
+    lower_s, lower_t = StepCurve(ru.points), StepCurve(dl.points)
+
+    def top(x):
+        return min(upper_s.max_y_at(x), upper_t.min_y_from(x + 1), ty)
+
+    def bottom(x):
+        return max(lower_s.max_y_at(x), lower_t.min_y_from(x + 1), sy)
+
+    touched = set(ur.touched) | set(ld.touched) | set(ru.touched) | set(dl.touched)
+    polys = world.frame(frame)
+    holes = []
+    for i in range(len(polys)):
+        if i in touched:
+            continue
+        if not (sx < polys.xlo[i] and polys.xhi[i] < tx
+                and sy < polys.ylo[i] and polys.yhi[i] < ty):
+            continue
+        vx, vy = polys[i].ring[0]
+        if bottom(vx) < vy < top(vx):
+            holes.append(i)
+    return holes
+
+
+def midpoints(polys, sx, tx):
+    """(point, hull, side) of every x-case midpoint node in the strip, in
+    the order ``composer.solve_x_case`` relaxes them."""
+    nodes = []
+    for i in range(len(polys)):
+        if polys.xhi[i] <= sx or polys.xlo[i] >= tx:
+            continue
+        fp = polys[i]
+        box = fp.box
+        tops = [e for e in fp.horiz if e[2] == box.yhi]
+        bots = [e for e in fp.horiz if e[2] == box.ylo]
+        for lo_x, hi_x, y in tops + bots:
+            mx = (lo_x + hi_x) // 2
+            if (lo_x + hi_x) % 2 or lo_x < sx or hi_x > tx or not sx < mx < tx:
+                continue
+            side = "top" if y == box.yhi else "bot"
+            nodes.append(((mx, y), i, side))
+    nodes.sort(key=lambda nd: nd[0])
+    return nodes

@@ -172,22 +172,23 @@ def test_two_solves_share_no_memo(monkeypatch):
 
 
 def test_a_solve_fills_only_the_hull_tables_it_reads(monkeypatch):
-    """A frame maps every hull's box but fills a hull's ring and edge
-    tables only on first read: a point solve among 200 obstacles fills far
-    fewer than frames x hulls, and ``hull_tables_built`` counts the fills."""
+    """A frame reads every hull's box from the world's index but builds a
+    hull's ring and edge tables only when a query reaches the hull: a point
+    solve among 200 obstacles fills far fewer than frames x hulls, and
+    ``hull_tables_built`` counts the fills."""
     worlds, fills = [], []
-    init, fill = World.__init__, partition._FramePoly._fill
+    init, fill = World.__init__, partition._FramePoly.__init__
 
     def recording_init(self, hulls):
         worlds.append(self)
         init(self, hulls)
 
-    def counting_fill(self):
+    def counting_fill(self, hull, t):
         fills.append(self)
-        fill(self)
+        fill(self, hull, t)
 
     monkeypatch.setattr(World, "__init__", recording_init)
-    monkeypatch.setattr(partition._FramePoly, "_fill", counting_fill)
+    monkeypatch.setattr(partition._FramePoly, "__init__", counting_fill)
     report = solve(generate_instance(97 * 200, 200, coord_limit=6000))
     (world,) = worlds
     assert len(set(map(id, fills))) == len(fills)

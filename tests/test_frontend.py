@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rectlink import frontend
@@ -6,7 +8,7 @@ from rectlink.generator import generate_instance
 from rectlink.geometry import GeometryError, PathResult, RectPolygon
 from rectlink.model import Instance, Terminal, validate
 from rectlink.oracle import oracle_solve
-from rectlink.oracle import oracle_solve
+from pocket_doors import into_pocket
 
 KIND_MIXES = [
     ("point", "point"),
@@ -35,6 +37,43 @@ def test_matches_oracle_across_terminal_kinds(mix):
         _check_against_oracle(inst, f"{mix} seed {seed}")
 
 
+# (moved source, moved target or None, kind of the terminal left in place)
+POCKET_MIXES = [
+    ("point", None, "point"),
+    ("segment", None, "point"),
+    ("point", None, "segment"),
+    ("segment", None, "polygon"),
+    ("point", "point", None),
+    ("segment", "segment", None),
+]
+
+
+def test_pocket_terminals_match_oracle():
+    """Generated instances with a point or segment terminal moved into a
+    carved obstacle's box pocket (``into_pocket``): every moved terminal
+    attaches through the pocket search, and every answer equals the
+    oracle's."""
+    rng = random.Random(8)
+    checked = 0
+    for seed in range(36):
+        moved_s, moved_t, kept = POCKET_MIXES[seed % len(POCKET_MIXES)]
+        inst = generate_instance(8000 + seed, n_obstacles=8, coord_limit=300,
+                                 carve_prob=0.95, target_kind=kept or "point")
+        inst = into_pocket(inst, "source", moved_s, rng)
+        if inst is not None and moved_t is not None:
+            inst = into_pocket(inst, "target", moved_t, rng)
+        if inst is None:
+            continue
+        xs, ys = (sorted(c) for c in inst.all_coords())
+        boxes = [ob.bbox for ob in inst.obstacles]
+        for term in [inst.source] + ([inst.target] if moved_t else []):
+            atts, _ = _attachments(inst, term, xs, ys, boxes)
+            assert any(a.out_dir is not None for a in atts), seed
+        _check_against_oracle(inst, f"pocket seed {seed}")
+        checked += 1
+    assert checked >= 34
+
+
 def test_identical_points_give_zero():
     inst = Instance(obstacles=(), source=Terminal.of_point((4, 4)),
                     target=Terminal.of_point((4, 4)))
@@ -60,6 +99,19 @@ def test_terminal_deep_in_a_pocket():
                     source=Terminal.of_point((16, 15)),
                     target=Terminal.of_point((30, 15)))
     _check_against_oracle(inst)
+
+
+def test_route_along_the_box_wall_to_a_terminal_on_it():
+    # the source leaves its pocket through the east wall and rides the
+    # wall north to where the target segment, leaving the other pocket,
+    # crosses it; a pocket junction half a unit outside the wall cannot
+    # end on the wall without stepping back
+    ob = RectPolygon([(0, 0), (12, 0), (12, 6), (20, 6), (20, 24), (14, 24),
+                      (14, 30), (0, 30)])
+    inst = Instance(obstacles=(ob,), source=Terminal.of_point((16, 3)),
+                    target=Terminal.of_segment((17, 27), (40, 27)))
+    report = _check_against_oracle(inst)
+    assert report.path == [(16, 3), (20, 3), (20, 27)]
 
 
 def test_invalid_instance_raises():

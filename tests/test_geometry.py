@@ -181,14 +181,13 @@ XFORMS = ([Xform(sx, 0, 0, sy) for sx in (1, -1) for sy in (1, -1)]
 
 @given(_rect_polys())
 def test_transform_matches_normalising_the_mapped_ring(poly):
-    """A hull's lazily filled frame ring and eager frame box equal the
-    vertices and box of ``RectPolygon`` of the mapped ring."""
+    """A hull's frame ring and frame box equal the vertices and box of
+    ``RectPolygon`` of the mapped ring."""
     assert poly.bbox == bounding_box(poly.vertices)
     for t in XFORMS:
         want = RectPolygon([t.apply(v) for v in poly.vertices])
         fp = _FramePoly(poly, t)
         assert fp.box == bounding_box(want.vertices)
-        assert not fp.filled
         assert fp.ring == want.vertices
         assert _signed_area2(fp.ring) == poly.area2()
 

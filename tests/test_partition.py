@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from rectlink.engine import _double, build_world
 from rectlink.generator import generate_instance
-from rectlink.geometry import IDENTITY, RectPolygon, Xform
+from rectlink.geometry import IDENTITY, Rect, RectPolygon, Xform
 from rectlink.partition import (
     FrameView,
     StepCurve,
@@ -146,25 +146,34 @@ class TestSharedFrames:
     def test_view_matches_a_transformed_world(self, seed):
         """Every column of every hull, read through each of the 64 (view,
         frame) pairs, equals an eager table built from ``RectPolygon`` of
-        the mapped ring; a frame maps the boxes up front and fills the rest
-        of a hull's tables only when one of them is read."""
+        the mapped ring; a frame reads the boxes and the xlo order from the
+        world's index and builds a hull's tables only when they are read."""
         inst = generate_instance(seed, n_obstacles=8, coord_limit=120)
         world = build_world(list(inst.obstacles))
+        n = len(world.hulls)
         for base, g in itertools.product(XFORMS, XFORMS):
             total = base.then(g)
             fresh = total not in world._frames
             shared = FrameView(world, base).frame(g)
             assert shared is world.frame(total)
-            for h, fp in zip(world.hulls, shared):
+            assert len(shared) == n
+            boxes = []
+            for i, h in enumerate(world.hulls):
                 want = reference_tables(h, total)
-                assert fp.box == want["box"], (seed, base, g)
-                # the box is eager; reading it fills nothing
-                assert fp.filled != fresh, (seed, base, g)
-                assert columns(fp) == want, (seed, base, g)
-                assert fp.filled
+                box = Rect(shared.xlo[i], shared.ylo[i],
+                           shared.xhi[i], shared.yhi[i])
+                assert box == want["box"], (seed, base, g)
+                boxes.append(box)
+                # the index serves the box; reading it builds no table
+                assert shared.tables_built == (i if fresh else n), (seed, base, g)
+                assert columns(shared[i]) == want, (seed, base, g)
+                assert shared.tables_built == (i + 1 if fresh else n)
+            assert shared.order == sorted(range(n), key=lambda i: (boxes[i].xlo, i))
+            assert shared.keys == [boxes[i].xlo for i in shared.order]
+            assert shared.width == max(b.xhi - b.xlo for b in boxes)
         # every view reads the one cache: eight frames, however many views
         assert len(world._frames) == 8
-        assert world.hull_tables_built == 8 * len(world.hulls)
+        assert world.hull_tables_built == 8 * n
 
     @pytest.mark.parametrize("seed", range(6))
     def test_views_keep_their_own_region_frame(self, seed):

@@ -4,7 +4,13 @@ import pytest
 
 from rectlink.engine import _double, build_world
 from rectlink.generator import generate_instance
-from rectlink.partition import World, _hole_sections, build_staircase_region, classify
+from rectlink.partition import (
+    World,
+    _hole_index,
+    _hole_sections,
+    build_staircase_region,
+    classify,
+)
 from rectlink.sweep import INF, NaiveStore, reconstruct_path, run_sweep
 from rectlink.geometry import PathResult, bounding_box
 from frame_reference import columns, mapped_polygon, reference_tables
@@ -182,14 +188,17 @@ def test_hole_sections_match_transformed_hulls():
     checked = 0
     for seed, world, region in _worlds_and_regions(range(0, 140)):
         polys = world.frame(region.frame)
+        built = polys.tables_built
         for hi in region.holes:
             # every column the region build read, against an eager table
-            assert polys[hi].filled, seed
             assert columns(polys[hi]) \
                 == reference_tables(world.hulls[hi], region.frame), seed
+        # the region build already built every hole's tables
+        assert polys.tables_built == built, seed
+        index = _hole_index(polys, region.holes)
         for x in range(region.s[0] - 1, region.t[0] + 2):
             for skip in [None] + region.holes:
-                got = _hole_sections(polys, region.holes, x, skip)
+                got = _hole_sections(polys, index, x, skip)
                 want = _reference_sections(world, region.frame, region.holes,
                                            x, skip)
                 assert got == want, f"seed {seed}, x {x}, skip {skip}"
