@@ -13,10 +13,10 @@ bounding box.  Everything else reduces to it by attachment enumeration:
   the hand-over to the engine happens at a junction half a (doubled) unit
   outside the box, where the direction-seeded link counts make the join
   exact;
-* candidates outside every box feed the engine directly, and one lying on
-  the boundary of a box the other terminal searches from inside is also
-  reached by that search, since a junction outside the box cannot end on
-  its boundary without stepping back.
+* candidates outside every box feed the engine directly;
+* a search also offers its own route to every candidate of the other
+  terminal in its closed box: one inside the box, or one on its ring, which
+  a junction outside the box cannot reach without stepping back.
 
 The best combination over all source/target attachments is the answer.
 Pairs are tried in order of an obstacle-blind L1 lower bound, and a pair is
@@ -59,6 +59,35 @@ class Attachment:
     links: int
     lead2: tuple[Point, ...]
     out_dir: Optional[Point]
+
+    @property
+    def group(self) -> tuple:
+        """The attachment's free group: attachments of one terminal that
+        share it are joined by a staircase that meets no open obstacle box,
+        hence no hull, so their hull-world distance is at most their L1
+        distance.
+
+        All plain attachments of a terminal share one group.  A point has a
+        single one.  ``validate`` makes a polygon's box interior-disjoint
+        from every obstacle box, so the polygon's box holds a staircase
+        between any two of them.  A plain attachment of a segment lies on
+        the segment, outside every open box or on a box's boundary (plain
+        candidates are filtered with a strict ``contains``).  ``validate``
+        rejects a segment that meets an obstacle's interior, and a connected
+        obstacle touches all four sides of its box, so a valid segment never
+        runs across a box: it enters a box only to end inside it.  The
+        segment's part between two plain attachments therefore meets no
+        open box.
+
+        Pocket attachments share a group when they leave through one box
+        wall: the same ``out_dir`` and the same junction coordinate along
+        it.  Their junctions sit half a unit outside that wall, and so does
+        the run joining them.  Boxes are interior-disjoint and no two
+        obstacles share a coordinate, so no open box reaches that run.
+        """
+        if self.out_dir is None:
+            return ()
+        return self.out_dir, self.junction2[0 if self.out_dir[0] else 1]
 
 
 @dataclass
@@ -104,59 +133,33 @@ def _on_segment(seg: OrthoSegment, xs: list[int], ys: list[int]) -> list[Point]:
 
 def _attachments(instance: Instance, term: Terminal, xs: list[int],
                  ys: list[int], boxes: list[Rect]
-                 ) -> tuple[list[Attachment], dict[int, GridSearch]]:
-    """All attachments of one terminal, plus its per-box inside searches."""
-    free: list[Point] = []
+                 ) -> tuple[list[Attachment], list[GridSearch], list[Point]]:
+    """All attachments of one terminal, its per-box inside searches, and
+    its candidate points."""
+    cands = _candidate_points(term, xs, ys)
+    atts: list[Attachment] = []
     boxed: dict[int, list[Point]] = {}
-    for p in _candidate_points(term, xs, ys):
+    for p in cands:
         host = next((i for i, b in enumerate(boxes)
                      if b.contains(p, strict=True)), None)
         if host is None:
-            free.append(p)
+            atts.append(Attachment(junction2=_double(p), d2=0, links=0,
+                                   lead2=(_double(p),), out_dir=None))
         else:
             boxed.setdefault(host, []).append(p)
-    atts = [Attachment(junction2=_double(p), d2=0, links=0,
-                       lead2=(_double(p),), out_dir=None) for p in free]
-    searches: dict[int, GridSearch] = {}
+    searches: list[GridSearch] = []
     for host, pts in boxed.items():
         grid = BoxGrid(boxes[host], instance.obstacles[host],
                        extra_xs=xs, extra_ys=ys)
         gs = GridSearch(grid, pts)
-        searches[host] = gs
+        searches.append(gs)
         for c in gs.crossings():
             jun = (2 * c.point[0] + c.out_dir[0], 2 * c.point[1] + c.out_dir[1])
-            lead = tuple(_double(v) for v in c.path)
-            if c.links == 0:
-                # the terminal itself reaches the box boundary; from there
-                # it behaves like a plain outside candidate
-                atts.append(Attachment(junction2=lead[-1], d2=0, links=0,
-                                       lead2=lead, out_dir=None))
-                continue
             atts.append(Attachment(junction2=jun, d2=2 * c.dist + 1,
-                                   links=c.links, lead2=lead + (jun,),
+                                   links=c.links,
+                                   lead2=tuple(_double(v) for v in c.path) + (jun,),
                                    out_dir=c.out_dir))
-    return atts, searches
-
-
-def _free_groups(atts: list[Attachment]) -> list[Optional[int]]:
-    """The free group of each attachment, or None where it has none.
-
-    Two plain attachments of one group are joined by a staircase that meets
-    no open obstacle box, hence no hull, so their hull-world distance is at
-    most their L1 distance.  All plain attachments of a terminal form one
-    group.  A point has a single one.  ``validate`` makes a polygon's box
-    interior-disjoint from every obstacle box, so the polygon's box holds a
-    staircase between any two of them.  A plain attachment of a segment
-    lies on the segment, outside every open box or on a box's boundary (free
-    candidates are filtered with a strict ``contains``, and a crossing
-    without links ends on the boundary).  ``validate`` rejects a segment
-    that crosses an obstacle's interior, and a connected obstacle touches
-    all four sides of its box, so a valid segment never runs across a box:
-    it enters a box only to end inside it.  The segment's part between two
-    plain attachments therefore meets no open box.  Pocket attachments
-    belong to no group.
-    """
-    return [0 if a.out_dir is None else None for a in atts]
+    return atts, searches, cands
 
 
 def _pair_bound(a: Attachment, b: Attachment,
@@ -164,8 +167,8 @@ def _pair_bound(a: Attachment, b: Attachment,
     """Lower bound on every cost the pair (a, b) can offer.
 
     ``solved`` holds ``(ja, jb, d)`` for middle solves of pairs whose source
-    attachment shares a free group with ``a`` (or is ``a``) and whose target
-    attachment shares one with ``b``.  The hull-world distance is a metric,
+    attachment shares a free group with ``a`` and whose target attachment
+    shares one with ``b``.  The hull-world distance is a metric,
     and within a group it is at most L1, so
     ``d <= L1(ja, a) + dist(a, b) + L1(b, jb)`` bounds ``dist(a, b)`` from
     below; so does the obstacle-blind ``L1(a, b)``.  Every cost the pair
@@ -237,8 +240,10 @@ def solve(instance: Instance) -> SolveReport:
     xs, ys = sorted(xs_set), sorted(ys_set)
     boxes = [ob.bbox for ob in instance.obstacles]
     world = build_world(list(instance.obstacles))
-    atts_s, search_s = _attachments(instance, instance.source, xs, ys, boxes)
-    atts_t, search_t = _attachments(instance, instance.target, xs, ys, boxes)
+    atts_s, search_s, cands_s = _attachments(instance, instance.source, xs, ys,
+                                             boxes)
+    atts_t, search_t, cands_t = _attachments(instance, instance.target, xs, ys,
+                                             boxes)
     if not atts_s or not atts_t:
         raise GeometryError("a terminal has no connection to the free plane")
 
@@ -251,41 +256,18 @@ def solve(instance: Instance) -> SolveReport:
         if best is None or (d2, links) < (best[0], best[1]):
             best = (d2, links, pts2)
 
-    # purely inside routes, for terminals sharing a box
-    for host, gs in search_s.items():
-        other = search_t.get(host)
-        if other is None:
-            continue
-        for (i, j) in other.sources:
-            q = (gs.grid.xs[i], gs.grid.ys[j])
-            got = gs.at(q)
-            if got is not None:
-                offer(2 * got[0], got[1], [_double(v) for v in got[2]])
-
-    # a terminal point on the ring of a box that the other terminal searches
-    # from inside: a crossing's junction sits half a unit outside the ring
-    # and would have to step back onto it, so the search's own route to the
-    # point is offered instead (a plain attachment is its own lead, at no
-    # cost and no links)
-    for searches, atts, forward in ((search_s, atts_t, True),
-                                    (search_t, atts_s, False)):
-        for gs in searches.values():
-            for b in atts:
-                q = (b.junction2[0] // 2, b.junction2[1] // 2)
-                if b.out_dir is not None or not gs.grid.box.contains(q):
-                    continue
-                got = gs.at(q)
+    # in-box routes, to the other terminal's candidates in a search's box
+    for searches, cands, forward in ((search_s, cands_t, True),
+                                     (search_t, cands_s, False)):
+        for gs in searches:
+            for q in cands:
+                got = gs.at(q) if gs.grid.box.contains(q) else None
                 if got is not None:
                     route = [_double(v) for v in got[2]]
                     offer(2 * got[0], got[1], route if forward else route[::-1])
 
-    # middle solves are filed under their pair's keys: each attachment's
-    # free group, or the attachment itself where it has none; a pair's bound
-    # reads only the solves filed under its own keys
-    keys_s = [("a", i) if g is None else ("g", g)
-              for i, g in enumerate(_free_groups(atts_s))]
-    keys_t = [("a", j) if g is None else ("g", g)
-              for j, g in enumerate(_free_groups(atts_t))]
+    # middle solves are filed under their pair's free groups; a pair's bound
+    # reads only the solves filed under its own groups
     solved: dict[tuple, list[tuple[Point, Point, int]]] = {}
     pairs = sorted(
         ((a.d2 + _l1(a.junction2, b.junction2) + b.d2, i, j)
@@ -296,15 +278,15 @@ def solve(instance: Instance) -> SolveReport:
             break
         a, b = atts_s[i], atts_t[j]
         if a.junction2 == b.junction2:
-            if a.out_dir is None and b.out_dir is None:
-                offer(0, 0, [a.junction2])
-            elif a.out_dir is not None and b.out_dir is not None \
-                    and a.out_dir != b.out_dir:
-                merge = 1 if a.out_dir == _neg(b.out_dir) else 0
+            # a plain junction is even in both coordinates and a pocket one
+            # odd in one, so both are plain or both pockets; two pockets
+            # leaving the same way are a U-turn the in-box route beats
+            if a.out_dir is None or a.out_dir != b.out_dir:
+                merge = a.out_dir is not None
                 pts = list(a.lead2) + list(reversed(b.lead2))[1:]
                 offer(a.d2 + b.d2, a.links + b.links - merge, pts)
             continue
-        key = (keys_s[i], keys_t[j])
+        key = (a.group, b.group)
         if best is not None \
                 and _pair_bound(a, b, solved.get(key, ())) > best[0]:
             stats["pairs_pruned"] += 1

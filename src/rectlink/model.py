@@ -192,81 +192,34 @@ def _validate_terminal(name: str, term: Terminal, instance: Instance) -> list[st
         for i, box in enumerate(boxes):
             if not tb.interior_disjoint(box):
                 problems.append(f"{name} polygon box overlaps obstacle box {i}")
-        other = instance.target if name == "source" else instance.source
-        if other.kind == POLYGON and name == "source":
-            if not tb.interior_disjoint(other.bbox):
-                problems.append("terminal polygon boxes overlap")
+        other = instance.target
+        if name == "source" and other.kind == POLYGON \
+                and not tb.interior_disjoint(other.bbox):
+            problems.append("terminal polygon boxes overlap")
     return problems
 
 
 def _segment_meets_interior(seg: OrthoSegment, poly: RectPolygon) -> bool:
-    """Does the segment meet the open polygon?  Boundary contact is fine."""
-    box = poly.bbox
-    lo_x, hi_x = sorted((seg.p[0], seg.q[0]))
-    lo_y, hi_y = sorted((seg.p[1], seg.q[1]))
-    if hi_x <= box.xlo or lo_x >= box.xhi or hi_y <= box.ylo or lo_y >= box.yhi:
+    """Does the segment meet the open polygon?  Boundary contact is fine.
+
+    Along the segment the open polygon changes only at the polygon's vertex
+    coordinates, so the segment is cut at its ends and at every vertex
+    coordinate strictly between them, and the exact midpoint of each span
+    decides that span.  Midpoints are tested on the doubled ring, where they
+    are integer points.
+    """
+    if not _segment_meets_open_rect(seg, poly.bbox):
         return False
-    # crossing points of the segment with polygon edges split it into spans;
-    # test a strict-interior point of each span
-    cuts = {0, 2 * seg.length}
-    for e in poly.edges():
-        c = _cross_param(seg, e)
-        if c is not None:
-            cuts.update(c)
-    for a, b in zip(sorted(cuts), sorted(cuts)[1:]):
-        mid = _point_at(seg, (a + b) // 2, half=True)
-        if poly.contains_interior(mid):
+    axis = 0 if seg.horizontal else 1
+    lo, hi = sorted((seg.p[axis], seg.q[axis]))
+    cuts = sorted({lo, hi} | {v[axis] for v in poly.vertices if lo < v[axis] < hi})
+    ring2 = RectPolygon.from_normalised([(2 * x, 2 * y) for x, y in poly.vertices])
+    fixed2 = 2 * seg.p[1 - axis]
+    for a, b in zip(cuts, cuts[1:]):
+        mid2 = (a + b, fixed2) if axis == 0 else (fixed2, a + b)
+        if ring2.locate(mid2) > 0:
             return True
     return False
-
-
-def _cross_param(seg: OrthoSegment, edge: OrthoSegment) -> Optional[list[int]]:
-    """Doubled parameters along ``seg`` where it meets ``edge``, if any."""
-    out: list[int] = []
-    (px, py), (qx, qy) = seg.p, seg.q
-    if seg.p == seg.q:
-        return None
-    horiz = py == qy
-    if horiz:
-        lo, hi = sorted((px, qx))
-        if edge.vertical:
-            ex = edge.p[0]
-            e_lo, e_hi = sorted((edge.p[1], edge.q[1]))
-            if lo <= ex <= hi and e_lo <= py <= e_hi:
-                out.append(2 * abs(ex - px))
-        else:
-            if edge.p[1] == py:
-                s_lo, s_hi = sorted((edge.p[0], edge.q[0]))
-                a, b = max(lo, s_lo), min(hi, s_hi)
-                if a <= b:
-                    out.extend((2 * abs(a - px), 2 * abs(b - px)))
-    else:
-        lo, hi = sorted((py, qy))
-        if edge.horizontal:
-            ey = edge.p[1]
-            e_lo, e_hi = sorted((edge.p[0], edge.q[0]))
-            if lo <= ey <= hi and e_lo <= px <= e_hi:
-                out.append(2 * abs(ey - py))
-        else:
-            if edge.p[0] == px:
-                s_lo, s_hi = sorted((edge.p[1], edge.q[1]))
-                a, b = max(lo, s_lo), min(hi, s_hi)
-                if a <= b:
-                    out.extend((2 * abs(a - py), 2 * abs(b - py)))
-    return out or None
-
-
-def _point_at(seg: OrthoSegment, t2: int, half: bool = False) -> Point:
-    """Point at doubled parameter ``t2`` along the segment (may be a midpoint)."""
-    (px, py), (qx, qy) = seg.p, seg.q
-    length = seg.length
-    if length == 0:
-        return seg.p
-    # integer midpoint in doubled coordinates; caller only uses the result for
-    # strict containment tests, so round toward p when halving
-    dx = (qx - px) * t2 // (2 * length)
-    dy = (qy - py) * t2 // (2 * length)
-    return (px + dx, py + dy)
 
 
 def _segment_meets_open_rect(seg: OrthoSegment, box: Rect) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -635,15 +635,21 @@ def _build_region(world: World | FrameView, polys: FrameTables,
     idx = {y: i for i, y in enumerate(baselines)}
     m = len(baselines)
 
+    # most events ask for the sections of one (x, skip) twice, once for
+    # their source range and once for their chmin range
+    @cache
+    def sections(x: int, skip: Optional[int]) -> list[tuple[int, int]]:
+        return _hole_sections(polys, hole_index, x, skip)
+
     def low_src(x: int, y_ref: int, skip: Optional[int]) -> int:
-        blocked = _hole_sections(polys, hole_index, x, skip)
+        blocked = sections(x, skip)
         t_star = max((hi2 for (lo2, hi2) in blocked if hi2 <= y_ref), default=None)
         if t_star is None:
             return 0
         return bisect.bisect_left(baselines, t_star)
 
     def high_dst(x: int, y_ref: int, skip: Optional[int]) -> int:
-        blocked = _hole_sections(polys, hole_index, x, skip)
+        blocked = sections(x, skip)
         b_star = min((lo2 for (lo2, hi2) in blocked if lo2 >= y_ref), default=None)
         if b_star is None:
             return m - 1

@@ -7,9 +7,9 @@ through a door, the part of a pocket's boundary lying on the box.  This
 module builds the box-local Hanan grid, runs a lexicographic (length,
 links) Dijkstra with direction states over it, and reports, for every
 grid point on the box boundary, the best way to arrive there about to
-leave the box.  The same grid solves purely in-box queries, which covers
-polygon terminals: their own body never blocks, so the grid is built with
-no blocker and every boundary vertex of the terminal seeds the search.
+leave the box.  The same search answers in-box queries: the best route from
+a terminal inside the box to any grid point of the box, such as the other
+terminal's points in the same box or on its ring.
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ class Crossing:
 
     ``links`` counts the segments of the inside path including the one
     heading ``out_dir`` through the boundary; a caller continuing straight
-    outward extends that segment for free.  A crossing with ``links == 0``
-    marks a boundary point lying on the source itself.
+    outward extends that segment for free.  Search sources lie strictly
+    inside the box and crossings on its ring, so ``links`` is at least 1.
     """
 
     point: Point
@@ -46,32 +46,27 @@ class Crossing:
 
 
 class BoxGrid:
-    """Hanan grid clipped to a bounding box, with an optional blocker."""
+    """Hanan grid clipped to a bounding box; the blocker's cells are closed."""
 
-    def __init__(self, box: Rect, blocker: Optional[RectPolygon],
+    def __init__(self, box: Rect, blocker: RectPolygon,
                  extra_xs: Sequence[int] = (), extra_ys: Sequence[int] = ()):
         xs = {box.xlo, box.xhi}
         ys = {box.ylo, box.yhi}
-        if blocker is not None:
-            xs.update(v[0] for v in blocker.vertices)
-            ys.update(v[1] for v in blocker.vertices)
+        xs.update(v[0] for v in blocker.vertices)
+        ys.update(v[1] for v in blocker.vertices)
         xs.update(x for x in extra_xs if box.xlo <= x <= box.xhi)
         ys.update(y for y in extra_ys if box.ylo <= y <= box.yhi)
         self.box = box
         self.xs = sorted(xs)
         self.ys = sorted(ys)
-        nx, ny = len(self.xs), len(self.ys)
-        if blocker is None:
-            self.cell_free = [[True] * (ny - 1) for _ in range(nx - 1)]
-        else:
-            edges = [(e.p[0], *sorted((e.p[1], e.q[1])))
-                     for e in blocker.vertical_edges()]
-            self.cell_free = [
-                [not _odd_crossings(edges, self.xs[i] + self.xs[i + 1],
-                                    self.ys[j] + self.ys[j + 1])
-                 for j in range(ny - 1)]
-                for i in range(nx - 1)
-            ]
+        edges = [(e.p[0], *sorted((e.p[1], e.q[1])))
+                 for e in blocker.vertical_edges()]
+        self.cell_free = [
+            [not _odd_crossings(edges, self.xs[i] + self.xs[i + 1],
+                                self.ys[j] + self.ys[j + 1])
+             for j in range(len(self.ys) - 1)]
+            for i in range(len(self.xs) - 1)
+        ]
 
     def vertex(self, p: Point) -> tuple[int, int]:
         i = bisect.bisect_left(self.xs, p[0])

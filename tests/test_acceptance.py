@@ -6,6 +6,8 @@ suites: together they solve a few thousand instances against the grid
 oracle.
 """
 
+import random
+
 from rectlink.bench import run_bench
 from rectlink.engine import _double, build_world
 from rectlink.composer import solve_x_case
@@ -24,6 +26,7 @@ from rectlink.partition import (
 from rectlink.pockets import BoxGrid, GridSearch
 from rectlink.sweep import INF, NaiveStore, reconstruct_path, run_sweep
 from closest_pairs import oracle_closest_pairs
+from dents import dent_instance
 from pocket_doors import find_pockets
 from tree_store import TreeStore, final_state
 
@@ -301,7 +304,9 @@ def test_6_event_counts_scale_linearly():
 
 
 def test_7_convex_hull_preprocessing_preserves_answers():
-    count = 0
+    """Generated obstacles are orthoconvex and hence their own hulls, so
+    each instance gets a notch cut into its obstacles first (``dents``)."""
+    count = dented = 0
     for seed, inst in _instances([("point", "point")], want=300,
                                  start_seed=130_000, coord_limit=180,
                                  n_mix=(6, 10, 16, 22)):
@@ -309,20 +314,25 @@ def test_7_convex_hull_preprocessing_preserves_answers():
                for ob in inst.obstacles
                for p in (inst.source.point, inst.target.point)):
             continue
-        hulled = Instance(
-            obstacles=tuple(rectilinear_convex_hull(ob)
-                            for ob in inst.obstacles),
-            source=inst.source, target=inst.target)
+        inst = dent_instance(inst, random.Random(seed))
+        hulls = tuple(rectilinear_convex_hull(ob) for ob in inst.obstacles)
+        dented += any(h != ob for h, ob in zip(hulls, inst.obstacles))
+        hulled = Instance(obstacles=hulls, source=inst.source,
+                          target=inst.target)
+        assert validate(inst) == [], f"seed {seed}"
         assert validate(hulled) == [], f"seed {seed}"
         a = oracle_solve(inst, want_path=False)
         b = oracle_solve(hulled, want_path=False)
         assert (a.distance, a.links) == (b.distance, b.links), f"seed {seed}"
+        got = solve(inst)
+        assert (got.distance, got.links) == (a.distance, a.links), f"seed {seed}"
         count += 1
         if count >= 200:
             break
     assert count >= 200
+    assert dented >= 180
     print(f"\nacceptance 7/8 hull preprocessing soundness: PASS "
-          f"({count} instances)")
+          f"({count} instances, {dented} with an obstacle its hull changes)")
 
 
 def _door_vertices(grid, door):

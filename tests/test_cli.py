@@ -163,3 +163,13 @@ class TestBench:
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER == "n,N,events,ms"
         assert len(lines) == 3
+
+    def test_cli_writes_the_csv_it_prints(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "20,40", "--reps", "1",
+                     "--csv", str(out)]) == 0
+        printed = capsys.readouterr().out
+        lines = printed.strip().split("\n")
+        assert lines[0] == "n,N,events,ms"
+        assert [line.split(",")[0] for line in lines[1:]] == ["20", "40"]
+        assert out.read_text() == printed

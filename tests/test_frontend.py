@@ -3,7 +3,7 @@ import random
 import pytest
 
 from rectlink import frontend
-from rectlink.frontend import Attachment, _attachments, _free_groups, solve
+from rectlink.frontend import Attachment, _attachments, solve
 from rectlink.generator import generate_instance
 from rectlink.geometry import GeometryError, PathResult, RectPolygon
 from rectlink.model import Instance, Terminal, validate
@@ -48,30 +48,70 @@ POCKET_MIXES = [
 ]
 
 
-def test_pocket_terminals_match_oracle():
-    """Generated instances with a point or segment terminal moved into a
-    carved obstacle's box pocket (``into_pocket``): every moved terminal
-    attaches through the pocket search, and every answer equals the
-    oracle's."""
+def _pocket_instances(count):
+    """The first ``count`` seeds of the pocket chain: generated instances
+    with one or both terminals moved into box pockets."""
     rng = random.Random(8)
-    checked = 0
-    for seed in range(36):
+    for seed in range(count):
         moved_s, moved_t, kept = POCKET_MIXES[seed % len(POCKET_MIXES)]
         inst = generate_instance(8000 + seed, n_obstacles=8, coord_limit=300,
                                  carve_prob=0.95, target_kind=kept or "point")
         inst = into_pocket(inst, "source", moved_s, rng)
         if inst is not None and moved_t is not None:
             inst = into_pocket(inst, "target", moved_t, rng)
-        if inst is None:
-            continue
+        if inst is not None:
+            yield seed, inst
+
+
+def test_pocket_terminals_match_oracle():
+    """Generated instances with a point or segment terminal moved into a
+    carved obstacle's box pocket (``into_pocket``): every moved terminal
+    attaches through the pocket search, and every answer equals the
+    oracle's."""
+    checked = 0
+    for seed, inst in _pocket_instances(36):
+        moved_t = POCKET_MIXES[seed % len(POCKET_MIXES)][1]
         xs, ys = (sorted(c) for c in inst.all_coords())
         boxes = [ob.bbox for ob in inst.obstacles]
         for term in [inst.source] + ([inst.target] if moved_t else []):
-            atts, _ = _attachments(inst, term, xs, ys, boxes)
+            atts, _, _ = _attachments(inst, term, xs, ys, boxes)
             assert any(a.out_dir is not None for a in atts), seed
         _check_against_oracle(inst, f"pocket seed {seed}")
         checked += 1
     assert checked >= 34
+
+
+def test_wall_groups_keep_every_pocket_answer(monkeypatch):
+    """Against a frontend that prunes on the plain L1 bound alone: pocket
+    instances give the same (distance, links, path) and never more middle
+    solves, and pruning through wall groups saves solves."""
+    instances = [inst for _, inst in _pocket_instances(60)]
+    pruned = [solve(inst) for inst in instances]
+    monkeypatch.setattr(frontend, "_pair_bound", lambda a, b, solved:
+                        a.d2 + frontend._l1(a.junction2, b.junction2) + b.d2)
+    saved = 0
+    for k, (inst, got) in enumerate(zip(instances, pruned)):
+        ref = solve(inst)
+        assert _answer(got) == _answer(ref), k
+        assert got.stats["middle_solves"] <= ref.stats["middle_solves"], k
+        saved += ref.stats["middle_solves"] - got.stats["middle_solves"]
+    assert len(instances) >= 55
+    assert saved > 100
+
+
+def test_facing_pockets_meet_at_one_junction():
+    # two notches open towards each other across a one-unit gap; both
+    # terminals leave through it, and their junctions coincide
+    west = RectPolygon([(0, 0), (10, 0), (10, 3), (6, 3), (6, 7), (10, 7),
+                        (10, 10), (0, 10)])
+    east = RectPolygon([(11, 1), (21, 1), (21, 11), (11, 11), (11, 8),
+                        (15, 8), (15, 4), (11, 4)])
+    inst = Instance(obstacles=(west, east), source=Terminal.of_point((8, 5)),
+                    target=Terminal.of_point((13, 5)))
+    report = _check_against_oracle(inst)
+    assert (report.distance, report.links) == (5, 1)
+    assert report.path == [(8, 5), (13, 5)]
+    assert report.stats["middle_solves"] == 0
 
 
 def test_identical_points_give_zero():
@@ -173,7 +213,7 @@ def test_triangle_pruning_keeps_every_answer(monkeypatch):
     assert fewer > 0
 
 
-def test_pocket_attachments_have_no_group():
+def test_pocket_attachments_group_by_box_wall():
     # a U-shaped obstacle; a segment starts in its notch and leaves
     # through the top opening, and a point sits deep in the notch
     ob = RectPolygon([(10, 10), (22, 10), (22, 18), (18, 18),
@@ -183,19 +223,25 @@ def test_pocket_attachments_have_no_group():
                  Terminal.of_point((16, 15))):
         inst = Instance(obstacles=(ob,), source=term, target=target)
         xs, ys = (sorted(c) for c in inst.all_coords())
-        atts, _ = _attachments(inst, term, xs, ys, [ob.bbox])
-        groups = _free_groups(atts)
+        atts, _, _ = _attachments(inst, term, xs, ys, [ob.bbox])
         assert any(a.out_dir is not None for a in atts)
-        plain = set()
-        for a, g in zip(atts, groups):
+        plain = 0
+        for a in atts:
             if a.out_dir is not None:
-                assert g is None
+                # half a unit outside the wall the attachment leaves through
+                axis = 0 if a.out_dir[0] else 1
+                wall = {(1, 0): 22, (-1, 0): 10, (0, 1): 18, (0, -1): 10}
+                assert a.junction2[axis] == 2 * wall[a.out_dir] + a.out_dir[axis]
+                assert a.group == (a.out_dir, a.junction2[axis])
             else:
                 # plain ones lie on the segment's piece above the box
-                assert term.kind == "segment" and g is not None
+                assert term.kind == "segment" and a.group == ()
                 assert a.junction2[0] == 32 and a.junction2[1] >= 36
-                plain.add(g)
-        assert len(plain) == (term.kind == "segment")
+                plain += 1
+        assert bool(plain) == (term.kind == "segment")
+        # the search rides the ring, so every wall holds one group
+        assert {a.group for a in atts if a.out_dir is not None} \
+            == {((1, 0), 45), ((-1, 0), 19), ((0, 1), 37), ((0, -1), 19)}
 
 
 def test_a_polygons_plain_attachments_form_one_group():
@@ -204,12 +250,12 @@ def test_a_polygons_plain_attachments_form_one_group():
                                  source_kind="polygon", target_kind="point")
         xs, ys = (sorted(c) for c in inst.all_coords())
         boxes = [ob.bbox for ob in inst.obstacles]
-        atts, _ = _attachments(inst, inst.source, xs, ys, boxes)
+        atts, _, _ = _attachments(inst, inst.source, xs, ys, boxes)
         assert len(atts) >= 4
-        assert _free_groups(atts) == [0] * len(atts)
-        pocket = Attachment(junction2=(1, 1), d2=3, links=1,
-                            lead2=((0, 0), (1, 1)), out_dir=(1, 0))
-        assert _free_groups([pocket]) == [None]
+        assert {a.group for a in atts} == {()}
+        pocket = Attachment(junction2=(1, 0), d2=3, links=1,
+                            lead2=((0, 0), (1, 0)), out_dir=(1, 0))
+        assert pocket.group == ((1, 0), 1)
 
 
 def test_pruned_pairs_are_counted():
@@ -237,7 +283,7 @@ def test_a_segments_plain_attachments_share_a_free_stretch():
     assert validate(inst) == []
     xs, ys = (sorted(c) for c in inst.all_coords())
     boxes = [low.bbox, high.bbox]
-    atts, _ = _attachments(inst, inst.source, xs, ys, boxes)
+    atts, _, _ = _attachments(inst, inst.source, xs, ys, boxes)
     plain = [a.junction2 for a in atts if a.out_dir is None]
     assert plain and all(x == 32 and 36 <= y <= 80 for x, y in plain)
     assert {a.lead2[0][1] < 36 for a in atts if a.out_dir is not None} \

@@ -130,3 +130,52 @@ def test_all_coords_are_computed_once_per_instance():
     assert got[0] is xs and got[1] is ys
     assert xs == {x for ob in inst.obstacles for x, _ in ob.vertices} \
         | {x for t in (inst.source, inst.target) for x, _ in t.coords()}
+
+
+def test_validate_rejects_a_segment_one_unit_into_an_obstacle():
+    bar = RectPolygon([(5, 0), (6, 0), (6, 10), (5, 10)])
+    inst = _inst(Terminal.of_segment((0, 3), (10, 3)),
+                 Terminal.of_point((30, 30)), [bar])
+    assert validate(inst) == ["source segment crosses obstacle 0"]
+    wide = RectPolygon([(5, 0), (7, 0), (7, 10), (5, 10)])
+    inst = _inst(Terminal.of_segment((0, 3), (10, 3)),
+                 Terminal.of_point((30, 30)), [wide])
+    assert validate(inst) == ["source segment crosses obstacle 0"]
+
+
+def _meets_interior_by_scan(seg, poly):
+    """Reference: test every half-unit point along the segment."""
+    ring2 = RectPolygon.from_normalised([(2 * x, 2 * y) for x, y in poly.vertices])
+    (px, py), (qx, qy) = seg.p, seg.q
+    if py == qy:
+        return any(ring2.locate((x2, 2 * py)) > 0
+                   for x2 in range(2 * min(px, qx), 2 * max(px, qx) + 1))
+    return any(ring2.locate((2 * px, y2)) > 0
+               for y2 in range(2 * min(py, qy), 2 * max(py, qy) + 1))
+
+
+def test_segment_interior_test_matches_a_half_unit_scan():
+    """Segments of every length, on and off the obstacle's own coordinate
+    lines, against carved generated obstacles."""
+    from rectlink.generator import generate_instance
+    from rectlink.geometry import OrthoSegment
+    from rectlink.model import _segment_meets_interior
+
+    rng = random.Random(19)
+    met = 0
+    for seed in range(40):
+        inst = generate_instance(600 + seed, n_obstacles=4, coord_limit=40,
+                                 carve_prob=0.95, max_steps=4)
+        for ob in inst.obstacles:
+            box = ob.bbox
+            for _ in range(25):
+                x = rng.randint(box.xlo - 2, box.xhi + 2)
+                y = rng.randint(box.ylo - 2, box.yhi + 2)
+                if rng.random() < 0.5:
+                    seg = OrthoSegment((x, y), (x + rng.randint(1, 12), y))
+                else:
+                    seg = OrthoSegment((x, y), (x, y + rng.randint(1, 12)))
+                want = _meets_interior_by_scan(seg, ob)
+                assert _segment_meets_interior(seg, ob) == want, (seed, ob, seg)
+                met += want
+    assert 500 < met < 3500
