@@ -38,15 +38,12 @@ def _double(p: Point) -> Point:
 
 
 def build_world(obstacles: list[RectPolygon]) -> World:
-    """Doubled-coordinate hull world for ``solve_pair_raw`` calls.
+    """Doubled-coordinate world for ``solve_pair_raw`` calls.
 
-    Doubling keeps a normalised ring normalised (same orientation, same
-    least vertex, no new collinear runs), so each ring is mapped as plain
-    tuples and not normalised again.
+    Each obstacle is doubled with its box (``RectPolygon.doubled``); the
+    world hulls an obstacle only when a frame first reads it.
     """
-    scaled = [RectPolygon.from_normalised([(2 * x, 2 * y) for x, y in o.vertices])
-              for o in obstacles]
-    return World.from_obstacles(scaled)
+    return World([o.doubled() for o in obstacles])
 
 
 def solve_pair_raw(world: World, s2: Point, t2: Point,

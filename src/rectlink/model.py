@@ -94,10 +94,13 @@ def validate(instance: Instance) -> list[str]:
     obs = instance.obstacles
 
     xs_all, ys_all = instance.all_coords()
-    for c in xs_all | ys_all:
-        if abs(c) > COORD_LIMIT:
-            problems.append(f"coordinate {c} exceeds |{COORD_LIMIT}|")
-            break
+    if max(map(abs, xs_all), default=0) > COORD_LIMIT \
+            or max(map(abs, ys_all), default=0) > COORD_LIMIT:
+        # name the coordinate the loop meets first
+        for c in xs_all | ys_all:
+            if abs(c) > COORD_LIMIT:
+                problems.append(f"coordinate {c} exceeds |{COORD_LIMIT}|")
+                break
 
     for i, ob in enumerate(obs):
         v = _repeated_vertex(ob)
@@ -137,6 +140,8 @@ def _repeated_vertex(poly: RectPolygon) -> Optional[Point]:
     Such a ring is not simple, and its normalised vertex tuple would depend
     on where the input ring starts.
     """
+    if len(set(poly.vertices)) == len(poly.vertices):
+        return None
     seen: set[Point] = set()
     for v in poly.vertices:
         if v in seen:
@@ -150,17 +155,21 @@ def _overlapping_boxes(boxes: Sequence[Rect]) -> list[tuple[int, int]]:
 
     Sort and sweep on x: a box leaves the active list once its east side is
     at or west of the sweep line, since no box still to come can then meet
-    its interior.  Every remaining active box is tested exactly.
+    its interior.  Every remaining active box is tested exactly, on plain
+    ints: the active list holds ``(index, xlo, xhi, ylo, yhi)`` tuples.
     """
     pairs: list[tuple[int, int]] = []
-    active: list[int] = []
+    active: list[tuple[int, int, int, int, int]] = []
     for j in sorted(range(len(boxes)), key=lambda k: boxes[k].xlo):
         b = boxes[j]
-        active = [i for i in active if boxes[i].xhi > b.xlo]
-        for i in active:
-            if not boxes[i].interior_disjoint(b):
-                pairs.append((min(i, j), max(i, j)))
-        active.append(j)
+        xlo, xhi, ylo, yhi = b.xlo, b.xhi, b.ylo, b.yhi
+        active = [a for a in active if a[2] > xlo]
+        # an active box has xlo <= this xlo < its xhi; the interiors meet
+        # iff they also meet along x from this side and along y
+        for i, axlo, _, aylo, ayhi in active:
+            if axlo < xhi and aylo < yhi and ylo < ayhi:
+                pairs.append((i, j) if i < j else (j, i))
+        active.append((j, xlo, xhi, ylo, yhi))
     pairs.sort()
     return pairs
 
@@ -213,7 +222,7 @@ def _segment_meets_interior(seg: OrthoSegment, poly: RectPolygon) -> bool:
     axis = 0 if seg.horizontal else 1
     lo, hi = sorted((seg.p[axis], seg.q[axis]))
     cuts = sorted({lo, hi} | {v[axis] for v in poly.vertices if lo < v[axis] < hi})
-    ring2 = RectPolygon.from_normalised([(2 * x, 2 * y) for x, y in poly.vertices])
+    ring2 = poly.doubled()
     fixed2 = 2 * seg.p[1 - axis]
     for a, b in zip(cuts, cuts[1:]):
         mid2 = (a + b, fixed2) if axis == 0 else (fixed2, a + b)

@@ -1,7 +1,7 @@
 """Monotone path tracing, case classification and staircase regions.
 
-Everything here works on a ``World`` of orthogonally convex obstacles (the
-hulls of the input obstacles).  The canonical tracer follows the extreme
+Everything here works on a ``World`` of obstacles read through their
+orthogonally convex hulls.  The canonical tracer follows the extreme
 x-monotone, weakly-rising path from a start point: ride east, and whenever an
 obstacle blocks the way, climb its west flank to the left end of its top side
 and resume.  Hits below the obstacle's west side cannot be passed monotonely
@@ -10,14 +10,17 @@ instead.  All eight extreme paths and both staircase-region chains are this
 one tracer conjugated by signed axis permutations.
 
 A world serves those frames from one cache and one box index.  The index
-holds every hull's box once, in identity coordinates, along each of the four
-signed axes, with the hulls sorted along each; a frame reads the lists of
+holds every obstacle's box once, in identity coordinates, along each of the
+four signed axes, with the obstacles sorted along each; an obstacle and its
+hull share a box, so the index needs no hull.  A frame reads the lists of
 the axes its x and y map onto, so no box is mapped per frame.  The queries
 a trace step, a region event or an x-case solve makes about the obstacles
 bisect the frame's xlo order and read only a window of it: a box whose xlo
-is at most x minus the widest box's width ends at or before x.  A hull's
-ring and edge tables in a frame are built when a query first reaches the
-hull, so a solve pays only for the hulls its traces and regions touch.
+is at most x minus the widest box's width ends at or before x.  An
+obstacle is hulled the first time a frame reads it, and a hull's ring and
+edge tables in a frame are built when a query first reaches it, so a solve
+pays only for the hulls its traces and regions touch.  Frame tables hold
+the world's obstacles and hulls but no reference back to the world.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import bisect
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .geometry import (
     FLIP_X,
@@ -62,11 +65,13 @@ TRACE_FRAMES = {
 class _FramePoly:
     """One hull as seen in a trace frame, with its climb chain ready.
 
-    Built from the identity hull's vertex tuples: they are mapped, reversed
-    on a reflection (which turns the ring clockwise) and rotated to their
-    least vertex, which is the ring ``RectPolygon`` of the mapped vertices
-    would hold.  A frame builds one only when a query first reaches its
-    hull (see ``FrameTables``), so most hulls of a frame never get one.
+    Built from the identity hull's vertex tuples and the hull's box in
+    frame coordinates, which the frame reads from the world's index: the
+    vertices are mapped, reversed on a reflection (which turns the ring
+    clockwise) and rotated to their least vertex, which is the ring
+    ``RectPolygon`` of the mapped vertices would hold.  A frame builds one
+    only when a query first reaches its hull (see ``FrameTables``), so most
+    hulls of a frame never get one.
 
     The edge tables list edges in ring order as plain tuples, so the
     per-event and per-step scans build no segment objects.
@@ -85,10 +90,8 @@ class _FramePoly:
     west: list[tuple[int, int, int]]   # west-facing vertical edges (x, lo, hi)
     horiz: list[tuple[int, int, int]]  # horizontal edges (xlo, xhi, y)
 
-    def __init__(self, hull: RectPolygon, t: Xform):
-        b = hull.bbox
-        (x0, y0), (x1, y1) = t.apply((b.xlo, b.ylo)), t.apply((b.xhi, b.yhi))
-        box = self.box = Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+    def __init__(self, hull: RectPolygon, t: Xform, box: Rect):
+        self.box = box
         vs = [t.apply(v) for v in hull.vertices]
         if t.a * t.d - t.b * t.c < 0:
             vs.reverse()
@@ -151,15 +154,22 @@ class FrameTables:
     """The hulls as seen in one frame, plus that frame's memos.
 
     The boxes come from the world's index, unmapped: ``xlo[i]``, ``ylo[i]``,
-    ``xhi[i]`` and ``yhi[i]`` are hull ``i``'s box in frame coordinates,
+    ``xhi[i]`` and ``yhi[i]`` are obstacle ``i``'s box in frame coordinates,
     read from the world's lists for the signed axes that the frame's x and y
-    map onto.  ``order`` lists the hulls by frame xlo, ties by index, and
-    ``keys`` holds their xlos, so ``between`` bisects.  ``width`` is the
-    widest box along the frame's x: a box with xlo <= x - width has
+    map onto.  An obstacle's orthogonal hull has the same box, so these are
+    the hull boxes too.  ``order`` lists the obstacles by frame xlo, ties by
+    index, and ``keys`` holds their xlos, so ``between`` bisects.  ``width``
+    is the widest box along the frame's x: a box with xlo <= x - width has
     xhi <= x, so a query at x need look no further west than that.  Creating
-    a frame therefore costs O(1), whatever the number of hulls.
+    a frame therefore costs O(1), whatever the number of obstacles.
 
-    ``self[i]`` is hull ``i``'s ``_FramePoly``, built on first read.
+    ``self[i]`` is hull ``i``'s ``_FramePoly``, built on first read.  The
+    hull itself comes from the world's ``hull``, which builds it the first
+    time any frame reads obstacle ``i``.  A frame holds that function and
+    the lists it reads, never the world: the world holds its frames, and a
+    reference back would make a cycle that only the cyclic garbage collector
+    frees.
+
     ``traces`` maps ``(start, x_stop)`` to the ``Trace`` that ``trace_ru``
     returned for it in this frame.  ``regions`` maps ``(q, s, t)`` to the
     ``StaircaseRegion`` that ``build_staircase_region`` returned, where
@@ -173,19 +183,20 @@ class FrameTables:
         self.ylo, self.yhi = world.lows[ya], world.highs[ya]
         self.order, self.keys = world.orders[xa], world.keys[xa]
         self.width = world.widths[xa >> 1]
-        self._hulls = world.hulls
+        self._hull = world.hull
         self._t = t
         self._polys: dict[int, _FramePoly] = {}
         self.traces: dict[tuple[Point, int], Trace] = {}
         self.regions: dict[tuple[Xform, Point, Point], StaircaseRegion] = {}
 
     def __len__(self) -> int:
-        return len(self._hulls)
+        return len(self.xlo)
 
     def __getitem__(self, i: int) -> _FramePoly:
         fp = self._polys.get(i)
         if fp is None:
-            fp = self._polys[i] = _FramePoly(self._hulls[i], self._t)
+            box = Rect(self.xlo[i], self.ylo[i], self.xhi[i], self.yhi[i])
+            fp = self._polys[i] = _FramePoly(self._hull(i), self._t, box)
         return fp
 
     @property
@@ -194,30 +205,51 @@ class FrameTables:
         return len(self._polys)
 
     def between(self, lo: int, hi: int) -> list[int]:
-        """Hulls with ``lo < xlo < hi`` in this frame, in frame-xlo order."""
+        """Obstacles with ``lo < xlo < hi`` in this frame, in frame-xlo order."""
         keys = self.keys
         return self.order[bisect.bisect_right(keys, lo):bisect.bisect_left(keys, hi)]
 
 
+def _lazy_hulls(obstacles: tuple[RectPolygon, ...]) -> Callable[[int], RectPolygon]:
+    """``hull(i)``: obstacle ``i``'s orthogonal hull, built on first call.
+
+    The function holds the obstacle tuple and a list of the hulls built so
+    far, and nothing else, so frames can share it without holding a world.
+    """
+    hulls: list[Optional[RectPolygon]] = [None] * len(obstacles)
+
+    def hull(i: int) -> RectPolygon:
+        h = hulls[i]
+        if h is None:
+            h = hulls[i] = rectilinear_convex_hull(obstacles[i])
+        return h
+
+    return hull
+
+
 class World:
-    """Obstacle hulls, one box index over them, and cached per-frame tables.
+    """Obstacles, one box index over them, and cached per-frame tables.
 
-    The index is built once, in identity coordinates.  For each signed axis
-    (+x, -x, +y, -y) it keeps, as plain int lists in hull order, every box's
-    low and high end along that axis (``lows`` and ``highs``; the -x lows
-    are the negated xhi), the hulls sorted by that low end, ties by index
-    (``orders``, with the sorted lows in ``keys``), and the widest box along
-    the x and the y axis (``widths``).  Every frame is one of the eight
-    signed axis permutations, and its x and y each read one signed axis, so
-    a frame reuses these lists unchanged and no box is ever mapped.
+    The index is built once, in identity coordinates, from each obstacle's
+    own box: an obstacle's orthogonal hull has the same box, so no hull is
+    needed for it.  For each signed axis (+x, -x, +y, -y) it keeps, as plain
+    int lists in obstacle order, every box's low and high end along that
+    axis (``lows`` and ``highs``; the -x lows are the negated xhi), the
+    obstacles sorted by that low end, ties by index (``orders``, with the
+    sorted lows in ``keys``), and the widest box along the x and the y axis
+    (``widths``).  Every frame is one of the eight signed axis permutations,
+    and its x and y each read one signed axis, so a frame reuses these
+    lists unchanged and no box is ever mapped.
 
-    The cache holds at most eight ``FrameTables``.  A hull's ring and edge
-    tables in a frame are built on the first query that reaches the hull,
-    from the identity hull's vertices, so a solve pays only for the hulls
-    its traces, regions and x-case solves touch.  A sub-solve working in a
-    frame of its own reads this cache through a ``FrameView`` instead of
-    building a world of transformed hulls, so every middle solve of an
-    instance shares the work memoised in the tables:
+    ``hull(i)`` is obstacle ``i``'s hull (the obstacle itself when it is
+    orthogonally convex), built the first time a frame's tables read the
+    obstacle and shared by all eight frames.  The cache holds at most eight
+    ``FrameTables``.  A hull's ring and edge tables in a frame are built on
+    the first query that reaches it, so a solve pays only for the hulls its
+    traces, regions and x-case solves touch.  A sub-solve working in a frame
+    of its own reads this cache through a ``FrameView`` instead of building
+    a world of transformed hulls, so every middle solve of an instance
+    shares the work memoised in the tables:
 
     * traces, keyed by their total frame, start point and ``x_stop``; each
       trace builds its ``StepCurve`` once, on first use of ``curve``;
@@ -227,12 +259,15 @@ class World:
 
     Every caller receives the same memoised object, so none may mutate a
     trace, a curve or a region: a sweep keeps its state in its own store.
-    The memos live as long as the world, which a solve builds for itself.
+    The memos live as long as the world, which a solve builds for itself;
+    frames hold no reference back to the world, so reference counting alone
+    frees it once the solve returns.
     """
 
-    def __init__(self, hulls: Sequence[RectPolygon]):
-        self.hulls = tuple(hulls)
-        boxes = [h.bbox for h in self.hulls]
+    def __init__(self, obstacles: Sequence[RectPolygon]):
+        self.obstacles = tuple(obstacles)
+        self.hull = _lazy_hulls(self.obstacles)
+        boxes = [o.bbox for o in self.obstacles]
         xlo, xhi = [b.xlo for b in boxes], [b.xhi for b in boxes]
         ylo, yhi = [b.ylo for b in boxes], [b.yhi for b in boxes]
         self.lows = (xlo, [-v for v in xhi], ylo, [-v for v in yhi])
@@ -244,10 +279,6 @@ class World:
         self.widths = (max(map(int.__sub__, xhi, xlo), default=0),
                        max(map(int.__sub__, yhi, ylo), default=0))
         self._frames: dict[Xform, FrameTables] = {}
-
-    @classmethod
-    def from_obstacles(cls, obstacles: Sequence[RectPolygon]) -> "World":
-        return cls([rectilinear_convex_hull(ob) for ob in obstacles])
 
     def frame(self, t: Xform) -> FrameTables:
         got = self._frames.get(t)

@@ -3,8 +3,9 @@
 The sweep maintains, per active baseline, the fewest links of any shortest
 xy-monotone path that ends travelling east along that baseline.  Events move
 values upward between baselines (a climb and a turn cost two links).
-``NaiveStore``, a flat array, executes the range operations and records
-the write history that ``reconstruct_path`` walks back to build a witness.
+``NaiveStore`` executes the range operations on two flat lists, so each
+range scan is one built-in ``min`` or ``max`` over a slice, and records the
+write history that ``reconstruct_path`` walks back to build a witness.
 """
 from __future__ import annotations
 
@@ -23,12 +24,22 @@ def _ok(r: Optional[Range]) -> bool:
 
 
 class NaiveStore:
-    """Flat-array store with provenance tracking."""
+    """Flat-array store with provenance tracking.
+
+    Each baseline's value is kept twice, so that activity needs no list of
+    its own and every range scan runs in C: ``up[i]`` is the value of an
+    active baseline and INF for an inactive one, ``down[i]`` the value or
+    -INF.  A query is ``min`` over a slice of ``up`` (``index`` then picks
+    the lowest baseline holding it); a chmin first tests ``max`` over a
+    slice of ``down`` and writes only where the new value is smaller, which
+    an inactive baseline's -INF never is.  An active baseline may hold INF
+    (an unreachable one); it is then INF in both lists.
+    """
 
     def __init__(self, m: int):
         self.m = m
-        self.val = [INF] * m
-        self.active = [False] * m
+        self.up = [INF] * m
+        self.down = [-INF] * m
         # full write history per baseline: (writing event id, tag) where the
         # tag is the (event id, source baseline) that produced the value, or
         # None for a seed.  Later events overwrite values that earlier events
@@ -46,29 +57,47 @@ class NaiveStore:
         return None
 
     def query(self, lo: int, hi: int) -> tuple[float, int]:
-        best, arg = INF, -1
-        for i in range(max(lo, 0), min(hi, self.m - 1) + 1):
-            if self.active[i] and self.val[i] < best:
-                best, arg = self.val[i], i
-        return best, arg
+        """Least active value in ``lo..hi`` and its lowest baseline, or
+        (INF, -1) when no active baseline there holds a finite value."""
+        if lo < 0:
+            lo = 0
+        if hi < lo:
+            return INF, -1
+        window = self.up[lo:hi + 1]
+        best = min(window) if window else INF
+        if best == INF:
+            return INF, -1
+        return best, lo + window.index(best)
 
     def assign(self, lo: int, hi: int, v: float, tag: Optional[tuple[int, int]]) -> None:
-        for i in range(lo, hi + 1):
-            self.active[i] = True
-            self.val[i] = v
-            self.hist[i].append((self.seq, tag))
+        if lo > hi:
+            return
+        k = hi + 1 - lo
+        self.up[lo:hi + 1] = self.down[lo:hi + 1] = [v] * k
+        entry = (self.seq, tag)
+        for h in self.hist[lo:hi + 1]:
+            h.append(entry)
 
     def chmin(self, lo: int, hi: int, v: float, tag: Optional[tuple[int, int]]) -> None:
-        if v == INF:
+        if lo < 0:
+            lo = 0
+        if v == INF or hi < lo:
             return
-        for i in range(max(lo, 0), min(hi, self.m - 1) + 1):
-            if self.active[i] and v < self.val[i]:
-                self.val[i] = v
-                self.hist[i].append((self.seq, tag))
+        window = self.down[lo:hi + 1]
+        if not window or max(window) <= v:
+            return
+        up, down, hist, entry = self.up, self.down, self.hist, (self.seq, tag)
+        for i, d in enumerate(window, lo):
+            if v < d:
+                up[i] = down[i] = v
+                hist[i].append(entry)
 
     def deactivate(self, lo: int, hi: int) -> None:
-        for i in range(lo, hi + 1):
-            self.active[i] = False
+        if lo > hi:
+            return
+        k = hi + 1 - lo
+        self.up[lo:hi + 1] = [INF] * k
+        self.down[lo:hi + 1] = [-INF] * k
 
 
 @dataclass

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import pytest
 
 from rectlink import composer, engine, partition
 from rectlink.composer import solve_x_case
 from rectlink.engine import _double, build_world
 from rectlink.frontend import solve
-from rectlink.generator import generate_instance
+from rectlink.generator import GenerationError, generate_instance
 from rectlink.geometry import RectPolygon
 from rectlink.model import Instance, Terminal
 from rectlink.oracle import oracle_solve
@@ -93,9 +96,9 @@ def test_one_world_per_solve(monkeypatch):
     builds, x_solves = [], []
     init, x_case = World.__init__, engine.solve_x_case
 
-    def counting_init(self, hulls):
+    def counting_init(self, obstacles):
         builds.append(1)
-        init(self, hulls)
+        init(self, obstacles)
 
     def counting_x_case(*args, **kw):
         x_solves.append(1)
@@ -155,9 +158,9 @@ def test_two_solves_share_no_memo(monkeypatch):
     worlds = []
     init = World.__init__
 
-    def recording_init(self, hulls):
+    def recording_init(self, obstacles):
         worlds.append(self)
-        init(self, hulls)
+        init(self, obstacles)
 
     monkeypatch.setattr(World, "__init__", recording_init)
     inst = _many_x_solves()
@@ -171,6 +174,51 @@ def test_two_solves_share_no_memo(monkeypatch):
         == (second.distance, second.links, second.path)
 
 
+def _attach_style(count):
+    """Segment and polygon instances of the acceptance tests' shape."""
+    kinds = [("segment", "point"), ("polygon", "segment"), ("polygon", "polygon"),
+             ("point", "polygon"), ("segment", "segment")]
+    seed = 0
+    while count:
+        seed += 1
+        sk, tk = kinds[seed % len(kinds)]
+        try:
+            inst = generate_instance(seed, n_obstacles=(4, 8, 12, 18)[seed % 4],
+                                     coord_limit=200, source_kind=sk,
+                                     target_kind=tk)
+        except GenerationError:
+            continue
+        count -= 1
+        yield inst
+
+
+def test_worlds_are_freed_without_the_cyclic_gc(monkeypatch):
+    """A solve's world, its frames and their memos form no reference cycle:
+    with the cyclic collector off, every world a solve built is gone once
+    the solve returns.  A frame that kept its world would make one."""
+    refs = []
+    init = World.__init__
+
+    def recording_init(self, obstacles):
+        refs.append(weakref.ref(self))
+        init(self, obstacles)
+
+    monkeypatch.setattr(World, "__init__", recording_init)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        middle = 0
+        for inst in _attach_style(20):
+            before = len(refs)
+            middle += solve(inst).stats["middle_solves"]
+            assert len(refs) == before + 1
+            assert refs[-1]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert middle > 20
+
+
 def test_a_solve_fills_only_the_hull_tables_it_reads(monkeypatch):
     """A frame reads every hull's box from the world's index but builds a
     hull's ring and edge tables only when a query reaches the hull: a point
@@ -179,13 +227,13 @@ def test_a_solve_fills_only_the_hull_tables_it_reads(monkeypatch):
     worlds, fills = [], []
     init, fill = World.__init__, partition._FramePoly.__init__
 
-    def recording_init(self, hulls):
+    def recording_init(self, obstacles):
         worlds.append(self)
-        init(self, hulls)
+        init(self, obstacles)
 
-    def counting_fill(self, hull, t):
+    def counting_fill(self, hull, t, box):
         fills.append(self)
-        fill(self, hull, t)
+        fill(self, hull, t, box)
 
     monkeypatch.setattr(World, "__init__", recording_init)
     monkeypatch.setattr(partition._FramePoly, "__init__", counting_fill)
@@ -193,7 +241,7 @@ def test_a_solve_fills_only_the_hull_tables_it_reads(monkeypatch):
     (world,) = worlds
     assert len(set(map(id, fills))) == len(fills)
     assert report.stats["hull_tables_built"] == len(fills) > 0
-    assert len(fills) < len(world._frames) * len(world.hulls)
+    assert len(fills) < len(world._frames) * len(world.obstacles)
 
 
 def _all_pairs_relaxation(world, frame, s2, t2, nodes):

@@ -17,7 +17,7 @@ from rectlink.geometry import (
     path_metrics,
     rectilinear_convex_hull,
 )
-from rectlink.partition import _FramePoly
+from rectlink.partition import World, _FramePoly
 
 L_SHAPE = [(0, 0), (4, 0), (4, 2), (2, 2), (2, 5), (0, 5)]
 
@@ -181,12 +181,13 @@ XFORMS = ([Xform(sx, 0, 0, sy) for sx in (1, -1) for sy in (1, -1)]
 
 @given(_rect_polys())
 def test_transform_matches_normalising_the_mapped_ring(poly):
-    """A hull's frame ring and frame box equal the vertices and box of
-    ``RectPolygon`` of the mapped ring."""
+    """A hull's frame ring, and its frame box as a world's index serves
+    it, equal the vertices and box of ``RectPolygon`` of the mapped ring."""
     assert poly.bbox == bounding_box(poly.vertices)
     for t in XFORMS:
         want = RectPolygon([t.apply(v) for v in poly.vertices])
-        fp = _FramePoly(poly, t)
+        ft = World([poly]).frame(t)
+        fp = _FramePoly(poly, t, Rect(ft.xlo[0], ft.ylo[0], ft.xhi[0], ft.yhi[0]))
         assert fp.box == bounding_box(want.vertices)
         assert fp.ring == want.vertices
         assert _signed_area2(fp.ring) == poly.area2()

@@ -43,7 +43,7 @@ def _wide_world():
     """One box far wider than the rest, so the width window reaches back
     over many small boxes, plus a carved U-shape and boxes level with the
     wide one on either side."""
-    return World.from_obstacles([
+    return World([
         RectPolygon([(0, 0), (200, 0), (200, 10), (0, 10)]),
         RectPolygon([(20, 20), (30, 20), (30, 40), (20, 40)]),
         RectPolygon([(150, -30), (160, -30), (160, -20), (150, -20)]),

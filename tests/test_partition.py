@@ -1,11 +1,20 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rectlink import partition
 from rectlink.engine import _double, build_world
+from rectlink.frontend import solve
 from rectlink.generator import generate_instance
-from rectlink.geometry import IDENTITY, Rect, RectPolygon, Xform
+from rectlink.geometry import (
+    IDENTITY,
+    Rect,
+    RectPolygon,
+    Xform,
+    rectilinear_convex_hull,
+)
 from rectlink.partition import (
     FrameView,
     StepCurve,
@@ -14,6 +23,7 @@ from rectlink.partition import (
     classify,
     trace_ru,
 )
+from dents import dent_instance
 from frame_reference import columns, reference_tables
 
 RECT = RectPolygon([(4, 4), (10, 4), (10, 8), (4, 8)])
@@ -150,7 +160,7 @@ class TestSharedFrames:
         world's index and builds a hull's tables only when they are read."""
         inst = generate_instance(seed, n_obstacles=8, coord_limit=120)
         world = build_world(list(inst.obstacles))
-        n = len(world.hulls)
+        n = len(world.obstacles)
         for base, g in itertools.product(XFORMS, XFORMS):
             total = base.then(g)
             fresh = total not in world._frames
@@ -158,8 +168,8 @@ class TestSharedFrames:
             assert shared is world.frame(total)
             assert len(shared) == n
             boxes = []
-            for i, h in enumerate(world.hulls):
-                want = reference_tables(h, total)
+            for i in range(n):
+                want = reference_tables(world.hull(i), total)
                 box = Rect(shared.xlo[i], shared.ylo[i],
                            shared.xhi[i], shared.yhi[i])
                 assert box == want["box"], (seed, base, g)
@@ -199,3 +209,61 @@ class TestSharedFrames:
             assert (got.s, got.t, got.baselines, got.events, got.holes) \
                 == (region.s, region.t, region.baselines, region.events, region.holes)
         assert world.regions_built == 8
+
+
+def _dented(seed, n_obstacles=8, coord_limit=120):
+    inst = generate_instance(seed, n_obstacles=n_obstacles,
+                             coord_limit=coord_limit, carve_prob=0.6)
+    return dent_instance(inst, random.Random(seed))
+
+
+class TestLazyHulls:
+    def test_a_solve_hulls_only_the_obstacles_it_reads(self, monkeypatch):
+        """An obstacle is hulled once, when the first frame builds its
+        tables: a point solve among 200 obstacles hulls exactly the
+        obstacles whose tables some frame built, and far from all."""
+        worlds, hulled = [], []
+        init, hull = World.__init__, partition.rectilinear_convex_hull
+
+        def recording_init(self, obstacles):
+            worlds.append(self)
+            init(self, obstacles)
+
+        def counting_hull(poly):
+            hulled.append(poly)
+            return hull(poly)
+
+        monkeypatch.setattr(World, "__init__", recording_init)
+        monkeypatch.setattr(partition, "rectilinear_convex_hull", counting_hull)
+        solve(generate_instance(97 * 200, 200, coord_limit=6000))
+        (world,) = worlds
+        read = set().union(*(ft._polys for ft in world._frames.values()))
+        assert len(set(map(id, hulled))) == len(hulled)
+        assert {id(p) for p in hulled} == {id(world.obstacles[i]) for i in read}
+        assert 0 < len(hulled) < len(world.obstacles) / 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dented_obstacles_read_their_eager_hulls(self, seed, monkeypatch):
+        """On obstacles that are not their own hulls, the tables every frame
+        builds lazily equal an eager table of the obstacle's hull, and all
+        eight frames share one hull per obstacle."""
+        inst = _dented(seed)
+        world = build_world(list(inst.obstacles))
+        eager = [rectilinear_convex_hull(o) for o in world.obstacles]
+        assert sum(h != o for h, o in zip(eager, world.obstacles)) >= 4
+        hulled = []
+        hull = partition.rectilinear_convex_hull
+        monkeypatch.setattr(partition, "rectilinear_convex_hull",
+                            lambda poly: hulled.append(poly) or hull(poly))
+        for t in XFORMS:
+            ft = world.frame(t)
+            for i, h in enumerate(eager):
+                assert columns(ft[i]) == reference_tables(h, t), (seed, t, i)
+        assert len(hulled) == len(world.obstacles)
+        assert [world.hull(i) for i in range(len(eager))] == eager
+
+    @given(st.integers(0, 10_000))
+    def test_a_hull_keeps_the_obstacle_box(self, seed):
+        """The box index reads obstacle boxes as hull boxes."""
+        for ob in _dented(seed, n_obstacles=6).obstacles:
+            assert rectilinear_convex_hull(ob).bbox == ob.bbox

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectlink.engine import _double, build_world
 from rectlink.generator import generate_instance
@@ -14,6 +15,7 @@ from rectlink.partition import (
 from rectlink.sweep import INF, NaiveStore, reconstruct_path, run_sweep
 from rectlink.geometry import PathResult, bounding_box
 from frame_reference import columns, mapped_polygon, reference_tables
+from store_reference import LoopStore
 from tree_store import ActiveRanges, TreeStore, final_state
 
 
@@ -97,6 +99,48 @@ class TestTreeStore:
             assert final_state(naive) == final_state(tree)
 
 
+# (op, lo, span, value, tag): the range is lo .. lo + span - 1, so a
+# non-positive span gives an empty or reversed range
+_OPS = st.lists(st.tuples(st.sampled_from("acdq"), st.integers(-3, 14),
+                          st.integers(-2, 14),
+                          st.sampled_from([0.0, 1.0, 2.0, 3.0, INF]),
+                          st.none() | st.tuples(st.integers(0, 9),
+                                                st.integers(0, 9))),
+                min_size=4, max_size=30)
+
+
+class TestSliceStore:
+    @settings(max_examples=300)
+    @given(st.integers(1, 12), _OPS)
+    def test_matches_the_loop_store(self, m, ops):
+        """``NaiveStore`` against the loop it replaced, on random operation
+        sequences: assigns (INF included) and deactivations on in-range or
+        empty ranges, chmins (INF included) on ranges that may run past
+        either end, and queries on any range, empty, reversed or out of
+        range.  Answers, write histories and final states must be equal."""
+        new, old = NaiveStore(m), LoopStore(m)
+        for seq, (op, lo, span, v, tag) in enumerate(ops):
+            new.seq = old.seq = seq
+            hi = lo + span - 1
+            if op in "ad":
+                # assign and deactivate get in-range ranges, possibly empty
+                lo = min(max(lo, 0), m - 1)
+                hi = min(max(hi, lo - 1), m - 1)
+            if op == "a":
+                new.assign(lo, hi, v, tag)
+                old.assign(lo, hi, v, tag)
+            elif op == "c":
+                new.chmin(lo, hi, v, tag)
+                old.chmin(lo, hi, v, tag)
+            elif op == "d":
+                new.deactivate(lo, hi)
+                old.deactivate(lo, hi)
+            else:
+                assert new.query(lo, hi) == old.query(lo, hi)
+        assert new.hist == old.hist
+        assert final_state(new) == final_state(old)
+
+
 # (1, 2) seeds a fresh source; (2, 4) is a composer leg out of a winder
 # midpoint reached in 2 links; (4, 5) and (3, 3) seed a path continued
 # through its start point with per-direction link counts (dir_links)
@@ -131,7 +175,7 @@ def test_memoised_region_sweeps_like_a_fresh_one():
         for seed_h, seed_v in ((1, 2), (4, 5), (3, 3)):
             again = build_staircase_region(world, region.frame, s2, t2)
             assert again is region, seed
-            fresh = build_staircase_region(World(world.hulls), region.frame, s2, t2)
+            fresh = build_staircase_region(World(world.obstacles), region.frame, s2, t2)
             assert fresh is not region
             assert _sweep_readouts(again, seed_h, seed_v) \
                 == _sweep_readouts(fresh, seed_h, seed_v), (seed, seed_h, seed_v)
@@ -174,7 +218,7 @@ def _reference_sections(world, frame, holes, x, skip):
     for hi in holes:
         if hi == skip:
             continue
-        p = mapped_polygon(world.hulls[hi], frame)
+        p = mapped_polygon(world.hull(hi), frame)
         box = bounding_box(p.vertices)
         if not (box.xlo < x < box.xhi):
             continue
@@ -192,7 +236,7 @@ def test_hole_sections_match_transformed_hulls():
         for hi in region.holes:
             # every column the region build read, against an eager table
             assert columns(polys[hi]) \
-                == reference_tables(world.hulls[hi], region.frame), seed
+                == reference_tables(world.hull(hi), region.frame), seed
         # the region build already built every hole's tables
         assert polys.tables_built == built, seed
         index = _hole_index(polys, region.holes)

@@ -202,8 +202,14 @@ class TreeStore:
         return out
 
 
-def final_state(store: NaiveStore | TreeStore) -> list[tuple[bool, float]]:
-    """Per-baseline (active, value) as a sweep left it; INF where inactive."""
+def final_state(store) -> list[tuple[bool, float]]:
+    """Per-baseline (active, value) as a sweep left it; INF where inactive.
+
+    ``store`` is a ``TreeStore``, a ``NaiveStore`` (active where ``down`` is
+    not -INF, whose value ``up`` holds) or the loop reference of
+    ``store_reference``."""
     if isinstance(store, TreeStore):
         return store.snapshot()
+    if isinstance(store, NaiveStore):
+        return [(d != -INF, u) for u, d in zip(store.up, store.down)]
     return [(a, v if a else INF) for a, v in zip(store.active, store.val)]
