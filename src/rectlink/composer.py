@@ -24,14 +24,13 @@ from .partition import (
     FRAME_UR,
     FrameTables,
     FrameView,
-    StaircaseRegion,
     StepCurve,
     World,
     build_staircase_region,
     classify,
     trace_ru,
 )
-from .sweep import INF, NaiveStore, SweepResult, reconstruct_path, run_sweep
+from .sweep import INF, SweepResult, reconstruct_path, run_sweep
 
 Pred = tuple[str, int]  # ("mid", node index) or ("direct", -1)
 
@@ -45,9 +44,7 @@ class _Node:
     links: float = INF
     preds: list[Pred] = field(default_factory=list)  # optimal predecessors
     best_pred: Optional[Pred] = None
-    region: Optional[StaircaseRegion] = None
-    store: Optional[NaiveStore] = None
-    arrival: str = "h"
+    leg: Optional[SweepResult] = None  # sweep of the best leg into it
 
 
 @dataclass
@@ -257,7 +254,7 @@ def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
     dag = SubregionDag(nodes=nodes, target=target)
 
     def sweep_leg(src_pt: Point, dst_pt: Point, direct: bool, seed_h: float,
-                  seed_v: float) -> tuple[SweepResult, StaircaseRegion, NaiveStore]:
+                  seed_v: float) -> SweepResult:
         kind, q = classify(wf, src_pt, dst_pt)
         if kind != "xy" or q.b != 0:
             raise GeometryError("winder leg is not an axis-aligned xy pair")
@@ -267,14 +264,12 @@ def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
             seed_h = dir_links[inv_total.apply((1, 0))]
             seed_v = dir_links[inv_total.apply((0, 1))] + 1
         region = build_staircase_region(wf, q, src_pt, dst_pt)
-        store = NaiveStore(region.m)
-        res = run_sweep(region, store, seed_h=seed_h, seed_v=seed_v)
         dag.regions += 1
         dag.events += len(region.events)
-        return res, region, store
+        return run_sweep(region, seed_h=seed_h, seed_v=seed_v)
 
     # best leg into the target, kept separately per arrival direction
-    final_best: dict[str, tuple[float, Optional[Pred], StaircaseRegion, NaiveStore]] = {}
+    final_best: dict[str, tuple[float, Pred, SweepResult]] = {}
 
     for nd in order:
         final = nd.hull == -1
@@ -287,59 +282,44 @@ def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
                 if mu.links == INF:
                     continue
                 seed_h, seed_v, src_pt = mu.links, mu.links + 2, mu.point
-            res, region, store = sweep_leg(
-                src_pt, nd.point, pred[0] == "direct", seed_h, seed_v)
+            res = sweep_leg(src_pt, nd.point, pred[0] == "direct", seed_h, seed_v)
             if final:
                 for arr, lam in (("h", res.lam_h), ("v", res.lam_v)):
                     if lam < final_best.get(arr, (INF,))[0]:
-                        final_best[arr] = (lam, pred, region, store)
-                lam = res.lam
-                if lam < best:
-                    best = lam
-                    nd.links = lam
-                    nd.best_pred = pred
-            else:
-                lam = _horiz_readout(res)
-                if lam < best:
-                    best = lam
-                    nd.links = lam
-                    nd.best_pred = pred
-                    nd.region = region
-                    nd.store = store
-                    nd.arrival = "h" if res.lam_h <= res.lam_v + 1 else "v"
+                        final_best[arr] = (lam, pred, res)
+            lam = res.lam if final else _horiz_readout(res)
+            if lam < best:
+                best = nd.links = lam
+                nd.best_pred, nd.leg = pred, res
         if best == INF:
             raise GeometryError("no reachable predecessor on an optimal chain")
 
-    def stitch(pred: Pred, region: StaircaseRegion, store: NaiveStore,
-               arrival: str) -> list[Point]:
-        chain: list[_Node] = []
+    def stitch(pred: Pred, res: SweepResult, arrival: str) -> list[Point]:
+        # a midpoint's leg is read out eastward: along the top baseline, or
+        # up from a lower one and turning east (``_horiz_readout``)
+        legs = [(res, arrival)]
         while pred[0] == "mid":
             nd = nodes[pred[1]]
-            chain.append(nd)
+            legs.append((nd.leg, "h" if nd.leg.lam_h <= nd.leg.lam_v + 1 else "v"))
             pred = nd.best_pred
-        chain.reverse()
         pts: list[Point] = []
-        for nd in chain:
-            sub = reconstruct_path(nd.region, nd.store, nd.arrival)
-            inv = nd.region.frame.inverse()
-            pts.extend(inv.apply(p) for p in sub)
-        sub = reconstruct_path(region, store, arrival)
-        inv = region.frame.inverse()
-        pts.extend(inv.apply(p) for p in sub)
+        for leg, arr in reversed(legs):
+            inv = leg.region.frame.inverse()
+            pts.extend(inv.apply(p) for p in reconstruct_path(leg, arr))
         return pts
 
     inv_frame = frame.inverse()
     arrivals: dict[Point, tuple[int, list[Point]]] = {}
-    for arr, (lam, pred, region, store) in final_best.items():
+    for arr, (lam, pred, res) in final_best.items():
         if lam == INF:
             continue
-        world_pts = [inv_frame.apply(p) for p in stitch(pred, region, store, arr)]
+        world_pts = [inv_frame.apply(p) for p in stitch(pred, res, arr)]
         result = PathResult.from_points(world_pts)
         # the first segment is charged its seeded link count, not 1
         seeded = result.links - 1 + dir_links[first_dir(result.points)]
         if result.length != target.dist or seeded != lam:
             raise GeometryError("witness disagrees with the relaxation values")
-        inv_total = frame.then(region.frame).inverse()
+        inv_total = frame.then(res.region.frame).inverse()
         adir = inv_total.apply((1, 0)) if arr == "h" else inv_total.apply((0, 1))
         arrivals[adir] = (int(lam), result.points)
     if not arrivals:

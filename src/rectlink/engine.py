@@ -13,7 +13,7 @@ from typing import Optional
 from .composer import solve_x_case
 from .geometry import GeometryError, PathResult, Point, RectPolygon, first_dir
 from .partition import World, build_staircase_region, classify
-from .sweep import INF, NaiveStore, reconstruct_path, run_sweep
+from .sweep import INF, reconstruct_path, run_sweep
 
 UNIT_DIRS: tuple[Point, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -72,14 +72,13 @@ def solve_pair_raw(world: World, s2: Point, t2: Point,
         seed_h = dir_links[inv.apply((1, 0))]
         seed_v = dir_links[inv.apply((0, 1))] + 1
         region = build_staircase_region(world, frame, s2, t2)
-        store = NaiveStore(region.m)
-        res = run_sweep(region, store, seed_h=seed_h, seed_v=seed_v)
+        res = run_sweep(region, seed_h=seed_h, seed_v=seed_v)
         dist2 = abs(t2[0] - s2[0]) + abs(t2[1] - s2[1])
         arrivals: dict[Point, tuple[int, list[Point]]] = {}
         for arr, lam in (("h", res.lam_h), ("v", res.lam_v)):
             if lam == INF:
                 continue
-            pts = reconstruct_path(region, store, arr)
+            pts = reconstruct_path(res, arr)
             witness = PathResult.from_points([inv.apply(p) for p in pts])
             # the first segment is charged its seeded link count, not 1
             seeded = witness.links - 1 + dir_links[first_dir(witness.points)]

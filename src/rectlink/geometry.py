@@ -130,9 +130,6 @@ class Rect:
             (self.xlo, self.yhi),
         )
 
-    def to_polygon(self) -> "RectPolygon":
-        return RectPolygon(self.corners)
-
 
 def bounding_box(points: Iterable[Point]) -> Rect:
     pts = list(points)
@@ -250,15 +247,9 @@ class RectPolygon:
         """Bounding box, computed on first use and kept."""
         return bounding_box(self.vertices)
 
-    def area2(self) -> int:
-        return _signed_area2(self.vertices)
-
     def contains(self, p: Point) -> bool:
         """Closed containment (boundary points count)."""
         return self.locate(p) >= 0
-
-    def contains_interior(self, p: Point) -> bool:
-        return self.locate(p) > 0
 
     def locate(self, p: Point) -> int:
         """1 if strictly inside, 0 on the boundary, -1 outside."""
@@ -275,9 +266,6 @@ class RectPolygon:
                 if ylo <= y < yhi and x0 < x:
                     inside = not inside
         return 1 if inside else -1
-
-    def horizontal_edges(self) -> list[OrthoSegment]:
-        return [e for e in self.edges() if e.horizontal]
 
     def vertical_edges(self) -> list[OrthoSegment]:
         return [e for e in self.edges() if e.vertical]

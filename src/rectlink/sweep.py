@@ -3,9 +3,13 @@
 The sweep maintains, per active baseline, the fewest links of any shortest
 xy-monotone path that ends travelling east along that baseline.  Events move
 values upward between baselines (a climb and a turn cost two links).
-``NaiveStore`` executes the range operations on two flat lists, so each
-range scan is one built-in ``min`` or ``max`` over a slice, and records the
-write history that ``reconstruct_path`` walks back to build a witness.
+
+A store keeps values only.  ``NaiveStore`` executes the range operations on
+two flat lists, so each range scan is one built-in ``min`` or ``max`` over a
+slice.  Provenance comes from the event log: ``run_sweep`` records each
+event's query value and the baseline that held it, and ``reconstruct_path``
+reads the writer of every value it follows back from the region's own
+events, so a witness needs no write history and any store yields one.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ def _ok(r: Optional[Range]) -> bool:
 
 
 class NaiveStore:
-    """Flat-array store with provenance tracking.
+    """Flat-array range-min store with range assign and range chmin.
 
     Each baseline's value is kept twice, so that activity needs no list of
     its own and every range scan runs in C: ``up[i]`` is the value of an
@@ -37,24 +41,8 @@ class NaiveStore:
     """
 
     def __init__(self, m: int):
-        self.m = m
         self.up = [INF] * m
         self.down = [-INF] * m
-        # full write history per baseline: (writing event id, tag) where the
-        # tag is the (event id, source baseline) that produced the value, or
-        # None for a seed.  Later events overwrite values that earlier events
-        # already consumed, so a witness walk needs more than the last write.
-        self.seq = 0
-        self.hist: list[list[tuple[int, Optional[tuple[int, int]]]]] = \
-            [[] for _ in range(m)]
-
-    def prov_before(self, k: int, bound: float) -> Optional[tuple[int, int]]:
-        """Provenance of the value baseline ``k`` held just before event
-        ``bound`` ran (pass INF for the state after the final event)."""
-        for seq, tag in reversed(self.hist[k]):
-            if seq < bound:
-                return tag
-        return None
 
     def query(self, lo: int, hi: int) -> tuple[float, int]:
         """Least active value in ``lo..hi`` and its lowest baseline, or
@@ -69,16 +57,12 @@ class NaiveStore:
             return INF, -1
         return best, lo + window.index(best)
 
-    def assign(self, lo: int, hi: int, v: float, tag: Optional[tuple[int, int]]) -> None:
+    def assign(self, lo: int, hi: int, v: float) -> None:
         if lo > hi:
             return
-        k = hi + 1 - lo
-        self.up[lo:hi + 1] = self.down[lo:hi + 1] = [v] * k
-        entry = (self.seq, tag)
-        for h in self.hist[lo:hi + 1]:
-            h.append(entry)
+        self.up[lo:hi + 1] = self.down[lo:hi + 1] = [v] * (hi + 1 - lo)
 
-    def chmin(self, lo: int, hi: int, v: float, tag: Optional[tuple[int, int]]) -> None:
+    def chmin(self, lo: int, hi: int, v: float) -> None:
         if lo < 0:
             lo = 0
         if v == INF or hi < lo:
@@ -86,11 +70,10 @@ class NaiveStore:
         window = self.down[lo:hi + 1]
         if not window or max(window) <= v:
             return
-        up, down, hist, entry = self.up, self.down, self.hist, (self.seq, tag)
+        up, down = self.up, self.down
         for i, d in enumerate(window, lo):
             if v < d:
                 up[i] = down[i] = v
-                hist[i].append(entry)
 
     def deactivate(self, lo: int, hi: int) -> None:
         if lo > hi:
@@ -106,7 +89,10 @@ class SweepResult:
     lam_h: float               # restricted to paths arriving horizontally
     lam_v: float               # restricted to paths arriving vertically
     event_values: list[float]  # per-event source minimum, in event order
-    store: object = field(repr=False, default=None)
+    event_args: list[int]      # per-event lowest baseline holding it, or -1
+    arg_v: int                 # lowest baseline of the vertical readout, or -1
+    seed_v: float              # the originate's value above baseline 0
+    region: StaircaseRegion = field(repr=False)
 
 
 def run_sweep(region: StaircaseRegion, store=None, seed_h: float = 1,
@@ -116,78 +102,108 @@ def run_sweep(region: StaircaseRegion, store=None, seed_h: float = 1,
     ``seed_h``/``seed_v`` are the link counts of a path that leaves the
     source eastward, and upward then eastward.  Re-seeding lets a caller
     prepend an already-started link, as the divider composition does.
+    ``store`` defaults to a fresh ``NaiveStore``; any store with the same
+    four range operations, whose query also answers with the lowest
+    baseline holding the minimum, gives the same result.
     """
     m = region.m
     if store is None:
         store = NaiveStore(m)
     values: list[float] = []
-    for eid, e in enumerate(region.events):
-        store.seq = eid
+    args: list[int] = []
+    for e in region.events:
         if e.kind == "originate":
             lo, hi = e.assign
-            store.assign(lo, hi, seed_v, (eid, 0))
-            store.assign(lo, lo, seed_h, None)
+            store.assign(lo, hi, seed_v)
+            store.assign(lo, lo, seed_h)
             values.append(seed_h)
+            args.append(lo)
             continue
         if _ok(e.src):
             v, arg = store.query(*e.src)
         else:
             v, arg = INF, -1
         values.append(v)
-        tag = (eid, arg) if arg >= 0 else None
+        args.append(arg)
         if _ok(e.chmin):
-            store.chmin(e.chmin[0], e.chmin[1], v + 2, tag)
+            store.chmin(e.chmin[0], e.chmin[1], v + 2)
         if _ok(e.deactivate):
             store.deactivate(*e.deactivate)
         if _ok(e.assign):
-            store.assign(e.assign[0], e.assign[1], v + 2, tag)
+            store.assign(e.assign[0], e.assign[1], v + 2)
         if _ok(e.assign_inf):
-            store.assign(e.assign_inf[0], e.assign_inf[1], INF, None)
+            store.assign(e.assign_inf[0], e.assign_inf[1], INF)
     lam_h, _ = store.query(m - 1, m - 1)
-    best_v, _ = store.query(0, m - 2)
+    best_v, arg_v = store.query(0, m - 2)
     lam_v = best_v + 1
     return SweepResult(
-        lam=min(lam_h, lam_v), lam_h=lam_h, lam_v=lam_v,
-        event_values=values, store=store,
+        lam=min(lam_h, lam_v), lam_h=lam_h, lam_v=lam_v, event_values=values,
+        event_args=args, arg_v=arg_v, seed_v=seed_v, region=region,
     )
 
 
-def reconstruct_path(region: StaircaseRegion, store: NaiveStore,
-                     arrival: str) -> list[tuple[int, int]]:
-    """Corner list of a witness path, from the provenance chain.
+def provenance(res: SweepResult, k: int, value: float,
+               bound: int) -> Optional[tuple[int, int]]:
+    """(event id, source baseline) of the write that left ``value`` in
+    baseline ``k`` just before event ``bound`` ran, or None when that value
+    is the horizontal seed or unreachable.
+
+    ``k`` must be active then; pass the number of events as ``bound`` for
+    the state after the last one.  The last assign covering ``k`` (the
+    originate's included) wrote the value unless a chmin lowered it since.
+    A chmin writes only a strictly smaller value, so the writer is then the
+    earliest later chmin covering ``k`` whose ``v + 2`` is ``value``; an
+    unreachable value was never lowered, so such a chmin read a finite v.
+    """
+    events, values, args = res.region.events, res.event_values, res.event_args
+    lowered = None
+    for eid in range(bound - 1, -1, -1):
+        e = events[eid]
+        # within an event the assigns run after its chmin, assign_inf last
+        r = e.assign_inf
+        if r is not None and r[0] <= k <= r[1]:
+            return None if value == INF else lowered
+        r = e.assign
+        if r is not None and r[0] <= k <= r[1]:
+            v = values[eid]
+            if e.kind != "originate":
+                written = v + 2
+            elif k == r[0]:
+                return None if v == value else lowered
+            else:
+                written = res.seed_v
+            if written != value:
+                return lowered
+            return (eid, args[eid]) if written < INF else None
+        if values[eid] + 2 == value:
+            r = e.chmin
+            if r is not None and r[0] <= k <= r[1]:
+                lowered = (eid, args[eid])
+    return lowered
+
+
+def reconstruct_path(res: SweepResult, arrival: str) -> list[tuple[int, int]]:
+    """Corner list of a witness path, read back from the sweep's event log.
 
     ``arrival`` is "h" for a horizontal finish on the top baseline or "v"
     for a vertical finish from the best lower baseline.  Frame coordinates.
     """
-    m = region.m
+    region = res.region
     ys = region.baselines
-    sx, sy = region.s
-    tx, ty = region.t
     if arrival == "h":
-        k = m - 1
+        k, value = region.m - 1, res.lam_h
     else:
-        _, k = store.query(0, m - 2)
-    # walk provenance back to the originate column; each step must read the
-    # provenance as it stood when the consuming event ran, since later
-    # events may have overwritten the source baseline
-    hops: list[tuple[int, int, int]] = []  # (x, src baseline, dst baseline)
-    cur = k
-    bound: float = INF
-    while True:
-        tag = store.prov_before(cur, bound)
-        if tag is None:
-            break
+        k, value = res.arg_v, res.lam_v - 1
+    tx, ty = region.t
+    # corners from t back to s; each writer's source value is the one its
+    # event's query saw, since later events may have overwritten it
+    pts = [(tx, ty), (tx, ys[k])]
+    bound = len(region.events)
+    while (tag := provenance(res, k, value, bound)) is not None:
         eid, src = tag
-        ev = region.events[eid]
-        hops.append((ev.x if ev.kind != "originate" else sx, src, cur))
-        if ev.kind == "originate":
-            break
-        cur, bound = src, eid
-    hops.reverse()
-    pts: list[tuple[int, int]] = [(sx, sy)]
-    for x, src, dst in hops:
-        pts.append((x, ys[src]))
-        pts.append((x, ys[dst]))
-    pts.append((tx, ys[k]))
-    pts.append((tx, ty))
+        x = region.events[eid].x
+        pts += [(x, ys[k]), (x, ys[src])]
+        k, bound, value = src, eid, res.event_values[eid]
+    pts.append(region.s)
+    pts.reverse()
     return pts

@@ -6,6 +6,7 @@ which normalises it from scratch, and derives every column that
 two share no code beyond the polygon class.
 """
 from rectlink.geometry import RectPolygon, bounding_box
+from shapes import horizontal_edges
 
 COLUMNS = ("box", "ring", "west_lo", "west_hi", "west", "horiz", "hug",
            "hug_xs", "east_horiz")
@@ -22,7 +23,7 @@ def reference_tables(hull, t):
     west = [(e.p[0], e.q[1], e.p[1]) for e in p.vertical_edges()
             if e.q[1] < e.p[1]]
     horiz = [(min(e.p[0], e.q[0]), max(e.p[0], e.q[0]), e.p[1])
-             for e in p.horizontal_edges()]
+             for e in horizontal_edges(p)]
     (wlo, whi), = [(lo, hi) for x, lo, hi in west if x == box.xlo]
     # counterclockwise ring: from the west side's bottom, walk backwards
     # (up the west wall first) to the first vertex on the top wall

@@ -1,10 +1,14 @@
-"""The loop store that ``rectlink.sweep.NaiveStore`` replaced, kept as a
-reference.
+"""The loop store that ``rectlink.sweep.NaiveStore`` replaced, kept as the
+reference for both the store and the sweep's provenance.
 
 It holds one value list and one activity list and walks every baseline of
-a range in a Python loop.  ``tests/test_sweep.py`` drives it and the
-package store with the same operation sequences and requires the same
-answers, the same write histories and the same final state.
+a range in a Python loop.  Unlike the package stores it also keeps each
+baseline's write history: every write appends the caller's tag, the
+(event id, source baseline) that produced the value or None.
+``tests/test_sweep.py`` drives it and ``NaiveStore`` with the same
+operation sequences and requires the same answers and final state, and
+replays regions' events on it with tags so that ``prov_before`` checks the
+writers that ``rectlink.sweep.provenance`` reads back from the event log.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from rectlink.sweep import INF
 
 
 class LoopStore:
-    """Flat-array store with provenance tracking, one baseline at a time."""
+    """Flat-array store with a write history, one baseline at a time."""
 
     def __init__(self, m: int):
         self.m = m
@@ -23,6 +27,14 @@ class LoopStore:
         self.seq = 0
         self.hist: list[list[tuple[int, Optional[tuple[int, int]]]]] = \
             [[] for _ in range(m)]
+
+    def prov_before(self, k: int, bound: int) -> Optional[tuple[int, int]]:
+        """Tag of the value baseline ``k`` held just before write sequence
+        number ``bound`` (one past the last for the final state)."""
+        for seq, tag in reversed(self.hist[k]):
+            if seq < bound:
+                return tag
+        return None
 
     def query(self, lo: int, hi: int) -> tuple[float, int]:
         best, arg = INF, -1

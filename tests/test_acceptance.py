@@ -24,11 +24,12 @@ from rectlink.partition import (
     trace_path,
 )
 from rectlink.pockets import BoxGrid, GridSearch
-from rectlink.sweep import INF, NaiveStore, reconstruct_path, run_sweep
+from rectlink.sweep import INF, reconstruct_path, run_sweep
 from closest_pairs import oracle_closest_pairs
 from dents import dent_instance
 from pocket_doors import find_pockets
-from tree_store import TreeStore, final_state
+from shapes import horizontal_edges, rect_polygon
+from tree_store import assert_stores_agree
 
 
 def _instances(kinds, want, n_mix=(4, 8, 12, 18, 24, 30), coord_limit=200,
@@ -112,7 +113,7 @@ def test_3_box_interiors_can_save_links():
     got = solve(inst)
     assert (got.distance, got.links) == (true_ans.distance, true_ans.links)
 
-    boxed = Instance(obstacles=(o1.bbox.to_polygon(), o2.bbox.to_polygon()),
+    boxed = Instance(obstacles=(rect_polygon(o1.bbox), rect_polygon(o2.bbox)),
                      source=inst.source, target=inst.target)
     assert validate(boxed) == []
     box_ans = oracle_solve(boxed, want_path=False)
@@ -147,14 +148,11 @@ def _xy_regions(want, start_seed=0, n_obstacles=10, coord_limit=150):
 def test_4_naive_and_tree_sweeps_agree():
     count = 0
     for seed, region in _xy_regions(want=500):
-        naive = run_sweep(region, NaiveStore(region.m))
-        tree = run_sweep(region, TreeStore(region.m))
-        assert naive.lam == tree.lam, f"seed {seed}"
-        assert naive.event_values == tree.event_values, f"seed {seed}"
-        assert final_state(naive.store) == final_state(tree.store), f"seed {seed}"
+        # answers, event logs, final states and witnesses
+        assert_stores_agree(region, where=f"seed {seed}")
         count += 1
     print(f"\nacceptance 4/8 naive vs tree sweep stores: PASS "
-          f"({count} regions)")
+          f"({count} regions, witnesses included)")
 
 
 _QUADRANT_PAIRS = [("ru", "ur"), ("lu", "ul"), ("rd", "dr"), ("ld", "dl")]
@@ -199,7 +197,7 @@ def _assert_winder_sides(inst, pts, seed):
             line, lo, hi = m0[0], *sorted((m0[1], m1[1]))
         found = False
         for ob in inst.obstacles:
-            edges = (ob.horizontal_edges() if horizontal
+            edges = (horizontal_edges(ob) if horizontal
                      else ob.vertical_edges())
             for e in edges:
                 fixed = e.p[1] if horizontal else e.p[0]
@@ -239,12 +237,11 @@ def test_5_structural_invariants():
     # reconstructed staircase-region paths stay monotone in their frame
     recon = 0
     for seed, region in _xy_regions(want=200, start_seed=90_000):
-        store = NaiveStore(region.m)
-        res = run_sweep(region, store)
+        res = run_sweep(region)
         for arr in ("h", "v"):
             if (res.lam_h if arr == "h" else res.lam_v) == INF:
                 continue
-            pts = reconstruct_path(region, store, arr)
+            pts = reconstruct_path(res, arr)
             assert all(a[0] <= b[0] and a[1] <= b[1]
                        for a, b in zip(pts, pts[1:])), f"seed {seed}"
         recon += 1
@@ -275,8 +272,8 @@ def test_5_structural_invariants():
         pred = dag.target.best_pred
         while pred is not None and pred[0] == "mid":
             nd = dag.nodes[pred[1]]
-            if nd.region is not None:
-                spans.append((nd.region.s[0], nd.region.t[0]))
+            if nd.leg is not None:
+                spans.append((nd.leg.region.s[0], nd.leg.region.t[0]))
             pred = nd.best_pred
         spans.sort()
         for (a0, a1), (b0, b1) in zip(spans, spans[1:]):

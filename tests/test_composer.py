@@ -62,8 +62,8 @@ def test_optimal_chain_regions_are_x_disjoint():
         pred = node.best_pred
         while pred is not None and pred[0] == "mid":
             nd = dag.nodes[pred[1]]
-            if nd.region is not None:
-                spans.append((nd.region.s[0], nd.region.t[0]))
+            if nd.leg is not None:
+                spans.append((nd.leg.region.s[0], nd.leg.region.t[0]))
             pred = nd.best_pred
         if len(spans) >= 2:
             spans.sort()

@@ -18,13 +18,14 @@ from rectlink.geometry import (
     rectilinear_convex_hull,
 )
 from rectlink.partition import World, _FramePoly
+from shapes import area2, rect_polygon
 
 L_SHAPE = [(0, 0), (4, 0), (4, 2), (2, 2), (2, 5), (0, 5)]
 
 
 def test_polygon_normalisation_is_ccw():
     poly = RectPolygon(list(reversed(L_SHAPE)))
-    assert poly.area2() == RectPolygon(L_SHAPE).area2()
+    assert area2(poly) == area2(RectPolygon(L_SHAPE))
     assert poly.vertices == RectPolygon(L_SHAPE).vertices
 
 
@@ -50,7 +51,7 @@ def test_locate_notch_ray_through_vertex():
 
 
 def test_hull_of_rectangle_is_itself():
-    r = Rect(0, 0, 4, 3).to_polygon()
+    r = rect_polygon(Rect(0, 0, 4, 3))
     assert rectilinear_convex_hull(r).vertices == r.vertices
 
 
@@ -58,7 +59,7 @@ def test_hull_of_l_shape():
     hull = rectilinear_convex_hull(RectPolygon(L_SHAPE))
     assert set(hull.vertices) == {(0, 0), (4, 0), (4, 2), (2, 2), (2, 5), (0, 5)}
     # the L is already rectilinearly convex: its notch staircase survives
-    assert hull.area2() == RectPolygon(L_SHAPE).area2()
+    assert area2(hull) == area2(RectPolygon(L_SHAPE))
 
 
 def test_hull_of_plus_is_itself():
@@ -171,7 +172,7 @@ def test_hull_is_convex_and_covers(poly):
     assert hull2.vertices == hull.vertices
     for v in poly.vertices:
         assert hull.locate(v) >= 0
-    assert hull.area2() >= poly.area2()
+    assert area2(hull) >= area2(poly)
 
 
 # the eight signed axis permutations
@@ -190,7 +191,7 @@ def test_transform_matches_normalising_the_mapped_ring(poly):
         fp = _FramePoly(poly, t, Rect(ft.xlo[0], ft.ylo[0], ft.xhi[0], ft.yhi[0]))
         assert fp.box == bounding_box(want.vertices)
         assert fp.ring == want.vertices
-        assert _signed_area2(fp.ring) == poly.area2()
+        assert _signed_area2(fp.ring) == area2(poly)
 
 
 def _reference_staircase(points, sx, sy):

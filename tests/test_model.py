@@ -4,8 +4,9 @@ import pytest
 
 from rectlink.geometry import Rect, RectPolygon
 from rectlink.model import Instance, Terminal, validate
+from shapes import rect_polygon
 
-BOX = Rect(10, 10, 20, 20).to_polygon()
+BOX = rect_polygon(Rect(10, 10, 20, 20))
 
 
 def _inst(source, target, obstacles=(BOX,)):
@@ -30,7 +31,7 @@ def test_point_on_obstacle_boundary_breaks_general_position():
 
 
 def test_validate_rejects_overlapping_boxes():
-    other = Rect(15, 15, 25, 25).to_polygon()
+    other = rect_polygon(Rect(15, 15, 25, 25))
     inst = _inst(Terminal.of_point((0, 0)), Terminal.of_point((40, 5)), (BOX, other))
     assert any("overlap" in e for e in validate(inst))
 
@@ -39,7 +40,7 @@ def test_validate_rejects_shared_obstacle_coordinate():
     inst = _inst(
         Terminal.of_point((0, 0)),
         Terminal.of_point((50, 5)),
-        (BOX, Rect(20, 30, 40, 41).to_polygon()),
+        (BOX, rect_polygon(Rect(20, 30, 40, 41))),
     )
     assert any("share corner" in e for e in validate(inst))
 
@@ -57,17 +58,17 @@ def test_segment_clear_of_obstacles_is_legal():
 
 
 def test_validate_rejects_segment_piercing_three_boxes():
-    boxes = [Rect(10 * k, 0, 10 * k + 5, 9).to_polygon() for k in range(1, 4)]
+    boxes = [rect_polygon(Rect(10 * k, 0, 10 * k + 5, 9)) for k in range(1, 4)]
     seg = Terminal.of_segment((1, 4), (50, 4))
     inst = _inst(seg, Terminal.of_point((60, 50)), boxes)
     assert any("pierces" in e for e in validate(inst))
 
 
 def test_polygon_terminal_box_must_avoid_obstacle_boxes():
-    poly = Terminal.of_polygon(Rect(15, 25, 25, 35).to_polygon())
+    poly = Terminal.of_polygon(rect_polygon(Rect(15, 25, 25, 35)))
     inst = _inst(poly, Terminal.of_point((40, 5)))
     assert not any("overlap" in e for e in validate(inst))
-    bad = Terminal.of_polygon(Rect(15, 15, 25, 25).to_polygon())
+    bad = Terminal.of_polygon(rect_polygon(Rect(15, 15, 25, 25)))
     inst = _inst(bad, Terminal.of_point((40, 5)))
     assert validate(inst)
 
@@ -92,7 +93,7 @@ def test_overlap_messages_match_all_pairs_reference():
             boxes.append(Rect(x, y, x + rng.randrange(1, 30),
                               y + rng.randrange(1, 30)))
         inst = _inst(Terminal.of_point((-7, -7)), Terminal.of_point((-9, -9)),
-                     [b.to_polygon() for b in boxes])
+                     [rect_polygon(b) for b in boxes])
         got = [e for e in validate(inst) if e.startswith("obstacle boxes")]
         want = _all_pairs_overlaps(boxes)
         assert got == want

@@ -10,8 +10,9 @@ from rectlink.oracle import (
     oracle_solve_reference,
 )
 from closest_pairs import oracle_closest_pairs
+from shapes import rect_polygon
 
-BOX = Rect(10, 10, 20, 20).to_polygon()
+BOX = rect_polygon(Rect(10, 10, 20, 20))
 
 
 def _pp(s, t, obstacles=(BOX,)):
@@ -80,7 +81,7 @@ def test_closest_pairs_segment_to_segment():
 
 def test_grid_cap_refusal():
     obstacles = tuple(
-        Rect(4 * k, 4 * k, 4 * k + 2, 4 * k + 2).to_polygon() for k in range(300)
+        rect_polygon(Rect(4 * k, 4 * k, 4 * k + 2, 4 * k + 2)) for k in range(300)
     )
     inst = Instance(obstacles=obstacles, source=Terminal.of_point((-5, -5)),
                     target=Terminal.of_point((1300, 1300)))

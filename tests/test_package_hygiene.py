@@ -3,10 +3,14 @@
 A module-level function or class of ``src/rectlink`` that no other
 top-level statement of the package names is either dead or serves only
 tests; test helpers belong under ``tests/`` (``tree_store.py``,
-``pocket_doors.py`` and ``closest_pairs.py`` are such).  The exceptions
-are the public names in ``rectlink.__all__`` and the short list below.
+``pocket_doors.py``, ``closest_pairs.py`` and ``shapes.py`` are such).  The
+exceptions are the public names in ``rectlink.__all__`` and the short list
+below.  The same holds, with no exceptions, for every method of a package
+class that is not a dunder: some code of the package other than the method
+itself must name it.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import rectlink
@@ -18,15 +22,16 @@ PACKAGE = Path(rectlink.__file__).resolve().parent
 TEST_REFERENCES = {"oracle_solve_reference"}
 
 
-def _names(node: ast.AST) -> set[str]:
-    out = set()
+def _names(node: ast.AST) -> Counter:
+    """How often the code under ``node`` names each name."""
+    out: Counter = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            out.add(sub.name)
+            out[sub.name] += 1
     return out
 
 
@@ -46,6 +51,25 @@ def unreferenced_definitions(package: Path) -> list[str]:
             if not any(d.name in names for node, names in named if node is not d)]
 
 
+def unreferenced_methods(package: Path) -> list[str]:
+    """``module.Class.method`` of every non-dunder method of a module-level
+    class that no code of the package outside the method itself names."""
+    total: Counter = Counter()
+    methods: list[tuple[str, str, ast.stmt]] = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        total.update(_names(tree))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for d in node.body:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not (d.name.startswith("__") and d.name.endswith("__")):
+                    methods.append((path.stem, node.name, d))
+    return [f"{mod}.{cls}.{d.name}" for mod, cls, d in methods
+            if total[d.name] == _names(d)[d.name]]
+
+
 def test_every_package_definition_is_used_by_the_package():
     unused = unreferenced_definitions(PACKAGE)
     # an exception the package has come to use no longer belongs here
@@ -62,3 +86,18 @@ def test_the_check_sees_an_unused_definition(tmp_path):
     (tmp_path / "b.py").write_text("from a import used\n\nX = used() and Kept\n")
     assert unreferenced_definitions(tmp_path) == ["a.lonely"]
 
+
+
+def test_every_package_method_is_used_by_the_package():
+    assert unreferenced_methods(PACKAGE) == []
+
+
+def test_the_check_sees_an_unused_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n"
+        "    def __init__(self):\n        self.x = 1\n\n"
+        "    def used(self):\n        return self.x\n\n"
+        "    def lonely(self):\n        return self.lonely()\n\n"
+        "    @property\n    def seen(self):\n        return 2\n")
+    (tmp_path / "b.py").write_text("from a import A\n\nY = A().used() + A().seen\n")
+    assert unreferenced_methods(tmp_path) == ["a.A.lonely"]

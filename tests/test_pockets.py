@@ -6,6 +6,7 @@ import pytest
 from rectlink.geometry import GeometryError, OrthoSegment, Rect, RectPolygon
 from rectlink.pockets import DIRS, BoxGrid, GridSearch
 from pocket_doors import find_pockets, pocket_containing
+from shapes import rect_polygon
 
 U_SHAPE = RectPolygon([(0, 0), (6, 0), (6, 4), (4, 4), (4, 2), (2, 2), (2, 4), (0, 4)])
 STAIR = RectPolygon([(0, 0), (6, 0), (6, 2), (4, 2), (4, 4), (2, 4), (2, 6), (0, 6)])
@@ -13,7 +14,7 @@ STAIR = RectPolygon([(0, 0), (6, 0), (6, 2), (4, 2), (4, 4), (2, 4), (2, 6), (0,
 
 class TestFindPockets:
     def test_rectangle_has_none(self):
-        assert find_pockets(Rect(0, 0, 4, 3).to_polygon()) == []
+        assert find_pockets(rect_polygon(Rect(0, 0, 4, 3))) == []
 
     def test_u_shape_notch(self):
         pockets = find_pockets(U_SHAPE)

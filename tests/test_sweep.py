@@ -12,11 +12,13 @@ from rectlink.partition import (
     build_staircase_region,
     classify,
 )
-from rectlink.sweep import INF, NaiveStore, reconstruct_path, run_sweep
+from rectlink.sweep import INF, NaiveStore, provenance, reconstruct_path, run_sweep
 from rectlink.geometry import PathResult, bounding_box
+from diagonal import diagonal_region
 from frame_reference import columns, mapped_polygon, reference_tables
+from shapes import horizontal_edges
 from store_reference import LoopStore
-from tree_store import ActiveRanges, TreeStore, final_state
+from tree_store import ActiveRanges, TreeStore, assert_stores_agree, final_state
 
 
 def _worlds_and_regions(seeds, n_obstacles=8, coord_limit=120):
@@ -85,11 +87,11 @@ class TestTreeStore:
                 op = rng.randrange(4)
                 if op == 0:
                     v = float(rng.randrange(0, 50))
-                    naive.assign(lo, hi, v, None)
+                    naive.assign(lo, hi, v)
                     tree.assign(lo, hi, v)
                 elif op == 1:
                     v = float(rng.randrange(0, 50))
-                    naive.chmin(lo, hi, v, None)
+                    naive.chmin(lo, hi, v)
                     tree.chmin(lo, hi, v)
                 elif op == 2:
                     naive.deactivate(lo, hi)
@@ -99,13 +101,11 @@ class TestTreeStore:
             assert final_state(naive) == final_state(tree)
 
 
-# (op, lo, span, value, tag): the range is lo .. lo + span - 1, so a
+# (op, lo, span, value): the range is lo .. lo + span - 1, so a
 # non-positive span gives an empty or reversed range
 _OPS = st.lists(st.tuples(st.sampled_from("acdq"), st.integers(-3, 14),
                           st.integers(-2, 14),
-                          st.sampled_from([0.0, 1.0, 2.0, 3.0, INF]),
-                          st.none() | st.tuples(st.integers(0, 9),
-                                                st.integers(0, 9))),
+                          st.sampled_from([0.0, 1.0, 2.0, 3.0, INF])),
                 min_size=4, max_size=30)
 
 
@@ -117,50 +117,113 @@ class TestSliceStore:
         sequences: assigns (INF included) and deactivations on in-range or
         empty ranges, chmins (INF included) on ranges that may run past
         either end, and queries on any range, empty, reversed or out of
-        range.  Answers, write histories and final states must be equal."""
+        range.  Answers and final states must be equal; the writes' history
+        is checked by ``test_provenance_matches_the_reference_history``."""
         new, old = NaiveStore(m), LoopStore(m)
-        for seq, (op, lo, span, v, tag) in enumerate(ops):
-            new.seq = old.seq = seq
+        for op, lo, span, v in ops:
             hi = lo + span - 1
             if op in "ad":
                 # assign and deactivate get in-range ranges, possibly empty
                 lo = min(max(lo, 0), m - 1)
                 hi = min(max(hi, lo - 1), m - 1)
             if op == "a":
-                new.assign(lo, hi, v, tag)
-                old.assign(lo, hi, v, tag)
+                new.assign(lo, hi, v)
+                old.assign(lo, hi, v, None)
             elif op == "c":
-                new.chmin(lo, hi, v, tag)
-                old.chmin(lo, hi, v, tag)
+                new.chmin(lo, hi, v)
+                old.chmin(lo, hi, v, None)
             elif op == "d":
                 new.deactivate(lo, hi)
                 old.deactivate(lo, hi)
             else:
                 assert new.query(lo, hi) == old.query(lo, hi)
-        assert new.hist == old.hist
         assert final_state(new) == final_state(old)
 
 
 # (1, 2) seeds a fresh source; (2, 4) is a composer leg out of a winder
 # midpoint reached in 2 links; (4, 5) and (3, 3) seed a path continued
 # through its start point with per-direction link counts (dir_links)
-@pytest.mark.parametrize("seed_h, seed_v", [(1, 2), (4, 5), (3, 3), (2, 4)])
+SEED_PAIRS = [(1, 2), (4, 5), (3, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("seed_h, seed_v", SEED_PAIRS)
 def test_shadow_equivalence_on_random_regions(seed_h, seed_v):
     regions = _regions(range(0, 140))
     assert len(regions) >= 40
     for seed, region in regions:
-        naive = run_sweep(region, NaiveStore(region.m), seed_h=seed_h, seed_v=seed_v)
-        tree = run_sweep(region, TreeStore(region.m), seed_h=seed_h, seed_v=seed_v)
-        assert naive.lam_h == tree.lam_h, f"seed {seed}"
-        assert naive.lam_v == tree.lam_v, f"seed {seed}"
-        assert naive.event_values == tree.event_values, f"seed {seed}"
-        assert final_state(naive.store) == final_state(tree.store), f"seed {seed}"
+        assert_stores_agree(region, seed_h, seed_v, f"seed {seed}")
+
+
+def test_stores_agree_on_a_250_hole_diagonal():
+    region = diagonal_region(250)
+    assert (region.m, len(region.events)) == (502, 501)
+    for seed_h, seed_v in SEED_PAIRS:
+        assert_stores_agree(region, seed_h, seed_v, (seed_h, seed_v))
+
+
+def _replay_with_history(region, seed_h, seed_v):
+    """``run_sweep``'s event loop on the reference loop store, each write
+    tagged with the (event id, source baseline) that produced its value, or
+    None for the horizontal seed and an unreachable value.  Returns the
+    store and each baseline's (active, value) before each event and after
+    the last."""
+    store = LoopStore(region.m)
+    states = []
+    for eid, e in enumerate(region.events):
+        states.append(list(zip(store.active, store.val)))
+        store.seq = eid
+        if e.kind == "originate":
+            lo, hi = e.assign
+            store.assign(lo, hi, seed_v, (eid, lo))
+            store.assign(lo, lo, seed_h, None)
+            continue
+        v, arg = store.query(*e.src) if e.src is not None else (INF, -1)
+        tag = (eid, arg) if arg >= 0 else None
+        if e.chmin is not None:
+            store.chmin(*e.chmin, v + 2, tag)
+        if e.deactivate is not None:
+            store.deactivate(*e.deactivate)
+        if e.assign is not None:
+            store.assign(*e.assign, v + 2, tag)
+        if e.assign_inf is not None:
+            store.assign(*e.assign_inf, INF, None)
+    states.append(list(zip(store.active, store.val)))
+    return store, states
+
+
+def _check_provenance(region, seed_h, seed_v, bound_step=1):
+    """Every active (baseline, bound) pair, at every ``bound_step``-th bound
+    and after the last event, reads the writer the history recorded."""
+    res = run_sweep(region, seed_h=seed_h, seed_v=seed_v)
+    ref, states = _replay_with_history(region, seed_h, seed_v)
+    last = len(states) - 1
+    pairs = 0
+    for bound in sorted(set(range(0, last, bound_step)) | {last}):
+        for k, (active, value) in enumerate(states[bound]):
+            if active:
+                assert provenance(res, k, value, bound) \
+                    == ref.prov_before(k, bound), (k, bound)
+                pairs += 1
+    return pairs
+
+
+@pytest.mark.parametrize("seed_h, seed_v", SEED_PAIRS)
+def test_provenance_matches_the_reference_history(seed_h, seed_v):
+    pairs = 0
+    for seed, region in _regions(range(0, 140)):
+        pairs += _check_provenance(region, seed_h, seed_v)
+    assert pairs > 5000
+
+
+def test_provenance_matches_the_reference_history_on_a_diagonal():
+    # all 251 502 pairs of the 250-hole diagonal take seconds; every fifth
+    # bound still reads each baseline after splits and merges alike
+    assert _check_provenance(diagonal_region(250), 1, 2, bound_step=5) > 50_000
 
 
 def _sweep_readouts(region, seed_h, seed_v):
-    store = NaiveStore(region.m)
-    res = run_sweep(region, store, seed_h=seed_h, seed_v=seed_v)
-    paths = {arr: reconstruct_path(region, store, arr)
+    res = run_sweep(region, seed_h=seed_h, seed_v=seed_v)
+    paths = {arr: reconstruct_path(res, arr)
              for arr, lam in (("h", res.lam_h), ("v", res.lam_v)) if lam < INF}
     return res.lam_h, res.lam_v, res.event_values, paths
 
@@ -185,13 +248,12 @@ def test_memoised_region_sweeps_like_a_fresh_one():
 
 def test_reconstruction_matches_sweep_value():
     for seed, region in _regions(range(300, 380)):
-        store = NaiveStore(region.m)
-        res = run_sweep(region, store)
+        res = run_sweep(region)
         dist = abs(region.t[0] - region.s[0]) + abs(region.t[1] - region.s[1])
         for arr, lam in (("h", res.lam_h), ("v", res.lam_v)):
             if lam == INF:
                 continue
-            pts = reconstruct_path(region, store, arr)
+            pts = reconstruct_path(res, arr)
             got = PathResult.from_points(pts)
             assert got.length == dist, f"seed {seed}"
             assert got.links == lam, f"seed {seed}"
@@ -222,7 +284,7 @@ def _reference_sections(world, frame, holes, x, skip):
         box = bounding_box(p.vertices)
         if not (box.xlo < x < box.xhi):
             continue
-        ys = [e.p[1] for e in p.horizontal_edges()
+        ys = [e.p[1] for e in horizontal_edges(p)
               if min(e.p[0], e.q[0]) <= x <= max(e.p[0], e.q[0])]
         out.append((min(ys), max(ys)))
     return out

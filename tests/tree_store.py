@@ -2,16 +2,18 @@
 active-interval index.
 
 ``rectlink.sweep.NaiveStore`` is the production store.  This one executes
-the same range operations with a different data structure and keeps no
-provenance, so running both through ``run_sweep`` on one region and
-comparing the results checks each against the other.
+the same range operations with a different data structure.  Like it, it
+keeps values only: a sweep's provenance comes from the region's event log
+(``rectlink.sweep.provenance``), so running both through ``run_sweep`` on
+one region and comparing the answers, the final states and the witnesses
+checks each against the other.
 """
 from __future__ import annotations
 
 import bisect
 from typing import Optional
 
-from rectlink.sweep import INF, NaiveStore, Range
+from rectlink.sweep import INF, NaiveStore, Range, reconstruct_path, run_sweep
 
 
 class _SegTree:
@@ -177,13 +179,13 @@ class TreeStore:
                 best = got
         return best
 
-    def assign(self, lo: int, hi: int, v: float, tag=None) -> None:
+    def assign(self, lo: int, hi: int, v: float) -> None:
         if lo > hi:
             return
         self.ranges.activate(lo, hi)
         self.tree.assign(lo, hi, v)
 
-    def chmin(self, lo: int, hi: int, v: float, tag=None) -> None:
+    def chmin(self, lo: int, hi: int, v: float) -> None:
         for a, b in self.ranges.clip(max(lo, 0), min(hi, self.m - 1)):
             self.tree.chmin(a, b, v)
 
@@ -213,3 +215,19 @@ def final_state(store) -> list[tuple[bool, float]]:
     if isinstance(store, NaiveStore):
         return [(d != -INF, u) for u, d in zip(store.up, store.down)]
     return [(a, v if a else INF) for a, v in zip(store.active, store.val)]
+
+
+def assert_stores_agree(region, seed_h=1, seed_v=2, where=None):
+    """Sweep ``region`` with a ``NaiveStore`` and a ``TreeStore``: both give
+    the same readouts, event log, final state and witnesses."""
+    naive_store, tree_store = NaiveStore(region.m), TreeStore(region.m)
+    naive = run_sweep(region, naive_store, seed_h=seed_h, seed_v=seed_v)
+    tree = run_sweep(region, tree_store, seed_h=seed_h, seed_v=seed_v)
+    assert (naive.lam_h, naive.lam_v, naive.arg_v) \
+        == (tree.lam_h, tree.lam_v, tree.arg_v), where
+    assert naive.event_values == tree.event_values, where
+    assert naive.event_args == tree.event_args, where
+    assert final_state(naive_store) == final_state(tree_store), where
+    for arr, lam in (("h", naive.lam_h), ("v", naive.lam_v)):
+        if lam < INF:
+            assert reconstruct_path(naive, arr) == reconstruct_path(tree, arr), where
