@@ -136,12 +136,13 @@ def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
                  ) -> tuple[int, dict[Point, tuple[int, list[Point]]], SubregionDag]:
     """Distance and per-arrival-direction links for an x-monotone pair.
 
-    ``world``, ``s`` and ``t`` are in original coordinates; ``frame`` is the
-    transform from ``classify``.  ``dir_links`` optionally gives the link
-    count of a path leaving ``s`` in each unit direction (all 1 by default),
-    which lets a caller continue a partial path through ``s``.  Returns the
+    ``s`` and ``t`` are in the world's unframed, doubled coordinates;
+    ``frame`` is the transform from ``classify``.  ``dir_links`` optionally
+    gives the link count of a path leaving ``s`` in each unit direction (all
+    1 by default), which lets a caller continue a partial path through
+    ``s``.  Returns the
     geodesic distance and, for each direction a shortest path can arrive at
-    ``t`` with, the fewest links and a witness in original coordinates.
+    ``t`` with, the fewest links and a witness in the coordinates of ``s``.
     """
     if dir_links is None:
         dir_links = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}

@@ -1,14 +1,16 @@
 """Point-to-point minimum-link shortest paths among hulled obstacles.
 
 The work happens at doubled coordinates so that hull-side midpoints, which
-the x-monotone composer turns around on, are exact integers.  Answers stay
-doubled; ``frontend.solve`` maps the final witness back (links are
+the x-monotone composer turns around on, are exact integers.  The world
+keeps the obstacles in instance coordinates and doubles as it reads them
+(``partition.World``); every point ``solve_pair_raw`` takes or returns is
+doubled, and ``frontend.solve`` maps the final witness back (links are
 scale-free and lengths halve).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .composer import solve_x_case
 from .geometry import GeometryError, PathResult, Point, RectPolygon, first_dir
@@ -37,13 +39,15 @@ def _double(p: Point) -> Point:
     return (2 * p[0], 2 * p[1])
 
 
-def build_world(obstacles: list[RectPolygon]) -> World:
+def build_world(obstacles: Sequence[RectPolygon]) -> World:
     """Doubled-coordinate world for ``solve_pair_raw`` calls.
 
-    Each obstacle is doubled with its box (``RectPolygon.doubled``); the
-    world hulls an obstacle only when a frame first reads it.
+    The world doubles as it reads.  This stays a function because the
+    benchmark's tracer (``perfbench/tracer.py``) times it as the
+    ``partition.world`` span; without it, ``partition.world_ms`` and
+    ``partition.world_builds`` would be reported absent.
     """
-    return World([o.doubled() for o in obstacles])
+    return World(obstacles)
 
 
 def solve_pair_raw(world: World, s2: Point, t2: Point,

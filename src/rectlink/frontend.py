@@ -239,7 +239,7 @@ def solve(instance: Instance) -> SolveReport:
     xs_set, ys_set = instance.all_coords()
     xs, ys = sorted(xs_set), sorted(ys_set)
     boxes = [ob.bbox for ob in instance.obstacles]
-    world = build_world(list(instance.obstacles))
+    world = build_world(instance.obstacles)
     atts_s, search_s, cands_s = _attachments(instance, instance.source, xs, ys,
                                              boxes)
     atts_t, search_t, cands_t = _attachments(instance, instance.target, xs, ys,

@@ -224,19 +224,6 @@ class RectPolygon:
         object.__setattr__(out, "vertices", tuple(vertices))
         return out
 
-    def doubled(self) -> "RectPolygon":
-        """This polygon scaled by 2, with its box doubled too.
-
-        Doubling keeps a normalised ring normalised (same orientation, same
-        least vertex, no new collinear runs), so the ring is mapped as plain
-        tuples, and the box is the doubled box rather than a new scan.
-        """
-        out = RectPolygon.from_normalised([(2 * x, 2 * y) for x, y in self.vertices])
-        b = self.bbox
-        # seed the cached property, as a first read of ``bbox`` would
-        out.__dict__["bbox"] = Rect(2 * b.xlo, 2 * b.ylo, 2 * b.xhi, 2 * b.yhi)
-        return out
-
     def edges(self) -> Iterator[OrthoSegment]:
         vs = self.vertices
         for i in range(len(vs)):

@@ -222,7 +222,7 @@ def _segment_meets_interior(seg: OrthoSegment, poly: RectPolygon) -> bool:
     axis = 0 if seg.horizontal else 1
     lo, hi = sorted((seg.p[axis], seg.q[axis]))
     cuts = sorted({lo, hi} | {v[axis] for v in poly.vertices if lo < v[axis] < hi})
-    ring2 = poly.doubled()
+    ring2 = RectPolygon.from_normalised([(2 * x, 2 * y) for x, y in poly.vertices])
     fixed2 = 2 * seg.p[1 - axis]
     for a, b in zip(cuts, cuts[1:]):
         mid2 = (a + b, fixed2) if axis == 0 else (fixed2, a + b)

@@ -9,18 +9,22 @@ along the boundary, so the path turns up at the bounding-box west wall
 instead.  All eight extreme paths and both staircase-region chains are this
 one tracer conjugated by signed axis permutations.
 
-A world serves those frames from one cache and one box index.  The index
-holds every obstacle's box once, in identity coordinates, along each of the
-four signed axes, with the obstacles sorted along each; an obstacle and its
-hull share a box, so the index needs no hull.  A frame reads the lists of
-the axes its x and y map onto, so no box is mapped per frame.  The queries
-a trace step, a region event or an x-case solve makes about the obstacles
-bisect the frame's xlo order and read only a window of it: a box whose xlo
-is at most x minus the widest box's width ends at or before x.  An
-obstacle is hulled the first time a frame reads it, and a hull's ring and
-edge tables in a frame are built when a query first reaches it, so a solve
-pays only for the hulls its traces and regions touch.  Frame tables hold
-the world's obstacles and hulls but no reference back to the world.
+A world keeps the instance's obstacles in instance coordinates and serves
+every frame in doubled coordinates (the instance scaled by 2, then mapped
+by the frame), where hull-side midpoints are integers: every point, trace,
+region and table here is doubled.  It serves the frames from one cache and
+one box index.  The index holds every obstacle's doubled box once, in
+identity coordinates, along each of the four signed axes, with the
+obstacles sorted along each; an obstacle and its hull share a box, so the
+index needs no hull.  A frame reads the lists of the axes its x and y map
+onto, so no box is mapped per frame.  The queries a trace step, a region
+event or an x-case solve makes about the obstacles bisect the frame's xlo
+order and read only a window of it: a box whose xlo is at most x minus the
+widest box's width ends at or before x.  An obstacle is hulled the first
+time a frame reads it, and a hull's ring and edge tables in a frame are
+built when a query first reaches it, so a solve pays only for the hulls
+its traces and regions touch.  Frame tables hold the world's hulls but no
+reference back to the world.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ import bisect
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import (
     FLIP_X,
@@ -65,13 +69,14 @@ TRACE_FRAMES = {
 class _FramePoly:
     """One hull as seen in a trace frame, with its climb chain ready.
 
-    Built from the identity hull's vertex tuples and the hull's box in
-    frame coordinates, which the frame reads from the world's index: the
-    vertices are mapped, reversed on a reflection (which turns the ring
-    clockwise) and rotated to their least vertex, which is the ring
-    ``RectPolygon`` of the mapped vertices would hold.  A frame builds one
-    only when a query first reaches its hull (see ``FrameTables``), so most
-    hulls of a frame never get one.
+    Built from the hull's vertex tuples, in instance coordinates, and the
+    hull's doubled box in frame coordinates, which the frame reads from the
+    world's index: each vertex ``v`` becomes ``t.apply(2v)``, the ring is
+    reversed on a reflection (which turns it clockwise) and rotated to its
+    least vertex, which is the ring ``RectPolygon`` of the mapped vertices
+    would hold (doubling keeps orientation and the least vertex).  A frame
+    builds one only when a query first reaches its hull (see
+    ``FrameTables``), so most hulls of a frame never get one.
 
     The edge tables list edges in ring order as plain tuples, so the
     per-event and per-step scans build no segment objects.
@@ -92,7 +97,8 @@ class _FramePoly:
 
     def __init__(self, hull: RectPolygon, t: Xform, box: Rect):
         self.box = box
-        vs = [t.apply(v) for v in hull.vertices]
+        a, b, c, d = 2 * t.a, 2 * t.b, 2 * t.c, 2 * t.d
+        vs = [(a * x + b * y, c * x + d * y) for x, y in hull.vertices]
         if t.a * t.d - t.b * t.c < 0:
             vs.reverse()
         k = vs.index(min(vs))
@@ -153,15 +159,17 @@ def _axis(a: int, b: int) -> int:
 class FrameTables:
     """The hulls as seen in one frame, plus that frame's memos.
 
-    The boxes come from the world's index, unmapped: ``xlo[i]``, ``ylo[i]``,
-    ``xhi[i]`` and ``yhi[i]`` are obstacle ``i``'s box in frame coordinates,
-    read from the world's lists for the signed axes that the frame's x and y
-    map onto.  An obstacle's orthogonal hull has the same box, so these are
-    the hull boxes too.  ``order`` lists the obstacles by frame xlo, ties by
-    index, and ``keys`` holds their xlos, so ``between`` bisects.  ``width``
-    is the widest box along the frame's x: a box with xlo <= x - width has
-    xhi <= x, so a query at x need look no further west than that.  Creating
-    a frame therefore costs O(1), whatever the number of obstacles.
+    Everything here is in doubled frame coordinates: the instance scaled
+    by 2, then mapped by ``t``.  The boxes come from the world's index,
+    unmapped: ``xlo[i]``, ``ylo[i]``, ``xhi[i]`` and ``yhi[i]`` are obstacle
+    ``i``'s doubled box in frame coordinates, read from the world's lists
+    for the signed axes that the frame's x and y map onto.  An obstacle's
+    orthogonal hull has the same box, so these are the hull boxes too.
+    ``order`` lists the obstacles by frame xlo, ties by index, and ``keys``
+    holds their xlos, so ``between`` bisects.  ``width`` is the widest box
+    along the frame's x: a box with xlo <= x - width has xhi <= x, so a
+    query at x need look no further west than that.  Creating a frame
+    therefore costs O(1), whatever the number of obstacles.
 
     ``self[i]`` is hull ``i``'s ``_FramePoly``, built on first read.  The
     hull itself comes from the world's ``hull``, which builds it the first
@@ -210,25 +218,14 @@ class FrameTables:
         return self.order[bisect.bisect_right(keys, lo):bisect.bisect_left(keys, hi)]
 
 
-def _lazy_hulls(obstacles: tuple[RectPolygon, ...]) -> Callable[[int], RectPolygon]:
-    """``hull(i)``: obstacle ``i``'s orthogonal hull, built on first call.
-
-    The function holds the obstacle tuple and a list of the hulls built so
-    far, and nothing else, so frames can share it without holding a world.
-    """
-    hulls: list[Optional[RectPolygon]] = [None] * len(obstacles)
-
-    def hull(i: int) -> RectPolygon:
-        h = hulls[i]
-        if h is None:
-            h = hulls[i] = rectilinear_convex_hull(obstacles[i])
-        return h
-
-    return hull
-
-
 class World:
     """Obstacles, one box index over them, and cached per-frame tables.
+
+    ``obstacles`` (the instance's own polygons) and ``hull(i)`` are in
+    instance coordinates; every frame, and every point a query takes or
+    returns, is doubled.  No doubled copy of an obstacle is made: the index
+    doubles box ends as plain ints, and a frame doubles a hull's vertices
+    when it builds that hull's tables.
 
     The index is built once, in identity coordinates, from each obstacle's
     own box: an obstacle's orthogonal hull has the same box, so no hull is
@@ -265,11 +262,12 @@ class World:
     """
 
     def __init__(self, obstacles: Sequence[RectPolygon]):
-        self.obstacles = tuple(obstacles)
-        self.hull = _lazy_hulls(self.obstacles)
-        boxes = [o.bbox for o in self.obstacles]
-        xlo, xhi = [b.xlo for b in boxes], [b.xhi for b in boxes]
-        ylo, yhi = [b.ylo for b in boxes], [b.yhi for b in boxes]
+        obs = self.obstacles = tuple(obstacles)
+        # hulled on first call; frames share it without holding the world
+        self.hull = cache(lambda i: rectilinear_convex_hull(obs[i]))
+        boxes = [o.bbox for o in obs]
+        xlo, xhi = [2 * b.xlo for b in boxes], [2 * b.xhi for b in boxes]
+        ylo, yhi = [2 * b.ylo for b in boxes], [2 * b.yhi for b in boxes]
         self.lows = (xlo, [-v for v in xhi], ylo, [-v for v in yhi])
         self.highs = (xhi, [-v for v in xlo], yhi, [-v for v in ylo])
         self.orders = tuple(sorted(range(len(boxes)), key=lo.__getitem__)

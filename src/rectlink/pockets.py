@@ -175,12 +175,14 @@ class GridSearch:
 
     def crossings(self) -> list[Crossing]:
         """Profiles at every reachable boundary vertex, one per outward
-        direction whose adjacent boundary stretch borders the search area."""
+        direction whose adjacent boundary stretch borders the search area.
+        Only the grid's ring is read, column by column: the whole west and
+        east columns and the two ends of every other column."""
         grid = self.grid
         nx, ny = len(grid.xs), len(grid.ys)
         out: list[Crossing] = []
         for i in range(nx):
-            for j in range(ny):
+            for j in range(ny) if i in (0, nx - 1) else (0, ny - 1):
                 sides: list[Point] = []
                 if j == 0:
                     sides.append((0, -1))
@@ -190,8 +192,6 @@ class GridSearch:
                     sides.append((-1, 0))
                 if i == nx - 1:
                     sides.append((1, 0))
-                if not sides:
-                    continue
                 p = (grid.xs[i], grid.ys[j])
                 for c in sides:
                     got = self.at(p, heading=c)

@@ -1,9 +1,11 @@
 """Eager reference for a hull's frame tables.
 
-``reference_tables(hull, t)`` builds ``RectPolygon`` of the mapped ring,
-which normalises it from scratch, and derives every column that
-``partition._FramePoly`` fills lazily from that polygon's segments, so the
-two share no code beyond the polygon class.
+``reference_tables(hull, t)`` builds ``RectPolygon`` of the ring mapped
+through the doubling and the frame, ``(x, y) -> t.apply((2x, 2y))``, as a
+world reads an instance-coordinate hull.  ``RectPolygon`` normalises it
+from scratch, and every column that ``partition._FramePoly`` fills lazily
+is derived from that polygon's segments, so the two share no code beyond
+the polygon class.
 """
 from rectlink.geometry import RectPolygon, bounding_box
 from shapes import horizontal_edges
@@ -13,7 +15,7 @@ COLUMNS = ("box", "ring", "west_lo", "west_hi", "west", "horiz", "hug",
 
 
 def mapped_polygon(hull, t):
-    return RectPolygon([t.apply(v) for v in hull.vertices])
+    return RectPolygon([t.apply((2 * x, 2 * y)) for x, y in hull.vertices])
 
 
 def reference_tables(hull, t):

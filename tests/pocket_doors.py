@@ -8,6 +8,8 @@ crossings off the search.  The acceptance check on door properties and
 ``tests/test_pockets.py`` use these helpers to find pockets and probe
 them independently of that search.  ``into_pocket`` moves a terminal of a
 generated instance into a pocket, which the generator itself never does.
+``all_vertex_crossings`` is the crossing read-out that visits every grid
+vertex, the reference for ``GridSearch.crossings``, which reads the ring.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Optional
 
 from rectlink.geometry import GeometryError, OrthoSegment, Point, RectPolygon
 from rectlink.model import Instance, Terminal, validate
-from rectlink.pockets import BoxGrid
+from rectlink.pockets import BoxGrid, Crossing, GridSearch
 
 
 @dataclass
@@ -166,3 +168,31 @@ def into_pocket(inst: Instance, end: str, kind: str, rng,
         if not validate(moved):
             return moved
     return None
+
+
+def all_vertex_crossings(search: GridSearch) -> list[Crossing]:
+    """``search.crossings()`` read off every grid vertex in column-major
+    order, skipping the vertices on no box side."""
+    grid = search.grid
+    nx, ny = len(grid.xs), len(grid.ys)
+    out: list[Crossing] = []
+    for i in range(nx):
+        for j in range(ny):
+            sides: list[Point] = []
+            if j == 0:
+                sides.append((0, -1))
+            if j == ny - 1:
+                sides.append((0, 1))
+            if i == 0:
+                sides.append((-1, 0))
+            if i == nx - 1:
+                sides.append((1, 0))
+            if not sides:
+                continue
+            p = (grid.xs[i], grid.ys[j])
+            for c in sides:
+                got = search.at(p, heading=c)
+                if got is not None:
+                    out.append(Crossing(point=p, out_dir=c, dist=got[0],
+                                        links=got[1], path=got[2]))
+    return out

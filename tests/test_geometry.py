@@ -183,15 +183,17 @@ XFORMS = ([Xform(sx, 0, 0, sy) for sx in (1, -1) for sy in (1, -1)]
 @given(_rect_polys())
 def test_transform_matches_normalising_the_mapped_ring(poly):
     """A hull's frame ring, and its frame box as a world's index serves
-    it, equal the vertices and box of ``RectPolygon`` of the mapped ring."""
+    it, equal the vertices and box of ``RectPolygon`` of the ring mapped
+    through the doubling and the frame; the doubled ring has four times
+    the area."""
     assert poly.bbox == bounding_box(poly.vertices)
     for t in XFORMS:
-        want = RectPolygon([t.apply(v) for v in poly.vertices])
+        want = RectPolygon([t.apply((2 * x, 2 * y)) for x, y in poly.vertices])
         ft = World([poly]).frame(t)
         fp = _FramePoly(poly, t, Rect(ft.xlo[0], ft.ylo[0], ft.xhi[0], ft.yhi[0]))
         assert fp.box == bounding_box(want.vertices)
         assert fp.ring == want.vertices
-        assert _signed_area2(fp.ring) == area2(poly)
+        assert _signed_area2(fp.ring) == 4 * area2(poly)
 
 
 def _reference_staircase(points, sx, sy):

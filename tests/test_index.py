@@ -227,11 +227,12 @@ def test_a_trace_across_a_wide_gap_builds_only_the_hull_it_climbs():
     past the climbed one, and the box past ``x_stop`` are never reached, so
     no table of theirs is built; a scan over every hull built both boxes
     east of the start that the ray's height meets."""
+    # instance coordinates, half the doubled ones the trace reads
     world = World([
-        RectPolygon([(-100, 0), (-90, 0), (-90, 10), (-100, 10)]),   # behind
-        RectPolygon([(600, 0), (610, 0), (610, 10), (600, 10)]),     # climbed
-        RectPolygon([(700, 2), (710, 2), (710, 8), (700, 8)]),       # shadowed
-        RectPolygon([(2000, 0), (2010, 0), (2010, 20), (2000, 20)]),  # past stop
+        RectPolygon([(-50, 0), (-45, 0), (-45, 5), (-50, 5)]),       # behind
+        RectPolygon([(300, 0), (305, 0), (305, 5), (300, 5)]),       # climbed
+        RectPolygon([(350, 1), (355, 1), (355, 4), (350, 4)]),       # shadowed
+        RectPolygon([(1000, 0), (1005, 0), (1005, 10), (1000, 10)]),  # past stop
     ])
     tr = trace_ru(world.frame(IDENTITY), (0, 5), 1000)
     assert tr.points == [(0, 5), (600, 5), (600, 10), (1000, 10)]
@@ -245,9 +246,10 @@ def test_a_trace_across_a_wide_gap_builds_only_the_hull_it_climbs():
 
 def test_holes_one_unit_inside_the_strip_are_found():
     """Holes whose box starts one unit east of s and ends one unit west of
-    t, reported in hull order."""
+    t, in instance coordinates, reported in hull order.  The region's ends
+    are doubled, as the world reads the holes."""
     world = World([RectPolygon([(6, 7), (9, 7), (9, 9), (6, 9)]),
                    RectPolygon([(1, 1), (5, 1), (5, 5), (1, 5)])])
-    region = build_staircase_region(world, IDENTITY, (0, 0), (10, 10))
+    region = build_staircase_region(world, IDENTITY, (0, 0), (20, 20))
     assert region.holes == [0, 1] \
-        == ref.region_holes(world, IDENTITY, (0, 0), (10, 10))
+        == ref.region_holes(world, IDENTITY, (0, 0), (20, 20))

@@ -26,7 +26,8 @@ from rectlink.partition import (
 from dents import dent_instance
 from frame_reference import columns, reference_tables
 
-RECT = RectPolygon([(4, 4), (10, 4), (10, 8), (4, 8)])
+# instance coordinates; a world reads it doubled, as the box (4, 4)-(10, 8)
+RECT = RectPolygon([(2, 2), (5, 2), (5, 4), (2, 4)])
 
 
 def _monotone(pts):
@@ -88,7 +89,7 @@ class TestClassify:
         assert classify(World([]), (5, 5), (5, 5))[0] == "same"
 
     def test_wall_forces_x_case(self):
-        wall = RectPolygon([(4, -20), (10, -20), (10, 20), (4, 20)])
+        wall = RectPolygon([(2, -10), (5, -10), (5, 10), (2, 10)])
         kind, _ = classify(World([wall]), (0, 0), (14, 0))
         assert kind == "x"
 
@@ -209,6 +210,74 @@ class TestSharedFrames:
             assert (got.s, got.t, got.baselines, got.events, got.holes) \
                 == (region.s, region.t, region.baselines, region.events, region.holes)
         assert world.regions_built == 8
+
+
+class TestInstanceCoordinates:
+    """A world keeps the obstacles in instance coordinates and doubles
+    only what its index and its frames read."""
+
+    def test_a_solve_world_holds_the_instance_obstacles(self, monkeypatch):
+        worlds = []
+        init = World.__init__
+
+        def recording_init(self, obstacles):
+            worlds.append(self)
+            init(self, obstacles)
+
+        monkeypatch.setattr(World, "__init__", recording_init)
+        inst = generate_instance(41, 12, coord_limit=150,
+                                 source_kind="polygon", target_kind="segment")
+        solve(inst)
+        (world,) = worlds
+        assert len(world.obstacles) == len(inst.obstacles) == 12
+        for i in range(12):
+            assert world.obstacles[i] is inst.obstacles[i]
+
+    def test_building_a_world_makes_no_polygon(self, monkeypatch):
+        """On the first point-large instance of n = 800 (seed 97 * n,
+        coordinate limit 30 * n), ``build_world`` constructs no
+        ``RectPolygon`` by either constructor, and its index holds the
+        doubled boxes."""
+        inst = generate_instance(97 * 800, 800, coord_limit=30 * 800)
+        made = []
+        init, wrap = RectPolygon.__init__, RectPolygon.from_normalised
+
+        def counting_init(self, vertices):
+            made.append(vertices)
+            init(self, vertices)
+
+        def counting_wrap(cls, vertices):
+            made.append(vertices)
+            return wrap(vertices)
+
+        monkeypatch.setattr(RectPolygon, "__init__", counting_init)
+        monkeypatch.setattr(RectPolygon, "from_normalised", classmethod(counting_wrap))
+        world = build_world(list(inst.obstacles))
+        assert made == []
+        assert len(world.obstacles) == 800
+        ft = world.frame(IDENTITY)
+        assert [Rect(ft.xlo[i], ft.ylo[i], ft.xhi[i], ft.yhi[i])
+                for i in range(800)] \
+            == [Rect(2 * b.xlo, 2 * b.ylo, 2 * b.xhi, 2 * b.yhi)
+                for b in (o.bbox for o in inst.obstacles)]
+
+    @given(st.integers(0, 10_000))
+    def test_hulling_commutes_with_doubling(self, seed):
+        """The hull of a doubled carved or dented obstacle is its doubled
+        hull, so a world may hull in instance coordinates and double the
+        hull's vertices; in every frame, a world's ring of the obstacle is
+        the mapped ring of the doubled obstacle's hull."""
+        def double(vs):
+            return [(2 * x, 2 * y) for x, y in vs]
+
+        for ob in _dented(seed, n_obstacles=6).obstacles:
+            hull2 = rectilinear_convex_hull(RectPolygon(double(ob.vertices)))
+            assert list(hull2.vertices) \
+                == double(rectilinear_convex_hull(ob).vertices)
+            world = World([ob])
+            for t in XFORMS:
+                want = RectPolygon([t.apply(v) for v in hull2.vertices])
+                assert world.frame(t)[0].ring == want.vertices, (seed, t)
 
 
 def _dented(seed, n_obstacles=8, coord_limit=120):

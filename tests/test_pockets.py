@@ -3,9 +3,16 @@ import random
 
 import pytest
 
+from rectlink.frontend import _attachments
+from rectlink.generator import generate_instance
 from rectlink.geometry import GeometryError, OrthoSegment, Rect, RectPolygon
 from rectlink.pockets import DIRS, BoxGrid, GridSearch
-from pocket_doors import find_pockets, pocket_containing
+from pocket_doors import (
+    all_vertex_crossings,
+    find_pockets,
+    into_pocket,
+    pocket_containing,
+)
 from shapes import rect_polygon
 
 U_SHAPE = RectPolygon([(0, 0), (6, 0), (6, 4), (4, 4), (4, 2), (2, 2), (2, 4), (0, 4)])
@@ -137,3 +144,28 @@ class TestGridSearch:
                   key=lambda c: (c.dist, c.links))
         assert top.point == (3, 4)
         assert (top.dist, top.links) == (1, 1)
+
+
+def test_ring_crossings_match_the_all_vertex_loop():
+    """On pocket instances (``into_pocket``), every box search the frontend
+    makes reads the same crossings off the grid's ring as the loop over
+    every grid vertex, in the same order, which sets attachment order and
+    so the tie-breaking."""
+    rng = random.Random(12)
+    searches = crossings = 0
+    for seed in range(40):
+        inst = generate_instance(8100 + seed, n_obstacles=8, coord_limit=300,
+                                 carve_prob=0.95)
+        inst = into_pocket(inst, "source", ("point", "segment")[seed % 2], rng)
+        if inst is None:
+            continue
+        xs, ys = (sorted(c) for c in inst.all_coords())
+        boxes = [ob.bbox for ob in inst.obstacles]
+        for term in (inst.source, inst.target):
+            _, found, _ = _attachments(inst, term, xs, ys, boxes)
+            for gs in found:
+                got = gs.crossings()
+                assert got == all_vertex_crossings(gs), seed
+                searches += 1
+                crossings += len(got)
+    assert searches >= 30 and crossings > 1000, (searches, crossings)
