@@ -25,6 +25,16 @@ time a frame reads it, and a hull's ring and edge tables in a frame are
 built when a query first reaches it, so a solve pays only for the hulls
 its traces and regions touch.  Frame tables hold the world's hulls but no
 reference back to the world.
+
+A region event at column x reads the highest top at or below a baseline,
+and the lowest bottom at or above one, of the sections that holes cut from
+the line x.  The boxes of the holes crossing x have disjoint interiors and
+all cross x, so they are ordered in y, and a hull's section lies in its box
+with positive length.  So only the highest box wholly at or below the
+baseline can hold the top, only the lowest box wholly at or above it the
+bottom, and at most one box straddles it: an event reads at most two
+sections.  This needs disjoint boxes, which ``validate`` checks, and no
+general position.
 """
 from __future__ import annotations
 
@@ -32,7 +42,7 @@ import bisect
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geometry import (
     FLIP_X,
@@ -524,8 +534,7 @@ def classify(world: World | FrameView, s: Point, t: Point) -> tuple[str, Xform]:
 # ---------------------------------------------------------------------------
 # staircase regions and sweep events
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One sweep event.  Ranges are inclusive baseline index pairs."""
 
     x: int
@@ -556,30 +565,48 @@ class StaircaseRegion:
 
 def _hole_index(polys: FrameTables, holes: list[int]) -> tuple[list[int], list[int], int]:
     """A region's holes (given in hull order) sorted by frame xlo, ties by
-    index; their xlos; and the widest hole's width, for ``_hole_sections``."""
+    index; their xlos; and the widest hole's width, for ``_nearest_sections``."""
     by_x = sorted(holes, key=polys.xlo.__getitem__)
     return (by_x, [polys.xlo[h] for h in by_x],
             max((polys.xhi[h] - polys.xlo[h] for h in holes), default=0))
 
 
-def _hole_sections(polys: FrameTables, index: tuple[list[int], list[int], int],
-                   x: int, skip: Optional[int] = None) -> list[tuple[int, int]]:
-    """Open y-intervals of hole interiors crossing the vertical line x.
+def _nearest_sections(polys: FrameTables, index: tuple[list[int], list[int], int],
+                      x: int, y_lo: int, y_hi: int,
+                      skip: Optional[int] = None) -> tuple[Optional[int], Optional[int]]:
+    """Of the sections that the holes of ``index`` other than ``skip`` cut
+    from the line x, the highest top at or below ``y_lo`` and the lowest
+    bottom at or above ``y_hi >= y_lo`` (None where there is none).
 
-    ``polys`` is the world in the region's frame and ``index`` is
-    ``_hole_index`` of the region's holes.  Only holes with xlo in the width
-    window ``(x - width, x)`` can cross x; the sections come in hull order.
+    Only holes with xlo in the width window ``(x - width, x)`` can cross x.
+    Of those, the nearest box wholly below and the nearest wholly above (see
+    the module docstring) and the boxes between are read.
     """
     by_x, xlos, width = index
-    xhi = polys.xhi
-    crossing = sorted(h for h in by_x[bisect.bisect_right(xlos, x - width):
-                                      bisect.bisect_left(xlos, x)]
-                      if h != skip and x < xhi[h])
-    out = []
-    for h in crossing:
-        ys = [y for xlo, xhi2, y in polys[h].horiz if xlo <= x <= xhi2]
-        out.append((min(ys), max(ys)))
-    return out
+    xhi, ylo, yhi = polys.xhi, polys.ylo, polys.yhi
+    below = above = None
+    between = []
+    for h in by_x[bisect.bisect_right(xlos, x - width):bisect.bisect_left(xlos, x)]:
+        if h == skip or xhi[h] <= x:
+            continue
+        if yhi[h] <= y_lo:
+            if below is None or yhi[h] > yhi[below]:
+                below = h
+        elif ylo[h] >= y_hi:
+            if above is None or ylo[h] < ylo[above]:
+                above = h
+        else:
+            between.append(h)
+
+    def section(h: int) -> list[int]:
+        return [y for lo, hi, y in polys[h].horiz if lo <= x <= hi]
+
+    cuts = [section(h) for h in between]
+    tops = [max(ys) for ys in cuts if max(ys) <= y_lo]
+    bottoms = [min(ys) for ys in cuts if min(ys) >= y_hi]
+    top = max(tops) if tops else None if below is None else max(section(below))
+    bottom = min(bottoms) if bottoms else None if above is None else min(section(above))
+    return top, bottom
 
 
 def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: Point) -> StaircaseRegion:
@@ -664,25 +691,11 @@ def _build_region(world: World | FrameView, polys: FrameTables,
     idx = {y: i for i, y in enumerate(baselines)}
     m = len(baselines)
 
-    # most events ask for the sections of one (x, skip) twice, once for
-    # their source range and once for their chmin range
-    @cache
-    def sections(x: int, skip: Optional[int]) -> list[tuple[int, int]]:
-        return _hole_sections(polys, hole_index, x, skip)
-
-    def low_src(x: int, y_ref: int, skip: Optional[int]) -> int:
-        blocked = sections(x, skip)
-        t_star = max((hi2 for (lo2, hi2) in blocked if hi2 <= y_ref), default=None)
-        if t_star is None:
-            return 0
-        return bisect.bisect_left(baselines, t_star)
-
-    def high_dst(x: int, y_ref: int, skip: Optional[int]) -> int:
-        blocked = sections(x, skip)
-        b_star = min((lo2 for (lo2, hi2) in blocked if lo2 >= y_ref), default=None)
-        if b_star is None:
-            return m - 1
-        return bisect.bisect_right(baselines, b_star) - 1
+    def near(x: int, y_lo: int, y_hi: int, skip: Optional[int] = None) -> tuple[int, int]:
+        """Baselines of ``_nearest_sections``: 0 and m - 1 where there is none."""
+        top, bottom = _nearest_sections(polys, hole_index, x, y_lo, y_hi, skip)
+        return (0 if top is None else idx[top],
+                m - 1 if bottom is None else idx[bottom])
 
     events: list[Event] = []
     originate_top = idx[top(sx)]
@@ -703,7 +716,7 @@ def _build_region(world: World | FrameView, polys: FrameTables,
             continue
         events.append(Event(
             x=x, kind="attach",
-            src=(low_src(x, y1, None), idx[y1]),
+            src=(near(x, y1, y1)[0], idx[y1]),
             assign=(idx[y1] + 1, idx[y2]),
         ))
     for x in bot_jumps:
@@ -712,37 +725,37 @@ def _build_region(world: World | FrameView, polys: FrameTables,
         y1, y2 = bottom_w(x), bottom(x)
         if y1 == y2:
             continue
+        low, high = near(x, y2, y2)
         events.append(Event(
             x=x, kind="detach",
-            src=(max(idx[y1], low_src(x, y2, None)), idx[y2] - 1),
-            chmin=(idx[y2], high_dst(x, y2, None)),
+            src=(max(idx[y1], low), idx[y2] - 1),
+            chmin=(idx[y2], high),
             deactivate=(idx[y1], idx[y2] - 1),
         ))
 
     for hi in holes:
         fp = polys[hi]
         ring, box, wlo, whi = fp.ring, fp.box, fp.west_lo, fp.west_hi
-        # vertical edges (x, y from, y to) in ring order; the ring is
-        # counterclockwise, so the west-facing ones run downwards
-        vertical = [(ax, ay, by) for (ax, ay), (bx, by)
-                    in zip(ring, ring[1:] + ring[:1]) if ax == bx]
-        elo, ehi = next(sorted((y0, y1)) for x, y0, y1 in vertical
-                        if x == box.xhi)
-        for x, y0, y1 in vertical:
-            lo, hi2 = sorted((y0, y1))
-            if y1 < y0:
+        # vertical edges (x, y low, y high, runs downwards) in ring order;
+        # the ring is counterclockwise, so the west-facing ones run downwards
+        vertical = [(ax, by, ay, True) if by < ay else (ax, ay, by, False)
+                    for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]) if ax == bx]
+        elo, ehi = next((lo, hi2) for x, lo, hi2, _ in vertical if x == box.xhi)
+        for x, lo, hi2, west_facing in vertical:
+            if west_facing:
                 if x == box.xlo:
+                    low, high = near(x, wlo, whi, hi)
                     events.append(Event(
                         x=x, kind="split",
-                        src=(low_src(x, wlo, hi), idx[whi] - 1),
-                        chmin=(idx[whi], high_dst(x, whi, hi)),
+                        src=(low, idx[whi] - 1),
+                        chmin=(idx[whi], high),
                         deactivate=(idx[wlo] + 1, idx[whi] - 1),
                     ))
                 elif lo >= whi:      # upper-left staircase: the top rises
                     events.append(Event(
                         x=x, kind="nw_step",
                         src=(idx[lo], idx[hi2] - 1),
-                        chmin=(idx[hi2], high_dst(x, hi2, hi)),
+                        chmin=(idx[hi2], near(x, hi2, hi2, hi)[1]),
                         deactivate=(idx[lo], idx[hi2] - 1),
                     ))
                 else:                # lower-left staircase: the bottom drops
@@ -752,11 +765,12 @@ def _build_region(world: World | FrameView, polys: FrameTables,
                     ))
             else:
                 if x == box.xhi:
+                    low, high = near(x, elo, ehi, hi)
                     events.append(Event(
                         x=x, kind="merge",
-                        src=(low_src(x, elo, hi), idx[elo]),
+                        src=(low, idx[elo]),
                         assign=(idx[elo] + 1, idx[ehi] - 1),
-                        chmin=(idx[ehi], high_dst(x, ehi, hi)),
+                        chmin=(idx[ehi], high),
                     ))
                 elif lo >= ehi:      # upper-right staircase: the top drops
                     events.append(Event(
@@ -766,10 +780,11 @@ def _build_region(world: World | FrameView, polys: FrameTables,
                 else:                # lower-right staircase: the bottom rises
                     events.append(Event(
                         x=x, kind="se_step",
-                        src=(low_src(x, lo, hi), idx[lo]),
+                        src=(near(x, lo, lo, hi)[0], idx[lo]),
                         assign=(idx[lo] + 1, idx[hi2]),
                     ))
 
-    events.sort(key=lambda e: (e.x, e.kind != "originate"))
+    # stable: the originate, appended first, stays first at x = sx
+    events.sort(key=lambda e: e.x)
     return StaircaseRegion(frame=frame, s=sq, t=tq, baselines=baselines,
                            events=events, holes=holes)

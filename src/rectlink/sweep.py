@@ -23,10 +23,6 @@ INF = float("inf")
 Range = tuple[int, int]  # inclusive baseline index pair
 
 
-def _ok(r: Optional[Range]) -> bool:
-    return r is not None and r[0] <= r[1]
-
-
 class NaiveStore:
     """Flat-array range-min store with range assign and range chmin.
 
@@ -111,28 +107,29 @@ def run_sweep(region: StaircaseRegion, store=None, seed_h: float = 1,
         store = NaiveStore(m)
     values: list[float] = []
     args: list[int] = []
-    for e in region.events:
-        if e.kind == "originate":
-            lo, hi = e.assign
+    for _, kind, src, assign, assign_inf, chmin, deactivate in region.events:
+        if kind == "originate":
+            lo, hi = assign
             store.assign(lo, hi, seed_v)
             store.assign(lo, lo, seed_h)
             values.append(seed_h)
             args.append(lo)
             continue
-        if _ok(e.src):
-            v, arg = store.query(*e.src)
+        # a range runs only when it is given and not empty
+        if src and src[0] <= src[1]:
+            v, arg = store.query(*src)
         else:
             v, arg = INF, -1
         values.append(v)
         args.append(arg)
-        if _ok(e.chmin):
-            store.chmin(e.chmin[0], e.chmin[1], v + 2)
-        if _ok(e.deactivate):
-            store.deactivate(*e.deactivate)
-        if _ok(e.assign):
-            store.assign(e.assign[0], e.assign[1], v + 2)
-        if _ok(e.assign_inf):
-            store.assign(e.assign_inf[0], e.assign_inf[1], INF)
+        if chmin and chmin[0] <= chmin[1]:
+            store.chmin(chmin[0], chmin[1], v + 2)
+        if deactivate and deactivate[0] <= deactivate[1]:
+            store.deactivate(*deactivate)
+        if assign and assign[0] <= assign[1]:
+            store.assign(assign[0], assign[1], v + 2)
+        if assign_inf and assign_inf[0] <= assign_inf[1]:
+            store.assign(assign_inf[0], assign_inf[1], INF)
     lam_h, _ = store.query(m - 1, m - 1)
     best_v, arg_v = store.query(0, m - 2)
     lam_v = best_v + 1

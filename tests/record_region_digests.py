@@ -1,0 +1,79 @@
+"""Record a SHA-256 of every staircase region's baselines, holes and events.
+
+Usage (from the repository root):
+
+    PYTHONPATH=src python3 tests/record_region_digests.py
+
+writes ``tests/data/region_digests.json``.  The regions covered are the ones
+built while solving the ``point-small`` and ``attach-small`` base pools of
+``perfbench/workloads.py`` (in pool order, each region when it is built),
+the regions of ``test_index._xy_regions`` (all eight total frames) and
+``diagonal.diagonal_region(250)``.  ``tests/test_region_digests.py``
+recomputes them: a change to how regions are built must leave every
+region's events as they were.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+DATA = HERE / "data" / "region_digests.json"
+PERFBENCH = str(HERE.parent / "perfbench")
+EVENT_FIELDS = ("x", "kind", "src", "assign", "assign_inf", "chmin", "deactivate")
+
+
+def region_digest(region) -> str:
+    """SHA-256 of the JSON of (baselines, holes, events as field tuples)."""
+    events = [[getattr(e, f) for f in EVENT_FIELDS] for e in region.events]
+    blob = json.dumps([region.baselines, region.holes, events],
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def pool_region_digests(name: str) -> list[str]:
+    """Digests of the regions built while solving a perfbench base pool."""
+    if PERFBENCH not in sys.path:
+        sys.path.append(PERFBENCH)
+    import workloads
+    from rectlink import partition
+    from rectlink.frontend import solve
+
+    built = []
+    build = partition._build_region
+
+    def recording(*args):
+        region = build(*args)
+        built.append(region_digest(region))
+        return region
+
+    partition._build_region = recording
+    try:
+        for inst in workloads.base_pool(name):
+            solve(inst)
+    finally:
+        partition._build_region = build
+    return built
+
+
+def all_digests() -> dict[str, list[str]]:
+    from diagonal import diagonal_region
+    from test_index import _xy_regions
+
+    return {
+        "point-small": pool_region_digests("point-small"),
+        "attach-small": pool_region_digests("attach-small"),
+        "xy_regions": [region_digest(r) for _, _, r in _xy_regions()],
+        "diagonal_250": [region_digest(diagonal_region(250))],
+    }
+
+
+def main() -> None:
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps(all_digests(), indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -2,8 +2,9 @@
 
 Each function visits every hull of a frame in hull order, as the package
 did before ``partition.World`` kept a box index: the blocking queries of a
-trace step, the hole sections of a region event, a region's hole selection
-and the midpoint enumeration of an x-case solve.  They read the frame's
+trace step, the hole sections of a region event (and the nearest section
+ends that an event reads from them), a region's hole selection and the
+midpoint enumeration of an x-case solve.  They read the frame's
 boxes from ``FrameTables`` and a hull's edge tables through ``polys[i]``,
 so a reference builds the tables of exactly the hulls the old scan read.
 ``tests/test_index.py`` checks the indexed queries against them.
@@ -50,6 +51,14 @@ def hole_sections(polys, holes, x, skip=None):
         ys = [y for xlo, xhi, y in polys[hi].horiz if xlo <= x <= xhi]
         out.append((min(ys), max(ys)))
     return out
+
+
+def nearest_ends(sections, y_lo, y_hi):
+    """The highest section top at or below ``y_lo`` and the lowest section
+    bottom at or above ``y_hi`` (None where there is none), read from the
+    full list of ``(bottom, top)`` sections as the region build once did."""
+    return (max((top for _, top in sections if top <= y_lo), default=None),
+            min((bottom for bottom, _ in sections if bottom >= y_hi), default=None))
 
 
 def region_holes(world, frame, sq, tq):

@@ -3,8 +3,8 @@
 Each indexed query is compared with its reference scan in
 ``scan_reference`` on generated worlds, in all eight frames: the blocking
 queries of a trace step (rays grazing edge endpoints, start points standing
-on a west flank, ``x_stop`` inside a box), whole traces, the hole sections
-of region events, the hole selection of staircase regions and the midpoint
+on a west flank, ``x_stop`` inside a box), whole traces, the nearest hole
+sections of region events, the hole selection of staircase regions and the midpoint
 enumeration of x-case solves.  Results must be equal, tie order included,
 and an indexed query may build the tables of no hull that the scan did not
 read.
@@ -20,7 +20,7 @@ from rectlink.partition import (
     World,
     _first_block,
     _hole_index,
-    _hole_sections,
+    _nearest_sections,
     _standing_block,
     _trace_ru,
     build_staircase_region,
@@ -147,9 +147,11 @@ def test_traces_match_scanning_traces(monkeypatch):
     assert sum(isinstance(g, tuple) and len(g[1]) > 1 for g in got) > 100
 
 
-def test_hole_sections_match_the_scan_in_every_frame():
-    """Sections over every hull of a frame, at every box wall and one unit
-    either side of it, skipping none or one hull."""
+def test_nearest_sections_match_the_scan_in_every_frame():
+    """Every hull of a frame as a hole, at every box wall and one unit
+    either side of it, skipping none or one hull; every section end and box
+    end of the crossing hulls, one unit either side, as ``y_lo = y_hi``, and
+    consecutive and outermost pairs of them as ``y_lo < y_hi``."""
     checked = 0
     for name, world in _worlds():
         for t in XFORMS:
@@ -159,9 +161,16 @@ def test_hole_sections_match_the_scan_in_every_frame():
             xs = sorted({x + d for x in polys.xlo + polys.xhi for d in (-1, 0, 1)})
             for x in xs:
                 for skip in (None, x % len(holes)):
-                    want = ref.hole_sections(polys, holes, x, skip)
-                    assert _hole_sections(polys, index, x, skip) == want, (name, t, x)
-                    checked += len(want)
+                    secs = ref.hole_sections(polys, holes, x, skip)
+                    ends = {y for h in holes if h != skip and polys.xlo[h] < x < polys.xhi[h]
+                            for y in (polys.ylo[h], polys.yhi[h])}
+                    ends |= {y for sec in secs for y in sec}
+                    ys = sorted({y + d for y in ends for d in (-1, 0, 1)}) or [0]
+                    for y_lo, y_hi in ([(y, y) for y in ys] + list(zip(ys, ys[1:]))
+                                       + [(ys[0], ys[-1])]):
+                        assert _nearest_sections(polys, index, x, y_lo, y_hi, skip) \
+                            == ref.nearest_ends(secs, y_lo, y_hi), (name, t, x, y_lo, y_hi)
+                    checked += len(secs)
     assert checked > 1000
 
 
@@ -185,16 +194,24 @@ def _xy_regions():
 
 
 def test_region_holes_and_sections_match_the_scans():
-    frames, holes_seen = set(), 0
+    """Each region's holes, and its nearest sections at every strip column
+    and one either side, every baseline, skipping none or each hole."""
+    frames, holes_seen, seen = set(), 0, set()
     for world, total, region in _xy_regions():
         assert region.holes == ref.region_holes(world, total, region.s, region.t)
+        frames.add(total)
+        if (id(world), total, region.s, region.t) in seen:
+            continue  # the same region, reached through another view
+        seen.add((id(world), total, region.s, region.t))
         polys = world.frame(total)
         index = _hole_index(polys, region.holes)
+        ys = region.baselines
         for x in range(region.s[0] - 1, region.t[0] + 2):
             for skip in [None] + region.holes:
-                assert _hole_sections(polys, index, x, skip) \
-                    == ref.hole_sections(polys, region.holes, x, skip)
-        frames.add(total)
+                secs = ref.hole_sections(polys, region.holes, x, skip)
+                for y_lo, y_hi in [(y, y) for y in ys] + [(ys[0], ys[-1])]:
+                    assert _nearest_sections(polys, index, x, y_lo, y_hi, skip) \
+                        == ref.nearest_ends(secs, y_lo, y_hi)
         holes_seen += len(region.holes)
     assert frames == set(XFORMS)
     assert holes_seen > 20

@@ -8,7 +8,7 @@ from rectlink.generator import generate_instance
 from rectlink.partition import (
     World,
     _hole_index,
-    _hole_sections,
+    _nearest_sections,
     build_staircase_region,
     classify,
 )
@@ -16,6 +16,7 @@ from rectlink.sweep import INF, NaiveStore, provenance, reconstruct_path, run_sw
 from rectlink.geometry import PathResult, bounding_box
 from diagonal import diagonal_region
 from frame_reference import columns, mapped_polygon, reference_tables
+from scan_reference import nearest_ends
 from shapes import horizontal_edges
 from store_reference import LoopStore
 from tree_store import ActiveRanges, TreeStore, assert_stores_agree, final_state
@@ -290,7 +291,7 @@ def _reference_sections(world, frame, holes, x, skip):
     return out
 
 
-def test_hole_sections_match_transformed_hulls():
+def test_nearest_sections_match_transformed_hulls():
     checked = 0
     for seed, world, region in _worlds_and_regions(range(0, 140)):
         polys = world.frame(region.frame)
@@ -302,11 +303,14 @@ def test_hole_sections_match_transformed_hulls():
         # the region build already built every hole's tables
         assert polys.tables_built == built, seed
         index = _hole_index(polys, region.holes)
+        ys = region.baselines
         for x in range(region.s[0] - 1, region.t[0] + 2):
             for skip in [None] + region.holes:
-                got = _hole_sections(polys, index, x, skip)
-                want = _reference_sections(world, region.frame, region.holes,
+                secs = _reference_sections(world, region.frame, region.holes,
                                            x, skip)
-                assert got == want, f"seed {seed}, x {x}, skip {skip}"
-                checked += len(want)
+                for y_lo, y_hi in [(y, y) for y in ys] + [(ys[0], ys[-1])]:
+                    got = _nearest_sections(polys, index, x, y_lo, y_hi, skip)
+                    assert got == nearest_ends(secs, y_lo, y_hi), \
+                        f"seed {seed}, x {x}, y {y_lo}, skip {skip}"
+                checked += len(secs)
     assert checked > 0
