@@ -23,7 +23,9 @@ GRID_CAP = 500
 
 
 class OracleRefusal(RuntimeError):
-    """Raised when the instance needs a denser grid than the oracle allows."""
+    """Raised when the oracle cannot answer exactly: the grid exceeds the
+    cap, the combined cost reaches 2**53 (beyond exact float64 sums), or
+    the terminals are disconnected on the grid."""
 
 
 @dataclass(frozen=True)
@@ -150,129 +152,78 @@ def _sample_geometry(t: Terminal) -> list[tuple[Point, Point]]:
     return out
 
 
-class _StateGraph:
-    """(node, link-orientation) expansion with combined (length, links) weights.
+def _terminal_states(term: Terminal, g: HananGraph) -> np.ndarray:
+    """Both direction states of every grid node on the terminal."""
+    nx, ny = g.shape
+    nodes = np.array([j * nx + i for i, j in _terminal_grid_points(term, g)])
+    return np.concatenate((nodes, nodes + nx * ny))
 
-    Weight of an edge is ``step_length * big + link_delta`` which realises the
-    lexicographic order as long as link counts stay below ``big``.
+
+def _state_graph(g: HananGraph, big: int) -> csr_matrix:
+    """The grid's direction states as one CSR, rows in state order.
+
+    State ``o * n + node`` is grid node ``node = j * nx + i`` entered
+    horizontally (``o = 0``) or vertically (``o = 1``).  A state steps to
+    each free neighbour: left and right into H states, down and up into V
+    states.  A step weighs ``length * big + turn``, the turn being 1 when
+    the orientation changes, which orders paths by (length, links) while
+    links stay below ``big``.
     """
-
-    def __init__(self, g: HananGraph):
-        nx, ny = g.shape
-        self.g = g
-        self.nx, self.ny = nx, ny
-        self.n_nodes = nx * ny
-        self.big = 4 * (self.n_nodes + 1)
-        self.n_states = 2 * self.n_nodes + 2   # H states, V states, super S/T
-        self.sup_s = 2 * self.n_nodes
-        self.sup_t = 2 * self.n_nodes + 1
-
-        xs = np.asarray(g.xs, dtype=np.int64)
-        ys = np.asarray(g.ys, dtype=np.int64)
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-
-        def node_ids(i, j):
-            return j * nx + i
-
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        if nx > 1:
-            ok = ~g.h_blocked                      # (nx-1, ny)
-            src = node_ids(ii[:-1, :][ok], jj[:-1, :][ok])
-            dst = src + 1
-            w = (xs[1:, None] - xs[:-1, None]) * np.ones((1, ny), dtype=np.int64)
-            w = w[ok] * self.big
-            for a, b in ((src, dst), (dst, src)):
-                # into H-state of the far node; +1 link when coming from V
-                rows.append(a)            # from H state
-                cols.append(b)
-                data.append(w)
-                rows.append(a + self.n_nodes)   # from V state: turn
-                cols.append(b)
-                data.append(w + 1)
-        if ny > 1:
-            ok = ~g.v_blocked                      # (nx, ny-1)
-            src = node_ids(ii[:, :-1][ok], jj[:, :-1][ok])
-            dst = src + nx
-            w = np.ones((nx, 1), dtype=np.int64) * (ys[None, 1:] - ys[None, :-1])
-            w = w[ok] * self.big
-            for a, b in ((src, dst), (dst, src)):
-                rows.append(a + self.n_nodes)   # from V state
-                cols.append(b + self.n_nodes)
-                data.append(w)
-                rows.append(a)                  # from H state: turn
-                cols.append(b + self.n_nodes)
-                data.append(w + 1)
-        self._rows = rows
-        self._cols = cols
-        self._data = data
-
-    def matrix(self, s_nodes: list[int], t_nodes: list[int]) -> csr_matrix:
-        rows = [np.concatenate(self._rows)] if self._rows else [np.empty(0, dtype=np.int64)]
-        cols = [np.concatenate(self._cols)] if self._cols else [np.empty(0, dtype=np.int64)]
-        data = [np.concatenate(self._data)] if self._data else [np.empty(0, dtype=np.int64)]
-        s = np.asarray(s_nodes, dtype=np.int64)
-        t = np.asarray(t_nodes, dtype=np.int64)
-        # entering the first link costs 1; arriving costs nothing more
-        rows.append(np.full(2 * len(s), self.sup_s))
-        cols.append(np.concatenate((s, s + self.n_nodes)))
-        data.append(np.ones(2 * len(s), dtype=np.int64))
-        rows.append(np.concatenate((t, t + self.n_nodes)))
-        cols.append(np.full(2 * len(t), self.sup_t))
-        # zero weights vanish in CSR; use a tiny epsilon-free trick: shift all
-        # weights by nothing and keep explicit zeros via coo round-trip
-        data.append(np.zeros(2 * len(t), dtype=np.int64))
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        d = np.concatenate(data).astype(np.float64)
-        # scipy drops explicit zeros on csr conversion only via eliminate_zeros;
-        # keep them by nudging zero weights to a value far below one link
-        d[d == 0.0] = 0.25
-        m = csr_matrix((d, (r, c)), shape=(self.n_states, self.n_states))
-        return m
-
-
-def _run_oracle(instance: Instance, want_path: bool, cap: int) -> OracleAnswer:
-    g = build_hanan_graph(instance, cap=cap)
-    touch = _terminals_touch(instance.source, instance.target)
-    if touch is not None:
-        return OracleAnswer(0, 0, PathResult((touch,), 0, 0), g.shape)
-    sg = _StateGraph(g)
-    nx = g.shape[0]
-    s_nodes = [j * nx + i for i, j in _terminal_grid_points(instance.source, g)]
-    t_nodes = [j * nx + i for i, j in _terminal_grid_points(instance.target, g)]
-    m = sg.matrix(s_nodes, t_nodes)
-    dist, pred = _csgraph_dijkstra(
-        m, directed=True, indices=sg.sup_s, return_predecessors=True
+    nx, ny = g.shape
+    n = nx * ny
+    node = np.arange(n, dtype=np.int32).reshape(ny, nx)
+    step = np.zeros((ny, nx, 4))              # left, right, down, up; 0: none
+    step[:, 1:, 0] = np.where(g.h_blocked.T, 0, np.diff(g.xs))
+    step[:, :-1, 1] = step[:, 1:, 0]
+    step[1:, :, 2] = np.where(g.v_blocked.T, 0, np.diff(g.ys)[:, None])
+    step[:-1, :, 3] = step[1:, :, 2]
+    free = step > 0
+    cols = np.stack((node - 1, node + 1, node + n - nx, node + n + nx), axis=-1)[free]
+    weight = step[free] * big
+    vertical = np.broadcast_to(np.array([False, False, True, True]), free.shape)[free]
+    indptr = np.zeros(2 * n + 1, dtype=np.int32)
+    np.cumsum(np.tile(free.sum(axis=-1).ravel(), 2), out=indptr[1:])
+    return csr_matrix(
+        (np.concatenate((weight + vertical, weight + ~vertical)),
+         np.concatenate((cols, cols)), indptr),
+        shape=(2 * n, 2 * n),
     )
-    combined = dist[sg.sup_t]
-    if not np.isfinite(combined):
-        raise OracleRefusal("terminals are disconnected on the oracle grid")
-    total = int(round(combined - 0.25))  # remove the nudged target super-edge
-    length, links = divmod(total, sg.big)
-    path = None
-    if want_path:
-        chain = []
-        cur = sg.sup_t
-        while cur != sg.sup_s:
-            cur = int(pred[cur])
-            if cur == sg.sup_s:
-                break
-            node = cur % sg.n_nodes
-            i, j = node % nx, node // nx
-            chain.append((g.xs[i], g.ys[j]))
-        chain.reverse()
-        path = PathResult.from_points(chain)
-        assert path.length == length and path.links == links, (
-            "oracle witness disagrees with oracle cost"
-        )
-    return OracleAnswer(length, links, path, g.shape)
 
 
 def oracle_solve(instance: Instance, want_path: bool = True, cap: int = GRID_CAP) -> OracleAnswer:
     """Exact (distance, links) with an optional witness path."""
-    return _run_oracle(instance, want_path, cap)
+    g = build_hanan_graph(instance, cap=cap)
+    touch = _terminals_touch(instance.source, instance.target)
+    if touch is not None:
+        return OracleAnswer(0, 0, PathResult((touch,), 0, 0), g.shape)
+    nx, ny = g.shape
+    n = nx * ny
+    big = 4 * (n + 1)
+    targets = _terminal_states(instance.target, g)
+    out = _csgraph_dijkstra(_state_graph(g, big), indices=_terminal_states(instance.source, g),
+                            min_only=True, return_predecessors=want_path)
+    dist = out[0] if want_path else out
+    end = int(targets[np.argmin(dist[targets])])
+    if not np.isfinite(dist[end]):
+        raise OracleRefusal("terminals are disconnected on the oracle grid")
+    # the sources start at 0, so the first link adds its 1 here; a total
+    # below 2**53 is exact, since every partial sum of its path is smaller
+    if dist[end] + 1 >= 2 ** 53:
+        raise OracleRefusal(f"combined cost {dist[end] + 1:.0f} reaches 2**53, "
+                            "beyond exact float64 sums")
+    length, links = divmod(int(dist[end]) + 1, big)
+    path = None
+    if want_path:
+        pred = out[1]
+        chain = [end]
+        while pred[chain[-1]] >= 0:
+            chain.append(int(pred[chain[-1]]))
+        path = PathResult.from_points(
+            [(g.xs[v % n % nx], g.ys[v % n // nx]) for v in reversed(chain)]
+        )
+        if (path.length, path.links) != (length, links):
+            raise RuntimeError("oracle witness disagrees with oracle cost")
+    return OracleAnswer(length, links, path, g.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from rectlink.frontend import Attachment, _attachments, solve
 from rectlink.generator import generate_instance
 from rectlink.geometry import GeometryError, PathResult, RectPolygon
 from rectlink.model import Instance, Terminal, validate
-from rectlink.oracle import oracle_solve
+from rectlink.oracle import GRID_CAP, oracle_solve
 from pocket_doors import into_pocket
 
 KIND_MIXES = [
@@ -35,6 +35,18 @@ def test_matches_oracle_across_terminal_kinds(mix):
         inst = generate_instance(1000 + seed, n_obstacles=8, coord_limit=150,
                                  source_kind=mix[0], target_kind=mix[1])
         _check_against_oracle(inst, f"{mix} seed {seed}")
+
+
+@pytest.mark.parametrize("r, want", [(0, (3416, 3)), (1, (2241, 3)), (2, (1221, 3))])
+def test_matches_oracle_above_the_grid_cap(r, want):
+    # n = 100 polygon-polygon, where the x-case relaxation and the hull
+    # world do their work; every grid exceeds the default cap
+    inst = generate_instance(97 * 100 + r, 100, coord_limit=3000,
+                             source_kind="polygon", target_kind="polygon")
+    assert max(map(len, inst.all_coords())) > GRID_CAP
+    report = solve(inst)
+    ora = oracle_solve(inst, want_path=False, cap=1000)
+    assert (report.distance, report.links) == (ora.distance, ora.links) == want
 
 
 # (moved source, moved target or None, kind of the terminal left in place)

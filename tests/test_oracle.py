@@ -2,7 +2,7 @@ import pytest
 
 from rectlink.generator import generate_instance
 from rectlink.geometry import Rect
-from rectlink.model import Instance, Terminal
+from rectlink.model import Instance, Terminal, validate
 from rectlink.oracle import (
     OracleRefusal,
     build_hanan_graph,
@@ -10,7 +10,7 @@ from rectlink.oracle import (
     oracle_solve_reference,
 )
 from closest_pairs import oracle_closest_pairs
-from shapes import rect_polygon
+from shapes import rect_polygon, spiral_band
 
 BOX = rect_polygon(Rect(10, 10, 20, 20))
 
@@ -87,6 +87,37 @@ def test_grid_cap_refusal():
                     target=Terminal.of_point((1300, 1300)))
     with pytest.raises(OracleRefusal):
         build_hanan_graph(inst)
+
+
+def _spiral(arms, scale):
+    """Source in the spiral's core, target beyond its far corner: the path
+    winds out along every arm, one link each."""
+    band = spiral_band(arms, scale)
+    top = max(x for x, _ in band.vertices), max(y for _, y in band.vertices)
+    inst = Instance(obstacles=(band,), source=Terminal.of_point((0, 2 * scale)),
+                    target=Terminal.of_point((top[0] + scale + 1, top[1] + scale + 1)))
+    assert validate(inst) == []
+    return inst
+
+
+@pytest.mark.parametrize("want_path", [False, True])
+def test_refuses_costs_beyond_float64(want_path):
+    # length * big + links passes 2**53 here; summed in float64 it came out
+    # as (102267073100, 148), though the answer has 200 links
+    inst = _spiral(200, 2_556_549)
+    assert build_hanan_graph(inst).shape == (203, 203)
+    with pytest.raises(OracleRefusal, match=r"2\*\*53"):
+        oracle_solve(inst, want_path=want_path)
+
+
+@pytest.mark.parametrize("arms, scale, want", [
+    (200, 2, (80006, 200)),
+    (40, 2_556_549, (4_095_591_500, 40)),
+])
+def test_spirals_below_the_float64_limit_are_exact(arms, scale, want):
+    inst = _spiral(arms, scale)
+    ans = oracle_solve(inst)
+    assert (ans.distance, ans.links) == want == oracle_solve_reference(inst, cap=1000)
 
 
 @pytest.mark.parametrize("seed", range(25))
