@@ -9,19 +9,19 @@ between consecutive midpoints on optimal chains yield the link count.
 
 Everything below works in the frame delivered by ``classify``, where the
 pair reads as an eastward x-case; vertical-case inputs arrive pre-swapped.
+One relaxation serves a whole class of pairs, those that ``classify`` reads
+as eastward x-cases in one frame: every source joins it as a node at
+distance 0, and every target is relaxed as a node; the nearest are read out.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .geometry import IDENTITY, GeometryError, PathResult, Point, Xform, first_dir
 from .partition import (
-    FRAME_DR,
-    FRAME_RD,
-    FRAME_RU,
-    FRAME_UR,
+    TRACE_FRAMES,
     FrameTables,
     FrameView,
     StepCurve,
@@ -32,13 +32,13 @@ from .partition import (
 )
 from .sweep import INF, SweepResult, reconstruct_path, run_sweep
 
-Pred = tuple[str, int]  # ("mid", node index) or ("direct", -1)
+Pred = tuple[str, int]  # ("mid", node index) or ("src", source index)
 
 
 @dataclass
 class _Node:
     point: Point
-    hull: int                      # owning hull index, -1 for the target
+    hull: int                      # owning hull index, -1 for a source or target
     side: str = ""                 # "top" or "bot" for midpoint nodes
     dist: float = INF
     links: float = INF
@@ -49,59 +49,18 @@ class _Node:
 
 @dataclass
 class SubregionDag:
-    """Distance relaxation artifact: the midpoint nodes and their links."""
+    """Distance relaxation artifact: the midpoint nodes and the targets,
+    with their distances and links."""
 
     nodes: list[_Node]
-    target: _Node
+    targets: list[_Node]
     regions: int = 0
     events: int = 0
-
-
-def _l1(a: Point, b: Point) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
 def _horiz_readout(res: SweepResult) -> float:
     """Fewest links among shortest paths that leave the far end eastward."""
     return min(res.lam_h, res.lam_v + 1)
-
-
-def _rise_curves(wf: FrameView, p: Point, x_hi: int, y_hi: int) -> dict[str, StepCurve]:
-    return {
-        "ru": trace_ru(wf.frame(FRAME_RU), p, x_hi).curve,
-        "ur": trace_ru(wf.frame(FRAME_UR), FRAME_UR.apply(p), y_hi).curve,
-    }
-
-
-def _fall_curves(wf: FrameView, p: Point, x_hi: int, y_lo: int) -> dict[str, StepCurve]:
-    return {
-        "rd": trace_ru(wf.frame(FRAME_RD), FRAME_RD.apply(p), x_hi).curve,
-        "dr": trace_ru(wf.frame(FRAME_DR), FRAME_DR.apply(p), -y_lo).curve,
-    }
-
-
-def _rise_ok(p: Point, curves: dict[str, StepCurve]) -> bool:
-    """Whether a rising xy-monotone path reaches p from the curves' origin."""
-    if p[1] < curves["ru"].max_y_at(p[0]):
-        return False
-    # ur curve is stored in swapped coordinates: x := y
-    return p[0] >= curves["ur"].max_y_at(p[1])
-
-
-def _fall_ok(p: Point, curves: dict[str, StepCurve]) -> bool:
-    if -p[1] < curves["rd"].max_y_at(p[0]):
-        return False
-    return p[0] >= curves["dr"].max_y_at(-p[1])
-
-
-def _xy_quadrant_ok(s: Point, p: Point, curves: dict[str, StepCurve]) -> bool:
-    """Whether s -> p admits an xy-monotone path, from the four extreme
-    curves traced out of s (p east of s)."""
-    if p[1] >= s[1] and not _rise_ok(p, curves):
-        return False
-    if p[1] <= s[1] and not _fall_ok(p, curves):
-        return False
-    return True
 
 
 def _midpoints(ft: FrameTables, sx: int, tx: int) -> list[_Node]:
@@ -131,168 +90,201 @@ def _midpoints(ft: FrameTables, sx: int, tx: int) -> list[_Node]:
     return nodes
 
 
-def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
+def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
+                 targets: Sequence[Point],
                  dir_links: Optional[dict[Point, float]] = None,
-                 ) -> tuple[int, dict[Point, tuple[int, list[Point]]], SubregionDag]:
-    """Distance and per-arrival-direction links for an x-monotone pair.
+                 ) -> tuple[int, list[dict[Point, tuple[int, list[Point]]]],
+                            SubregionDag]:
+    """Distances and per-arrival-direction links from a set of sources to
+    each of a set of targets, over the frame's eastward winder chains.
 
-    ``s`` and ``t`` are in the world's unframed, doubled coordinates;
-    ``frame`` is the transform from ``classify``.  ``dir_links`` optionally
-    gives the link count of a path leaving ``s`` in each unit direction (all
-    1 by default), which lets a caller continue a partial path through
-    ``s``.  Returns the
-    geodesic distance and, for each direction a shortest path can arrive at
-    ``t`` with, the fewest links and a witness in the coordinates of ``s``.
+    ``sources`` and ``targets`` are in the world's unframed, doubled
+    coordinates; ``frame`` is a transform from ``classify``.  A chain starts
+    at any source, at distance 0, and runs strictly eastward through
+    midpoints to a target; ``dir_links`` optionally gives the link count of
+    a path leaving a source in each unit direction (all 1 by default), which
+    lets a caller continue a partial path through it.  Every chain is a real
+    path, and every shortest path of a pair that ``classify`` reads as an
+    eastward x-case in ``frame`` is one, so a target's distance is at most
+    that of each such pair it is in, and its links at most the pair's at
+    that distance.  With one source and one target this is the pair's
+    answer.
+
+    Returns the distance to the nearest targets; per target in order, for
+    each direction a shortest chain can arrive at it with, the fewest links
+    and a witness from its source, in unframed coordinates; and the
+    relaxation's nodes, where ``dag.targets[j].dist`` is target ``j``'s
+    distance (INF when no chain reaches it).  Only the nearest targets are
+    read out: a chain into a farther one cannot beat them, whatever its
+    links, so its arrivals are left empty and no sweep is spent on it.
     """
     if dir_links is None:
         dir_links = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}
     # the instance world seen in this frame; its cache serves every leg
     wf = FrameView(world, frame)
-    sf, tf = frame.apply(s), frame.apply(t)
-    sx, sy = sf
-    tx, ty = tf
+    srcs = [_Node(point=frame.apply(s), hull=-1, dist=0.0) for s in sources]
+    tgts = [_Node(point=frame.apply(t), hull=-1) for t in targets]
+    sx = min(nd.point[0] for nd in srcs)
+    tx = max(nd.point[0] for nd in tgts)
 
     nodes = _midpoints(wf.frame(IDENTITY), sx, tx)
-    target = _Node(point=tf, hull=-1)
 
-    # extreme curves out of s, for O(1) xy-reachability checks; each curve
-    # lives in its own trace frame, traced far enough to cover every node
-    y_hi = max([ty] + [nd.point[1] for nd in nodes]) + 1
-    y_lo = min([ty] + [nd.point[1] for nd in nodes]) - 1
-    curves = dict(_rise_curves(wf, sf, tx, y_hi), **_fall_curves(wf, sf, tx, y_lo))
+    # the extreme curves out of a leg's start decide whether the leg is
+    # xy-monotone: ru and ur bound a rising leg, rd and dr a falling one.
+    # Each is traced on first use, in its own trace frame, far enough to
+    # cover every node.
+    ends = [nd.point[1] for nd in nodes + tgts]
+    y_hi, y_lo = max(ends) + 1, min(ends) - 1
+    stops = {"ru": tx, "ur": y_hi, "rd": tx, "dr": -y_lo}
+    traced: dict[tuple[Point, str], StepCurve] = {}
 
-    # per-midpoint reachability curves, built on demand: a top-side midpoint
-    # is a local maximum, so every leg out of it falls, and symmetrically for
-    # a bottom-side midpoint
-    out_curves: dict[int, dict[str, StepCurve]] = {}
+    def curve(p: Point, name: str) -> StepCurve:
+        got = traced.get((p, name))
+        if got is None:
+            f = TRACE_FRAMES[name]
+            got = traced[p, name] = trace_ru(wf.frame(f), f.apply(p),
+                                             stops[name]).curve
+        return got
 
-    def leg_ok(k: int, q: Point) -> bool:
-        mu = nodes[k]
-        if mu.side == "top":
-            if q[1] > mu.point[1]:
-                return False
-            if k not in out_curves:
-                out_curves[k] = _fall_curves(wf, mu.point, tx, y_lo)
-            return _fall_ok(q, out_curves[k])
-        if q[1] < mu.point[1]:
+    # q east of p; the ur and dr curves are stored with x and y swapped
+    def rises(p: Point, q: Point) -> bool:
+        return q[1] >= curve(p, "ru").max_y_at(q[0]) \
+            and q[0] >= curve(p, "ur").max_y_at(q[1])
+
+    def falls(p: Point, q: Point) -> bool:
+        return -q[1] >= curve(p, "rd").max_y_at(q[0]) \
+            and q[0] >= curve(p, "dr").max_y_at(-q[1])
+
+    def leg_ok(pred: Pred, nd: _Node) -> bool:
+        """Whether the leg from ``pred`` into ``nd`` is xy-monotone, its y
+        direction already checked against the leg's list."""
+        q = nd.point
+        if pred[0] == "mid":
+            mu = nodes[pred[1]]
+            return falls(mu.point, q) if mu.side == "top" else rises(mu.point, q)
+        s = srcs[pred[1]].point
+        # the first turnaround of a chain is reached monotonically from its
+        # source: rising into a top-side midpoint, falling into a
+        # bottom-side one
+        if nd.hull >= 0 and (nd.side == "top") != (q[1] > s[1]):
             return False
-        if k not in out_curves:
-            out_curves[k] = _rise_curves(wf, mu.point, tx, y_hi)
-        return _rise_ok(q, out_curves[k])
+        return (q[1] < s[1] or rises(s, q)) and (q[1] > s[1] or falls(s, q))
 
-    # relaxed midpoints with a finite distance, per side, sorted by the part
-    # of a leg's cost that does not depend on where the leg ends: a leg out
-    # of a top-side midpoint k falls, so it reaches q at
-    # dist(k) - kx + ky + (qx - qy); one out of a bottom-side midpoint rises
-    # and costs dist(k) - kx - ky + (qx + qy)
-    keyed: dict[str, list[tuple[float, int]]] = {"top": [], "bot": []}
+    # leg starts with a finite distance, per side, sorted by the part of a
+    # leg's cost that does not depend on where the leg ends: a falling leg
+    # out of k reaches q at dist(k) - kx + ky + (qx - qy), a rising one at
+    # dist(k) - kx - ky + (qx + qy).  Top-side midpoints start falling legs,
+    # bottom-side ones rising legs, and sources both: falling legs to points
+    # below them, rising ones to the rest.  Each entry carries the y limit
+    # of its legs' ends: a falling leg ends below ``lim``, a rising one at
+    # or above it.
+    keyed: dict[str, list[tuple[float, int, Pred]]] = {"top": [], "bot": []}
 
-    def enter(k: int) -> None:
-        mu = nodes[k]
-        kx, ky = mu.point
-        key = mu.dist - kx + ky if mu.side == "top" else mu.dist - kx - ky
-        bisect.insort(keyed[mu.side], (key, k))
+    def enter(side: str, pred: Pred, nd: _Node) -> None:
+        kx, ky = nd.point
+        if side == "top":
+            # a midpoint's falling legs may end level with it, a source's not
+            lim = ky + (pred[0] == "mid")
+            bisect.insort(keyed[side], (nd.dist - kx + ky, lim, pred))
+        else:
+            bisect.insort(keyed[side], (nd.dist - kx - ky, ky, pred))
 
     def relax(nd: _Node) -> None:
         qx, qy = nd.point
-        # the first turnaround of a chain is reached monotonically from s:
-        # rising into a top-side midpoint, falling into a bottom-side one
-        direct_ok = (nd.hull == -1 or
-                     (nd.side == "top") == (nd.point[1] > sy))
-        direct = INF
-        if direct_ok and _xy_quadrant_ok(sf, nd.point, curves):
-            direct = float(_l1(sf, nd.point))
-        best = direct
         # in key order, a side's legs only get dearer: stop past the best
         # valid cost, but keep every valid leg that ties it
-        mids: list[tuple[float, int]] = []
+        best = INF
+        cands: list[tuple[float, Pred]] = []
         for side, offset in (("top", qx - qy), ("bot", qx + qy)):
-            for key, k in keyed[side]:
+            falls = side == "top"
+            for key, lim, pred in keyed[side]:
                 d = key + offset
                 if d > best:
                     break
-                if leg_ok(k, nd.point):
-                    mids.append((d, k))
+                if (qy < lim) == falls and leg_ok(pred, nd):
+                    cands.append((d, pred))
                     best = d
-        if best == INF:
+        if not cands:
             return
         nd.dist = best
-        nd.preds = [("mid", k) for d, k in sorted(mids, key=lambda m: m[1])
-                    if d == best]
-        if direct == best:
-            nd.preds.append(("direct", -1))
+        # midpoints by index, then sources by index
+        nd.preds = sorted(p for d, p in cands if d == best)
 
-    # a midpoint enters its list once every node with its x is relaxed, so
-    # each leg runs strictly west to east
+    # nodes are relaxed west to east, a target after the midpoints of its x;
+    # a midpoint enters its list once every node with its x is relaxed, and
+    # a source before the first node east of it, so each leg runs strictly
+    # west to east
+    ahead = nodes + tgts
+    west_first = sorted(range(len(srcs)), key=lambda i: srcs[i].point[0])
+    entered = 0
     waiting: list[int] = []
-    for k, nd in enumerate(nodes):
+    for k in sorted(range(len(ahead)), key=lambda k: ahead[k].point[0]):
+        nd = ahead[k]
         if waiting and nodes[waiting[0]].point[0] < nd.point[0]:
             for w in waiting:
-                enter(w)
+                enter(nodes[w].side, ("mid", w), nodes[w])
             waiting.clear()
+        while entered < len(srcs) \
+                and srcs[west_first[entered]].point[0] < nd.point[0]:
+            i = west_first[entered]
+            enter("top", ("src", i), srcs[i])
+            enter("bot", ("src", i), srcs[i])
+            entered += 1
         relax(nd)
-        if nd.dist < INF:
+        if k < len(nodes) and nd.dist < INF:
             waiting.append(k)
-    for w in waiting:
-        enter(w)
-    relax(target)
-    if target.dist == INF:
+    near = min(nd.dist for nd in tgts)
+    if near == INF:
         raise GeometryError("x-monotone pair with no winder chain to the source")
+    # a chain into a farther target loses to one into a nearest target
+    # whatever its links, so only the nearest are read out
+    reached = [nd for nd in tgts if nd.dist == near]
 
     # participation filtering: only nodes on some optimal chain get sweeps
     marked: set[int] = set()
-    frontier: list[_Node] = [target]
+    frontier: list[_Node] = list(reached)
     while frontier:
         nd = frontier.pop()
         for kind, k in nd.preds:
             if kind == "mid" and k not in marked:
                 marked.add(k)
                 frontier.append(nodes[k])
-    # increasing x resolves predecessors first; the target comes last
-    order = [nodes[k] for k in sorted(marked, key=lambda k: nodes[k].point)]
-    order.append(target)
 
-    dag = SubregionDag(nodes=nodes, target=target)
+    dag = SubregionDag(nodes=nodes, targets=tgts)
 
-    def sweep_leg(src_pt: Point, dst_pt: Point, direct: bool, seed_h: float,
-                  seed_v: float) -> SweepResult:
-        kind, q = classify(wf, src_pt, dst_pt)
-        if kind != "xy" or q.b != 0:
-            raise GeometryError("winder leg is not an axis-aligned xy pair")
-        if direct:
-            # a direct leg continues whatever partial path enters at s
-            inv_total = frame.then(q).inverse()
-            seed_h = dir_links[inv_total.apply((1, 0))]
-            seed_v = dir_links[inv_total.apply((0, 1))] + 1
-        region = build_staircase_region(wf, q, src_pt, dst_pt)
-        dag.regions += 1
-        dag.events += len(region.events)
-        return run_sweep(region, seed_h=seed_h, seed_v=seed_v)
-
-    # best leg into the target, kept separately per arrival direction
-    final_best: dict[str, tuple[float, Pred, SweepResult]] = {}
-
-    for nd in order:
-        final = nd.hull == -1
-        best = INF
+    def legs_into(nd: _Node):
+        """(pred, sweep) of every leg into nd from an optimal predecessor."""
         for pred in nd.preds:
-            if pred[0] == "direct":
-                seed_h, seed_v, src_pt = 1.0, 2.0, sf
+            if pred[0] == "src":
+                src_pt, seeds = srcs[pred[1]].point, None
             else:
                 mu = nodes[pred[1]]
                 if mu.links == INF:
                     continue
-                seed_h, seed_v, src_pt = mu.links, mu.links + 2, mu.point
-            res = sweep_leg(src_pt, nd.point, pred[0] == "direct", seed_h, seed_v)
-            if final:
-                for arr, lam in (("h", res.lam_h), ("v", res.lam_v)):
-                    if lam < final_best.get(arr, (INF,))[0]:
-                        final_best[arr] = (lam, pred, res)
-            lam = res.lam if final else _horiz_readout(res)
-            if lam < best:
-                best = nd.links = lam
-                nd.best_pred, nd.leg = pred, res
-        if best == INF:
+                src_pt, seeds = mu.point, (mu.links, mu.links + 2)
+            kind, q = classify(wf, src_pt, nd.point)
+            if kind != "xy" or q.b != 0:
+                raise GeometryError("winder leg is not an axis-aligned xy pair")
+            if seeds is None:
+                # a leg out of a source continues whatever partial path
+                # enters there
+                inv_total = frame.then(q).inverse()
+                seeds = (dir_links[inv_total.apply((1, 0))],
+                         dir_links[inv_total.apply((0, 1))] + 1)
+            region = build_staircase_region(wf, q, src_pt, nd.point)
+            dag.regions += 1
+            dag.events += len(region.events)
+            yield pred, run_sweep(region, seed_h=seeds[0], seed_v=seeds[1])
+
+    # increasing x resolves predecessors first; a midpoint's leg is read
+    # out eastward
+    for k in sorted(marked, key=lambda k: nodes[k].point):
+        nd = nodes[k]
+        for pred, res in legs_into(nd):
+            lam = _horiz_readout(res)
+            if lam < nd.links:
+                nd.links, nd.best_pred, nd.leg = lam, pred, res
+        if nd.links == INF:
             raise GeometryError("no reachable predecessor on an optimal chain")
 
     def stitch(pred: Pred, res: SweepResult, arrival: str) -> list[Point]:
@@ -310,19 +302,34 @@ def solve_x_case(world: World, frame: Xform, s: Point, t: Point,
         return pts
 
     inv_frame = frame.inverse()
-    arrivals: dict[Point, tuple[int, list[Point]]] = {}
-    for arr, (lam, pred, res) in final_best.items():
-        if lam == INF:
+    arrivals: list[dict[Point, tuple[int, list[Point]]]] = []
+    for nd in tgts:
+        got: dict[Point, tuple[int, list[Point]]] = {}
+        arrivals.append(got)
+        if nd.dist != near:
             continue
-        world_pts = [inv_frame.apply(p) for p in stitch(pred, res, arr)]
-        result = PathResult.from_points(world_pts)
-        # the first segment is charged its seeded link count, not 1
-        seeded = result.links - 1 + dir_links[first_dir(result.points)]
-        if result.length != target.dist or seeded != lam:
-            raise GeometryError("witness disagrees with the relaxation values")
-        inv_total = frame.then(res.region.frame).inverse()
-        adir = inv_total.apply((1, 0)) if arr == "h" else inv_total.apply((0, 1))
-        arrivals[adir] = (int(lam), result.points)
-    if not arrivals:
-        raise GeometryError("no arrival at the target")
-    return int(target.dist), arrivals, dag
+        # best leg into the target, kept separately per arrival direction
+        final_best: dict[str, tuple[float, Pred, SweepResult]] = {}
+        for pred, res in legs_into(nd):
+            for arr, lam in (("h", res.lam_h), ("v", res.lam_v)):
+                if lam < final_best.get(arr, (INF,))[0]:
+                    final_best[arr] = (lam, pred, res)
+            if res.lam < nd.links:
+                nd.links, nd.best_pred, nd.leg = res.lam, pred, res
+        if nd.links == INF:
+            raise GeometryError("no reachable predecessor on an optimal chain")
+        for arr, (lam, pred, res) in final_best.items():
+            if lam == INF:
+                continue
+            world_pts = [inv_frame.apply(p) for p in stitch(pred, res, arr)]
+            result = PathResult.from_points(world_pts)
+            # the first segment is charged its seeded link count, not 1
+            seeded = result.links - 1 + dir_links[first_dir(result.points)]
+            if result.length != nd.dist or seeded != lam:
+                raise GeometryError("witness disagrees with the relaxation values")
+            inv_total = frame.then(res.region.frame).inverse()
+            adir = inv_total.apply((1, 0)) if arr == "h" else inv_total.apply((0, 1))
+            got[adir] = (int(lam), result.points)
+        if not got:
+            raise GeometryError("no arrival at the target")
+    return int(near), arrivals, dag

@@ -92,7 +92,8 @@ def solve_pair_raw(world: World, s2: Point, t2: Point,
             arrivals[adir] = (int(lam), witness.points)
         stats = {"events": len(region.events), "regions": 1}
         return RawAnswer(dist2=dist2, arrivals=arrivals, case="xy", stats=stats)
-    dist2, arrivals, dag = solve_x_case(world, frame, s2, t2, dir_links=dir_links)
+    dist2, arrivals, dag = solve_x_case(world, frame, [s2], [t2],
+                                        dir_links=dir_links)
     stats = {"events": dag.events, "regions": dag.regions}
-    return RawAnswer(dist2=dist2, arrivals=arrivals, case="x", stats=stats)
+    return RawAnswer(dist2=dist2, arrivals=arrivals[0], case="x", stats=stats)
 

@@ -21,26 +21,47 @@ bounding box.  Everything else reduces to it by attachment enumeration:
 The best combination over all source/target attachments is the answer.
 Pairs are tried in order of an obstacle-blind L1 lower bound, and a pair is
 skipped when a triangle bound through an already solved pair shows it cannot
-beat the best answer found so far.  Every witness is re-measured before it
-is returned.
+beat the best answer found so far.
+
+A pair of two plain attachments is classified first.  The first one that
+reads as an x-case in some frame makes one class solve: a single x-case
+relaxation from every plain source attachment to every plain target
+attachment in that frame, which covers every plain pair of that class, so
+every later pair of the class is skipped.  Each target's distance in it
+bounds every pair of the class into that target from below, which the
+triangle bound then reads.  All other pairs (xy and same-point plain pairs,
+and every pair with a pocket attachment) get a middle solve of their own.
+
+Ties are broken by a rule that does not depend on the order in which offers
+arrive: the least (doubled distance, links, point list) wins, point lists
+compared as Python lists.  A skip needs a bound strictly above the best
+distance so far, so no skipped pair could have tied the final distance, and
+the witness is the least offer at the answer's (distance, links) among the
+solves that ran.  A witness's point list is built only to break a tie or to
+be returned.  Every witness is re-measured before it is returned.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
+from . import engine
 from .engine import UNIT_DIRS, _double, build_world, solve_pair_raw
 from .geometry import (
+    IDENTITY,
     GeometryError,
     OrthoSegment,
     PathResult,
     Point,
-    Rect,
+    Xform,
     first_dir,
 )
 from .model import POINT, SEGMENT, Instance, Terminal, validate
-from .pockets import BoxGrid, GridSearch
+from .partition import FrameTables, World
+from .pockets import BoxGrid, Crossing, GridSearch
+from .sweep import INF
 
 
 @dataclass(frozen=True)
@@ -49,16 +70,24 @@ class Attachment:
 
     A plain attachment (``out_dir`` is None) is a candidate point outside
     every box; ``lead2`` is then just that point.  A pocket attachment
-    carries the inside lead path and the junction just outside the box;
-    ``links`` counts the lead's segments including the one crossing the
-    boundary along ``out_dir``.
+    carries the box search's crossing it leaves through and the junction
+    just outside the box; ``links`` counts the lead's segments including
+    the one crossing the boundary along ``out_dir``.  Its ``lead2``, the
+    inside path from the terminal to the junction, is walked on first read,
+    so only the leads of offers that a tie or the answer reads are built.
     """
 
     junction2: Point
     d2: int
     links: int
-    lead2: tuple[Point, ...]
     out_dir: Optional[Point]
+    crossing: Optional[Crossing] = None
+
+    @cached_property
+    def lead2(self) -> tuple[Point, ...]:
+        if self.crossing is None:
+            return (self.junction2,)
+        return tuple(_double(v) for v in self.crossing.path) + (self.junction2,)
 
     @property
     def group(self) -> tuple:
@@ -123,63 +152,79 @@ def _on_segment(seg: OrthoSegment, xs: list[int], ys: list[int]) -> list[Point]:
     if seg.horizontal:
         lo, hi = sorted((seg.p[0], seg.q[0]))
         y = seg.p[1]
-        pts.update((x, y) for x in xs if lo <= x <= hi)
+        pts.update((x, y) for x in xs[bisect.bisect_left(xs, lo):
+                                      bisect.bisect_right(xs, hi)])
     elif seg.vertical:
         lo, hi = sorted((seg.p[1], seg.q[1]))
         x = seg.p[0]
-        pts.update((x, y) for y in ys if lo <= y <= hi)
+        pts.update((x, y) for y in ys[bisect.bisect_left(ys, lo):
+                                      bisect.bisect_right(ys, hi)])
     return sorted(pts)
 
 
+def _host(boxes: FrameTables, p: Point) -> Optional[int]:
+    """The obstacle whose box strictly contains ``p``, if any.
+
+    Boxes are interior-disjoint, so at most one does.  Its doubled xlo lies
+    in the width window ``(2 px - width, 2 px)``, which the identity
+    frame's index bisects.
+    """
+    x2, y2 = 2 * p[0], 2 * p[1]
+    for i in boxes.between(x2 - boxes.width, x2):
+        if x2 < boxes.xhi[i] and boxes.ylo[i] < y2 < boxes.yhi[i]:
+            return i
+    return None
+
+
 def _attachments(instance: Instance, term: Terminal, xs: list[int],
-                 ys: list[int], boxes: list[Rect]
+                 ys: list[int], world: World
                  ) -> tuple[list[Attachment], list[GridSearch], list[Point]]:
     """All attachments of one terminal, its per-box inside searches, and
     its candidate points."""
     cands = _candidate_points(term, xs, ys)
+    boxes = world.frame(IDENTITY)
     atts: list[Attachment] = []
     boxed: dict[int, list[Point]] = {}
     for p in cands:
-        host = next((i for i, b in enumerate(boxes)
-                     if b.contains(p, strict=True)), None)
+        host = _host(boxes, p)
         if host is None:
             atts.append(Attachment(junction2=_double(p), d2=0, links=0,
-                                   lead2=(_double(p),), out_dir=None))
+                                   out_dir=None))
         else:
             boxed.setdefault(host, []).append(p)
     searches: list[GridSearch] = []
     for host, pts in boxed.items():
-        grid = BoxGrid(boxes[host], instance.obstacles[host],
-                       extra_xs=xs, extra_ys=ys)
+        ob = instance.obstacles[host]
+        grid = BoxGrid(ob.bbox, ob, extra_xs=xs, extra_ys=ys)
         gs = GridSearch(grid, pts)
         searches.append(gs)
         for c in gs.crossings():
             jun = (2 * c.point[0] + c.out_dir[0], 2 * c.point[1] + c.out_dir[1])
             atts.append(Attachment(junction2=jun, d2=2 * c.dist + 1,
-                                   links=c.links,
-                                   lead2=tuple(_double(v) for v in c.path) + (jun,),
-                                   out_dir=c.out_dir))
+                                   links=c.links, out_dir=c.out_dir,
+                                   crossing=c))
     return atts, searches, cands
 
 
 def _pair_bound(a: Attachment, b: Attachment,
-                solved: Sequence[tuple[Point, Point, int]]) -> int:
+                solved: Sequence[tuple[Point, Point, float]]) -> float:
     """Lower bound on every cost the pair (a, b) can offer.
 
-    ``solved`` holds ``(ja, jb, d)`` for middle solves of pairs whose source
-    attachment shares a free group with ``a`` and whose target attachment
-    shares one with ``b``.  The hull-world distance is a metric,
+    ``solved`` holds ``(ja, jb, d)`` for pairs whose source attachment
+    shares a free group with ``a`` and whose target attachment shares one
+    with ``b``, where ``d`` is at most the hull-world distance from ``ja``
+    to ``jb``: a middle solve's distance, or a class solve's distance to
+    ``jb`` for a pair of that class.  The hull-world distance is a metric,
     and within a group it is at most L1, so
     ``d <= L1(ja, a) + dist(a, b) + L1(b, jb)`` bounds ``dist(a, b)`` from
     below; so does the obstacle-blind ``L1(a, b)``.  Every cost the pair
     offers is ``a.d2 + dist(a, b) + b.d2``.  ``solve`` skips a pair whose
     bound exceeds the best distance found so far; that distance is at least
-    the final one, so a skipped pair could never have made a strict
-    improvement, and neither the answer nor its tie-breaking (the first
-    strict improvement in L1 order wins) changes.
+    the final one, so a skipped pair could never have reached the answer's
+    distance.
     """
     (ax, ay), (bx, by) = a.junction2, b.junction2
-    gap = abs(ax - bx) + abs(ay - by)
+    gap = _l1(a.junction2, b.junction2)
     for (kx, ky), (lx, ly), d in solved:
         gap = max(gap, d - abs(ax - kx) - abs(ay - ky)
                   - abs(bx - lx) - abs(by - ly))
@@ -238,23 +283,35 @@ def solve(instance: Instance) -> SolveReport:
         raise GeometryError("invalid instance: " + "; ".join(problems))
     xs_set, ys_set = instance.all_coords()
     xs, ys = sorted(xs_set), sorted(ys_set)
-    boxes = [ob.bbox for ob in instance.obstacles]
     world = build_world(instance.obstacles)
     atts_s, search_s, cands_s = _attachments(instance, instance.source, xs, ys,
-                                             boxes)
+                                             world)
     atts_t, search_t, cands_t = _attachments(instance, instance.target, xs, ys,
-                                             boxes)
+                                             world)
     if not atts_s or not atts_t:
         raise GeometryError("a terminal has no connection to the free plane")
 
-    stats = {"middle_solves": 0, "pairs_pruned": 0, "events": 0, "regions": 0,
-             "attachments": (len(atts_s), len(atts_t))}
-    best: Optional[tuple[int, int, list[Point]]] = None
+    stats = {"middle_solves": 0, "classes": 0, "pairs_pruned": 0, "events": 0,
+             "regions": 0, "attachments": (len(atts_s), len(atts_t))}
+    # the least (d2, links, path) offered; a path is built only to break a
+    # tie or to be returned
+    best: Optional[list] = None
 
-    def offer(d2: int, links: int, pts2: list[Point]) -> None:
+    def offer(d2: int, links: int, build: Callable[[], list[Point]]) -> None:
         nonlocal best
         if best is None or (d2, links) < (best[0], best[1]):
-            best = (d2, links, pts2)
+            best = [d2, links, None, build]
+        elif (d2, links) == (best[0], best[1]):
+            pts = build()
+            if best[2] is None:
+                best[2] = best[3]()
+            if pts < best[2]:
+                best = [d2, links, pts, build]
+
+    def count(solve_stats: dict) -> None:
+        stats["middle_solves"] += 1
+        stats["events"] += solve_stats.get("events", 0)
+        stats["regions"] += solve_stats.get("regions", 0)
 
     # in-box routes, to the other terminal's candidates in a search's box
     for searches, cands, forward in ((search_s, cands_t, True),
@@ -264,39 +321,74 @@ def solve(instance: Instance) -> SolveReport:
                 got = gs.at(q) if gs.grid.box.contains(q) else None
                 if got is not None:
                     route = [_double(v) for v in got[2]]
-                    offer(2 * got[0], got[1], route if forward else route[::-1])
+                    if not forward:
+                        route.reverse()
+                    offer(2 * got[0], got[1], lambda r=route: r)
 
+    plain_s = [a.junction2 for a in atts_s if a.out_dir is None]
+    plain_t = [b.junction2 for b in atts_t if b.out_dir is None]
+    # per x-case class frame, each plain target's distance in the class
+    # solve: a lower bound on every pair of the class into that target
+    floors: dict[Xform, dict[Point, float]] = {}
     # middle solves are filed under their pair's free groups; a pair's bound
-    # reads only the solves filed under its own groups
-    solved: dict[tuple, list[tuple[Point, Point, int]]] = {}
-    pairs = sorted(
-        ((a.d2 + _l1(a.junction2, b.junction2) + b.d2, i, j)
-         for i, a in enumerate(atts_s) for j, b in enumerate(atts_t)),
-        key=lambda t: t[0])
+    # reads only the solves filed under its own groups.  A plain pair of a
+    # solved class is kept, with its floor, under its source's and its
+    # target's junction, where the bound of a plain pair through either end
+    # reads it: all plain attachments of a terminal share a group.
+    solved: dict[tuple, list[tuple[Point, Point, float]]] = {}
+    through: dict[Point, tuple[Point, Point, float]] = {}
+    ends_t = [(*b.junction2, b.d2, j) for j, b in enumerate(atts_t)]
+    pairs = sorted((a.d2 + abs(ax - bx) + abs(ay - by) + bd2, i, j)
+                   for i, a in enumerate(atts_s) for ax, ay in [a.junction2]
+                   for bx, by, bd2, j in ends_t)
     for lb, i, j in pairs:
         if best is not None and lb > best[0]:
             break
         a, b = atts_s[i], atts_t[j]
-        if a.junction2 == b.junction2:
+        ja, jb = a.junction2, b.junction2
+        if ja == jb:
             # a plain junction is even in both coordinates and a pocket one
             # odd in one, so both are plain or both pockets; two pockets
             # leaving the same way are a U-turn the in-box route beats
             if a.out_dir is None or a.out_dir != b.out_dir:
                 merge = a.out_dir is not None
-                pts = list(a.lead2) + list(reversed(b.lead2))[1:]
-                offer(a.d2 + b.d2, a.links + b.links - merge, pts)
+                offer(a.d2 + b.d2, a.links + b.links - merge,
+                      lambda a=a, b=b: list(a.lead2) + list(reversed(b.lead2))[1:])
             continue
         key = (a.group, b.group)
-        if best is not None \
-                and _pair_bound(a, b, solved.get(key, ())) > best[0]:
+        known = solved.get(key, [])
+        plain = a.out_dir is None and b.out_dir is None
+        if plain:
+            known = known + [through[e] for e in (ja, jb) if e in through]
+        if best is not None and _pair_bound(a, b, known) > best[0]:
             stats["pairs_pruned"] += 1
             continue
-        raw = solve_pair_raw(world, a.junction2, b.junction2,
-                             dir_links=_seed_links(a))
-        solved.setdefault(key, []).append((a.junction2, b.junction2, raw.dist2))
-        stats["middle_solves"] += 1
-        stats["events"] += raw.stats.get("events", 0)
-        stats["regions"] += raw.stats.get("regions", 0)
+        if plain:
+            kind, frame = engine.classify(world, ja, jb)
+            if kind == "x":
+                # one relaxation answers every plain pair of this class
+                if frame not in floors:
+                    dist2, arrivals, dag = engine.solve_x_case(
+                        world, frame, plain_s, plain_t)
+                    floors[frame] = {t: nd.dist
+                                     for t, nd in zip(plain_t, dag.targets)}
+                    stats["classes"] += 1
+                    count({"events": dag.events, "regions": dag.regions})
+                    for arrs in arrivals:
+                        for lam, wit in arrs.values():
+                            offer(dist2, lam, lambda w=wit: list(w))
+                floor = floors[frame][jb]
+                if floor == INF:
+                    raise GeometryError("a class solve missed a pair of its class")
+                for end in (ja, jb):
+                    if end not in through or through[end][2] < floor:
+                        through[end] = (ja, jb, floor)
+                continue
+        raw = solve_pair_raw(world, ja, jb, dir_links=_seed_links(a))
+        if raw.dist2 > _l1(ja, jb):
+            # a solve at its L1 bound bounds no pair beyond its own L1
+            solved.setdefault(key, []).append((ja, jb, raw.dist2))
+        count(raw.stats)
         for adir, (lam, wit) in raw.arrivals.items():
             if a.out_dir is not None and first_dir(wit) == _neg(a.out_dir):
                 # the middle would double straight back into the box; a
@@ -305,15 +397,18 @@ def solve(instance: Instance) -> SolveReport:
             if b.out_dir is not None and adir == b.out_dir:
                 continue
             merge = 1 if b.out_dir is not None and adir == _neg(b.out_dir) else 0
-            pts = list(a.lead2) + list(wit)[1:] + list(reversed(b.lead2))[1:]
-            offer(a.d2 + raw.dist2 + b.d2, lam + b.links - merge, pts)
+            offer(a.d2 + raw.dist2 + b.d2, lam + b.links - merge,
+                  lambda a=a, b=b, wit=wit: list(a.lead2) + list(wit)[1:]
+                  + list(reversed(b.lead2))[1:])
 
     if best is None:
         raise GeometryError("terminals are not connected")
     stats["traces_built"] = world.traces_built
     stats["regions_built"] = world.regions_built
     stats["hull_tables_built"] = world.hull_tables_built
-    d2, links, pts2 = best
+    d2, links, pts2, build = best
+    if pts2 is None:
+        pts2 = build()
     if d2 % 2:
         raise GeometryError("odd doubled distance")
     if len(pts2) == 1:

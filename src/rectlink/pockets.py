@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -36,13 +36,20 @@ class Crossing:
     heading ``out_dir`` through the boundary; a caller continuing straight
     outward extends that segment for free.  Search sources lie strictly
     inside the box and crossings on its ring, so ``links`` is at least 1.
+    ``state`` is the search state the best arrival ends in; ``path`` walks
+    the search's parents back from it on each read.
     """
 
     point: Point
     out_dir: Point
     dist: int
     links: int
-    path: tuple[Point, ...]
+    state: tuple[int, int, int]
+    search: GridSearch = field(compare=False, repr=False)
+
+    @property
+    def path(self) -> tuple[Point, ...]:
+        return self.search._walk(self.state)
 
 
 class BoxGrid:
@@ -153,13 +160,14 @@ class GridSearch:
         pts.reverse()
         return tuple(pts)
 
-    def at(self, p: Point, heading: Optional[Point] = None
-           ) -> Optional[tuple[int, int, tuple[Point, ...]]]:
-        """Best (dist, links, path) into ``p``; with ``heading`` set, paths
-        not already travelling that way pay one link for the turn."""
+    def best_at(self, p: Point, heading: Optional[Point] = None
+                ) -> Optional[tuple[int, int, tuple[int, int, int]]]:
+        """Best (dist, links, state) into ``p``; with ``heading`` set, paths
+        not already travelling that way pay one link for the turn.  A source
+        ends in its own state ``(i, j, -1)``, which has no parent."""
         i, j = self.grid.vertex(p)
         if (i, j) in self.sources:
-            return 0, 0, ((self.grid.xs[i], self.grid.ys[j]),)
+            return 0, 0, (i, j, -1)
         out: Optional[tuple[int, int, tuple[int, int, int]]] = None
         for di, d in enumerate(DIRS):
             got = self.best.get((i, j, di))
@@ -169,9 +177,13 @@ class GridSearch:
             cand = (got[0], got[1] + turn, (i, j, di))
             if out is None or cand[:2] < out[:2]:
                 out = cand
-        if out is None:
-            return None
-        return out[0], out[1], self._walk(out[2])
+        return out
+
+    def at(self, p: Point, heading: Optional[Point] = None
+           ) -> Optional[tuple[int, int, tuple[Point, ...]]]:
+        """Best (dist, links, path) into ``p``, as ``best_at`` reads it."""
+        got = self.best_at(p, heading)
+        return None if got is None else (got[0], got[1], self._walk(got[2]))
 
     def crossings(self) -> list[Crossing]:
         """Profiles at every reachable boundary vertex, one per outward
@@ -194,8 +206,9 @@ class GridSearch:
                     sides.append((1, 0))
                 p = (grid.xs[i], grid.ys[j])
                 for c in sides:
-                    got = self.at(p, heading=c)
+                    got = self.best_at(p, heading=c)
                     if got is not None:
                         out.append(Crossing(point=p, out_dir=c, dist=got[0],
-                                            links=got[1], path=got[2]))
+                                            links=got[1], state=got[2],
+                                            search=self))
         return out

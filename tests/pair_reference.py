@@ -1,0 +1,111 @@
+"""The per-pair frontend loop that class solves replaced, kept as a reference.
+
+``solve`` is ``frontend.solve`` as it was before one x-case relaxation
+answered a whole class of attachment pairs: every attachment pair, in order
+of its obstacle-blind L1 bound, gets its own middle solve unless the L1 bound
+or a triangle bound through an already solved pair of the same free groups
+rules it out, and the first strict improvement wins.  It reads the package's
+attachments, bounds and pair engine, so it differs from ``frontend.solve``
+only in the pair loop.  ``tests/test_frontend.py`` checks that both give the
+same (distance, links).
+"""
+from rectlink.engine import _double, build_world, solve_pair_raw
+from rectlink.frontend import (
+    SolveReport,
+    _align_runs,
+    _attachments,
+    _l1,
+    _neg,
+    _pair_bound,
+    _seed_links,
+)
+from rectlink.geometry import GeometryError, PathResult, first_dir
+from rectlink.model import validate
+
+
+def solve(instance):
+    problems = validate(instance)
+    if problems:
+        raise GeometryError("invalid instance: " + "; ".join(problems))
+    xs_set, ys_set = instance.all_coords()
+    xs, ys = sorted(xs_set), sorted(ys_set)
+    world = build_world(instance.obstacles)
+    atts_s, search_s, cands_s = _attachments(instance, instance.source, xs, ys,
+                                             world)
+    atts_t, search_t, cands_t = _attachments(instance, instance.target, xs, ys,
+                                             world)
+    if not atts_s or not atts_t:
+        raise GeometryError("a terminal has no connection to the free plane")
+
+    stats = {"middle_solves": 0, "pairs_pruned": 0, "events": 0, "regions": 0,
+             "attachments": (len(atts_s), len(atts_t))}
+    best = None
+
+    def offer(d2, links, pts2):
+        nonlocal best
+        if best is None or (d2, links) < (best[0], best[1]):
+            best = (d2, links, pts2)
+
+    for searches, cands, forward in ((search_s, cands_t, True),
+                                     (search_t, cands_s, False)):
+        for gs in searches:
+            for q in cands:
+                got = gs.at(q) if gs.grid.box.contains(q) else None
+                if got is not None:
+                    route = [_double(v) for v in got[2]]
+                    offer(2 * got[0], got[1], route if forward else route[::-1])
+
+    solved = {}
+    pairs = sorted(
+        ((a.d2 + _l1(a.junction2, b.junction2) + b.d2, i, j)
+         for i, a in enumerate(atts_s) for j, b in enumerate(atts_t)),
+        key=lambda t: t[0])
+    for lb, i, j in pairs:
+        if best is not None and lb > best[0]:
+            break
+        a, b = atts_s[i], atts_t[j]
+        if a.junction2 == b.junction2:
+            if a.out_dir is None or a.out_dir != b.out_dir:
+                merge = a.out_dir is not None
+                pts = list(a.lead2) + list(reversed(b.lead2))[1:]
+                offer(a.d2 + b.d2, a.links + b.links - merge, pts)
+            continue
+        key = (a.group, b.group)
+        if best is not None \
+                and _pair_bound(a, b, solved.get(key, ())) > best[0]:
+            stats["pairs_pruned"] += 1
+            continue
+        raw = solve_pair_raw(world, a.junction2, b.junction2,
+                             dir_links=_seed_links(a))
+        solved.setdefault(key, []).append((a.junction2, b.junction2, raw.dist2))
+        stats["middle_solves"] += 1
+        stats["events"] += raw.stats.get("events", 0)
+        stats["regions"] += raw.stats.get("regions", 0)
+        for adir, (lam, wit) in raw.arrivals.items():
+            if a.out_dir is not None and first_dir(wit) == _neg(a.out_dir):
+                continue
+            if b.out_dir is not None and adir == b.out_dir:
+                continue
+            merge = 1 if b.out_dir is not None and adir == _neg(b.out_dir) else 0
+            pts = list(a.lead2) + list(wit)[1:] + list(reversed(b.lead2))[1:]
+            offer(a.d2 + raw.dist2 + b.d2, lam + b.links - merge, pts)
+
+    if best is None:
+        raise GeometryError("terminals are not connected")
+    stats["traces_built"] = world.traces_built
+    stats["regions_built"] = world.regions_built
+    d2, links, pts2 = best
+    if d2 % 2:
+        raise GeometryError("odd doubled distance")
+    if len(pts2) == 1:
+        path = [(pts2[0][0] // 2, pts2[0][1] // 2)]
+    else:
+        pts2 = _align_runs(PathResult.from_points(pts2).points,
+                           [2 * x for x in xs], [2 * y for y in ys])
+        check = PathResult.from_points([(x // 2, y // 2) for x, y in pts2])
+        if check.length * 2 != d2 or check.links != links \
+                or any(p[0] not in xs_set or p[1] not in ys_set
+                       for p in check.points):
+            raise GeometryError("witness disagrees with the combined costs")
+        path = list(check.points)
+    return SolveReport(distance=d2 // 2, links=links, path=path, stats=stats)

@@ -191,8 +191,9 @@ def all_vertex_crossings(search: GridSearch) -> list[Crossing]:
                 continue
             p = (grid.xs[i], grid.ys[j])
             for c in sides:
-                got = search.at(p, heading=c)
+                got = search.best_at(p, heading=c)
                 if got is not None:
                     out.append(Crossing(point=p, out_dir=c, dist=got[0],
-                                        links=got[1], path=got[2]))
+                                        links=got[1], state=got[2],
+                                        search=search))
     return out

@@ -5,7 +5,8 @@ Usage (from the repository root):
     PYTHONPATH=src python3 tests/record_region_digests.py
 
 writes ``tests/data/region_digests.json``.  The regions covered are the ones
-built while solving the ``point-small`` and ``attach-small`` base pools of
+built while the per-pair reference frontend (``pair_reference.solve``)
+solves the ``point-small`` and ``attach-small`` base pools of
 ``perfbench/workloads.py`` (in pool order, each region when it is built),
 the regions of ``test_index._xy_regions`` (all eight total frames) and
 ``diagonal.diagonal_region(250)``.  ``tests/test_region_digests.py``
@@ -34,12 +35,13 @@ def region_digest(region) -> str:
 
 
 def pool_region_digests(name: str) -> list[str]:
-    """Digests of the regions built while solving a perfbench base pool."""
+    """Digests of the regions built while the per-pair reference solves a
+    perfbench base pool."""
     if PERFBENCH not in sys.path:
         sys.path.append(PERFBENCH)
     import workloads
+    from pair_reference import solve
     from rectlink import partition
-    from rectlink.frontend import solve
 
     built = []
     build = partition._build_region

@@ -265,11 +265,11 @@ def test_5_structural_invariants():
         kind, frame = classify(world, s2, t2)
         if kind != "x":
             continue
-        dist2, arrivals, dag = solve_x_case(world, frame, s2, t2)
+        dist2, _, dag = solve_x_case(world, frame, [s2], [t2])
         ora = oracle_solve(inst, want_path=False)
         assert dist2 == 2 * ora.distance, f"seed {seed}"
         spans = []
-        pred = dag.target.best_pred
+        pred = dag.targets[0].best_pred
         while pred is not None and pred[0] == "mid":
             nd = dag.nodes[pred[1]]
             if nd.leg is not None:

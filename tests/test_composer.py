@@ -3,16 +3,18 @@ import weakref
 
 import pytest
 
+import pair_reference
 from rectlink import composer, engine, partition
 from rectlink.composer import solve_x_case
 from rectlink.engine import _double, build_world
-from rectlink.frontend import solve
+from rectlink.frontend import _attachments, solve
 from rectlink.generator import GenerationError, generate_instance
-from rectlink.geometry import RectPolygon
+from rectlink.geometry import GeometryError, RectPolygon
 from rectlink.model import Instance, Terminal
 from rectlink.oracle import oracle_solve
-from rectlink.partition import FrameView, World, classify
+from rectlink.partition import TRACE_FRAMES, FrameView, World, classify, trace_ru
 from rectlink.sweep import INF
+from test_frontend import _perfbench
 
 WALL = RectPolygon([(8, -40), (12, -40), (12, 40), (8, 40)])
 
@@ -42,7 +44,7 @@ def test_single_wall_detour():
 def test_arrival_directions_are_units():
     found = 0
     for seed, inst, world, frame, s2, t2 in _x_cases(range(200)):
-        dist2, arrivals, dag = solve_x_case(world, frame, s2, t2)
+        dist2, (arrivals,), dag = solve_x_case(world, frame, [s2], [t2])
         assert arrivals
         for adir, (lam, wit) in arrivals.items():
             assert adir in ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -56,8 +58,8 @@ def test_arrival_directions_are_units():
 def test_optimal_chain_regions_are_x_disjoint():
     checked = 0
     for seed, inst, world, frame, s2, t2 in _x_cases(range(200, 500)):
-        dist2, arrivals, dag = solve_x_case(world, frame, s2, t2)
-        node = dag.target
+        dist2, _, dag = solve_x_case(world, frame, [s2], [t2])
+        node = dag.targets[0]
         spans = []
         pred = node.best_pred
         while pred is not None and pred[0] == "mid":
@@ -77,7 +79,7 @@ def test_optimal_chain_regions_are_x_disjoint():
 def test_x_case_distance_matches_oracle():
     count = 0
     for seed, inst, world, frame, s2, t2 in _x_cases(range(500, 800)):
-        dist2, arrivals, dag = solve_x_case(world, frame, s2, t2)
+        dist2, (arrivals,), dag = solve_x_case(world, frame, [s2], [t2])
         ora = oracle_solve(inst, want_path=False)
         assert dist2 == 2 * ora.distance, seed
         assert min(l for l, _ in arrivals.values()) == ora.links, seed
@@ -87,12 +89,19 @@ def test_x_case_distance_matches_oracle():
     assert count >= 10
 
 
+def _many_x_solves():
+    # the first polygon-polygon seed (n = 8, coord limit 120) on which the
+    # per-pair frontend makes at least 10 x-case middle solves: 19 of them
+    # over 10 x 28 attachments, with 34 pairs pruned.  Its plain pairs fall
+    # into two x-case classes, so ``solve`` makes two class solves.
+    return generate_instance(150, n_obstacles=8, coord_limit=120,
+                             source_kind="polygon", target_kind="polygon")
+
+
 def test_one_world_per_solve(monkeypatch):
     """An x-case point pair and a polygon instance with several x-case
     middle solves each build exactly one hull world."""
     x_inst = next(inst for _, inst, *_ in _x_cases(range(200)))
-    poly_inst = generate_instance(58, n_obstacles=8, coord_limit=120,
-                                  source_kind="polygon", target_kind="point")
     builds, x_solves = [], []
     init, x_case = World.__init__, engine.solve_x_case
 
@@ -106,7 +115,7 @@ def test_one_world_per_solve(monkeypatch):
 
     monkeypatch.setattr(World, "__init__", counting_init)
     monkeypatch.setattr(engine, "solve_x_case", counting_x_case)
-    for inst, min_x_solves in ((x_inst, 1), (poly_inst, 2)):
+    for inst, min_x_solves in ((x_inst, 1), (_many_x_solves(), 2)):
         builds.clear()
         x_solves.clear()
         solve(inst)
@@ -114,18 +123,11 @@ def test_one_world_per_solve(monkeypatch):
         assert len(builds) == 1
 
 
-def _many_x_solves():
-    # the first polygon-polygon seed (n = 8, coord limit 120) that makes at
-    # least 10 x-case middle solves: 19 of them over 10 x 28 attachments,
-    # with 34 pairs pruned
-    return generate_instance(150, n_obstacles=8, coord_limit=120,
-                             source_kind="polygon", target_kind="polygon")
-
-
 def test_each_trace_is_traced_once_per_solve(monkeypatch):
     """Middle solves share the instance world's traces: every (frame,
     start, x_stop) key reaches the tracer once, however often it is asked
-    for."""
+    for.  The per-pair reference frontend makes many x-case middle solves
+    on one world, ``solve`` one per class."""
     traced, requests, x_solves = [], [], []
     inner, outer, x_case = partition._trace_ru, partition.trace_ru, engine.solve_x_case
 
@@ -145,11 +147,17 @@ def test_each_trace_is_traced_once_per_solve(monkeypatch):
     monkeypatch.setattr(partition, "trace_ru", counting_outer)
     monkeypatch.setattr(composer, "trace_ru", counting_outer)
     monkeypatch.setattr(engine, "solve_x_case", counting_x_case)
-    report = solve(_many_x_solves())
-    assert len(x_solves) >= 10
-    assert len(traced) == len(set(traced))
-    assert len(traced) < len(requests) / 2
-    assert report.stats["traces_built"] == len(traced)
+    # (frontend, least x-case solves, most traces per request)
+    for run, min_x_solves, share in ((pair_reference.solve, 10, 0.5),
+                                     (solve, 2, 1.0)):
+        traced.clear()
+        requests.clear()
+        x_solves.clear()
+        report = run(_many_x_solves())
+        assert len(x_solves) >= min_x_solves
+        assert len(traced) == len(set(traced))
+        assert len(traced) < share * len(requests)
+        assert report.stats["traces_built"] == len(traced)
 
 
 def test_two_solves_share_no_memo(monkeypatch):
@@ -244,64 +252,161 @@ def test_a_solve_fills_only_the_hull_tables_it_reads(monkeypatch):
     assert len(fills) < len(world._frames) * len(world.obstacles)
 
 
-def _all_pairs_relaxation(world, frame, s2, t2, nodes):
-    """(dist, preds) of every node and then the target, by testing each
-    node against every relaxed midpoint strictly west of it."""
-    wf = FrameView(world, frame)
-    sf, (tx, ty) = frame.apply(s2), frame.apply(t2)
-    y_hi = max([ty] + [nd.point[1] for nd in nodes]) + 1
-    y_lo = min([ty] + [nd.point[1] for nd in nodes]) - 1
-    curves = dict(composer._rise_curves(wf, sf, tx, y_hi),
-                  **composer._fall_curves(wf, sf, tx, y_lo))
+def _curves(wf, p, x_hi, y_hi, y_lo):
+    """The four extreme curves out of p, each in its trace frame."""
+    out = {}
+    for name, stop in (("ru", x_hi), ("ur", y_hi), ("rd", x_hi), ("dr", -y_lo)):
+        f = TRACE_FRAMES[name]
+        out[name] = trace_ru(wf.frame(f), f.apply(p), stop).curve
+    return out
 
-    def leg_ok(mu, q):
-        if mu.side == "top":
-            return q[1] <= mu.point[1] and composer._fall_ok(
-                q, composer._fall_curves(wf, mu.point, tx, y_lo))
-        return q[1] >= mu.point[1] and composer._rise_ok(
-            q, composer._rise_curves(wf, mu.point, tx, y_hi))
+
+def _rises(q, c):
+    return q[1] >= c["ru"].max_y_at(q[0]) and q[0] >= c["ur"].max_y_at(q[1])
+
+
+def _falls(q, c):
+    return -q[1] >= c["rd"].max_y_at(q[0]) and q[0] >= c["dr"].max_y_at(-q[1])
+
+
+def _l1(a, b):
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+
+def _all_pairs_relaxation(world, frame, sources, targets, nodes):
+    """(dist, preds) of every node and then every target, by testing each
+    against every relaxed midpoint and every source strictly west of it."""
+    wf = FrameView(world, frame)
+    srcs = [frame.apply(s) for s in sources]
+    tgts = [frame.apply(t) for t in targets]
+    tx = max(t[0] for t in tgts)
+    ys = [nd.point[1] for nd in nodes] + [t[1] for t in tgts]
+    y_hi, y_lo = max(ys) + 1, min(ys) - 1
+
+    def leg_ok(p, falling, q):
+        if falling:
+            return q[1] <= p[1] and _falls(q, _curves(wf, p, tx, y_hi, y_lo))
+        return q[1] >= p[1] and _rises(q, _curves(wf, p, tx, y_hi, y_lo))
 
     dist = []
     out = []
-    for nd in nodes + [composer._Node(point=(tx, ty), hull=-1)]:
+    for nd in nodes + [composer._Node(point=t, hull=-1) for t in tgts]:
+        q = nd.point
         cands = []
         for k, mu in enumerate(nodes[:len(dist)]):
-            if mu.point[0] < nd.point[0] and dist[k] < INF \
-                    and leg_ok(mu, nd.point):
-                cands.append((dist[k] + composer._l1(mu.point, nd.point),
-                              ("mid", k)))
-        if (nd.hull == -1 or (nd.side == "top") == (nd.point[1] > sf[1])) \
-                and composer._xy_quadrant_ok(sf, nd.point, curves):
-            cands.append((float(composer._l1(sf, nd.point)), ("direct", -1)))
+            if mu.point[0] < q[0] and dist[k] < INF \
+                    and leg_ok(mu.point, mu.side == "top", q):
+                cands.append((dist[k] + _l1(mu.point, q), ("mid", k)))
+        for i, s in enumerate(srcs):
+            # a chain's first turnaround is reached monotonically from its
+            # source: rising into a top-side midpoint, falling into a
+            # bottom-side one; a leg level with the source is both
+            if s[0] < q[0] \
+                    and (nd.hull == -1 or (nd.side == "top") == (q[1] > s[1])) \
+                    and (q[1] < s[1] or leg_ok(s, False, q)) \
+                    and (q[1] > s[1] or leg_ok(s, True, q)):
+                cands.append((float(_l1(s, q)), ("src", i)))
         d = min((c[0] for c in cands), default=INF)
         dist.append(d)
         out.append((d, [p for c, p in cands if c == d]))
     return out
 
 
-def test_key_ordered_relaxation_matches_all_pairs(monkeypatch):
-    """Every node's distance and optimal predecessors, in order, equal an
-    all-pairs relaxation's, on every x-case middle solve of fixed seeds."""
-    solves = []
+def _recording(solves):
+    """An ``engine.solve_x_case`` that records each call and its result."""
     x_case = engine.solve_x_case
 
-    def recording_x_case(world, frame, s2, t2, dir_links=None):
-        got = x_case(world, frame, s2, t2, dir_links=dir_links)
-        solves.append((world, frame, s2, t2, got[2]))
+    def recording_x_case(world, frame, sources, targets, dir_links=None):
+        got = x_case(world, frame, sources, targets, dir_links=dir_links)
+        solves.append((world, frame, sources, targets, got))
         return got
 
-    monkeypatch.setattr(engine, "solve_x_case", recording_x_case)
+    return recording_x_case
+
+
+def test_key_ordered_relaxation_matches_all_pairs(monkeypatch):
+    """Every node's and every target's distance and optimal predecessors, in
+    order, equal an all-pairs relaxation's, on every x-case solve of fixed
+    seeds: the class solves of ``solve`` and the single-pair solves of the
+    per-pair reference frontend."""
+    solves = []
+    monkeypatch.setattr(engine, "solve_x_case", _recording(solves))
     for seed in range(60):
         for kinds in (("point", "point"), ("polygon", "segment"),
                       ("polygon", "polygon")):
-            solve(generate_instance(900 + seed, n_obstacles=20,
-                                    coord_limit=200, source_kind=kinds[0],
-                                    target_kind=kinds[1]))
+            inst = generate_instance(900 + seed, n_obstacles=20,
+                                     coord_limit=200, source_kind=kinds[0],
+                                     target_kind=kinds[1])
+            solve(inst)
+            pair_reference.solve(inst)
     assert len(solves) >= 100
+    assert sum(len(sources) * len(targets) > 1
+               for _, _, sources, targets, _ in solves) >= 20
     ties = 0
-    for world, frame, s2, t2, dag in solves:
-        want = _all_pairs_relaxation(world, frame, s2, t2, dag.nodes)
-        got = [(nd.dist, nd.preds) for nd in dag.nodes + [dag.target]]
+    for world, frame, sources, targets, (_, _, dag) in solves:
+        want = _all_pairs_relaxation(world, frame, sources, targets, dag.nodes)
+        got = [(nd.dist, nd.preds) for nd in dag.nodes + dag.targets]
         assert got == want
         ties += sum(len(preds) > 1 for _, preds in got)
     assert ties > 0
+
+
+def test_a_class_solve_is_the_best_single_source_solve(monkeypatch):
+    """A class solve's distance to each target is the least over its
+    sources' single-source solves, and at the nearest targets so are the
+    links: on every class solve of the polygon instances of fixed seeds."""
+    solves = []
+    monkeypatch.setattr(engine, "solve_x_case", _recording(solves))
+    for seed in range(12):
+        for kinds in (("polygon", "segment"), ("polygon", "polygon"),
+                      ("segment", "polygon")):
+            solve(generate_instance(900 + seed, n_obstacles=20,
+                                    coord_limit=200, source_kind=kinds[0],
+                                    target_kind=kinds[1]))
+    monkeypatch.undo()
+    checked = 0
+    for world, frame, sources, targets, (near, arrivals, dag) in solves:
+        if len(sources) * len(targets) == 1:
+            continue
+        for t, nd, arrs in zip(targets, dag.targets, arrivals):
+            single = []
+            for s in sources:
+                try:
+                    dist, (got,), _ = solve_x_case(world, frame, [s], [t])
+                except GeometryError:
+                    continue
+                single.append((dist, min(lam for lam, _ in got.values())))
+            assert nd.dist == min(single, default=(INF,))[0]
+            if nd.dist == near:
+                assert min(lam for lam, _ in arrs.values()) == min(single)[1]
+            checked += 1
+    assert checked > 120
+
+
+def test_one_x_case_solve_per_class(monkeypatch):
+    """On the attach-small pool, whose attachments are all plain, an
+    instance makes at most one x-case solve per distinct frame that
+    ``classify`` gives its x-case attachment pairs."""
+    calls = []
+    x_case = engine.solve_x_case
+
+    def counting_x_case(*args, **kw):
+        calls.append(1)
+        return x_case(*args, **kw)
+
+    monkeypatch.setattr(engine, "solve_x_case", counting_x_case)
+    classes = 0
+    for inst in _perfbench("workloads").base_pool("attach-small"):
+        calls.clear()
+        solve(inst)
+        world = build_world(inst.obstacles)
+        xs, ys = (sorted(c) for c in inst.all_coords())
+        atts_s, atts_t = (_attachments(inst, term, xs, ys, world)[0]
+                          for term in (inst.source, inst.target))
+        assert all(a.out_dir is None for a in atts_s + atts_t)
+        frames = {frame for a in atts_s for b in atts_t
+                  for kind, frame in [classify(world, a.junction2, b.junction2)]
+                  if kind == "x"}
+        assert len(calls) <= len(frames)
+        classes += len(calls)
+    assert classes >= 13

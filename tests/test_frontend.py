@@ -1,14 +1,22 @@
+import importlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+import pair_reference
 from rectlink import frontend
+from rectlink.engine import build_world
 from rectlink.frontend import Attachment, _attachments, solve
 from rectlink.generator import generate_instance
-from rectlink.geometry import GeometryError, PathResult, RectPolygon
+from rectlink.geometry import IDENTITY, GeometryError, PathResult, RectPolygon
+from rectlink.io import instance_to_obj
 from rectlink.model import Instance, Terminal, validate
 from rectlink.oracle import GRID_CAP, oracle_solve
 from pocket_doors import into_pocket
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 KIND_MIXES = [
     ("point", "point"),
@@ -84,9 +92,9 @@ def test_pocket_terminals_match_oracle():
     for seed, inst in _pocket_instances(36):
         moved_t = POCKET_MIXES[seed % len(POCKET_MIXES)][1]
         xs, ys = (sorted(c) for c in inst.all_coords())
-        boxes = [ob.bbox for ob in inst.obstacles]
+        world = build_world(inst.obstacles)
         for term in [inst.source] + ([inst.target] if moved_t else []):
-            atts, _, _ = _attachments(inst, term, xs, ys, boxes)
+            atts, _, _ = _attachments(inst, term, xs, ys, world)
             assert any(a.out_dir is not None for a in atts), seed
         _check_against_oracle(inst, f"pocket seed {seed}")
         checked += 1
@@ -201,17 +209,23 @@ def _answer(report):
     return report.distance, report.links, report.path
 
 
-def test_triangle_pruning_keeps_every_answer(monkeypatch):
-    """Against a frontend that prunes on the plain L1 bound alone: the same
-    (distance, links, path) on all nine terminal-kind pairs, half of them
-    with nearly every obstacle corner carved, and never more middle
-    solves."""
-    instances = [
+def _triangle_instances():
+    """All nine terminal-kind pairs, half of them with nearly every obstacle
+    corner carved."""
+    return [
         generate_instance(7000 + k, n_obstacles=8, coord_limit=120,
                           source_kind=KINDS[k % 3],
                           target_kind=KINDS[k // 3 % 3],
                           carve_prob=0.95 if k % 2 else 0.6)
         for k in range(630)]
+
+
+def test_triangle_pruning_keeps_every_answer(monkeypatch):
+    """Against a frontend that prunes on the plain L1 bound alone: the same
+    (distance, links, path) on all nine terminal-kind pairs, half of them
+    with nearly every obstacle corner carved, and never more middle
+    solves."""
+    instances = _triangle_instances()
     pruned = [solve(inst) for inst in instances]
     monkeypatch.setattr(frontend, "_pair_bound", lambda a, b, solved:
                         a.d2 + frontend._l1(a.junction2, b.junction2) + b.d2)
@@ -235,7 +249,8 @@ def test_pocket_attachments_group_by_box_wall():
                  Terminal.of_point((16, 15))):
         inst = Instance(obstacles=(ob,), source=term, target=target)
         xs, ys = (sorted(c) for c in inst.all_coords())
-        atts, _, _ = _attachments(inst, term, xs, ys, [ob.bbox])
+        atts, _, _ = _attachments(inst, term, xs, ys,
+                                  build_world(inst.obstacles))
         assert any(a.out_dir is not None for a in atts)
         plain = 0
         for a in atts:
@@ -261,12 +276,11 @@ def test_a_polygons_plain_attachments_form_one_group():
         inst = generate_instance(400 + seed, n_obstacles=8, coord_limit=120,
                                  source_kind="polygon", target_kind="point")
         xs, ys = (sorted(c) for c in inst.all_coords())
-        boxes = [ob.bbox for ob in inst.obstacles]
-        atts, _, _ = _attachments(inst, inst.source, xs, ys, boxes)
+        atts, _, _ = _attachments(inst, inst.source, xs, ys,
+                                  build_world(inst.obstacles))
         assert len(atts) >= 4
         assert {a.group for a in atts} == {()}
-        pocket = Attachment(junction2=(1, 0), d2=3, links=1,
-                            lead2=((0, 0), (1, 0)), out_dir=(1, 0))
+        pocket = Attachment(junction2=(1, 0), d2=3, links=1, out_dir=(1, 0))
         assert pocket.group == ((1, 0), 1)
 
 
@@ -294,8 +308,8 @@ def test_a_segments_plain_attachments_share_a_free_stretch():
                     target=target)
     assert validate(inst) == []
     xs, ys = (sorted(c) for c in inst.all_coords())
-    boxes = [low.bbox, high.bbox]
-    atts, _, _ = _attachments(inst, inst.source, xs, ys, boxes)
+    atts, _, _ = _attachments(inst, inst.source, xs, ys,
+                              build_world(inst.obstacles))
     plain = [a.junction2 for a in atts if a.out_dir is None]
     assert plain and all(x == 32 and 36 <= y <= 80 for x, y in plain)
     assert {a.lead2[0][1] < 36 for a in atts if a.out_dir is not None} \
@@ -308,3 +322,56 @@ def test_a_segments_plain_attachments_share_a_free_stretch():
                       source=Terminal.of_segment((16, 15), (16, 50)),
                       target=target)
     assert any("crosses obstacle 1" in p for p in validate(across))
+
+
+def _perfbench(module):
+    if PERFBENCH not in sys.path:
+        sys.path.append(PERFBENCH)
+    return importlib.import_module(module)
+
+
+def test_class_solves_match_the_per_pair_reference():
+    """One x-case relaxation per class gives the (distance, links) of the
+    per-pair frontend (``pair_reference.solve``) on the attach-small pool,
+    the triangle-pruning instances and the pocket chain, and every witness
+    re-measures to the reported answer (``perfbench/witness.py``, which
+    shares no code with the package)."""
+    instances = (_perfbench("workloads").base_pool("attach-small")
+                 + _triangle_instances()
+                 + [inst for _, inst in _pocket_instances(36)])
+    checker = _perfbench("witness").WitnessChecker
+    classes = 0
+    for k, inst in enumerate(instances):
+        got, want = solve(inst), pair_reference.solve(inst)
+        assert (got.distance, got.links) == (want.distance, want.links), k
+        assert checker(instance_to_obj(inst)).problems(
+            got.distance, got.links, got.path) == [], k
+        classes += got.stats["classes"]
+    assert len(instances) >= 88 + 630 + 34 and classes > 40
+
+
+def test_candidates_and_hosts_match_the_linear_scans():
+    """The bisected candidate lines and the indexed host box give what the
+    scans over every line and every box gave, on the pocket chain and the
+    triangle-test instances."""
+    instances = [inst for _, inst in _pocket_instances(36)] \
+        + _triangle_instances()[:90]
+    hosted = 0
+    for inst in instances:
+        xs, ys = (sorted(c) for c in inst.all_coords())
+        boxes = build_world(inst.obstacles).frame(IDENTITY)
+        for term in (inst.source, inst.target):
+            segs = [term.segment] if term.kind == "segment" else \
+                list(term.polygon.edges()) if term.kind == "polygon" else []
+            for seg in segs:
+                (lx, ly), (hx, hy) = sorted((seg.p, seg.q))
+                want = sorted({seg.p, seg.q}
+                              | {(x, ly) for x in xs if lx <= x <= hx and ly == hy}
+                              | {(lx, y) for y in ys if ly <= y <= hy and lx == hx})
+                assert frontend._on_segment(seg, xs, ys) == want
+            for p in frontend._candidate_points(term, xs, ys):
+                want = next((i for i, ob in enumerate(inst.obstacles)
+                             if ob.bbox.contains(p, strict=True)), None)
+                assert frontend._host(boxes, p) == want
+                hosted += want is not None
+    assert hosted > 30

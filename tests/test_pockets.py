@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rectlink.engine import build_world
 from rectlink.frontend import _attachments
 from rectlink.generator import generate_instance
 from rectlink.geometry import GeometryError, OrthoSegment, Rect, RectPolygon
@@ -160,9 +161,9 @@ def test_ring_crossings_match_the_all_vertex_loop():
         if inst is None:
             continue
         xs, ys = (sorted(c) for c in inst.all_coords())
-        boxes = [ob.bbox for ob in inst.obstacles]
+        world = build_world(inst.obstacles)
         for term in (inst.source, inst.target):
-            _, found, _ = _attachments(inst, term, xs, ys, boxes)
+            _, found, _ = _attachments(inst, term, xs, ys, world)
             for gs in found:
                 got = gs.crossings()
                 assert got == all_vertex_crossings(gs), seed
