@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .composer import solve_x_case
-from .geometry import GeometryError, PathResult, Point, RectPolygon, first_dir
+from .geometry import GeometryError, PathResult, Point, RectPolygon, Xform, first_dir
 from .partition import World, build_staircase_region, classify
 from .sweep import INF, reconstruct_path, run_sweep
 
@@ -51,16 +51,19 @@ def build_world(obstacles: Sequence[RectPolygon]) -> World:
 
 
 def solve_pair_raw(world: World, s2: Point, t2: Point,
-                   dir_links: Optional[dict[Point, float]] = None) -> RawAnswer:
+                   dir_links: Optional[dict[Point, float]] = None,
+                   cls: Optional[tuple[str, Xform]] = None) -> RawAnswer:
     """Doubled-coordinate solve with direction-seeded link counts.
 
     ``dir_links`` gives the link count of a path that leaves ``s2`` in each
     unit direction (all 1 for a fresh source); this lets a caller continue
     a partial path straight through ``s2`` without paying an extra link.
+    ``cls`` is the pair's ``classify(world, s2, t2)`` when the caller has
+    already computed it.
     """
     if dir_links is None:
         dir_links = {d: 1.0 for d in UNIT_DIRS}
-    kind, frame = classify(world, s2, t2)
+    kind, frame = classify(world, s2, t2) if cls is None else cls
     if kind == "same":
         return RawAnswer(dist2=0, arrivals={(0, 0): (0, [s2])}, case="same")
     inv = frame.inverse()

@@ -30,7 +30,8 @@ attachment in that frame, which covers every plain pair of that class, so
 every later pair of the class is skipped.  Each target's distance in it
 bounds every pair of the class into that target from below, which the
 triangle bound then reads.  All other pairs (xy and same-point plain pairs,
-and every pair with a pocket attachment) get a middle solve of their own.
+and every pair with a pocket attachment) get a middle solve of their own; a
+plain pair's solve reuses the pair's classification.
 
 Ties are broken by a rule that does not depend on the order in which offers
 arrive: the least (doubled distance, links, point list) wins, point lists
@@ -363,8 +364,9 @@ def solve(instance: Instance) -> SolveReport:
         if best is not None and _pair_bound(a, b, known) > best[0]:
             stats["pairs_pruned"] += 1
             continue
+        cls = None
         if plain:
-            kind, frame = engine.classify(world, ja, jb)
+            cls = kind, frame = engine.classify(world, ja, jb)
             if kind == "x":
                 # one relaxation answers every plain pair of this class
                 if frame not in floors:
@@ -384,7 +386,7 @@ def solve(instance: Instance) -> SolveReport:
                     if end not in through or through[end][2] < floor:
                         through[end] = (ja, jb, floor)
                 continue
-        raw = solve_pair_raw(world, ja, jb, dir_links=_seed_links(a))
+        raw = solve_pair_raw(world, ja, jb, dir_links=_seed_links(a), cls=cls)
         if raw.dist2 > _l1(ja, jb):
             # a solve at its L1 bound bounds no pair beyond its own L1
             solved.setdefault(key, []).append((ja, jb, raw.dist2))

@@ -1,11 +1,11 @@
-"""The loop store that ``rectlink.sweep.NaiveStore`` replaced, kept as the
-reference for both the store and the sweep's provenance.
+"""The loop store that the package's range stores replaced, kept as the
+reference for both ``rectlink.sweep.RunStore`` and the sweep's provenance.
 
 It holds one value list and one activity list and walks every baseline of
 a range in a Python loop.  Unlike the package stores it also keeps each
 baseline's write history: every write appends the caller's tag, the
 (event id, source baseline) that produced the value or None.
-``tests/test_sweep.py`` drives it and ``NaiveStore`` with the same
+``tests/test_sweep.py`` drives it and ``RunStore`` with the same
 operation sequences and requires the same answers and final state, and
 replays regions' events on it with tags so that ``prov_before`` checks the
 writers that ``rectlink.sweep.provenance`` reads back from the event log.

@@ -192,6 +192,24 @@ def test_report_carries_stats():
         assert key in report.stats
 
 
+def test_a_point_pair_is_classified_once(monkeypatch):
+    """The frontend hands its classification of a plain pair to the pair
+    engine, which then does not classify the pair again."""
+    from rectlink import engine
+
+    calls = []
+    classify = engine.classify
+    monkeypatch.setattr(engine, "classify",
+                        lambda *args: calls.append(args) or classify(*args))
+    cases = set()
+    for k, inst in enumerate(_perfbench("workloads").base_pool("point-small")):
+        calls.clear()
+        solve(inst)
+        assert len(calls) == 1, k
+        cases.add(classify(*calls[0])[0])
+    assert cases == {"xy", "x"}
+
+
 def test_path_is_on_the_instance_grid():
     for seed in range(20):
         inst = generate_instance(3000 + seed, n_obstacles=10, coord_limit=150,

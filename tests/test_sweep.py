@@ -12,7 +12,7 @@ from rectlink.partition import (
     build_staircase_region,
     classify,
 )
-from rectlink.sweep import INF, NaiveStore, provenance, reconstruct_path, run_sweep
+from rectlink.sweep import INF, RunStore, provenance, reconstruct_path, run_sweep
 from rectlink.geometry import PathResult, bounding_box
 from diagonal import diagonal_region
 from frame_reference import columns, mapped_polygon, reference_tables
@@ -81,25 +81,25 @@ class TestTreeStore:
         rng = random.Random(3)
         for trial in range(120):
             m = rng.randrange(1, 25)
-            naive, tree = NaiveStore(m), TreeStore(m)
+            runs, tree = RunStore(m), TreeStore(m)
             for _ in range(40):
                 lo = rng.randrange(0, m)
                 hi = rng.randrange(lo, m)
                 op = rng.randrange(4)
                 if op == 0:
                     v = float(rng.randrange(0, 50))
-                    naive.assign(lo, hi, v)
+                    runs.assign(lo, hi, v)
                     tree.assign(lo, hi, v)
                 elif op == 1:
                     v = float(rng.randrange(0, 50))
-                    naive.chmin(lo, hi, v)
+                    runs.chmin(lo, hi, v)
                     tree.chmin(lo, hi, v)
                 elif op == 2:
-                    naive.deactivate(lo, hi)
+                    runs.deactivate(lo, hi)
                     tree.deactivate(lo, hi)
                 else:
-                    assert naive.query(lo, hi)[0] == tree.query(lo, hi)[0]
-            assert final_state(naive) == final_state(tree)
+                    assert runs.query(lo, hi)[0] == tree.query(lo, hi)[0]
+            assert final_state(runs) == final_state(tree)
 
 
 # (op, lo, span, value): the range is lo .. lo + span - 1, so a
@@ -110,17 +110,21 @@ _OPS = st.lists(st.tuples(st.sampled_from("acdq"), st.integers(-3, 14),
                 min_size=4, max_size=30)
 
 
+# stripe states: a value, INF (active but unreachable) or None (inactive)
+_STATES = [0.0, 1.0, 2.0, 3.0, 5.0, INF, None]
+
+
 class TestSliceStore:
     @settings(max_examples=300)
     @given(st.integers(1, 12), _OPS)
     def test_matches_the_loop_store(self, m, ops):
-        """``NaiveStore`` against the loop it replaced, on random operation
+        """``RunStore`` against the reference loop store, on random operation
         sequences: assigns (INF included) and deactivations on in-range or
         empty ranges, chmins (INF included) on ranges that may run past
         either end, and queries on any range, empty, reversed or out of
         range.  Answers and final states must be equal; the writes' history
         is checked by ``test_provenance_matches_the_reference_history``."""
-        new, old = NaiveStore(m), LoopStore(m)
+        new, old = RunStore(m), LoopStore(m)
         for op, lo, span, v in ops:
             hi = lo + span - 1
             if op in "ad":
@@ -138,6 +142,55 @@ class TestSliceStore:
                 old.deactivate(lo, hi)
             else:
                 assert new.query(lo, hi) == old.query(lo, hi)
+        assert final_state(new) == final_state(old)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_many_runs_match_the_loop_store(self, data):
+        """The same check at up to 200 baselines, from a state cut into many
+        runs: stripes of assigned values, INF and deactivated baselines,
+        then interleaved deactivations, assigns, chmins over many stripes
+        at once and queries, chmins and queries on ranges that may run past
+        either end.  After every operation the runs are checked: starts
+        strictly increasing from 0, and no two neighbouring runs equal."""
+        m = data.draw(st.integers(1, 200), "m")
+        new, old = RunStore(m), LoopStore(m)
+        ops = []
+        lo = 0
+        for length, v in data.draw(st.lists(
+                st.tuples(st.integers(1, 9), st.sampled_from(_STATES)),
+                min_size=1, max_size=60), "stripes"):
+            if lo >= m:
+                break
+            hi = min(lo + length, m) - 1
+            ops.append(("d" if v is None else "a", lo, hi, v))
+            lo = hi + 1
+        for op, lo, span, v in data.draw(st.lists(st.tuples(
+                st.sampled_from("aaddcccqq"), st.integers(-5, m + 4),
+                st.integers(-2, m + 8), st.sampled_from(_STATES[:-1])),
+                max_size=60), "ops"):
+            hi = lo + span - 1
+            if op in "ad":
+                lo = min(max(lo, 0), m - 1)
+                hi = min(max(hi, lo - 1), lo + 12, m - 1)
+            ops.append((op, lo, hi, v))
+        for op, lo, hi, v in ops:
+            if op == "a":
+                new.assign(lo, hi, v)
+                old.assign(lo, hi, v, None)
+            elif op == "c":
+                new.chmin(lo, hi, v)
+                old.chmin(lo, hi, v, None)
+            elif op == "d":
+                new.deactivate(lo, hi)
+                old.deactivate(lo, hi)
+            else:
+                assert new.query(lo, hi) == old.query(lo, hi)
+            starts, downs = new.starts, new.down
+            assert starts[0] == 0 and starts[-1] < m
+            assert all(a < b for a, b in zip(starts, starts[1:]))
+            assert all(a != b for a, b in zip(downs, downs[1:]))
+            assert len(new.up) == len(downs) == len(starts)
         assert final_state(new) == final_state(old)
 
 
@@ -160,6 +213,12 @@ def test_stores_agree_on_a_250_hole_diagonal():
     assert (region.m, len(region.events)) == (502, 501)
     for seed_h, seed_v in SEED_PAIRS:
         assert_stores_agree(region, seed_h, seed_v, (seed_h, seed_v))
+
+
+def test_stores_agree_on_a_2000_hole_diagonal():
+    region = diagonal_region(2000)
+    assert (region.m, len(region.events)) == (4002, 4001)
+    assert_stores_agree(region)
 
 
 def _replay_with_history(region, seed_h, seed_v):
@@ -267,8 +326,8 @@ def test_reseeding_shifts_both_readouts():
     regions = _regions(range(500, 540))
     assert regions
     _, region = regions[0]
-    base = run_sweep(region, NaiveStore(region.m), seed_h=1, seed_v=2)
-    bumped = run_sweep(region, NaiveStore(region.m), seed_h=4, seed_v=5)
+    base = run_sweep(region, RunStore(region.m), seed_h=1, seed_v=2)
+    bumped = run_sweep(region, RunStore(region.m), seed_h=4, seed_v=5)
     if base.lam_h != INF:
         assert bumped.lam_h == base.lam_h + 3
     if base.lam_v != INF:

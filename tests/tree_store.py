@@ -1,7 +1,7 @@
 """Reference sweep store for tests: a lazy segment tree behind an
 active-interval index.
 
-``rectlink.sweep.NaiveStore`` is the production store.  This one executes
+``rectlink.sweep.RunStore`` is the production store.  This one executes
 the same range operations with a different data structure.  Like it, it
 keeps values only: a sweep's provenance comes from the region's event log
 (``rectlink.sweep.provenance``), so running both through ``run_sweep`` on
@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from typing import Optional
 
-from rectlink.sweep import INF, NaiveStore, Range, reconstruct_path, run_sweep
+from rectlink.sweep import INF, Range, RunStore, reconstruct_path, run_sweep
 
 
 class _SegTree:
@@ -207,27 +207,30 @@ class TreeStore:
 def final_state(store) -> list[tuple[bool, float]]:
     """Per-baseline (active, value) as a sweep left it; INF where inactive.
 
-    ``store`` is a ``TreeStore``, a ``NaiveStore`` (active where ``down`` is
-    not -INF, whose value ``up`` holds) or the loop reference of
-    ``store_reference``."""
+    ``store`` is a ``TreeStore``, a ``RunStore`` (each run's baselines
+    active where its ``down`` is not -INF, with the value ``up`` holds) or
+    the loop reference of ``store_reference``."""
     if isinstance(store, TreeStore):
         return store.snapshot()
-    if isinstance(store, NaiveStore):
-        return [(d != -INF, u) for u, d in zip(store.up, store.down)]
+    if isinstance(store, RunStore):
+        ends = store.starts[1:] + [store.m]
+        return [(d != -INF, u)
+                for a, b, u, d in zip(store.starts, ends, store.up, store.down)
+                for _ in range(a, b)]
     return [(a, v if a else INF) for a, v in zip(store.active, store.val)]
 
 
 def assert_stores_agree(region, seed_h=1, seed_v=2, where=None):
-    """Sweep ``region`` with a ``NaiveStore`` and a ``TreeStore``: both give
+    """Sweep ``region`` with a ``RunStore`` and a ``TreeStore``: both give
     the same readouts, event log, final state and witnesses."""
-    naive_store, tree_store = NaiveStore(region.m), TreeStore(region.m)
-    naive = run_sweep(region, naive_store, seed_h=seed_h, seed_v=seed_v)
+    run_store, tree_store = RunStore(region.m), TreeStore(region.m)
+    runs = run_sweep(region, run_store, seed_h=seed_h, seed_v=seed_v)
     tree = run_sweep(region, tree_store, seed_h=seed_h, seed_v=seed_v)
-    assert (naive.lam_h, naive.lam_v, naive.arg_v) \
+    assert (runs.lam_h, runs.lam_v, runs.arg_v) \
         == (tree.lam_h, tree.lam_v, tree.arg_v), where
-    assert naive.event_values == tree.event_values, where
-    assert naive.event_args == tree.event_args, where
-    assert final_state(naive_store) == final_state(tree_store), where
-    for arr, lam in (("h", naive.lam_h), ("v", naive.lam_v)):
+    assert runs.event_values == tree.event_values, where
+    assert runs.event_args == tree.event_args, where
+    assert final_state(run_store) == final_state(tree_store), where
+    for arr, lam in (("h", runs.lam_h), ("v", runs.lam_v)):
         if lam < INF:
-            assert reconstruct_path(naive, arr) == reconstruct_path(tree, arr), where
+            assert reconstruct_path(runs, arr) == reconstruct_path(tree, arr), where
