@@ -19,8 +19,9 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .geometry import IDENTITY, GeometryError, PathResult, Point, Xform, first_dir
+from .geometry import IDENTITY, UNIT_DIRS, GeometryError, PathResult, Point, Xform, first_dir
 from .partition import (
+    INF,
     TRACE_FRAMES,
     FrameTables,
     FrameView,
@@ -30,7 +31,7 @@ from .partition import (
     classify,
     trace_ru,
 )
-from .sweep import INF, SweepResult, reconstruct_path, run_sweep
+from .sweep import SweepResult, reconstruct_path, run_sweep
 
 Pred = tuple[str, int]  # ("mid", node index) or ("src", source index)
 
@@ -119,7 +120,7 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
     links, so its arrivals are left empty and no sweep is spent on it.
     """
     if dir_links is None:
-        dir_links = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}
+        dir_links = {d: 1.0 for d in UNIT_DIRS}
     # the instance world seen in this frame; its cache serves every leg
     wf = FrameView(world, frame)
     srcs = [_Node(point=frame.apply(s), hull=-1, dist=0.0) for s in sources]

@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .composer import solve_x_case
-from .geometry import GeometryError, PathResult, Point, RectPolygon, Xform, first_dir
-from .partition import World, build_staircase_region, classify
-from .sweep import INF, reconstruct_path, run_sweep
-
-UNIT_DIRS: tuple[Point, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
+from .geometry import UNIT_DIRS, GeometryError, PathResult, Point, RectPolygon, Xform, first_dir
+from .partition import INF, World, build_staircase_region, classify
+from .sweep import reconstruct_path, run_sweep
 
 
 @dataclass

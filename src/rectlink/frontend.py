@@ -49,9 +49,10 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import engine
-from .engine import UNIT_DIRS, _double, build_world, solve_pair_raw
+from .engine import _double, build_world, solve_pair_raw
 from .geometry import (
     IDENTITY,
+    UNIT_DIRS,
     GeometryError,
     OrthoSegment,
     PathResult,
@@ -60,9 +61,8 @@ from .geometry import (
     first_dir,
 )
 from .model import POINT, SEGMENT, Instance, Terminal, validate
-from .partition import FrameTables, World
+from .partition import INF, FrameTables, World
 from .pockets import BoxGrid, Crossing, GridSearch
-from .sweep import INF
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ from typing import Iterable, Iterator, Sequence
 
 Point = tuple[int, int]
 
+# the four unit steps, in the order every per-direction table lists them
+UNIT_DIRS: tuple[Point, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
 COORD_LIMIT = 1 << 30
 
 

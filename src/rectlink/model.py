@@ -129,7 +129,7 @@ def validate(instance: Instance) -> list[str]:
                 problems.append(f"{name} shares y={y} with obstacle {seen_y[y]}")
 
     for name, term in (("source", instance.source), ("target", instance.target)):
-        problems.extend(_validate_terminal(name, term, instance))
+        problems.extend(_validate_terminal(name, term, instance, boxes))
 
     return problems
 
@@ -174,10 +174,11 @@ def _overlapping_boxes(boxes: Sequence[Rect]) -> list[tuple[int, int]]:
     return pairs
 
 
-def _validate_terminal(name: str, term: Terminal, instance: Instance) -> list[str]:
+def _validate_terminal(name: str, term: Terminal, instance: Instance,
+                       boxes: Sequence[Rect]) -> list[str]:
+    """Problems of one terminal; ``boxes`` are the obstacles' boxes."""
     problems: list[str] = []
     obs = instance.obstacles
-    boxes = [ob.bbox for ob in obs]
     if term.kind == POINT:
         for i, ob in enumerate(obs):
             # closed containment implies the closed box holds the point

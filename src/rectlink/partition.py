@@ -17,14 +17,15 @@ one box index.  The index holds every obstacle's doubled box once, in
 identity coordinates, along each of the four signed axes, with the
 obstacles sorted along each; an obstacle and its hull share a box, so the
 index needs no hull.  A frame reads the lists of the axes its x and y map
-onto, so no box is mapped per frame.  The queries a trace step, a region
-event or an x-case solve makes about the obstacles bisect the frame's xlo
-order and read only a window of it: a box whose xlo is at most x minus the
-widest box's width ends at or before x.  An obstacle is hulled the first
-time a frame reads it, and a hull's ring and edge tables in a frame are
-built when a query first reaches it, so a solve pays only for the hulls
-its traces and regions touch.  Frame tables hold the world's hulls but no
-reference back to the world.
+onto, so no box is mapped per frame.  A trace step makes one query, for
+the nearest flank at or east of its point (a flank through the point is
+the one it stands against).  That query, a region event and an x-case
+solve bisect the frame's xlo order and read only a window of it: a box
+whose xlo is at most x minus the widest box's width ends at or before x.
+An obstacle is hulled the first time a frame reads it, and a hull's ring
+and edge tables in a frame are built when a query first reaches it, so a
+solve pays only for the hulls its traces and regions touch.  Frame tables
+hold the world's hulls but no reference back to the world.
 
 A region event at column x reads the highest top at or below a baseline,
 and the lowest bottom at or above one, of the sections that holes cut from
@@ -343,16 +344,19 @@ class Trace:
 def _first_block(polys: FrameTables, cur: Point, x_stop: int) -> Optional[tuple[int, int]]:
     """Nearest obstacle whose west flank blocks the eastward ray from cur.
 
-    Returns (obstacle index, x of the blocking crossing) or None.  A ray
-    grazing an edge endpoint still passes when a boundary edge continues
-    east from that corner (the ray rides it; obstacles are open), and
-    blocks otherwise.  Of two crossings at the same x the lower hull index
-    wins.
+    Returns (obstacle index, x of the blocking crossing) or None.  A flank
+    through cur itself (``x == cur[0]``, the obstacle's interior just east)
+    blocks too: the trace then stands against it.  A ray grazing an edge
+    endpoint still passes when a boundary edge continues east from that
+    corner (the ray rides it; obstacles are open), and blocks otherwise.
+    Of two crossings at the same x the lower hull index wins.
 
     Candidates are read in frame-xlo order from the width window, and the
     scan stops at the first box whose xlo lies past the best crossing found
     so far, or at or past ``x_stop``: every crossing of a box lies at or
-    east of its xlo.
+    east of its xlo.  A box that can hold cur on its west flank has
+    ``xlo <= cx < xhi`` and ``ylo < cy < yhi``, so it is in the window and
+    passes the box filter, and its flank at ``cx`` is least in ``(x, i)``.
     """
     cx, cy = cur
     keys, order = polys.keys, polys.order
@@ -367,31 +371,11 @@ def _first_block(polys: FrameTables, cur: Point, x_stop: int) -> Optional[tuple[
             continue
         fp = polys[i]
         for x, lo, hi in fp.west:
-            if lo <= cy <= hi and cx < x < x_stop \
+            if lo <= cy <= hi and cx <= x < x_stop \
                     and (x, cy) not in fp.east_horiz:
                 if best is None or (x, i) < (best[1], best[0]):
                     best = (i, x)
     return best
-
-
-def _standing_block(polys: FrameTables, cur: Point) -> Optional[int]:
-    """Obstacle whose west flank passes through cur with interior just east.
-
-    The boxes that can hold cur on their west flank or inside have xlo in
-    the width window ``(cx - width, cx]``; they are tried in hull order, so
-    the lowest index wins and no box past the answer is read.
-    """
-    cx, cy = cur
-    xhi, ylo, yhi = polys.xhi, polys.ylo, polys.yhi
-    boxed = sorted(i for i in polys.between(cx - polys.width, cx + 1)
-                   if cx < xhi[i] and ylo[i] < cy < yhi[i])
-    for i in boxed:
-        fp = polys[i]
-        for x, lo, hi in fp.west:
-            if x == cx and lo <= cy <= hi \
-                    and (cx, cy) not in fp.east_horiz:
-                return i
-    return None
 
 
 def trace_ru(polys: FrameTables, start: Point, x_stop: int) -> Trace:
@@ -413,27 +397,22 @@ def _trace_ru(polys: FrameTables, start: Point, x_stop: int) -> Trace:
     guard = 4 * len(polys) + 8
     while cur[0] < x_stop and guard:
         guard -= 1
-        idx = _standing_block(polys, cur)
-        via: Optional[Point] = None
-        if idx is None:
-            blk = _first_block(polys, cur, x_stop)
-            if blk is None:
-                break
-            idx, bx = blk
-            fp = polys[idx]
-            if bx not in fp.hug_xs:
-                # hit the descending lower-left staircase: no monotone
-                # passage hugs the boundary there, so rise along the box
-                # west wall instead
-                via = (fp.box.xlo, cur[1])
-            else:
-                via = (bx, cur[1])
+        blk = _first_block(polys, cur, x_stop)
+        if blk is None:
+            break
+        idx, bx = blk
         fp = polys[idx]
-        if via is None and cur[0] not in fp.hug_xs:
+        if bx in fp.hug_xs:
+            via = (bx, cur[1])
+        elif bx == cur[0]:
             # standing against the lower-left staircase: nothing weakly
             # rising and x-monotone leaves such a point
             raise GeometryError("trace stands against an impassable flank")
-        if via is not None and via != cur:
+        else:
+            # hit the descending lower-left staircase: no monotone passage
+            # hugs the boundary there, so rise along the box west wall instead
+            via = (fp.box.xlo, cur[1])
+        if via != cur:
             pts.append(via)
             cur = via
         touched.append(idx)
@@ -647,14 +626,8 @@ def _build_region(world: World | FrameView, polys: FrameTables,
     def top(x: int) -> int:
         return int(min(upper_s.max_y_at(x), upper_t.min_y_from(x + 1), ty))
 
-    def top_w(x: int) -> int:
-        return int(min(upper_s.max_y_at(x - 1), upper_t.min_y_from(x), ty))
-
     def bottom(x: int) -> int:
         return int(max(lower_s.max_y_at(x), lower_t.min_y_from(x + 1), sy))
-
-    def bottom_w(x: int) -> int:
-        return int(max(lower_s.max_y_at(x - 1), lower_t.min_y_from(x), sy))
 
     touched = set(ur.touched) | set(ld.touched) | set(ru.touched) | set(dl.touched)
     holes: list[int] = []
@@ -680,11 +653,11 @@ def _build_region(world: World | FrameView, polys: FrameTables,
     for x in top_jumps:
         ys.add(top(x))
         if x > sx:
-            ys.add(top_w(x))
+            ys.add(top(x - 1))
     for x in bot_jumps:
         ys.add(bottom(x))
         if x > sx:
-            ys.add(bottom_w(x))
+            ys.add(bottom(x - 1))
     for hi in holes:
         ys.update(y for _, _, y in polys[hi].horiz)
     baselines = sorted(y for y in ys if sy <= y <= ty)
@@ -711,7 +684,7 @@ def _build_region(world: World | FrameView, polys: FrameTables,
     for x in top_jumps:
         if x == sx:
             continue
-        y1, y2 = top_w(x), top(x)
+        y1, y2 = top(x - 1), top(x)
         if y1 == y2:
             continue
         events.append(Event(
@@ -722,7 +695,7 @@ def _build_region(world: World | FrameView, polys: FrameTables,
     for x in bot_jumps:
         if x <= sx:
             continue  # the climb into t is the terminate readout, not an event
-        y1, y2 = bottom_w(x), bottom(x)
+        y1, y2 = bottom(x - 1), bottom(x)
         if y1 == y2:
             continue
         low, high = near(x, y2, y2)

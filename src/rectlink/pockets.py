@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .geometry import (
+    UNIT_DIRS,
     GeometryError,
     Point,
     Rect,
     RectPolygon,
 )
-
-DIRS: tuple[Point, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ class GridSearch:
                 heapq.heappush(heap, (*cost, *key))
 
         for (si, sj) in self.sources:
-            for di, d in enumerate(DIRS):
+            for di, d in enumerate(UNIT_DIRS):
                 if not grid.step_ok(si, sj, d):
                     continue
                 ni, nj = si + d[0], sj + d[1]
@@ -138,9 +137,9 @@ class GridSearch:
             dist, links, i, j, di = heapq.heappop(heap)
             if best.get((i, j, di)) != (dist, links):
                 continue
-            d = DIRS[di]
+            d = UNIT_DIRS[di]
             back = (-d[0], -d[1])
-            for di2, d2 in enumerate(DIRS):
+            for di2, d2 in enumerate(UNIT_DIRS):
                 if d2 == back or not grid.step_ok(i, j, d2):
                     continue
                 ni, nj = i + d2[0], j + d2[1]
@@ -169,7 +168,7 @@ class GridSearch:
         if (i, j) in self.sources:
             return 0, 0, (i, j, -1)
         out: Optional[tuple[int, int, tuple[int, int, int]]] = None
-        for di, d in enumerate(DIRS):
+        for di, d in enumerate(UNIT_DIRS):
             got = self.best.get((i, j, di))
             if got is None:
                 continue

@@ -19,9 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .partition import StaircaseRegion
-
-INF = float("inf")
+from .partition import INF, StaircaseRegion
 
 Range = tuple[int, int]  # inclusive baseline index pair
 

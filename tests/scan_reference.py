@@ -1,8 +1,9 @@
 """Linear scans that the indexed hull queries replaced, kept as references.
 
 Each function visits every hull of a frame in hull order, as the package
-did before ``partition.World`` kept a box index: the blocking queries of a
-trace step, the hole sections of a region event (and the nearest section
+did before ``partition.World`` kept a box index: the two blocking scans
+of a trace step (``blocking`` composes them into the step's one query),
+the hole sections of a region event (and the nearest section
 ends that an event reads from them), a region's hole selection and the
 midpoint enumeration of an x-case solve.  They read the frame's
 boxes from ``FrameTables`` and a hull's edge tables through ``polys[i]``,
@@ -39,6 +40,17 @@ def standing_block(polys, cur):
                     and (cx, cy) not in fp.east_horiz:
                 return i
     return None
+
+
+def blocking(polys, cur, x_stop):
+    """The one blocking query a trace step makes: the flank ``cur`` stands
+    on, as ``(hull, cx)``, when ``cx < x_stop`` and ``standing_block`` finds
+    one, else ``first_block``'s crossing strictly east of ``cur``."""
+    if cur[0] < x_stop:
+        i = standing_block(polys, cur)
+        if i is not None:
+            return i, cur[0]
+    return first_block(polys, cur, x_stop)
 
 
 def hole_sections(polys, holes, x, skip=None):

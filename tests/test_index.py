@@ -2,7 +2,7 @@
 
 Each indexed query is compared with its reference scan in
 ``scan_reference`` on generated worlds, in all eight frames: the blocking
-queries of a trace step (rays grazing edge endpoints, start points standing
+query of a trace step (rays grazing edge endpoints, start points standing
 on a west flank, ``x_stop`` inside a box), whole traces, the nearest hole
 sections of region events, the hole selection of staircase regions and the midpoint
 enumeration of x-case solves.  Results must be equal, tie order included,
@@ -21,7 +21,6 @@ from rectlink.partition import (
     _first_block,
     _hole_index,
     _nearest_sections,
-    _standing_block,
     _trace_ru,
     build_staircase_region,
     classify,
@@ -94,25 +93,23 @@ def _built(tables):
 
 
 def test_blocking_queries_match_the_scans():
-    """``_first_block`` and ``_standing_block`` equal the scans on every
-    probe in every frame, and build a subset of the scans' tables."""
+    """``_first_block`` equals the composed reference scan (standing flank
+    first, then the first crossing east) on every probe in every frame, and
+    builds a subset of the scans' tables."""
     hits = {"first": 0, "standing": 0, "cut": 0}
     for name, world in _worlds():
         for t in XFORMS:
             for start, stops in _probes(world, t):
-                got_t, want_t = FrameTables(world, t), FrameTables(world, t)
-                got = _standing_block(got_t, start)
-                assert got == ref.standing_block(want_t, start), (name, t, start)
-                assert _built(got_t) <= _built(want_t), (name, t, start)
-                hits["standing"] += got is not None
                 unbounded = None
                 for x_stop in stops:
                     got_t, want_t = FrameTables(world, t), FrameTables(world, t)
                     got = _first_block(got_t, start, x_stop)
-                    want = ref.first_block(want_t, start, x_stop)
+                    want = ref.blocking(want_t, start, x_stop)
                     assert got == want, (name, t, start, x_stop)
                     assert _built(got_t) <= _built(want_t), (name, t, start)
-                    hits["first"] += got is not None
+                    standing = got is not None and got[1] == start[0]
+                    hits["standing"] += standing
+                    hits["first"] += got is not None and not standing
                     if unbounded is None:
                         unbounded = got
                     # the stop fell short of a crossing the open ray has
@@ -140,8 +137,7 @@ def test_traces_match_scanning_traces(monkeypatch):
         return out
 
     got = run()
-    monkeypatch.setattr(partition, "_first_block", ref.first_block)
-    monkeypatch.setattr(partition, "_standing_block", ref.standing_block)
+    monkeypatch.setattr(partition, "_first_block", ref.blocking)
     want = run()
     assert got == want
     assert sum(isinstance(g, tuple) and len(g[1]) > 1 for g in got) > 100

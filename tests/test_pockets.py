@@ -6,8 +6,8 @@ import pytest
 from rectlink.engine import build_world
 from rectlink.frontend import _attachments
 from rectlink.generator import generate_instance
-from rectlink.geometry import GeometryError, OrthoSegment, Rect, RectPolygon
-from rectlink.pockets import DIRS, BoxGrid, GridSearch
+from rectlink.geometry import UNIT_DIRS, GeometryError, OrthoSegment, Rect, RectPolygon
+from rectlink.pockets import BoxGrid, GridSearch
 from pocket_doors import (
     all_vertex_crossings,
     find_pockets,
@@ -74,7 +74,7 @@ def _brute_best(grid, sources, target):
     heap = []
     for p in sources:
         i, j = grid.vertex(p)
-        for di, d in enumerate(DIRS):
+        for di, d in enumerate(UNIT_DIRS):
             if grid.step_ok(i, j, d):
                 ni, nj = i + d[0], j + d[1]
                 w = abs(grid.xs[ni] - grid.xs[i]) + abs(grid.ys[nj] - grid.ys[j])
@@ -86,8 +86,8 @@ def _brute_best(grid, sources, target):
         dist, links, i, j, di = heapq.heappop(heap)
         if best.get((i, j, di)) != (dist, links):
             continue
-        d = DIRS[di]
-        for di2, d2 in enumerate(DIRS):
+        d = UNIT_DIRS[di]
+        for di2, d2 in enumerate(UNIT_DIRS):
             if d2 == (-d[0], -d[1]) or not grid.step_ok(i, j, d2):
                 continue
             ni, nj = i + d2[0], j + d2[1]
