@@ -10,10 +10,11 @@ from .geometry import (
     path_metrics,
     rectilinear_convex_hull,
 )
-from .model import Instance, Terminal, validate
+from .model import Instance, InvalidInstance, Terminal, validate
 
 __all__ = [
     "Instance",
+    "InvalidInstance",
     "OrthoSegment",
     "PathResult",
     "Point",

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .bench import rows_to_csv, run_bench
 from .frontend import solve as solve_instance
@@ -21,7 +21,7 @@ from .io import (
     load_instance,
     result_to_obj,
 )
-from .model import validate
+from .model import InvalidInstance, validate
 from .render import render
 
 EXIT_OK = 0
@@ -42,13 +42,17 @@ def _load(path: str):
         raise SystemExit(EXIT_PARSE)
 
 
+def _invalid(problems: list[str]) -> NoReturn:
+    for p in problems:
+        print(f"invalid: {p}", file=sys.stderr)
+    raise SystemExit(EXIT_INVALID)
+
+
 def _validated(path: str):
     inst = _load(path)
     problems = validate(inst)
     if problems:
-        for p in problems:
-            print(f"invalid: {p}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        _invalid(problems)
     return inst
 
 
@@ -62,9 +66,12 @@ def _emit_json(obj, out: Optional[str]) -> None:
 
 
 def _cmd_solve(args) -> int:
-    inst = _validated(args.file)
+    # ``solve`` validates the instance itself
+    inst = _load(args.file)
     try:
         report = solve_instance(inst)
+    except InvalidInstance as exc:
+        _invalid(exc.problems)
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -136,10 +143,14 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    inst = _validated(args.file)
-    result = None
     if args.solve:
-        result = solve_instance(inst)
+        inst = _load(args.file)
+        try:
+            result = solve_instance(inst)
+        except InvalidInstance as exc:
+            _invalid(exc.problems)
+    else:
+        inst, result = _validated(args.file), None
     svg = render(inst, result)
     if args.out:
         with open(args.out, "w") as fp:

@@ -60,7 +60,7 @@ from .geometry import (
     Xform,
     first_dir,
 )
-from .model import POINT, SEGMENT, Instance, Terminal, validate
+from .model import POINT, SEGMENT, Instance, InvalidInstance, Terminal, validate
 from .partition import INF, FrameTables, World
 from .pockets import BoxGrid, Crossing, GridSearch
 
@@ -136,15 +136,32 @@ def _neg(d: Point) -> Point:
     return (-d[0], -d[1])
 
 
-def _candidate_points(term: Terminal, xs: list[int], ys: list[int]) -> list[Point]:
+class _Lines:
+    """An instance's coordinate lines: the shared sets, and each axis as a
+    sorted list, sorted on first read.  A solve of two points outside every
+    box whose witness lies on the grid never sorts them."""
+
+    def __init__(self, instance: Instance):
+        self.xs_set, self.ys_set = instance.all_coords()
+
+    @cached_property
+    def xs(self) -> list[int]:
+        return sorted(self.xs_set)
+
+    @cached_property
+    def ys(self) -> list[int]:
+        return sorted(self.ys_set)
+
+
+def _candidate_points(term: Terminal, lines: _Lines) -> list[Point]:
     """Grid positions on the terminal where an optimal path can leave."""
     if term.kind == POINT:
         return [term.point]
     if term.kind == SEGMENT:
-        return _on_segment(term.segment, xs, ys)
+        return _on_segment(term.segment, lines.xs, lines.ys)
     pts: set[Point] = set()
     for e in term.polygon.edges():
-        pts.update(_on_segment(e, xs, ys))
+        pts.update(_on_segment(e, lines.xs, lines.ys))
     return sorted(pts)
 
 
@@ -177,12 +194,12 @@ def _host(boxes: FrameTables, p: Point) -> Optional[int]:
     return None
 
 
-def _attachments(instance: Instance, term: Terminal, xs: list[int],
-                 ys: list[int], world: World
+def _attachments(instance: Instance, term: Terminal, lines: _Lines,
+                 world: World
                  ) -> tuple[list[Attachment], list[GridSearch], list[Point]]:
     """All attachments of one terminal, its per-box inside searches, and
     its candidate points."""
-    cands = _candidate_points(term, xs, ys)
+    cands = _candidate_points(term, lines)
     boxes = world.frame(IDENTITY)
     atts: list[Attachment] = []
     boxed: dict[int, list[Point]] = {}
@@ -196,7 +213,8 @@ def _attachments(instance: Instance, term: Terminal, xs: list[int],
     searches: list[GridSearch] = []
     for host, pts in boxed.items():
         ob = instance.obstacles[host]
-        grid = BoxGrid(ob.bbox, ob, extra_xs=xs, extra_ys=ys)
+        # the grid keeps the lines through the box; it needs no order
+        grid = BoxGrid(ob.bbox, ob, extra_xs=lines.xs_set, extra_ys=lines.ys_set)
         gs = GridSearch(grid, pts)
         searches.append(gs)
         for c in gs.crossings():
@@ -241,11 +259,22 @@ def _seed_links(att: Attachment) -> Optional[dict[Point, float]]:
             for d in UNIT_DIRS}
 
 
-def _align_runs(points: list[Point], xs: list[int], ys: list[int]) -> list[Point]:
-    """Slide off-grid runs of a witness onto instance coordinate lines.
+def _on_grid(points: Sequence[Point], xs_set: frozenset[int],
+             ys_set: frozenset[int]) -> bool:
+    """Does every point of the doubled witness lie on doubled instance
+    lines?  ``_align_runs`` then moves nothing."""
+    return all(x % 2 == 0 and y % 2 == 0 and x // 2 in xs_set and y // 2 in ys_set
+               for x, y in points)
 
-    ``solve`` passes the doubled witness with the doubled lines, whose
-    off-grid runs sit on winder midpoints and pocket junctions.  Every
+
+def _align_runs(points: list[Point], xs: list[int], ys: list[int]) -> list[Point]:
+    """Slide off-grid runs of a doubled witness onto doubled instance lines.
+
+    ``xs`` and ``ys`` are the sorted instance lines, not doubled: a doubled
+    run coordinate ``v`` lies on a line iff it is even and ``v // 2`` is
+    one, and its neighbouring lines are found by bisecting for
+    ``ceil(v / 2)``.  ``solve`` passes the doubled witness, whose off-grid
+    runs sit on winder midpoints and pocket junctions.  Every
     obstacle line is an instance line, so no obstacle boundary lies
     strictly between two consecutive lines, and obstacles are open: moving
     a run within that strip onto either bounding line is always legal.
@@ -262,13 +291,13 @@ def _align_runs(points: list[Point], xs: list[int], ys: list[int]) -> list[Point
             if a[axis] != b[axis]:
                 continue
             v = a[axis]
-            i = bisect.bisect_left(lines, v)
-            if i < len(lines) and lines[i] == v:
+            i = bisect.bisect_left(lines, (v + 1) // 2)
+            if i < len(lines) and 2 * lines[i] == v:
                 continue
             prev = pts[k - 1][axis] if k else None
             nxt = pts[k + 2][axis] if k + 2 < len(pts) else None
-            cands = [c for c in lines[max(i - 1, 0):i + 1]
-                     if c != v and c != prev and c != nxt]
+            cands = [2 * c for c in lines[max(i - 1, 0):i + 1]
+                     if 2 * c != prev and 2 * c != nxt]
             if not cands:
                 raise GeometryError("cannot align a run to the instance grid")
             nv = cands[0]
@@ -281,13 +310,12 @@ def solve(instance: Instance) -> SolveReport:
     """Shortest-distance, fewest-link path between the two terminals."""
     problems = validate(instance)
     if problems:
-        raise GeometryError("invalid instance: " + "; ".join(problems))
-    xs_set, ys_set = instance.all_coords()
-    xs, ys = sorted(xs_set), sorted(ys_set)
+        raise InvalidInstance(problems)
+    lines = _Lines(instance)
     world = build_world(instance.obstacles)
-    atts_s, search_s, cands_s = _attachments(instance, instance.source, xs, ys,
+    atts_s, search_s, cands_s = _attachments(instance, instance.source, lines,
                                              world)
-    atts_t, search_t, cands_t = _attachments(instance, instance.target, xs, ys,
+    atts_t, search_t, cands_t = _attachments(instance, instance.target, lines,
                                              world)
     if not atts_s or not atts_t:
         raise GeometryError("a terminal has no connection to the free plane")
@@ -416,11 +444,12 @@ def solve(instance: Instance) -> SolveReport:
     if len(pts2) == 1:
         path = [(pts2[0][0] // 2, pts2[0][1] // 2)]
     else:
-        pts2 = _align_runs(PathResult.from_points(pts2).points,
-                           [2 * x for x in xs], [2 * y for y in ys])
+        pts2 = PathResult.from_points(pts2).points
+        if not _on_grid(pts2, lines.xs_set, lines.ys_set):
+            pts2 = _align_runs(pts2, lines.xs, lines.ys)
         check = PathResult.from_points([(x // 2, y // 2) for x, y in pts2])
         if check.length * 2 != d2 or check.links != links \
-                or any(p[0] not in xs_set or p[1] not in ys_set
+                or any(p[0] not in lines.xs_set or p[1] not in lines.ys_set
                        for p in check.points):
             raise GeometryError("witness disagrees with the combined costs")
         path = list(check.points)

@@ -3,10 +3,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 from .geometry import (
     COORD_LIMIT,
+    GeometryError,
     OrthoSegment,
     Point,
     Rect,
@@ -71,25 +74,86 @@ class Instance:
     @cached_property
     def _coords(self) -> tuple[frozenset[int], frozenset[int]]:
         # the instance is immutable, so ``validate`` and ``solve`` share one
-        # computation; frozen sets keep every caller from changing them
-        xs: set[int] = set()
-        ys: set[int] = set()
-        for ob in self.obstacles:
-            for x, y in ob.vertices:
-                xs.add(x)
-                ys.add(y)
-        for term in (self.source, self.target):
-            for x, y in term.coords():
-                xs.add(x)
-                ys.add(y)
-        return frozenset(xs), frozenset(ys)
+        # computation; frozen sets keep every caller from changing them.  A
+        # frozenset copied from a set gets half the table of one grown from
+        # an iterator.
+        pts = list(chain(
+            chain.from_iterable(map(attrgetter("vertices"), self.obstacles)),
+            self.source.coords(), self.target.coords()))
+        return (frozenset(set(map(itemgetter(0), pts))),
+                frozenset(set(map(itemgetter(1), pts))))
 
 
 # ---------------------------------------------------------------------------
 # validation
 
+class InvalidInstance(GeometryError):
+    """An instance ``validate`` rejects; ``problems`` is its list."""
+
+    def __init__(self, problems: Sequence[str]):
+        super().__init__("invalid instance: " + "; ".join(problems))
+        self.problems = list(problems)
+
+
 def validate(instance: Instance) -> list[str]:
-    """Return a list of problems; an empty list means the instance is legal."""
+    """Return a list of problems; an empty list means the instance is legal.
+
+    On a valid instance the per-vertex checks (coordinate limit, rings
+    through a vertex twice, shared obstacle lines, terminals on obstacle
+    lines) are proved by counting, and the per-vertex loop runs only to
+    name problems.  The count rests on the ring invariant of
+    ``RectPolygon``: a ring is normalised, with no repeated or collinear
+    consecutive vertices, so consecutive edges are perpendicular.  Hence
+    an obstacle with ``v`` vertices has ``v / 2`` vertical edges, every
+    vertex ends exactly one of them, and the obstacles' vertex xs number
+    at most ``nv`` (half the total vertex count), with equality iff no two
+    vertical edges of any obstacles share an x.  With ``Tx`` the set of
+    terminal xs, ``len(xs_all) == nv + len(Tx)`` holds iff, besides, no
+    terminal x is an obstacle x; the same goes for y.  Both equalities
+    rule out a corner x or y shared by two obstacles, a terminal on an
+    obstacle's line, and a ring through a vertex twice, since that vertex
+    would end two distinct vertical edges with one x.  The least and the
+    greatest coordinate, read off the obstacle boxes and the terminals,
+    settle the limit.  The problems are then the box overlaps and the
+    terminals' own, in the loop's order.
+
+    When a count falls short the loop runs as it always did and names the
+    problems.  Shared xs inside one obstacle, which are legal, fall short
+    too, and the loop finds nothing.
+    """
+    boxes = [ob.bbox for ob in instance.obstacles]
+    problems = [f"obstacle boxes {i} and {j} overlap"
+                for i, j in _overlapping_boxes(boxes)]
+    if not _counted(instance, boxes):
+        problems = _vertex_problems(instance, problems)
+    for name, term in (("source", instance.source), ("target", instance.target)):
+        problems.extend(_validate_terminal(name, term, instance, boxes))
+    return problems
+
+
+def _counted(instance: Instance, boxes: Sequence[Rect]) -> bool:
+    """Do two set sizes per axis and the extreme coordinates prove every
+    per-vertex check?  See ``validate``; ``boxes`` are the obstacles'."""
+    xs_all, ys_all = instance.all_coords()
+    total = sum(map(len, map(attrgetter("vertices"), instance.obstacles)))
+    ends = instance.source.coords() + instance.target.coords()
+    if 2 * (len(xs_all) - len(set(map(itemgetter(0), ends)))) != total \
+            or 2 * (len(ys_all) - len(set(map(itemgetter(1), ends)))) != total:
+        # an odd total breaks the ring invariant, and no count holds then
+        return False
+    # an obstacle's extreme coordinates are its box's sides, which are
+    # fewer to scan than the coordinate sets
+    lo = min(chain(map(attrgetter("xlo"), boxes), map(attrgetter("ylo"), boxes),
+                   chain.from_iterable(ends)))
+    hi = max(chain(map(attrgetter("xhi"), boxes), map(attrgetter("yhi"), boxes),
+                   chain.from_iterable(ends)))
+    return -COORD_LIMIT <= lo and hi <= COORD_LIMIT
+
+
+def _vertex_problems(instance: Instance, overlaps: list[str]) -> list[str]:
+    """The per-vertex checks with each problem named: coordinates beyond
+    the limit and rings through a vertex twice come before the box
+    ``overlaps``, shared lines after them."""
     problems: list[str] = []
     obs = instance.obstacles
 
@@ -107,9 +171,7 @@ def validate(instance: Instance) -> list[str]:
         if v is not None:
             problems.append(f"obstacle {i} ring passes through vertex {v} twice")
 
-    boxes = [ob.bbox for ob in obs]
-    for i, j in _overlapping_boxes(boxes):
-        problems.append(f"obstacle boxes {i} and {j} overlap")
+    problems.extend(overlaps)
 
     # general position: no two obstacles share a vertex x or y, and terminal
     # coordinates stay off every obstacle's coordinate lines
@@ -127,10 +189,6 @@ def validate(instance: Instance) -> list[str]:
                 problems.append(f"{name} shares x={x} with obstacle {seen_x[x]}")
             if y in seen_y:
                 problems.append(f"{name} shares y={y} with obstacle {seen_y[y]}")
-
-    for name, term in (("source", instance.source), ("target", instance.target)):
-        problems.extend(_validate_terminal(name, term, instance, boxes))
-
     return problems
 
 

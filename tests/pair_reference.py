@@ -14,6 +14,7 @@ from rectlink.frontend import (
     SolveReport,
     _align_runs,
     _attachments,
+    _Lines,
     _l1,
     _neg,
     _pair_bound,
@@ -27,12 +28,11 @@ def solve(instance):
     problems = validate(instance)
     if problems:
         raise GeometryError("invalid instance: " + "; ".join(problems))
-    xs_set, ys_set = instance.all_coords()
-    xs, ys = sorted(xs_set), sorted(ys_set)
+    lines = _Lines(instance)
     world = build_world(instance.obstacles)
-    atts_s, search_s, cands_s = _attachments(instance, instance.source, xs, ys,
+    atts_s, search_s, cands_s = _attachments(instance, instance.source, lines,
                                              world)
-    atts_t, search_t, cands_t = _attachments(instance, instance.target, xs, ys,
+    atts_t, search_t, cands_t = _attachments(instance, instance.target, lines,
                                              world)
     if not atts_s or not atts_t:
         raise GeometryError("a terminal has no connection to the free plane")
@@ -101,10 +101,10 @@ def solve(instance):
         path = [(pts2[0][0] // 2, pts2[0][1] // 2)]
     else:
         pts2 = _align_runs(PathResult.from_points(pts2).points,
-                           [2 * x for x in xs], [2 * y for y in ys])
+                           lines.xs, lines.ys)
         check = PathResult.from_points([(x // 2, y // 2) for x, y in pts2])
         if check.length * 2 != d2 or check.links != links \
-                or any(p[0] not in xs_set or p[1] not in ys_set
+                or any(p[0] not in lines.xs_set or p[1] not in lines.ys_set
                        for p in check.points):
             raise GeometryError("witness disagrees with the combined costs")
         path = list(check.points)

@@ -8,12 +8,14 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import rectlink
+from rectlink import cli, frontend
 from rectlink.bench import CSV_HEADER, rows_to_csv, run_bench
 from rectlink.cli import main
 from rectlink.frontend import solve
 from rectlink.generator import generate_instance
+from rectlink.geometry import GeometryError
 from rectlink.io import dump_instance
-from rectlink.model import Instance, Terminal
+from rectlink.model import Instance, InvalidInstance, Terminal
 from rectlink.render import render
 
 
@@ -75,19 +77,42 @@ def test_check_exit_codes(inst_file, tmp_path):
     assert main(["check", str(missing_version)]) == 2
 
 
+OVERLAPPING = {
+    "version": 1,
+    "obstacles": [
+        [[0, 0], [4, 0], [4, 4], [0, 4]],
+        [[2, 2], [6, 2], [6, 6], [2, 6]],
+    ],
+    "source": {"kind": "point", "at": [8, 8]},
+    "target": {"kind": "point", "at": [9, 9]},
+}
+
+
 def test_check_rejects_invalid_geometry(tmp_path):
-    overlapping = {
-        "version": 1,
-        "obstacles": [
-            [[0, 0], [4, 0], [4, 4], [0, 4]],
-            [[2, 2], [6, 2], [6, 6], [2, 6]],
-        ],
-        "source": {"kind": "point", "at": [8, 8]},
-        "target": {"kind": "point", "at": [9, 9]},
-    }
     path = tmp_path / "overlap.json"
-    path.write_text(json.dumps(overlapping))
+    path.write_text(json.dumps(OVERLAPPING))
     assert main(["check", str(path)]) == 1
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["render", "--solve"]])
+def test_solving_an_invalid_file_validates_once(argv, tmp_path, monkeypatch,
+                                                capsys):
+    """``solve`` validates, so the CLI names the problems of the instance
+    ``solve`` rejects instead of validating it first."""
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(OVERLAPPING))
+    calls = []
+    for mod in (cli, frontend):
+        monkeypatch.setattr(mod, "validate", lambda inst, orig=mod.validate:
+                            calls.append(inst) or orig(inst))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert capsys.readouterr().err == "invalid: obstacle boxes 0 and 1 overlap\n"
+    assert len(calls) == 1
+    with pytest.raises(InvalidInstance) as got:
+        solve(calls[0])
+    assert isinstance(got.value, GeometryError)
+    assert str(got.value) == "invalid instance: obstacle boxes 0 and 1 overlap"
+    assert got.value.problems == ["obstacle boxes 0 and 1 overlap"]
 
 
 def test_oracle_refuses_oversized_grids(tmp_path):

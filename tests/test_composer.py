@@ -7,7 +7,7 @@ import pair_reference
 from rectlink import composer, engine, partition
 from rectlink.composer import solve_x_case
 from rectlink.engine import _double, build_world
-from rectlink.frontend import _attachments, solve
+from rectlink.frontend import _attachments, _Lines, solve
 from rectlink.generator import GenerationError, generate_instance
 from rectlink.geometry import GeometryError, RectPolygon
 from rectlink.model import Instance, Terminal
@@ -400,8 +400,7 @@ def test_one_x_case_solve_per_class(monkeypatch):
         calls.clear()
         solve(inst)
         world = build_world(inst.obstacles)
-        xs, ys = (sorted(c) for c in inst.all_coords())
-        atts_s, atts_t = (_attachments(inst, term, xs, ys, world)[0]
+        atts_s, atts_t = (_attachments(inst, term, _Lines(inst), world)[0]
                           for term in (inst.source, inst.target))
         assert all(a.out_dir is None for a in atts_s + atts_t)
         frames = {frame for a in atts_s for b in atts_t

@@ -59,15 +59,20 @@ def test_seeded_directions_change_link_counts():
 
 
 # The witness snap: ``solve`` aligns a doubled-coordinate witness to the
-# doubled instance lines in one pass, then halves it.
+# doubled instance lines in one pass, then halves it.  ``_align_runs`` reads
+# the instance lines undoubled.
 
 def _on_lines(pts, xs2, ys2):
     return all(x in xs2 and y in ys2 for x, y in pts)
 
 
+def _halves(xs2, ys2):
+    return [x // 2 for x in xs2], [y // 2 for y in ys2]
+
+
 def test_even_snap_slides_odd_runs():
     xs2, ys2 = [0, 4], [0, 2, 4, 6]
-    snapped = _align_runs([(0, 0), (0, 3), (4, 3), (4, 6)], xs2, ys2)
+    snapped = _align_runs([(0, 0), (0, 3), (4, 3), (4, 6)], *_halves(xs2, ys2))
     assert _on_lines(snapped, xs2, ys2)
     got = PathResult.from_points(snapped)
     assert (got.length, got.links) == (10, 3)
@@ -77,7 +82,7 @@ def test_even_snap_avoids_neighbour_merge():
     # the odd horizontal run at y=3 must slide to 4, away from y=2
     xs2, ys2 = [0, 4, 8], [0, 2, 4, 6]
     pts = [(0, 0), (0, 2), (4, 2), (4, 3), (8, 3), (8, 6)]
-    snapped = _align_runs(pts, xs2, ys2)
+    snapped = _align_runs(pts, *_halves(xs2, ys2))
     assert _on_lines(snapped, xs2, ys2)
     got = PathResult.from_points(snapped)
     assert (got.length, got.links) == (PathResult.from_points(pts).length, 5)
@@ -88,7 +93,7 @@ def test_even_snap_rejects_impossible_inputs():
     # the run at x=2 lies between lines 0 and 4, and both would merge it
     # with a neighbouring run
     with pytest.raises(GeometryError):
-        _align_runs([(0, 0), (0, 2), (2, 2), (2, 4), (4, 4)], [0, 4], [0, 2, 4])
+        _align_runs([(0, 0), (0, 2), (2, 2), (2, 4), (4, 4)], [0, 2], [0, 1, 2])
 
 
 @pytest.mark.parametrize("out_dir", [1, -1])
@@ -100,7 +105,7 @@ def test_even_snap_moves_a_pocket_junction_run(out_dir):
     xs2 = sorted({c2 - 4 * out_dir, c2, c2 + 8 * out_dir})
     ys2 = [0, 4, 12]
     pts = [(c2 - 4 * out_dir, 4), (jun, 4), (jun, 12), (c2 + 8 * out_dir, 12)]
-    snapped = _align_runs(pts, xs2, ys2)
+    snapped = _align_runs(pts, *_halves(xs2, ys2))
     assert _on_lines(snapped, xs2, ys2)
     # the far line would merge the run with the last one; the wall is legal
     assert (c2, 4) in snapped and (c2, 12) in snapped

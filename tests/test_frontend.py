@@ -1,3 +1,4 @@
+import bisect
 import importlib
 import random
 import sys
@@ -8,7 +9,7 @@ import pytest
 import pair_reference
 from rectlink import frontend
 from rectlink.engine import build_world
-from rectlink.frontend import Attachment, _attachments, solve
+from rectlink.frontend import Attachment, _attachments, _Lines, solve
 from rectlink.generator import generate_instance
 from rectlink.geometry import IDENTITY, GeometryError, PathResult, RectPolygon
 from rectlink.io import instance_to_obj
@@ -91,10 +92,9 @@ def test_pocket_terminals_match_oracle():
     checked = 0
     for seed, inst in _pocket_instances(36):
         moved_t = POCKET_MIXES[seed % len(POCKET_MIXES)][1]
-        xs, ys = (sorted(c) for c in inst.all_coords())
         world = build_world(inst.obstacles)
         for term in [inst.source] + ([inst.target] if moved_t else []):
-            atts, _, _ = _attachments(inst, term, xs, ys, world)
+            atts, _, _ = _attachments(inst, term, _Lines(inst), world)
             assert any(a.out_dir is not None for a in atts), seed
         _check_against_oracle(inst, f"pocket seed {seed}")
         checked += 1
@@ -266,8 +266,7 @@ def test_pocket_attachments_group_by_box_wall():
     for term in (Terminal.of_segment((16, 15), (16, 30)),
                  Terminal.of_point((16, 15))):
         inst = Instance(obstacles=(ob,), source=term, target=target)
-        xs, ys = (sorted(c) for c in inst.all_coords())
-        atts, _, _ = _attachments(inst, term, xs, ys,
+        atts, _, _ = _attachments(inst, term, _Lines(inst),
                                   build_world(inst.obstacles))
         assert any(a.out_dir is not None for a in atts)
         plain = 0
@@ -293,8 +292,7 @@ def test_a_polygons_plain_attachments_form_one_group():
     for seed in range(5):
         inst = generate_instance(400 + seed, n_obstacles=8, coord_limit=120,
                                  source_kind="polygon", target_kind="point")
-        xs, ys = (sorted(c) for c in inst.all_coords())
-        atts, _, _ = _attachments(inst, inst.source, xs, ys,
+        atts, _, _ = _attachments(inst, inst.source, _Lines(inst),
                                   build_world(inst.obstacles))
         assert len(atts) >= 4
         assert {a.group for a in atts} == {()}
@@ -325,8 +323,7 @@ def test_a_segments_plain_attachments_share_a_free_stretch():
                     source=Terminal.of_segment((16, 15), (16, 43)),
                     target=target)
     assert validate(inst) == []
-    xs, ys = (sorted(c) for c in inst.all_coords())
-    atts, _, _ = _attachments(inst, inst.source, xs, ys,
+    atts, _, _ = _attachments(inst, inst.source, _Lines(inst),
                               build_world(inst.obstacles))
     plain = [a.junction2 for a in atts if a.out_dir is None]
     assert plain and all(x == 32 and 36 <= y <= 80 for x, y in plain)
@@ -368,6 +365,60 @@ def test_class_solves_match_the_per_pair_reference():
     assert len(instances) >= 88 + 630 + 34 and classes > 40
 
 
+def _align_on_doubled_lines(points, xs2, ys2):
+    """``frontend._align_runs`` as it was when ``solve`` passed it the
+    doubled instance lines and called it on every witness."""
+    pts = list(points)
+    for axis, lines in ((0, xs2), (1, ys2)):
+        for k in range(len(pts) - 1):
+            a, b = pts[k], pts[k + 1]
+            if a[axis] != b[axis]:
+                continue
+            v = a[axis]
+            i = bisect.bisect_left(lines, v)
+            if i < len(lines) and lines[i] == v:
+                continue
+            prev = pts[k - 1][axis] if k else None
+            nxt = pts[k + 2][axis] if k + 2 < len(pts) else None
+            cands = [c for c in lines[max(i - 1, 0):i + 1]
+                     if c != v and c != prev and c != nxt]
+            if not cands:
+                raise GeometryError("cannot align a run to the instance grid")
+            nv = cands[0]
+            pts[k] = (nv, a[1]) if axis == 0 else (a[0], nv)
+            pts[k + 1] = (nv, b[1]) if axis == 0 else (b[0], nv)
+    return pts
+
+
+def test_skipping_the_snap_is_exact(monkeypatch):
+    """``solve`` snaps a witness only when ``_on_grid`` rejects it.  On the
+    point-small and attach-small pools and the pocket chain, every witness
+    it accepts is one the unconditional snap on the doubled lines left as
+    it was, and on every witness it rejects the snap on the undoubled lines
+    gives what the snap on the doubled lines gave."""
+    seen = []
+    on_grid = frontend._on_grid
+    monkeypatch.setattr(frontend, "_on_grid", lambda pts, xs_set, ys_set: seen.append(
+        (list(pts), xs_set, ys_set)) or on_grid(pts, xs_set, ys_set))
+    workloads = _perfbench("workloads")
+    instances = (workloads.base_pool("point-small")
+                 + workloads.base_pool("attach-small")
+                 + [inst for _, inst in _pocket_instances(60)])
+    for inst in instances:
+        solve(inst)
+    accepted = 0
+    for k, (pts, xs_set, ys_set) in enumerate(seen):
+        xs, ys = sorted(xs_set), sorted(ys_set)
+        want = _align_on_doubled_lines(pts, [2 * x for x in xs], [2 * y for y in ys])
+        if on_grid(pts, xs_set, ys_set):
+            assert want == pts, k
+            accepted += 1
+        else:
+            assert frontend._align_runs(pts, xs, ys) == want, k
+    assert len(instances) >= 300 + 88 + 55
+    assert len(seen) == len(instances) and 0 < accepted < len(seen)
+
+
 def test_candidates_and_hosts_match_the_linear_scans():
     """The bisected candidate lines and the indexed host box give what the
     scans over every line and every box gave, on the pocket chain and the
@@ -376,7 +427,8 @@ def test_candidates_and_hosts_match_the_linear_scans():
         + _triangle_instances()[:90]
     hosted = 0
     for inst in instances:
-        xs, ys = (sorted(c) for c in inst.all_coords())
+        lines = _Lines(inst)
+        xs, ys = lines.xs, lines.ys
         boxes = build_world(inst.obstacles).frame(IDENTITY)
         for term in (inst.source, inst.target):
             segs = [term.segment] if term.kind == "segment" else \
@@ -387,7 +439,7 @@ def test_candidates_and_hosts_match_the_linear_scans():
                               | {(x, ly) for x in xs if lx <= x <= hx and ly == hy}
                               | {(lx, y) for y in ys if ly <= y <= hy and lx == hx})
                 assert frontend._on_segment(seg, xs, ys) == want
-            for p in frontend._candidate_points(term, xs, ys):
+            for p in frontend._candidate_points(term, lines):
                 want = next((i for i, ob in enumerate(inst.obstacles)
                              if ob.bbox.contains(p, strict=True)), None)
                 assert frontend._host(boxes, p) == want

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rectlink.engine import build_world
-from rectlink.frontend import _attachments
+from rectlink.frontend import _attachments, _Lines
 from rectlink.generator import generate_instance
 from rectlink.geometry import UNIT_DIRS, GeometryError, OrthoSegment, Rect, RectPolygon
 from rectlink.pockets import BoxGrid, GridSearch
@@ -160,10 +160,9 @@ def test_ring_crossings_match_the_all_vertex_loop():
         inst = into_pocket(inst, "source", ("point", "segment")[seed % 2], rng)
         if inst is None:
             continue
-        xs, ys = (sorted(c) for c in inst.all_coords())
         world = build_world(inst.obstacles)
         for term in (inst.source, inst.target):
-            _, found, _ = _attachments(inst, term, xs, ys, world)
+            _, found, _ = _attachments(inst, term, _Lines(inst), world)
             for gs in found:
                 got = gs.crossings()
                 assert got == all_vertex_crossings(gs), seed
