@@ -1,0 +1,82 @@
+"""Census of the pair loop's bound: middle solves, class solves, pruned
+pairs and CPU time of ``frontend.solve`` on the pools that exercise it.
+
+Usage (from the repository root; pytest does not collect this file):
+
+    PYTHONPATH=src python3 tests/bound_census.py [--reps 3]
+
+Pools, one row each: perfbench's attach-small base pool, the 630
+instances of ``test_frontend._triangle_instances``, the 59-instance pocket
+chain (``test_frontend._pocket_instances(60)``) and the polygon-polygon
+instances ``generate_instance(97*n + r, n, coord_limit=30*n,
+source_kind="polygon", target_kind="polygon")`` at n = 400, r = 0..2.  A
+row sums ``SolveReport.stats`` over its instances and, per instance, the
+least ``time.process_time`` of ``--reps`` solves.  It ends with the first
+12 hex digits of a SHA-256 over every (distance, links, path), so the
+answers of two checkouts compare at a glance.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+sys.path.append(str(HERE.parent / "perfbench"))
+
+from rectlink.frontend import solve
+from rectlink.generator import generate_instance
+
+import workloads
+from test_frontend import _pocket_instances, _triangle_instances
+
+
+def pools():
+    yield "attach-small", workloads.base_pool("attach-small")
+    yield "triangle", _triangle_instances()
+    yield "pocket chain", [inst for _, inst in _pocket_instances(60)]
+    for r in range(3):
+        yield f"poly-poly n=400 r={r}", [generate_instance(
+            97 * 400 + r, 400, coord_limit=30 * 400,
+            source_kind="polygon", target_kind="polygon")]
+
+
+def census(instances, reps: int) -> dict:
+    row = {"instances": len(instances), "middle_solves": 0, "classes": 0,
+           "pairs_pruned": 0, "cpu_s": 0.0}
+    answers = []
+    for inst in instances:
+        times = []
+        for _ in range(reps):
+            t0 = time.process_time()
+            report = solve(inst)
+            times.append(time.process_time() - t0)
+        row["cpu_s"] += min(times)
+        for key in ("middle_solves", "classes", "pairs_pruned"):
+            row[key] += report.stats[key]
+        answers.append([report.distance, report.links, report.path])
+    blob = json.dumps(answers, separators=(",", ":")).encode()
+    row["answers"] = hashlib.sha256(blob).hexdigest()[:12]
+    return row
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--reps", type=int, default=3,
+                    help="solves per instance; the least CPU time counts")
+    args = ap.parse_args()
+    print(f"{'pool':<20} {'inst':>5} {'middle':>7} {'classes':>7} "
+          f"{'pruned':>7} {'cpu s':>7}  answers", flush=True)
+    for name, instances in pools():
+        row = census(instances, args.reps)
+        print(f"{name:<20} {row['instances']:5d} {row['middle_solves']:7d} "
+              f"{row['classes']:7d} {row['pairs_pruned']:7d} "
+              f"{row['cpu_s']:7.3f}  {row['answers']}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

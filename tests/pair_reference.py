@@ -1,13 +1,12 @@
-"""The per-pair frontend loop that class solves replaced, kept as a reference.
+"""The per-pair frontend loop, kept as a bound-free reference.
 
-``solve`` is ``frontend.solve`` as it was before one x-case relaxation
-answered a whole class of attachment pairs: every attachment pair, in order
-of its obstacle-blind L1 bound, gets its own middle solve unless the L1 bound
-or a triangle bound through an already solved pair of the same free groups
-rules it out, and the first strict improvement wins.  It reads the package's
-attachments, bounds and pair engine, so it differs from ``frontend.solve``
-only in the pair loop.  ``tests/test_frontend.py`` checks that both give the
-same (distance, links).
+``solve`` is ``frontend.solve`` without class solves and without triangle
+bounds: every attachment pair, in order of its obstacle-blind L1 bound, gets
+its own middle solve until that bound exceeds the best distance found, and
+the first strict improvement wins.  It reads the package's attachments and
+pair engine but shares none of ``frontend.solve``'s pruning, so it differs
+from it in the pair loop alone.  ``tests/test_frontend.py`` checks that both
+give the same (distance, links).
 """
 from rectlink.engine import _double, build_world, solve_pair_raw
 from rectlink.frontend import (
@@ -17,7 +16,6 @@ from rectlink.frontend import (
     _Lines,
     _l1,
     _neg,
-    _pair_bound,
     _seed_links,
 )
 from rectlink.geometry import GeometryError, PathResult, first_dir
@@ -37,7 +35,7 @@ def solve(instance):
     if not atts_s or not atts_t:
         raise GeometryError("a terminal has no connection to the free plane")
 
-    stats = {"middle_solves": 0, "pairs_pruned": 0, "events": 0, "regions": 0,
+    stats = {"middle_solves": 0, "events": 0, "regions": 0,
              "attachments": (len(atts_s), len(atts_t))}
     best = None
 
@@ -55,7 +53,6 @@ def solve(instance):
                     route = [_double(v) for v in got[2]]
                     offer(2 * got[0], got[1], route if forward else route[::-1])
 
-    solved = {}
     pairs = sorted(
         ((a.d2 + _l1(a.junction2, b.junction2) + b.d2, i, j)
          for i, a in enumerate(atts_s) for j, b in enumerate(atts_t)),
@@ -70,14 +67,8 @@ def solve(instance):
                 pts = list(a.lead2) + list(reversed(b.lead2))[1:]
                 offer(a.d2 + b.d2, a.links + b.links - merge, pts)
             continue
-        key = (a.group, b.group)
-        if best is not None \
-                and _pair_bound(a, b, solved.get(key, ())) > best[0]:
-            stats["pairs_pruned"] += 1
-            continue
         raw = solve_pair_raw(world, a.junction2, b.junction2,
                              dir_links=_seed_links(a))
-        solved.setdefault(key, []).append((a.junction2, b.junction2, raw.dist2))
         stats["middle_solves"] += 1
         stats["events"] += raw.stats.get("events", 0)
         stats["regions"] += raw.stats.get("regions", 0)

@@ -5,10 +5,10 @@ Usage (from the repository root):
     PYTHONPATH=src python3 tests/record_region_digests.py
 
 writes ``tests/data/region_digests.json``.  The regions covered are the ones
-built while the per-pair reference frontend (``pair_reference.solve``)
-solves the ``point-small`` and ``attach-small`` base pools of
-``perfbench/workloads.py`` (in pool order, each region when it is built),
-the regions of ``test_index._xy_regions`` (all eight total frames) and
+built while the bound-free per-pair reference frontend
+(``pair_reference.solve``) solves the ``point-small`` and ``attach-small``
+base pools of ``perfbench/workloads.py`` (in pool order, each region when it
+is built), the regions of ``test_index._xy_regions`` (all eight total frames) and
 ``diagonal.diagonal_region(250)``.  ``tests/test_region_digests.py``
 recomputes them: a change to how regions are built must leave every
 region's events as they were.

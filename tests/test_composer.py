@@ -90,10 +90,10 @@ def test_x_case_distance_matches_oracle():
 
 
 def _many_x_solves():
-    # the first polygon-polygon seed (n = 8, coord limit 120) on which the
-    # per-pair frontend makes at least 10 x-case middle solves: 19 of them
-    # over 10 x 28 attachments, with 34 pairs pruned.  Its plain pairs fall
-    # into two x-case classes, so ``solve`` makes two class solves.
+    # a polygon-polygon seed (n = 8, coord limit 120) on which the
+    # per-pair frontend makes at least 10 x-case middle solves: 53 of them
+    # over 10 x 28 attachments.  Its plain pairs fall into two x-case
+    # classes, so ``solve`` makes two class solves.
     return generate_instance(150, n_obstacles=8, coord_limit=120,
                              source_kind="polygon", target_kind="polygon")
 
