@@ -101,8 +101,9 @@ class Attachment:
         single one.  ``validate`` makes a polygon's box interior-disjoint
         from every obstacle box, so the polygon's box holds a staircase
         between any two of them.  A plain attachment of a segment lies on
-        the segment, outside every open box or on a box's boundary (plain
-        candidates are filtered with a strict ``contains``).  ``validate``
+        the segment, outside every open box or on a box's boundary (a
+        candidate is plain only when ``_host``'s strict box test, on the
+        identity frame's index, finds no box holding it).  ``validate``
         rejects a segment that meets an obstacle's interior, and a connected
         obstacle touches all four sides of its box, so a valid segment never
         runs across a box: it enters a box only to end inside it.  The
@@ -434,7 +435,6 @@ def solve(instance: Instance) -> SolveReport:
     if best is None:
         raise GeometryError("terminals are not connected")
     stats["traces_built"] = world.traces_built
-    stats["regions_built"] = world.regions_built
     stats["hull_tables_built"] = world.hull_tables_built
     d2, links, pts2, build = best
     if pts2 is None:

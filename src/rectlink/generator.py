@@ -13,6 +13,9 @@ from typing import Optional, Sequence
 from .geometry import Point, Rect, RectPolygon
 from .model import Instance, Terminal, validate
 
+# attempts that ``generate_instance`` makes before it gives up
+MAX_ATTEMPTS = 50
+
 
 class GenerationError(RuntimeError):
     pass
@@ -247,11 +250,10 @@ def generate_instance(
     carve_prob: float = 0.6,
     max_steps: int = 3,
     allow_box_pierce: bool = True,
-    max_attempts: int = 50,
 ) -> Instance:
     """Build a random valid instance; deterministic in all its arguments."""
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         try:
             inst = _attempt(rng, n_obstacles, coord_limit, source_kind,
                             target_kind, carve_prob, max_steps, allow_box_pierce)

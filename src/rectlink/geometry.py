@@ -111,9 +111,7 @@ class Rect:
         if self.xlo > self.xhi or self.ylo > self.yhi:
             raise GeometryError(f"empty rect {self}")
 
-    def contains(self, p: Point, strict: bool = False) -> bool:
-        if strict:
-            return self.xlo < p[0] < self.xhi and self.ylo < p[1] < self.yhi
+    def contains(self, p: Point) -> bool:
         return self.xlo <= p[0] <= self.xhi and self.ylo <= p[1] <= self.yhi
 
     def interior_disjoint(self, other: "Rect") -> bool:

@@ -168,7 +168,7 @@ def _axis(a: int, b: int) -> int:
 
 
 class FrameTables:
-    """The hulls as seen in one frame, plus that frame's memos.
+    """The hulls as seen in one frame, plus that frame's trace memo.
 
     Everything here is in doubled frame coordinates: the instance scaled
     by 2, then mapped by ``t``.  The boxes come from the world's index,
@@ -190,10 +190,7 @@ class FrameTables:
     frees.
 
     ``traces`` maps ``(start, x_stop)`` to the ``Trace`` that ``trace_ru``
-    returned for it in this frame.  ``regions`` maps ``(q, s, t)`` to the
-    ``StaircaseRegion`` that ``build_staircase_region`` returned, where
-    ``q`` is the frame the caller passed (relative to its view) and ``s``
-    and ``t`` are the pair's frame coordinates.
+    returned for it in this frame.
     """
 
     def __init__(self, world: World, t: Xform):
@@ -206,7 +203,6 @@ class FrameTables:
         self._t = t
         self._polys: dict[int, _FramePoly] = {}
         self.traces: dict[tuple[Point, int], Trace] = {}
-        self.regions: dict[tuple[Xform, Point, Point], StaircaseRegion] = {}
 
     def __len__(self) -> int:
         return len(self.xlo)
@@ -257,19 +253,16 @@ class World:
     traces, regions and x-case solves touch.  A sub-solve working in a frame
     of its own reads this cache through a ``FrameView`` instead of building
     a world of transformed hulls, so every middle solve of an instance
-    shares the work memoised in the tables:
+    shares the hulls, their tables and the traces memoised in the tables,
+    keyed by their total frame, start point and ``x_stop``; each trace
+    builds its ``StepCurve`` once, on first use of ``curve``.  Staircase
+    regions are not memoised: a solve rarely asks for one region twice, so
+    each request builds its own.
 
-    * traces, keyed by their total frame, start point and ``x_stop``; each
-      trace builds its ``StepCurve`` once, on first use of ``curve``;
-    * staircase regions, keyed by their total frame, the view-relative
-      frame ``q`` stored in ``StaircaseRegion.frame``, and the endpoints in
-      frame coordinates.
-
-    Every caller receives the same memoised object, so none may mutate a
-    trace, a curve or a region: a sweep keeps its state in its own store.
-    The memos live as long as the world, which a solve builds for itself;
-    frames hold no reference back to the world, so reference counting alone
-    frees it once the solve returns.
+    Every caller receives the same memoised trace, so none may mutate a
+    trace or a curve.  The memos live as long as the world, which a solve
+    builds for itself; frames hold no reference back to the world, so
+    reference counting alone frees it once the solve returns.
     """
 
     def __init__(self, obstacles: Sequence[RectPolygon]):
@@ -299,11 +292,6 @@ class World:
     def traces_built(self) -> int:
         """Distinct traces computed so far, over all frames."""
         return sum(len(ft.traces) for ft in self._frames.values())
-
-    @property
-    def regions_built(self) -> int:
-        """Distinct staircase regions built so far, over all frames."""
-        return sum(len(ft.regions) for ft in self._frames.values())
 
     @property
     def hull_tables_built(self) -> int:
@@ -592,23 +580,13 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
     """Staircase region of an xy-monotone pair, with its sweep events.
 
     ``s`` and ``t`` are world points; the pair must classify as ("xy", frame).
-    Memoised in the world's tables for ``frame``: repeated requests get the
-    same object.
+    Each call builds a new region.
     """
     sq, tq = frame.apply(s), frame.apply(t)
-    # frame tables index hulls as the world does
-    polys = world.frame(frame)
-    key = (frame, sq, tq)
-    got = polys.regions.get(key)
-    if got is None:
-        got = polys.regions[key] = _build_region(world, polys, frame, sq, tq)
-    return got
-
-
-def _build_region(world: World | FrameView, polys: FrameTables,
-                  frame: Xform, sq: Point, tq: Point) -> StaircaseRegion:
     sx, sy = sq
     tx, ty = tq
+    # frame tables index hulls as the world does
+    polys = world.frame(frame)
     view = FrameView(world, frame)
     ur = trace_path(view, "ur", sq, tq)
     ld = trace_path(view, "ld", tq, sq)

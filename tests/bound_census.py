@@ -1,5 +1,6 @@
 """Census of the pair loop's bound: middle solves, class solves, pruned
-pairs and CPU time of ``frontend.solve`` on the pools that exercise it.
+pairs, memo traffic and CPU time of ``frontend.solve`` on the pools that
+exercise it.
 
 Usage (from the repository root; pytest does not collect this file):
 
@@ -11,9 +12,11 @@ chain (``test_frontend._pocket_instances(60)``) and the polygon-polygon
 instances ``generate_instance(97*n + r, n, coord_limit=30*n,
 source_kind="polygon", target_kind="polygon")`` at n = 400, r = 0..2.  A
 row sums ``SolveReport.stats`` over its instances and, per instance, the
-least ``time.process_time`` of ``--reps`` solves.  It ends with the first
-12 hex digits of a SHA-256 over every (distance, links, path), so the
-answers of two checkouts compare at a glance.
+least ``time.process_time`` of ``--reps`` solves.  The traffic columns are
+``stats["regions"]`` (staircase regions swept, each built for its sweep)
+and ``stats["traces_built"]`` (traces the world's memo computed).  A row
+ends with the first 12 hex digits of a SHA-256 over every (distance, links,
+path), so the answers of two checkouts compare at a glance.
 """
 from __future__ import annotations
 
@@ -47,7 +50,7 @@ def pools():
 
 def census(instances, reps: int) -> dict:
     row = {"instances": len(instances), "middle_solves": 0, "classes": 0,
-           "pairs_pruned": 0, "cpu_s": 0.0}
+           "pairs_pruned": 0, "regions": 0, "traces_built": 0, "cpu_s": 0.0}
     answers = []
     for inst in instances:
         times = []
@@ -56,7 +59,8 @@ def census(instances, reps: int) -> dict:
             report = solve(inst)
             times.append(time.process_time() - t0)
         row["cpu_s"] += min(times)
-        for key in ("middle_solves", "classes", "pairs_pruned"):
+        for key in ("middle_solves", "classes", "pairs_pruned", "regions",
+                    "traces_built"):
             row[key] += report.stats[key]
         answers.append([report.distance, report.links, report.path])
     blob = json.dumps(answers, separators=(",", ":")).encode()
@@ -70,11 +74,13 @@ def main() -> None:
                     help="solves per instance; the least CPU time counts")
     args = ap.parse_args()
     print(f"{'pool':<20} {'inst':>5} {'middle':>7} {'classes':>7} "
-          f"{'pruned':>7} {'cpu s':>7}  answers", flush=True)
+          f"{'pruned':>7} {'regions':>7} {'traces':>7} {'cpu s':>7}  answers",
+          flush=True)
     for name, instances in pools():
         row = census(instances, args.reps)
         print(f"{name:<20} {row['instances']:5d} {row['middle_solves']:7d} "
               f"{row['classes']:7d} {row['pairs_pruned']:7d} "
+              f"{row['regions']:7d} {row['traces_built']:7d} "
               f"{row['cpu_s']:7.3f}  {row['answers']}", flush=True)
 
 

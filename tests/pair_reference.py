@@ -84,7 +84,6 @@ def solve(instance):
     if best is None:
         raise GeometryError("terminals are not connected")
     stats["traces_built"] = world.traces_built
-    stats["regions_built"] = world.regions_built
     d2, links, pts2 = best
     if d2 % 2:
         raise GeometryError("odd doubled distance")

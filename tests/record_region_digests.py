@@ -7,11 +7,12 @@ Usage (from the repository root):
 writes ``tests/data/region_digests.json``.  The regions covered are the ones
 built while the bound-free per-pair reference frontend
 (``pair_reference.solve``) solves the ``point-small`` and ``attach-small``
-base pools of ``perfbench/workloads.py`` (in pool order, each region when it
-is built), the regions of ``test_index._xy_regions`` (all eight total frames) and
-``diagonal.diagonal_region(250)``.  ``tests/test_region_digests.py``
-recomputes them: a change to how regions are built must leave every
-region's events as they were.
+base pools of ``perfbench/workloads.py`` (in pool order, one per call of
+``build_staircase_region`` from ``engine`` or ``composer``: every call
+builds its region), the regions of ``test_index._xy_regions`` (all eight
+total frames) and ``diagonal.diagonal_region(250)``.
+``tests/test_region_digests.py`` recomputes them: a change to how regions
+are built must leave every region's events as they were.
 """
 from __future__ import annotations
 
@@ -41,22 +42,26 @@ def pool_region_digests(name: str) -> list[str]:
         sys.path.append(PERFBENCH)
     import workloads
     from pair_reference import solve
-    from rectlink import partition
+    from rectlink import composer, engine
 
     built = []
-    build = partition._build_region
+    originals = {mod: mod.build_staircase_region for mod in (engine, composer)}
 
-    def recording(*args):
-        region = build(*args)
-        built.append(region_digest(region))
-        return region
+    def recording(build):
+        def wrapper(*args):
+            region = build(*args)
+            built.append(region_digest(region))
+            return region
+        return wrapper
 
-    partition._build_region = recording
+    for mod, build in originals.items():
+        mod.build_staircase_region = recording(build)
     try:
         for inst in workloads.base_pool(name):
             solve(inst)
     finally:
-        partition._build_region = build
+        for mod, build in originals.items():
+            mod.build_staircase_region = build
     return built
 
 

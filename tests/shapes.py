@@ -5,7 +5,12 @@ these conveniences for writing and inspecting test shapes live here.
 """
 from __future__ import annotations
 
-from rectlink.geometry import OrthoSegment, Rect, RectPolygon, _signed_area2
+from rectlink.geometry import OrthoSegment, Point, Rect, RectPolygon, _signed_area2
+
+
+def in_open_box(r: Rect, p: Point) -> bool:
+    """Does ``p`` lie in the rectangle's interior (not on its boundary)?"""
+    return r.xlo < p[0] < r.xhi and r.ylo < p[1] < r.yhi
 
 
 def rect_polygon(r: Rect) -> RectPolygon:

@@ -28,7 +28,7 @@ from rectlink.sweep import INF, reconstruct_path, run_sweep
 from closest_pairs import oracle_closest_pairs
 from dents import dent_instance
 from pocket_doors import find_pockets
-from shapes import horizontal_edges, rect_polygon
+from shapes import horizontal_edges, in_open_box, rect_polygon
 from tree_store import assert_stores_agree
 
 
@@ -256,7 +256,7 @@ def test_5_structural_invariants():
             inst = generate_instance(seed, n_obstacles=10, coord_limit=160)
         except GenerationError:
             continue
-        if any(ob.bbox.contains(p, strict=True)
+        if any(in_open_box(ob.bbox, p)
                for ob in inst.obstacles
                for p in (inst.source.point, inst.target.point)):
             continue
@@ -307,7 +307,7 @@ def test_7_convex_hull_preprocessing_preserves_answers():
     for seed, inst in _instances([("point", "point")], want=300,
                                  start_seed=130_000, coord_limit=180,
                                  n_mix=(6, 10, 16, 22)):
-        if any(ob.bbox.contains(p, strict=True)
+        if any(in_open_box(ob.bbox, p)
                for ob in inst.obstacles
                for p in (inst.source.point, inst.target.point)):
             continue

@@ -6,11 +6,12 @@ from rectlink.generator import generate_instance
 from rectlink.geometry import GeometryError, PathResult, RectPolygon
 from rectlink.model import Instance, Terminal
 from rectlink.oracle import oracle_solve
+from shapes import in_open_box
 
 
 def _outside_boxes(inst):
     return all(
-        not ob.bbox.contains(p, strict=True)
+        not in_open_box(ob.bbox, p)
         for ob in inst.obstacles
         for p in (inst.source.point, inst.target.point)
     )

@@ -3,13 +3,9 @@ import pytest
 from rectlink.generator import generate_instance
 from rectlink.geometry import Rect
 from rectlink.model import Instance, Terminal, validate
-from rectlink.oracle import (
-    OracleRefusal,
-    build_hanan_graph,
-    oracle_solve,
-    oracle_solve_reference,
-)
+from rectlink.oracle import OracleRefusal, build_hanan_graph, oracle_solve
 from closest_pairs import oracle_closest_pairs
+from oracle_reference import oracle_solve_reference
 from shapes import rect_polygon, spiral_band
 
 BOX = rect_polygon(Rect(10, 10, 20, 20))

@@ -3,11 +3,11 @@
 A module-level function or class of ``src/rectlink`` that no other
 top-level statement of the package names is either dead or serves only
 tests; test helpers belong under ``tests/`` (``tree_store.py``,
-``pocket_doors.py``, ``closest_pairs.py`` and ``shapes.py`` are such).  The
-exceptions are the public names in ``rectlink.__all__`` and the short list
-below.  The same holds, with no exceptions, for every method of a package
-class that is not a dunder: some code of the package other than the method
-itself must name it.
+``pocket_doors.py``, ``closest_pairs.py``, ``shapes.py`` and
+``oracle_reference.py`` are such).  The only exceptions are the public names
+in ``rectlink.__all__``.  The same holds, with no exceptions, for every
+method of a package class that is not a dunder: some code of the package
+other than the method itself must name it.
 """
 import ast
 from collections import Counter
@@ -16,10 +16,6 @@ from pathlib import Path
 import rectlink
 
 PACKAGE = Path(rectlink.__file__).resolve().parent
-
-# package code kept for tests on purpose: the pure-Python oracle is the
-# independent reference that the scipy oracle is checked against
-TEST_REFERENCES = {"oracle_solve_reference"}
 
 
 def _names(node: ast.AST) -> Counter:
@@ -72,9 +68,7 @@ def unreferenced_methods(package: Path) -> list[str]:
 
 def test_every_package_definition_is_used_by_the_package():
     unused = unreferenced_definitions(PACKAGE)
-    # an exception the package has come to use no longer belongs here
-    assert TEST_REFERENCES <= {q.split(".")[1] for q in unused}
-    allowed = set(rectlink.__all__) | TEST_REFERENCES
+    allowed = set(rectlink.__all__)
     assert [q for q in unused if q.split(".")[1] not in allowed] == []
 
 

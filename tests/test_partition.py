@@ -188,8 +188,8 @@ class TestSharedFrames:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_views_keep_their_own_region_frame(self, seed):
-        """A region asked for through a view is memoised under the frame the
-        view passed, so each view gets a region whose ``frame`` is its own."""
+        """A region asked for through a view carries the frame the view
+        passed, and the same content whichever view asked for it."""
         for k in range(seed * 50, seed * 50 + 50):
             inst = generate_instance(k, n_obstacles=8, coord_limit=120)
             world = build_world(list(inst.obstacles))
@@ -206,10 +206,8 @@ class TestSharedFrames:
             got = build_staircase_region(FrameView(world, base), q2,
                                          base.apply(s2), base.apply(t2))
             assert got.frame == q2
-            assert (got is region) == (base == IDENTITY)
             assert (got.s, got.t, got.baselines, got.events, got.holes) \
                 == (region.s, region.t, region.baselines, region.events, region.holes)
-        assert world.regions_built == 8
 
 
 class TestInstanceCoordinates:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from rectlink.engine import _double, build_world
 from rectlink.generator import generate_instance
 from rectlink.partition import (
-    World,
     _hole_index,
     _nearest_sections,
     build_staircase_region,
@@ -279,31 +278,6 @@ def test_provenance_matches_the_reference_history_on_a_diagonal():
     # all 251 502 pairs of the 250-hole diagonal take seconds; every fifth
     # bound still reads each baseline after splits and merges alike
     assert _check_provenance(diagonal_region(250), 1, 2, bound_step=5) > 50_000
-
-
-def _sweep_readouts(region, seed_h, seed_v):
-    res = run_sweep(region, seed_h=seed_h, seed_v=seed_v)
-    paths = {arr: reconstruct_path(res, arr)
-             for arr, lam in (("h", res.lam_h), ("v", res.lam_v)) if lam < INF}
-    return res.lam_h, res.lam_v, res.event_values, paths
-
-
-def test_memoised_region_sweeps_like_a_fresh_one():
-    """A region served again from the world's memo and swept with other
-    seeds reads the same as a region built afresh for that sweep."""
-    checked = 0
-    for seed, world, region in _worlds_and_regions(range(60)):
-        inv = region.frame.inverse()
-        s2, t2 = inv.apply(region.s), inv.apply(region.t)
-        for seed_h, seed_v in ((1, 2), (4, 5), (3, 3)):
-            again = build_staircase_region(world, region.frame, s2, t2)
-            assert again is region, seed
-            fresh = build_staircase_region(World(world.obstacles), region.frame, s2, t2)
-            assert fresh is not region
-            assert _sweep_readouts(again, seed_h, seed_v) \
-                == _sweep_readouts(fresh, seed_h, seed_v), (seed, seed_h, seed_v)
-        checked += len(region.holes) > 0
-    assert checked >= 5
 
 
 def test_reconstruction_matches_sweep_value():
