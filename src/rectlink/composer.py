@@ -133,19 +133,16 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
     # the extreme curves out of a leg's start decide whether the leg is
     # xy-monotone: ru and ur bound a rising leg, rd and dr a falling one.
     # Each is traced on first use, in its own trace frame, far enough to
-    # cover every node.
+    # cover every node, and read from the world's trace memo after that.
     ends = [nd.point[1] for nd in nodes + tgts]
     y_hi, y_lo = max(ends) + 1, min(ends) - 1
     stops = {"ru": tx, "ur": y_hi, "rd": tx, "dr": -y_lo}
-    traced: dict[tuple[Point, str], StepCurve] = {}
+    frames = {name: (f, wf.frame(f)) for name, f in TRACE_FRAMES.items()
+              if name in stops}
 
     def curve(p: Point, name: str) -> StepCurve:
-        got = traced.get((p, name))
-        if got is None:
-            f = TRACE_FRAMES[name]
-            got = traced[p, name] = trace_ru(wf.frame(f), f.apply(p),
-                                             stops[name]).curve
-        return got
+        f, ft = frames[name]
+        return trace_ru(ft, f.apply(p), stops[name]).curve
 
     # q east of p; the ur and dr curves are stored with x and y swapped
     def rises(p: Point, q: Point) -> bool:

@@ -190,7 +190,8 @@ class FrameTables:
     frees.
 
     ``traces`` maps ``(start, x_stop)`` to the ``Trace`` that ``trace_ru``
-    returned for it in this frame.
+    returned for it in this frame; regions and the x-case relaxation read
+    its memoised ``curve`` in this frame.
     """
 
     def __init__(self, world: World, t: Xform):
@@ -255,9 +256,11 @@ class World:
     a world of transformed hulls, so every middle solve of an instance
     shares the hulls, their tables and the traces memoised in the tables,
     keyed by their total frame, start point and ``x_stop``; each trace
-    builds its ``StepCurve`` once, on first use of ``curve``.  Staircase
-    regions are not memoised: a solve rarely asks for one region twice, so
-    each request builds its own.
+    builds its ``StepCurve`` once, on first use of ``curve``, and that is
+    the only curve of it: staircase regions and the x-case relaxation read
+    the memoised ``curve`` in the trace's own frame.  Staircase regions are
+    not memoised: a solve rarely asks for one region twice, so each request
+    builds its own.
 
     Every caller receives the same memoised trace, so none may mutate a
     trace or a curve.  The memos live as long as the world, which a solve
@@ -318,7 +321,13 @@ class FrameView:
 
 @dataclass
 class Trace:
-    """An extreme monotone curve in frame coordinates."""
+    """An extreme monotone curve, in its own trace frame.
+
+    From a start in no obstacle's open box, as every start of a solve is,
+    the points rise weakly in both coordinates along the path.  Regions and
+    the x-case relaxation map their queries into this frame and read the
+    memoised ``curve``; no caller maps the points out.
+    """
 
     points: list[Point]
     touched: list[int]     # indices of obstacles the curve climbed
@@ -415,56 +424,42 @@ def _trace_ru(polys: FrameTables, start: Point, x_stop: int) -> Trace:
     return Trace(pts, touched)
 
 
-def trace_path(world: World | FrameView, mode: str, start: Point, stop: Point) -> Trace:
-    """One of the eight extreme monotone paths, in the coordinates that
-    ``world`` is read in (a view's own frame for a ``FrameView``).
-
-    The trace runs until the primary coordinate reaches the matching
-    coordinate of ``stop``.
-    """
-    f = TRACE_FRAMES[mode]
-    fstart = f.apply(start)
-    fstop = f.apply(stop)[0]
-    t = trace_ru(world.frame(f), fstart, fstop)
-    inv = f.inverse()
-    return Trace([inv.apply(p) for p in t.points], t.touched)
-
-
 # ---------------------------------------------------------------------------
 # step-function views of traces
 
 class StepCurve:
-    """Monotone staircase as a queryable step function of x.
+    """Monotone staircase as a queryable step function.
 
-    Queries bisect the sorted xs into a prefix maximum or a suffix minimum
-    of the ys, so each costs O(log k).
+    Queries bisect the sorted points' xs or their prefix maximum of ys, so
+    each costs O(log k).  ``max_x_to`` is exact only for a curve whose ys
+    rise weakly with its xs, as every trace a solve makes does (see
+    ``Trace``): then the points with y' <= y are a prefix of the sorted
+    points.
     """
 
     def __init__(self, points: Sequence[Point]):
         pts = sorted(points)
         self.xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        self._prefix_max = list(accumulate(ys, max))
-        self._suffix_min = list(accumulate(reversed(ys), min))[::-1]
+        self._prefix_max = list(accumulate((p[1] for p in pts), max))
 
     def max_y_at(self, x: int) -> float:
         """Largest y among points with x' <= x (-inf if none)."""
         i = bisect.bisect_right(self.xs, x)
         return self._prefix_max[i - 1] if i else -INF
 
-    def min_y_from(self, x: int) -> float:
-        """Smallest y among points with x' >= x (+inf if none)."""
-        i = bisect.bisect_left(self.xs, x)
-        return self._suffix_min[i] if i < len(self.xs) else INF
+    def max_x_to(self, y: int) -> float:
+        """Largest x among points with y' <= y (-inf if none), for a curve
+        whose ys rise with its xs."""
+        i = bisect.bisect_right(self._prefix_max, y)
+        return self.xs[i - 1] if i else -INF
 
 
-def _jump_xs(curve_points: Sequence[Point]) -> list[int]:
-    """x positions of the vertical runs of a polyline."""
-    out = []
-    for a, b in zip(curve_points, curve_points[1:]):
-        if a[0] == b[0] and a[1] != b[1]:
-            out.append(a[0])
-    return sorted(set(out))
+def _jump_xs(points: Sequence[Point], axis: int) -> set[int]:
+    """Positions along ``axis`` of the runs of a polyline that keep that
+    coordinate and change the other (its vertical runs for axis 0)."""
+    other = 1 - axis
+    return {a[axis] for a, b in zip(points, points[1:])
+            if a[axis] == b[axis] and a[other] != b[other]}
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +486,9 @@ def classify(world: World | FrameView, s: Point, t: Point) -> tuple[str, Xform]:
         return ("x", q)
 
     g = q.then(SWAP)
-    ur = trace_ru(world.frame(g), g.apply(s), g.apply(t)[0])
-    if g.apply(t)[1] < ur.curve.max_y_at(g.apply(t)[0]):
+    sg, tg = g.apply(s), g.apply(t)
+    ur = trace_ru(world.frame(g), sg, tg[0])
+    if tg[1] < ur.curve.max_y_at(tg[0]):
         # y-monotone: swap axes to express it as an eastward x-case
         return ("x", g)
     return ("xy", q)
@@ -587,25 +583,25 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
     tx, ty = tq
     # frame tables index hulls as the world does
     polys = world.frame(frame)
-    view = FrameView(world, frame)
-    ur = trace_path(view, "ur", sq, tq)
-    ld = trace_path(view, "ld", tq, sq)
-    ru = trace_path(view, "ru", sq, tq)
-    dl = trace_path(view, "dl", tq, sq)
 
-    upper_s = StepCurve(ur.points)
-    upper_t = StepCurve(ld.points)
-    lower_s = StepCurve(ru.points)
-    lower_t = StepCurve(dl.points)
+    def trace(f: Xform, start: Point, stop: Point) -> Trace:
+        return trace_ru(world.frame(frame.then(f)), f.apply(start), f.apply(stop)[0])
+
+    # the memoised traces, read in their own frames: in the region's, a
+    # point (u, v) of ur is (v, u), of ld (-u, -v) and of dl (-v, -u)
+    ur = trace(FRAME_UR, sq, tq)
+    ld = trace(FRAME_LD, tq, sq)
+    ru = trace(FRAME_RU, sq, tq)
+    dl = trace(FRAME_DL, tq, sq)
 
     # the curves traced out of t run westward, so the value of one of their
     # vertical runs belongs to its west side; evaluate just east of x to get
     # the bound that holds on the column (x, x + 1)
     def top(x: int) -> int:
-        return int(min(upper_s.max_y_at(x), upper_t.min_y_from(x + 1), ty))
+        return int(min(ur.curve.max_x_to(x), -ld.curve.max_y_at(-x - 1), ty))
 
     def bottom(x: int) -> int:
-        return int(max(lower_s.max_y_at(x), lower_t.min_y_from(x + 1), sy))
+        return int(max(ru.curve.max_y_at(x), -dl.curve.max_x_to(-x - 1), sy))
 
     touched = set(ur.touched) | set(ld.touched) | set(ru.touched) | set(dl.touched)
     holes: list[int] = []
@@ -624,10 +620,10 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
     # traces can overshoot the strip (the final hug keeps going past x_stop),
     # and outside [sx, tx) the opposite curve has no points, so the envelope
     # reads come back infinite; clamp the jump lists before using them
-    top_jumps = sorted(x for x in set(_jump_xs(ur.points) + _jump_xs(ld.points))
-                       if sx <= x < tx)
-    bot_jumps = sorted(x for x in set(_jump_xs(ru.points) + _jump_xs(dl.points))
-                       if sx <= x < tx)
+    top_jumps = sorted(x for x in _jump_xs(ur.points, 1)
+                       | {-x for x in _jump_xs(ld.points, 0)} if sx <= x < tx)
+    bot_jumps = sorted(x for x in _jump_xs(ru.points, 0)
+                       | {-x for x in _jump_xs(dl.points, 1)} if sx <= x < tx)
     for x in top_jumps:
         ys.add(top(x))
         if x > sx:

@@ -13,9 +13,12 @@ instances ``generate_instance(97*n + r, n, coord_limit=30*n,
 source_kind="polygon", target_kind="polygon")`` at n = 400, r = 0..2.  A
 row sums ``SolveReport.stats`` over its instances and, per instance, the
 least ``time.process_time`` of ``--reps`` solves.  The traffic columns are
-``stats["regions"]`` (staircase regions swept, each built for its sweep)
-and ``stats["traces_built"]`` (traces the world's memo computed).  A row
-ends with the first 12 hex digits of a SHA-256 over every (distance, links,
+``stats["regions"]`` (staircase regions swept, each built for its sweep),
+``stats["traces_built"]`` (traces the world's memo computed) and
+``StepCurve`` builds (counted by wrapping ``partition.StepCurve.__init__``
+while the pool is solved; a memoised trace builds its curve once, so
+builds above ``traces_built`` are curves of copies).  The per-instance
+counts come from the last of its ``--reps`` solves.  A row ends with the first 12 hex digits of a SHA-256 over every (distance, links,
 path), so the answers of two checkouts compare at a glance.
 """
 from __future__ import annotations
@@ -31,6 +34,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 sys.path.append(str(HERE.parent / "perfbench"))
 
+from rectlink import partition
 from rectlink.frontend import solve
 from rectlink.generator import generate_instance
 
@@ -50,19 +54,33 @@ def pools():
 
 def census(instances, reps: int) -> dict:
     row = {"instances": len(instances), "middle_solves": 0, "classes": 0,
-           "pairs_pruned": 0, "regions": 0, "traces_built": 0, "cpu_s": 0.0}
+           "pairs_pruned": 0, "regions": 0, "traces_built": 0, "curves": 0,
+           "cpu_s": 0.0}
     answers = []
-    for inst in instances:
-        times = []
-        for _ in range(reps):
-            t0 = time.process_time()
-            report = solve(inst)
-            times.append(time.process_time() - t0)
-        row["cpu_s"] += min(times)
-        for key in ("middle_solves", "classes", "pairs_pruned", "regions",
-                    "traces_built"):
-            row[key] += report.stats[key]
-        answers.append([report.distance, report.links, report.path])
+    builds = [0]
+    init = partition.StepCurve.__init__
+
+    def counting_init(self, points):
+        builds[0] += 1
+        init(self, points)
+
+    partition.StepCurve.__init__ = counting_init
+    try:
+        for inst in instances:
+            times = []
+            for _ in range(reps):
+                builds[0] = 0
+                t0 = time.process_time()
+                report = solve(inst)
+                times.append(time.process_time() - t0)
+            row["cpu_s"] += min(times)
+            for key in ("middle_solves", "classes", "pairs_pruned", "regions",
+                        "traces_built"):
+                row[key] += report.stats[key]
+            row["curves"] += builds[0]
+            answers.append([report.distance, report.links, report.path])
+    finally:
+        partition.StepCurve.__init__ = init
     blob = json.dumps(answers, separators=(",", ":")).encode()
     row["answers"] = hashlib.sha256(blob).hexdigest()[:12]
     return row
@@ -74,13 +92,14 @@ def main() -> None:
                     help="solves per instance; the least CPU time counts")
     args = ap.parse_args()
     print(f"{'pool':<20} {'inst':>5} {'middle':>7} {'classes':>7} "
-          f"{'pruned':>7} {'regions':>7} {'traces':>7} {'cpu s':>7}  answers",
+          f"{'pruned':>7} {'regions':>7} {'traces':>7} {'curves':>7} "
+          f"{'cpu s':>7}  answers",
           flush=True)
     for name, instances in pools():
         row = census(instances, args.reps)
         print(f"{name:<20} {row['instances']:5d} {row['middle_solves']:7d} "
               f"{row['classes']:7d} {row['pairs_pruned']:7d} "
-              f"{row['regions']:7d} {row['traces_built']:7d} "
+              f"{row['regions']:7d} {row['traces_built']:7d} {row['curves']:7d} "
               f"{row['cpu_s']:7.3f}  {row['answers']}", flush=True)
 
 

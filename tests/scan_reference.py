@@ -9,8 +9,30 @@ midpoint enumeration of an x-case solve.  They read the frame's
 boxes from ``FrameTables`` and a hull's edge tables through ``polys[i]``,
 so a reference builds the tables of exactly the hulls the old scan read.
 ``tests/test_index.py`` checks the indexed queries against them.
+
+``trace_path`` is the mapped copy of a memoised trace that the region
+build once read: the trace's points mapped back into the caller's frame.
+``region_holes`` reads its envelopes from such copies, through fresh
+``StepCurve``s and a scan, so it shares nothing with the package's reading
+of the traces in their own frames.
 """
-from rectlink.partition import FrameView, StepCurve, trace_path
+from rectlink.partition import TRACE_FRAMES, FrameView, StepCurve, Trace, trace_ru
+
+INF = float("inf")
+
+
+def trace_path(world, mode, start, stop):
+    """One of the eight extreme monotone paths, in the coordinates that
+    ``world`` is read in (a view's own frame for a ``FrameView``).
+
+    The trace runs until the primary coordinate reaches the matching
+    coordinate of ``stop``; its points are a new list, mapped out of the
+    trace frame, and the memoised trace is left as it was.
+    """
+    f = TRACE_FRAMES[mode]
+    t = trace_ru(world.frame(f), f.apply(start), f.apply(stop)[0])
+    inv = f.inverse()
+    return Trace([inv.apply(p) for p in t.points], t.touched)
 
 
 def first_block(polys, cur, x_stop):
@@ -84,14 +106,16 @@ def region_holes(world, frame, sq, tq):
     ld = trace_path(view, "ld", tq, sq)
     ru = trace_path(view, "ru", sq, tq)
     dl = trace_path(view, "dl", tq, sq)
-    upper_s, upper_t = StepCurve(ur.points), StepCurve(ld.points)
-    lower_s, lower_t = StepCurve(ru.points), StepCurve(dl.points)
+    upper_s, lower_s = StepCurve(ur.points), StepCurve(ru.points)
+
+    def min_y_from(points, x):
+        return min((py for px, py in points if px >= x), default=INF)
 
     def top(x):
-        return min(upper_s.max_y_at(x), upper_t.min_y_from(x + 1), ty)
+        return min(upper_s.max_y_at(x), min_y_from(ld.points, x + 1), ty)
 
     def bottom(x):
-        return max(lower_s.max_y_at(x), lower_t.min_y_from(x + 1), sy)
+        return max(lower_s.max_y_at(x), min_y_from(dl.points, x + 1), sy)
 
     touched = set(ur.touched) | set(ld.touched) | set(ru.touched) | set(dl.touched)
     polys = world.frame(frame)

@@ -21,13 +21,13 @@ from rectlink.partition import (
     StepCurve,
     build_staircase_region,
     classify,
-    trace_path,
 )
 from rectlink.pockets import BoxGrid, GridSearch
 from rectlink.sweep import INF, reconstruct_path, run_sweep
 from closest_pairs import oracle_closest_pairs
 from dents import dent_instance
 from pocket_doors import find_pockets
+from scan_reference import trace_path
 from shapes import horizontal_edges, in_open_box, rect_polygon
 from tree_store import assert_stores_agree
 

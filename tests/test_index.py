@@ -141,6 +141,20 @@ def test_traces_match_scanning_traces(monkeypatch):
     want = run()
     assert got == want
     assert sum(isinstance(g, tuple) and len(g[1]) > 1 for g in got) > 100
+    # a trace from a point in no obstacle's open box, as every trace of a
+    # solve is, rises weakly in both coordinates along its path, so its
+    # sorted order is its path order, as ``StepCurve.max_x_to`` assumes (a
+    # probe inside a box, west of a descending flank, steps west to the wall)
+    rising = 0
+    for (name, world, t, start, _), g in zip(cases, got):
+        tables = FrameTables(world, t)
+        if isinstance(g, tuple) and not any(
+                tables.xlo[i] < start[0] < tables.xhi[i]
+                and tables.ylo[i] < start[1] < tables.yhi[i] for i in range(len(tables))):
+            assert all(a[0] <= b[0] and a[1] <= b[1]
+                       for a, b in zip(g[0], g[0][1:])), (name, t, start)
+            rising += 1
+    assert rising > 1000
 
 
 def test_nearest_sections_match_the_scan_in_every_frame():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -103,15 +104,29 @@ class TestClassify:
             assert tf[0] >= sf[0] and tf[1] >= sf[1]
 
 
+def _proper_xy_pair(seed):
+    """(world, frame, s2, t2) of generated instance ``seed`` when its pair
+    classifies as xy with distinct xs and distinct ys, else None."""
+    inst = generate_instance(seed, n_obstacles=8, coord_limit=120)
+    world = build_world(list(inst.obstacles))
+    s2, t2 = _double(inst.source.point), _double(inst.target.point)
+    kind, frame = classify(world, s2, t2)
+    if kind != "xy" or s2[0] == t2[0] or s2[1] == t2[1]:
+        return None
+    return world, frame, s2, t2
+
+
+@functools.cache
+def _proper_xy_seeds(want=30):
+    """The first ``want`` seeds, counting from 0, of proper xy pairs."""
+    proper = (seed for seed in itertools.count() if _proper_xy_pair(seed) is not None)
+    return list(itertools.islice(proper, want))
+
+
 class TestStaircaseRegion:
-    @pytest.mark.parametrize("seed", range(30))
-    def test_structure(self, seed):
-        inst = generate_instance(seed, n_obstacles=8, coord_limit=120)
-        world = build_world(list(inst.obstacles))
-        s2, t2 = _double(inst.source.point), _double(inst.target.point)
-        kind, frame = classify(world, s2, t2)
-        if kind != "xy" or s2[0] == t2[0] or s2[1] == t2[1]:
-            pytest.skip("not a proper xy pair")
+    @pytest.mark.parametrize("k", range(30))
+    def test_structure(self, k):
+        world, frame, s2, t2 = _proper_xy_pair(_proper_xy_seeds()[k])
         region = build_staircase_region(world, frame, s2, t2)
         assert region.baselines == sorted(region.baselines)
         assert region.baselines[0] == region.s[1]
@@ -136,15 +151,28 @@ class TestStepCurve:
         curve = StepCurve(points)
         assert curve.max_y_at(x) == max(
             (py for px, py in points if px <= x), default=-float("inf"))
-        assert curve.min_y_from(x) == min(
-            (py for px, py in points if px >= x), default=float("inf"))
+
+    @given(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+           st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
+           st.integers(-40, 80))
+    def test_max_x_to_matches_a_scan_on_rising_points(self, start, steps, y):
+        # a path whose coordinates both rise weakly, as a trace's do
+        points = [start]
+        for dx, dy in steps:
+            points.append((points[-1][0] + dx, points[-1][1] + dy))
+        random.Random(len(points)).shuffle(points)
+        curve = StepCurve(points)
+        assert curve.max_x_to(y) == max(
+            (px for px, py in points if py <= y), default=-float("inf"))
 
     def test_outside_the_x_range(self):
         curve = StepCurve([(0, 5), (3, 7), (3, 2), (8, 9)])
         assert curve.max_y_at(-1) == -float("inf")
-        assert curve.min_y_from(9) == float("inf")
         assert curve.max_y_at(100) == 9
-        assert curve.min_y_from(-100) == 2
+        rising = StepCurve([(0, 2), (3, 2), (3, 7), (8, 9)])
+        assert rising.max_x_to(1) == -float("inf")
+        assert rising.max_x_to(2) == 3
+        assert rising.max_x_to(100) == 8
 
 
 # the eight signed axis permutations
