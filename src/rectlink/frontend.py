@@ -4,9 +4,15 @@ The pair engine handles two points strictly outside every obstacle
 bounding box.  Everything else reduces to it by attachment enumeration:
 
 * a terminal is replaced by its candidate connection points, the grid
-  positions on it where an optimal path can leave (for a point, the point
-  itself; for a segment or polygon boundary, its vertices plus every
-  intersection with an instance coordinate line);
+  positions on it where an optimal path can leave.  For a point that is
+  the point itself.  For a segment or polygon boundary the positions are
+  its vertices plus every crossing of an instance coordinate line with an
+  edge, and of those ``solve`` keeps only the ones that can start an
+  optimal path: the vertices, the positions on any terminal vertex's line,
+  the positions inside an obstacle's open box, and each other position p
+  on an edge e one of whose rays along e's outward normal (both normals
+  for a segment) rides an obstacle side on p's own line before it enters
+  an obstacle or a terminal polygon (see "The candidate filter" below);
 * a candidate inside some obstacle's bounding box connects to the outside
   through a pocket of that box; the box-local grid search yields, per
   boundary point and outward direction, the best inside lead path, and
@@ -16,12 +22,77 @@ bounding box.  Everything else reduces to it by attachment enumeration:
 * candidates outside every box feed the engine directly;
 * a search also offers its own route to every candidate of the other
   terminal in its closed box: one inside the box, or one on its ring, which
-  a junction outside the box cannot reach without stepping back.
+  a junction outside the box cannot reach without stepping back.  This
+  reads every candidate, kept or not: a plain candidate on a box wall can
+  be dropped and still end such a route.  No candidate of a polygon lies in
+  a closed obstacle box, so for a polygon there is none to read.
 
 The best combination over all source/target attachments is the answer.
 Pairs are tried in order of an obstacle-blind L1 lower bound, and a pair is
 skipped when a triangle bound through an already solved pair shows it cannot
 beat the best answer found so far.
+
+The candidate filter.  Obstacles are open, so a path may ride their sides.
+A terminal is its point, its segment or its polygon's ring.  Take an
+optimal path (least length, then fewest links) and cut it at its last
+point on the source and its first point on the target after that: the cut
+is no longer and has no more links, so it is optimal too, and it touches
+the source only at its start p and the target only at its end.  Say p is a
+candidate the filter drops: p lies inside an edge e, in no open box, and
+its line L across e is no terminal vertex's line.
+
+* The first link leaves p along a normal of e, since a link along e would
+  touch the source again.  Let b be its far end.  The link rides no
+  obstacle side on L.  Along an outward normal it enters no obstacle,
+  meets the source only at p and the target at most at b, so it lies on
+  p's ray before the ray enters an obstacle or a terminal polygon, and p
+  was dropped because that stretch meets no side on L.  Along a polygon
+  edge's inward normal it stays in the polygon's box, which holds no
+  obstacle (the target then lies inside the ring).
+* So no obstacle's closure meets the link except at b from beyond: a
+  boundary that meets L off a side on L crosses L, with the interior on
+  both sides.
+* With two or more links, slide the first link a little towards the
+  second.  The strip it sweeps is clear, its start stays inside e, and the
+  second link shortens: a shorter path, which cannot be.  The slide changes
+  the first link alone, so a path through box pockets is no exception.
+* With one link, the same slide keeps both the length and the link count,
+  since between instance lines the target's side it ends on runs parallel
+  to e.  Slide it along e until it must stop: where it rides an obstacle
+  side on its line, or where its line is a vertex line of either
+  terminal.  Both ends are kept there: a terminal vertex line keeps the
+  candidates of both terminals on it, and a ridden side lies on the link,
+  which either end's ray runs along before it meets any block.
+* With no link the terminals touch, and the least touching point, which
+  breaks the tie, is a vertex of one of them or lies on one's vertex line.
+
+The filter treats each end alone and the slide moves both ends only to
+kept positions, so some optimal path starts and ends at kept candidates;
+every offer is a real path, so ``solve`` stays exact.  A ray that meets
+its own polygon again is blocked by it.  The other terminal blocks only as
+a polygon whose closed box is clear of this terminal's box, so that every
+ray starts outside it; where the boxes meet it blocks nothing, which keeps
+more candidates than the rule needs and never fewer.
+
+The filter makes one ray pass per terminal edge and normal; a polygon's
+edges that face one way share one pass, from its box's side, since no
+obstacle box reaches into a polygon terminal's box.  A pass reads the
+boxes ahead whose closed span meets the edges' strip, in the order the
+rays reach them, and walks the positions through them: the first box
+whose closed span holds a position is the first box its ray meets.  L is
+an instance line but no terminal vertex's line, so it runs through an
+obstacle vertex, and under ``validate``'s general position (no two
+obstacles share a vertex x or y) that obstacle O* is the only one with
+sides on L.  A connected obstacle touches all four sides of its box, so
+every line through the box's open span crosses the obstacle, and a ray
+that meets a box other than O*'s (or the other terminal's box) first
+enters it before it can reach O*.  A position is therefore kept iff the
+first box its ray meets is O*'s and, inside it, the ray reaches an edge on
+L before it crosses an edge into O* (``_rides``).  The same pass needs no
+host box per candidate: a polygon's box meets no obstacle box, and a valid
+segment enters a box only to end inside it, so its pocket candidates are
+its ends' stretches in its ends' boxes.  A point terminal skips all of
+this.
 
 A pair of two plain attachments is classified first.  The first one that
 reads as an x-case in some frame makes one class solve: a single x-case
@@ -54,18 +125,25 @@ from .geometry import (
     IDENTITY,
     UNIT_DIRS,
     GeometryError,
-    OrthoSegment,
     PathResult,
     Point,
     Xform,
     first_dir,
 )
-from .model import POINT, SEGMENT, Instance, InvalidInstance, Terminal, validate
+from .model import (
+    POINT,
+    POLYGON,
+    SEGMENT,
+    Instance,
+    InvalidInstance,
+    Terminal,
+    validate,
+)
 from .partition import INF, FrameTables, World
 from .pockets import BoxGrid, Crossing, GridSearch
 
 
-@dataclass(frozen=True)
+@dataclass
 class Attachment:
     """One way to connect a terminal to the open plane, in doubled coords.
 
@@ -76,6 +154,9 @@ class Attachment:
     the one crossing the boundary along ``out_dir``.  Its ``lead2``, the
     inside path from the terminal to the junction, is walked on first read,
     so only the leads of offers that a tie or the answer reads are built.
+    Nothing changes an attachment once made; the class is not frozen
+    because a frozen dataclass costs about twice as much to build, and a
+    terminal can have hundreds of attachments.
     """
 
     junction2: Point
@@ -102,8 +183,7 @@ class Attachment:
         from every obstacle box, so the polygon's box holds a staircase
         between any two of them.  A plain attachment of a segment lies on
         the segment, outside every open box or on a box's boundary (a
-        candidate is plain only when ``_host``'s strict box test, on the
-        identity frame's index, finds no box holding it).  ``validate``
+        candidate is plain only when no open box holds it).  ``validate``
         rejects a segment that meets an obstacle's interior, and a connected
         obstacle touches all four sides of its box, so a valid segment never
         runs across a box: it enters a box only to end inside it.  The
@@ -154,33 +234,6 @@ class _Lines:
         return sorted(self.ys_set)
 
 
-def _candidate_points(term: Terminal, lines: _Lines) -> list[Point]:
-    """Grid positions on the terminal where an optimal path can leave."""
-    if term.kind == POINT:
-        return [term.point]
-    if term.kind == SEGMENT:
-        return _on_segment(term.segment, lines.xs, lines.ys)
-    pts: set[Point] = set()
-    for e in term.polygon.edges():
-        pts.update(_on_segment(e, lines.xs, lines.ys))
-    return sorted(pts)
-
-
-def _on_segment(seg: OrthoSegment, xs: list[int], ys: list[int]) -> list[Point]:
-    pts = {seg.p, seg.q}
-    if seg.horizontal:
-        lo, hi = sorted((seg.p[0], seg.q[0]))
-        y = seg.p[1]
-        pts.update((x, y) for x in xs[bisect.bisect_left(xs, lo):
-                                      bisect.bisect_right(xs, hi)])
-    elif seg.vertical:
-        lo, hi = sorted((seg.p[1], seg.q[1]))
-        x = seg.p[0]
-        pts.update((x, y) for y in ys[bisect.bisect_left(ys, lo):
-                                      bisect.bisect_right(ys, hi)])
-    return sorted(pts)
-
-
 def _host(boxes: FrameTables, p: Point) -> Optional[int]:
     """The obstacle whose box strictly contains ``p``, if any.
 
@@ -195,22 +248,257 @@ def _host(boxes: FrameTables, p: Point) -> Optional[int]:
     return None
 
 
+def _rides(ring: Sequence[Point], a: int, v: int, sgn: int, c: int) -> bool:
+    """Does the ray from the point at ``v`` along axis ``a`` and ``c`` along
+    the other axis, heading ``sgn`` along that other axis, reach an edge of
+    ``ring`` lying on its line before it crosses an edge into the ring's
+    interior?  The ray starts outside the ring."""
+    b = 1 - a
+    on = cross = INF
+    start = sgn * c
+    p = ring[-1]
+    for q in ring:
+        pa, qa = p[a], q[a]
+        if pa == qa:
+            if pa == v:
+                near, far = sgn * p[b], sgn * q[b]
+                if near > far:
+                    near, far = far, near
+                if far >= start:
+                    if near < start:
+                        near = start
+                    if near < on:
+                        on = near
+        elif pa < v < qa or qa < v < pa:
+            at = sgn * p[b]
+            if start < at < cross:
+                cross = at
+        p = q
+    return on < cross
+
+
+class _RayPass:
+    """The candidate filter's state for one segment or polygon terminal:
+    the terminal vertex lines, the other terminal's box when it blocks, and
+    memos of what its rays learn of the obstacles they reach."""
+
+    def __init__(self, instance: Instance, term: Terminal, other: Terminal,
+                 world: World):
+        self.world = world
+        self.obstacles = instance.obstacles
+        ends = term.coords() + other.coords()
+        self.lines = ({p[0] for p in ends}, {p[1] for p in ends})
+        # the other terminal blocks as a polygon whose closed box is clear
+        # of this terminal's, so that every ray starts outside it
+        self.other_box = None
+        if other.kind == POLYGON:
+            tb, ob = term.bbox, other.polygon.bbox
+            if tb.xhi < ob.xlo or ob.xhi < tb.xlo or tb.yhi < ob.ylo or ob.yhi < tb.ylo:
+                self.other_box = ((2 * ob.xlo, 2 * ob.xhi), (2 * ob.ylo, 2 * ob.yhi))
+        # per axis: each obstacle's vertex lines across it, and ``_rides``
+        # from outside the obstacle's box per (obstacle, line, direction)
+        self.box_lines: tuple[dict, dict] = ({}, {})
+        self.memo: tuple[dict, dict] = ({}, {})
+
+    def riding(self, a: int, ahead: Sequence[tuple[int, int, list[int]]]
+               ) -> list[list[int]]:
+        """Per entry of ``ahead``, its positions along axis ``a`` whose ray
+        rides an obstacle side on its own line before it enters an obstacle
+        or the other terminal.
+
+        ``ahead`` holds ``(sgn, c, test)``: the positions ``test``
+        (sorted) send their rays heading ``sgn`` along the other axis, and
+        every one starts at or behind the line at ``c`` of that axis, where
+        no obstacle box ahead of the line reaches behind the start.  Boxes
+        the line crosses are read too: a position can lie on the wall of
+        one of them.  One scan of the box index along ``a`` serves every
+        direction.
+        """
+        world = self.world
+        ax = 2 * a                   # the signed-axis index of +a, and of +b
+        keys, order = world.keys[ax], world.orders[ax]
+        alo, ahi = world.lows[ax], world.highs[ax]
+        blo, bhi = world.lows[2 - ax], world.highs[2 - ax]
+        lo2 = hi2 = 2 * ahead[0][2][0]
+        for _, _, test in ahead:
+            lo2, hi2 = min(lo2, 2 * test[0]), max(hi2, 2 * test[-1])
+        window = [i for i in order[bisect.bisect_left(keys, lo2 - world.widths[a]):
+                                   bisect.bisect_right(keys, hi2)]
+                  if ahi[i] >= lo2]
+        box_lines, memo, obstacles = self.box_lines[a], self.memo[a], self.obstacles
+        outs: list[list[int]] = []
+        for sgn, c, test in ahead:
+            out: list[int] = []
+            outs.append(out)
+            c2 = 2 * c
+            # the boxes ahead, keyed by how far the ray runs to reach them:
+            # negative for a box that the line at c crosses
+            if sgn > 0:
+                strip = [(blo[i] - c2, i) for i in window if bhi[i] > c2]
+            else:
+                strip = [(c2 - bhi[i], i) for i in window if blo[i] < c2]
+            if self.other_box is not None:
+                (olo, ohi), (oblo, obhi) = self.other_box[a], self.other_box[1 - a]
+                if olo <= hi2 and ohi >= lo2:
+                    if sgn > 0 and oblo > c2:
+                        strip.append((oblo - c2, -1))
+                    elif sgn < 0 and obhi < c2:
+                        strip.append((c2 - obhi, -1))
+            strip.sort()
+            # walk the positions through the boxes in that order: the first
+            # box whose closed span holds a position is the first the ray
+            # meets, and the ray can ride only the sides of the obstacle
+            # whose vertex line it runs on
+            rest = [2 * v for v in test]
+            for dist, i in strip:
+                lo, hi = (alo[i], ahi[i]) if i >= 0 else self.other_box[a]
+                s, e = bisect.bisect_left(rest, lo), bisect.bisect_right(rest, hi)
+                if s == e:
+                    continue
+                if i >= 0:
+                    lines = box_lines.get(i)
+                    if lines is None:
+                        lines = box_lines[i] = {p[a] for p in obstacles[i].vertices}
+                    for v2 in rest[s:e]:
+                        v = v2 // 2
+                        if v not in lines:
+                            continue
+                        if dist < 0:
+                            # the line at c crosses the box: v is on its wall
+                            ok = _rides(obstacles[i].vertices, a, v, sgn, c)
+                        else:
+                            # from outside the box the answer is c's alone
+                            ok = memo.get((i, v, sgn))
+                            if ok is None:
+                                ok = memo[i, v, sgn] = _rides(
+                                    obstacles[i].vertices, a, v, sgn, c)
+                        if ok:
+                            out.append(v)
+                del rest[s:e]
+                if not rest:
+                    break
+        return outs
+
+
+def _candidates(instance: Instance, term: Terminal, lines: _Lines, world: World
+                ) -> tuple[list[Point], dict[int, list[Point]], list[Point],
+                           tuple[int, int]]:
+    """A segment or polygon terminal's kept plain candidates, its pocket
+    candidates by host box, the candidates a search's closed box can hold,
+    and the counts (enumerated, kept).  See the module docstring for the
+    rule and its ray passes."""
+    other = instance.target if term is instance.source else instance.source
+    rays = _RayPass(instance, term, other, world)
+    if term.kind == SEGMENT:
+        p, q = sorted((term.segment.p, term.segment.q))
+        a = 0 if p[1] == q[1] else 1
+        c = p[1 - a]
+        axis = lines.xs if a == 0 else lines.ys
+        pos = axis[bisect.bisect_left(axis, p[a]):bisect.bisect_right(axis, q[a])]
+        reach = [(v, c) for v in pos] if a == 0 else [(c, v) for v in pos]
+        # a valid segment enters a box only to end inside it, so its pocket
+        # candidates are its ends' stretches in its ends' boxes
+        boxes = world.frame(IDENTITY)
+        boxed: dict[int, list[Point]] = {}
+        first, last = 0, len(pos)
+        h = _host(boxes, p)
+        if h is not None:
+            box = instance.obstacles[h].bbox
+            first = bisect.bisect_left(pos, box.xhi if a == 0 else box.yhi)
+            boxed[h] = reach[:first]
+        h = _host(boxes, q)
+        if h is not None:
+            box = instance.obstacles[h].bbox
+            last = bisect.bisect_right(pos, box.xlo if a == 0 else box.ylo)
+            boxed[h] = reach[last:]
+        keep = [v for v in (p[a], q[a])
+                if first < last and pos[first] <= v <= pos[last - 1]]
+        inner = pos[max(first, 1):min(last, len(pos) - 1)]
+        tl = rays.lines[a]
+        test = [v for v in inner if v not in tl]
+        if len(test) < len(inner):
+            keep.extend(tl.intersection(inner))
+        if test:
+            up, down = rays.riding(a, [(1, c, test), (-1, c, test)])
+            keep.extend(set(up).union(down))
+        keep.sort()
+        plain = [(v, c) for v in keep] if a == 0 else [(c, v) for v in keep]
+        return plain, boxed, reach, (len(pos), len(plain) + sum(map(len, boxed.values())))
+
+    # a polygon: its box meets no obstacle's closed box, so every candidate
+    # is plain and no search's box holds one
+    vs = term.polygon.vertices
+    plain_set = set(vs)
+    enumerated = -len(vs)            # every vertex ends two edges
+    # per axis, the (fixed coordinate, lo, hi, outward sign, test
+    # positions) of each edge along it
+    runs: tuple[list, list] = ([], [])
+    p = vs[-1]
+    for q in vs:
+        a = 0 if p[1] == q[1] else 1
+        c = p[1 - a]
+        # counterclockwise: the outward normal is on each edge's right
+        if p[a] < q[a]:
+            lo, hi, sgn = p[a], q[a], (-1 if a == 0 else 1)
+        else:
+            lo, hi, sgn = q[a], p[a], (1 if a == 0 else -1)
+        p = q
+        axis = lines.xs if a == 0 else lines.ys
+        i, j = bisect.bisect_left(axis, lo), bisect.bisect_right(axis, hi)
+        enumerated += j - i
+        test = ()
+        if j - i > 2:
+            inner = axis[i + 1:j - 1]
+            tl = rays.lines[a]
+            test = [v for v in inner if v not in tl]
+            if len(test) < len(inner):
+                plain_set.update([(v, c) for v in tl.intersection(inner)] if a == 0
+                                 else [(c, v) for v in tl.intersection(inner)])
+        runs[a].append((c, lo, hi, sgn, test))
+    bb = term.polygon.bbox
+    for a, edges in enumerate(runs):
+        # per outward sign, the positions and their points; a ray that
+        # re-enters the polygon crosses an edge along a ahead of its own
+        facing: dict[int, dict[int, list[Point]]] = {1: {}, -1: {}}
+        for c, lo, hi, sgn, test in edges:
+            if not test:
+                continue
+            over = [(elo, ehi) for ec, elo, ehi, _, _ in edges
+                    if sgn * (ec - c) > 0 and elo < hi and ehi > lo]
+            group = facing[sgn]
+            for v in test:
+                if not over or not any(elo < v < ehi for elo, ehi in over):
+                    group.setdefault(v, []).append((v, c) if a == 0 else (c, v))
+        # one index scan per axis, and one walk per outward direction from
+        # the polygon box's side
+        ahead = [(sgn, (bb.yhi if sgn > 0 else bb.ylo) if a == 0
+                  else (bb.xhi if sgn > 0 else bb.xlo), sorted(group))
+                 for sgn, group in facing.items() if group]
+        if ahead:
+            for (sgn, _, _), got in zip(ahead, rays.riding(a, ahead)):
+                group = facing[sgn]
+                for v in got:
+                    plain_set.update(group[v])
+    plain = sorted(plain_set)
+    return plain, {}, [], (enumerated, len(plain))
+
+
 def _attachments(instance: Instance, term: Terminal, lines: _Lines,
                  world: World
-                 ) -> tuple[list[Attachment], list[GridSearch], list[Point]]:
-    """All attachments of one terminal, its per-box inside searches, and
-    its candidate points."""
-    cands = _candidate_points(term, lines)
-    boxes = world.frame(IDENTITY)
-    atts: list[Attachment] = []
-    boxed: dict[int, list[Point]] = {}
-    for p in cands:
-        host = _host(boxes, p)
-        if host is None:
-            atts.append(Attachment(junction2=_double(p), d2=0, links=0,
-                                   out_dir=None))
-        else:
-            boxed.setdefault(host, []).append(p)
+                 ) -> tuple[list[Attachment], list[GridSearch], list[Point],
+                            tuple[int, int]]:
+    """All attachments of one terminal, its per-box inside searches, the
+    candidates a search's closed box can hold, and the candidate counts
+    (enumerated, kept)."""
+    if term.kind == POINT:
+        p = term.point
+        host = _host(world.frame(IDENTITY), p)
+        plain = [p] if host is None else []
+        boxed = {} if host is None else {host: [p]}
+        reach, counts = [p], (1, 1)
+    else:
+        plain, boxed, reach, counts = _candidates(instance, term, lines, world)
+    atts = [Attachment((2 * x, 2 * y), 0, 0, None) for x, y in plain]
     searches: list[GridSearch] = []
     for host, pts in boxed.items():
         ob = instance.obstacles[host]
@@ -223,7 +511,7 @@ def _attachments(instance: Instance, term: Terminal, lines: _Lines,
             atts.append(Attachment(junction2=jun, d2=2 * c.dist + 1,
                                    links=c.links, out_dir=c.out_dir,
                                    crossing=c))
-    return atts, searches, cands
+    return atts, searches, reach, counts
 
 
 def _pair_bound(a: Attachment, b: Attachment,
@@ -314,15 +602,16 @@ def solve(instance: Instance) -> SolveReport:
         raise InvalidInstance(problems)
     lines = _Lines(instance)
     world = build_world(instance.obstacles)
-    atts_s, search_s, cands_s = _attachments(instance, instance.source, lines,
-                                             world)
-    atts_t, search_t, cands_t = _attachments(instance, instance.target, lines,
-                                             world)
+    atts_s, search_s, cands_s, counts_s = _attachments(
+        instance, instance.source, lines, world)
+    atts_t, search_t, cands_t, counts_t = _attachments(
+        instance, instance.target, lines, world)
     if not atts_s or not atts_t:
         raise GeometryError("a terminal has no connection to the free plane")
 
     stats = {"middle_solves": 0, "classes": 0, "pairs_pruned": 0, "events": 0,
-             "regions": 0, "attachments": (len(atts_s), len(atts_t))}
+             "regions": 0, "attachments": (len(atts_s), len(atts_t)),
+             "candidates": (counts_s, counts_t)}
     # the least (d2, links, path) offered; a path is built only to break a
     # tie or to be returned
     best: Optional[list] = None

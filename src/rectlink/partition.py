@@ -324,9 +324,11 @@ class Trace:
     """An extreme monotone curve, in its own trace frame.
 
     From a start in no obstacle's open box, as every start of a solve is,
-    the points rise weakly in both coordinates along the path.  Regions and
-    the x-case relaxation map their queries into this frame and read the
-    memoised ``curve``; no caller maps the points out.
+    the points rise weakly in both coordinates along the path.  A start
+    inside an open box, west of the descending flank it meets, would step
+    back west to the box wall: ``_trace_ru`` raises there instead.  Regions
+    and the x-case relaxation map their queries into this frame and read
+    the memoised ``curve``; no caller maps the points out.
     """
 
     points: list[Point]
@@ -408,6 +410,10 @@ def _trace_ru(polys: FrameTables, start: Point, x_stop: int) -> Trace:
         else:
             # hit the descending lower-left staircase: no monotone passage
             # hugs the boundary there, so rise along the box west wall instead
+            if fp.box.xlo < cur[0]:
+                # only a point inside the box's open interior stands east
+                # of its west wall here, and the wall lies behind it
+                raise GeometryError("trace starts inside an obstacle's open box")
             via = (fp.box.xlo, cur[1])
         if via != cur:
             pts.append(via)

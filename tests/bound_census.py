@@ -1,6 +1,6 @@
-"""Census of the pair loop's bound: middle solves, class solves, pruned
-pairs, memo traffic and CPU time of ``frontend.solve`` on the pools that
-exercise it.
+"""Census of the pair loop's bound: candidates, attachments, middle solves,
+class solves, pruned pairs, memo traffic and CPU time of ``frontend.solve``
+on the pools that exercise it.
 
 Usage (from the repository root; pytest does not collect this file):
 
@@ -12,7 +12,10 @@ chain (``test_frontend._pocket_instances(60)``) and the polygon-polygon
 instances ``generate_instance(97*n + r, n, coord_limit=30*n,
 source_kind="polygon", target_kind="polygon")`` at n = 400, r = 0..2.  A
 row sums ``SolveReport.stats`` over its instances and, per instance, the
-least ``time.process_time`` of ``--reps`` solves.  The traffic columns are
+least ``time.process_time`` of ``--reps`` solves.  ``candidates`` sums
+``stats["candidates"]`` over both terminals as enumerated/kept (the filter
+drops the rest), and ``atts`` sums ``stats["attachments"]``, the
+attachments the kept candidates make.  The traffic columns are
 ``stats["regions"]`` (staircase regions swept, each built for its sweep),
 ``stats["traces_built"]`` (traces the world's memo computed) and
 ``StepCurve`` builds (counted by wrapping ``partition.StepCurve.__init__``
@@ -53,7 +56,8 @@ def pools():
 
 
 def census(instances, reps: int) -> dict:
-    row = {"instances": len(instances), "middle_solves": 0, "classes": 0,
+    row = {"instances": len(instances), "enumerated": 0, "kept": 0,
+           "attachments": 0, "middle_solves": 0, "classes": 0,
            "pairs_pruned": 0, "regions": 0, "traces_built": 0, "curves": 0,
            "cpu_s": 0.0}
     answers = []
@@ -78,6 +82,10 @@ def census(instances, reps: int) -> dict:
                         "traces_built"):
                 row[key] += report.stats[key]
             row["curves"] += builds[0]
+            for enumerated, kept in report.stats["candidates"]:
+                row["enumerated"] += enumerated
+                row["kept"] += kept
+            row["attachments"] += sum(report.stats["attachments"])
             answers.append([report.distance, report.links, report.path])
     finally:
         partition.StepCurve.__init__ = init
@@ -91,13 +99,16 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=3,
                     help="solves per instance; the least CPU time counts")
     args = ap.parse_args()
-    print(f"{'pool':<20} {'inst':>5} {'middle':>7} {'classes':>7} "
+    print(f"{'pool':<20} {'inst':>5} {'candidates':>11} {'atts':>6} "
+          f"{'middle':>7} {'classes':>7} "
           f"{'pruned':>7} {'regions':>7} {'traces':>7} {'curves':>7} "
           f"{'cpu s':>7}  answers",
           flush=True)
     for name, instances in pools():
         row = census(instances, args.reps)
-        print(f"{name:<20} {row['instances']:5d} {row['middle_solves']:7d} "
+        cands = f"{row['enumerated']}/{row['kept']}"
+        print(f"{name:<20} {row['instances']:5d} {cands:>11} {row['attachments']:6d} "
+              f"{row['middle_solves']:7d} "
               f"{row['classes']:7d} {row['pairs_pruned']:7d} "
               f"{row['regions']:7d} {row['traces_built']:7d} {row['curves']:7d} "
               f"{row['cpu_s']:7.3f}  {row['answers']}", flush=True)

@@ -1,18 +1,19 @@
 """The per-pair frontend loop, kept as a bound-free reference.
 
-``solve`` is ``frontend.solve`` without class solves and without triangle
-bounds: every attachment pair, in order of its obstacle-blind L1 bound, gets
-its own middle solve until that bound exceeds the best distance found, and
-the first strict improvement wins.  It reads the package's attachments and
-pair engine but shares none of ``frontend.solve``'s pruning, so it differs
-from it in the pair loop alone.  ``tests/test_frontend.py`` checks that both
-give the same (distance, links).
+``solve`` is ``frontend.solve`` without the candidate filter, without class
+solves and without triangle bounds: every attachment of every candidate
+(``tests/candidate_reference.py``), and every attachment pair, in order of
+its obstacle-blind L1 bound, gets its own middle solve until that bound
+exceeds the best distance found, and the first strict improvement wins.  It
+reads the package's pocket search and pair engine but shares none of
+``frontend.solve``'s filtering or pruning.  ``tests/test_frontend.py``
+checks that both give the same (distance, links).
 """
+from candidate_reference import attachments
 from rectlink.engine import _double, build_world, solve_pair_raw
 from rectlink.frontend import (
     SolveReport,
     _align_runs,
-    _attachments,
     _Lines,
     _l1,
     _neg,
@@ -28,10 +29,10 @@ def solve(instance):
         raise GeometryError("invalid instance: " + "; ".join(problems))
     lines = _Lines(instance)
     world = build_world(instance.obstacles)
-    atts_s, search_s, cands_s = _attachments(instance, instance.source, lines,
-                                             world)
-    atts_t, search_t, cands_t = _attachments(instance, instance.target, lines,
-                                             world)
+    atts_s, search_s, cands_s, _ = attachments(instance, instance.source, lines,
+                                               world)
+    atts_t, search_t, cands_t, _ = attachments(instance, instance.target, lines,
+                                               world)
     if not atts_s or not atts_t:
         raise GeometryError("a terminal has no connection to the free plane")
 

@@ -357,7 +357,7 @@ def test_a_class_solve_is_the_best_single_source_solve(monkeypatch):
     links: on every class solve of the polygon instances of fixed seeds."""
     solves = []
     monkeypatch.setattr(engine, "solve_x_case", _recording(solves))
-    for seed in range(12):
+    for seed in range(24):
         for kinds in (("polygon", "segment"), ("polygon", "polygon"),
                       ("segment", "polygon")):
             solve(generate_instance(900 + seed, n_obstacles=20,

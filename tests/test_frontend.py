@@ -1,18 +1,20 @@
 import bisect
 import importlib
+import json
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
+import candidate_reference
 import pair_reference
 from rectlink import frontend
 from rectlink.engine import build_world
 from rectlink.frontend import Attachment, _attachments, _Lines, solve
 from rectlink.generator import generate_instance
 from rectlink.geometry import IDENTITY, GeometryError, PathResult, RectPolygon
-from rectlink.io import instance_to_obj
+from rectlink.io import instance_from_obj, instance_to_obj
 from rectlink.model import Instance, Terminal, validate
 from rectlink.oracle import GRID_CAP, oracle_solve
 from pocket_doors import into_pocket
@@ -95,7 +97,7 @@ def test_pocket_terminals_match_oracle():
         moved_t = POCKET_MIXES[seed % len(POCKET_MIXES)][1]
         world = build_world(inst.obstacles)
         for term in [inst.source] + ([inst.target] if moved_t else []):
-            atts, _, _ = _attachments(inst, term, _Lines(inst), world)
+            atts, _, _, _ = _attachments(inst, term, _Lines(inst), world)
             assert any(a.out_dir is not None for a in atts), seed
         _check_against_oracle(inst, f"pocket seed {seed}")
         checked += 1
@@ -267,8 +269,8 @@ def test_pocket_attachments_group_by_box_wall():
     for term in (Terminal.of_segment((16, 15), (16, 30)),
                  Terminal.of_point((16, 15))):
         inst = Instance(obstacles=(ob,), source=term, target=target)
-        atts, _, _ = _attachments(inst, term, _Lines(inst),
-                                  build_world(inst.obstacles))
+        atts, _, _, _ = _attachments(inst, term, _Lines(inst),
+                                     build_world(inst.obstacles))
         assert any(a.out_dir is not None for a in atts)
         plain = 0
         for a in atts:
@@ -293,8 +295,8 @@ def test_a_polygons_plain_attachments_form_one_group():
     for seed in range(5):
         inst = generate_instance(400 + seed, n_obstacles=8, coord_limit=120,
                                  source_kind="polygon", target_kind="point")
-        atts, _, _ = _attachments(inst, inst.source, _Lines(inst),
-                                  build_world(inst.obstacles))
+        atts, _, _, _ = _attachments(inst, inst.source, _Lines(inst),
+                                     build_world(inst.obstacles))
         assert len(atts) >= 4
         assert {a.group for a in atts} == {()}
         pocket = Attachment(junction2=(1, 0), d2=3, links=1, out_dir=(1, 0))
@@ -324,8 +326,8 @@ def test_a_segments_plain_attachments_share_a_free_stretch():
                     source=Terminal.of_segment((16, 15), (16, 43)),
                     target=target)
     assert validate(inst) == []
-    atts, _, _ = _attachments(inst, inst.source, _Lines(inst),
-                              build_world(inst.obstacles))
+    atts, _, _, _ = _attachments(inst, inst.source, _Lines(inst),
+                                 build_world(inst.obstacles))
     plain = [a.junction2 for a in atts if a.out_dir is None]
     assert plain and all(x == 32 and 36 <= y <= 80 for x, y in plain)
     assert {a.lead2[0][1] < 36 for a in atts if a.out_dir is not None} \
@@ -422,16 +424,19 @@ def test_skipping_the_snap_is_exact(monkeypatch):
 
 
 def test_candidates_and_hosts_match_the_linear_scans():
-    """The bisected candidate lines and the indexed host box give what the
-    scans over every line and every box gave, on the pocket chain and the
-    triangle-test instances."""
+    """The reference enumeration (``candidate_reference``: bisected
+    candidate lines, indexed host box) gives what the scans over every line
+    and every box give, on the pocket chain and the triangle-test
+    instances; the frontend counts the same candidates, and sends the same
+    ones to each box search."""
     instances = [inst for _, inst in _pocket_instances(36)] \
         + _triangle_instances()[:90]
     hosted = 0
     for inst in instances:
         lines = _Lines(inst)
         xs, ys = lines.xs, lines.ys
-        boxes = build_world(inst.obstacles).frame(IDENTITY)
+        world = build_world(inst.obstacles)
+        boxes = world.frame(IDENTITY)
         for term in (inst.source, inst.target):
             segs = [term.segment] if term.kind == "segment" else \
                 list(term.polygon.edges()) if term.kind == "polygon" else []
@@ -440,10 +445,97 @@ def test_candidates_and_hosts_match_the_linear_scans():
                 want = sorted({seg.p, seg.q}
                               | {(x, ly) for x in xs if lx <= x <= hx and ly == hy}
                               | {(lx, y) for y in ys if ly <= y <= hy and lx == hx})
-                assert frontend._on_segment(seg, xs, ys) == want
-            for p in frontend._candidate_points(term, lines):
+                assert candidate_reference.on_segment(seg, xs, ys) == want
+            boxed = {}
+            cands = candidate_reference.candidate_points(term, lines)
+            for p in cands:
                 want = next((i for i, ob in enumerate(inst.obstacles)
                              if in_open_box(ob.bbox, p)), None)
-                assert frontend._host(boxes, p) == want
+                assert candidate_reference.host(boxes, p) == want
+                if want is not None:
+                    boxed.setdefault(want, []).append(p)
                 hosted += want is not None
+            _, searches, _, (enumerated, _) = _attachments(inst, term, lines, world)
+            assert enumerated == len(cands)
+            assert [gs.grid.box for gs in searches] \
+                == [inst.obstacles[h].bbox for h in boxed]
+            for gs, pts in zip(searches, boxed.values()):
+                assert gs.sources == {gs.grid.vertex(p) for p in pts}
     assert hosted > 30
+
+
+def test_filtered_solve_matches_the_unfiltered_solve(monkeypatch):
+    """Dropping the candidates that cannot start an optimal path keeps
+    every (distance, links): ``solve`` against ``solve`` on every candidate
+    (``candidate_reference.attachments``), on the three perfbench pools,
+    the triangle-pruning instances and the whole pocket chain.  Every
+    filtered witness re-measures to its answer (``perfbench/witness.py``)."""
+    workloads = _perfbench("workloads")
+    instances = (workloads.base_pool("point-small")
+                 + workloads.base_pool("attach-small")
+                 + workloads.base_pool("point-large")
+                 + _triangle_instances()
+                 + [inst for _, inst in _pocket_instances(60)])
+    filtered = [solve(inst) for inst in instances]
+    monkeypatch.setattr(frontend, "_attachments", candidate_reference.attachments)
+    checker = _perfbench("witness").WitnessChecker
+    dropped = 0
+    for k, (inst, got) in enumerate(zip(instances, filtered)):
+        want = solve(inst)
+        assert (got.distance, got.links) == (want.distance, want.links), k
+        assert checker(instance_to_obj(inst)).problems(
+            got.distance, got.links, got.path) == [], k
+        for (enumerated, kept), (every, _) in zip(got.stats["candidates"],
+                                                  want.stats["candidates"]):
+            assert enumerated == every and kept <= enumerated
+            dropped += enumerated - kept
+    assert len(instances) >= 300 + 88 + 21 + 630 + 55 and dropped > 2000
+
+
+def test_kept_candidates_match_the_ray_scan():
+    """The ray passes keep exactly the candidates that the scanning
+    statement of the rule (``candidate_reference.ray_kept``) keeps, on
+    every segment and polygon terminal of the attach-small pool, the
+    triangle-pruning instances, the pocket chain and two polygon pairs at
+    n = 100."""
+    instances = (_perfbench("workloads").base_pool("attach-small")
+                 + _triangle_instances()
+                 + [inst for _, inst in _pocket_instances(60)]
+                 + [generate_instance(97 * 100 + r, 100, coord_limit=3000,
+                                      source_kind="polygon", target_kind="polygon")
+                    for r in range(2)])
+    terminals = 0
+    for k, inst in enumerate(instances):
+        lines, world = _Lines(inst), build_world(inst.obstacles)
+        for term in (inst.source, inst.target):
+            if term.kind == "point":
+                continue
+            atts, searches, _, (_, kept) = _attachments(inst, term, lines, world)
+            want = candidate_reference.ray_kept(inst, term)
+            plain = {(a.junction2[0] // 2, a.junction2[1] // 2)
+                     for a in atts if a.out_dir is None}
+            assert plain == {p for p in want
+                             if not any(in_open_box(ob.bbox, p)
+                                        for ob in inst.obstacles)}, k
+            assert kept == len(want), k
+            terminals += 1
+    assert terminals > 900
+
+
+def test_a_dropped_candidate_can_start_a_one_link_optimum():
+    """The filter's one-link case, kept as a fuzz fixture: the source's
+    top-edge candidate (97, 24), on the obstacle's west wall line, sends its
+    ray into the target polygon before it reaches the wall, so the filter
+    drops it, though the one-link path up to (97, 48) is optimal.  Slid
+    west along both terminals, that path keeps its length and links until
+    it reaches x = 96, a vertex line of both terminals, whose candidates
+    are kept and carry the answer."""
+    path = Path(__file__).resolve().parent / "data" / "fuzz_one_link_slide.json"
+    inst = instance_from_obj(json.loads(path.read_text()))
+    lines, world = _Lines(inst), build_world(inst.obstacles)
+    kept = {a.junction2 for a in _attachments(inst, inst.source, lines, world)[0]}
+    assert (2 * 97, 2 * 24) not in kept and (2 * 96, 2 * 24) in kept
+    assert (97, 24) in candidate_reference.candidate_points(inst.source, lines)
+    report = _check_against_oracle(inst)
+    assert (report.distance, report.links) == (48 - 24, 1)
+    assert report.path == [(96, 24), (96, 48)]

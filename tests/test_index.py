@@ -143,18 +143,27 @@ def test_traces_match_scanning_traces(monkeypatch):
     assert sum(isinstance(g, tuple) and len(g[1]) > 1 for g in got) > 100
     # a trace from a point in no obstacle's open box, as every trace of a
     # solve is, rises weakly in both coordinates along its path, so its
-    # sorted order is its path order, as ``StepCurve.max_x_to`` assumes (a
-    # probe inside a box, west of a descending flank, steps west to the wall)
-    rising = 0
+    # sorted order is its path order, as ``StepCurve.max_x_to`` assumes.  A
+    # probe inside a box, west of a descending flank, would step west to the
+    # wall: that trace raises instead, and every trace that completes rises
+    rising = inside = 0
     for (name, world, t, start, _), g in zip(cases, got):
         tables = FrameTables(world, t)
-        if isinstance(g, tuple) and not any(
-                tables.xlo[i] < start[0] < tables.xhi[i]
-                and tables.ylo[i] < start[1] < tables.yhi[i] for i in range(len(tables))):
+        in_box = any(tables.xlo[i] < start[0] < tables.xhi[i]
+                     and tables.ylo[i] < start[1] < tables.yhi[i]
+                     for i in range(len(tables)))
+        if isinstance(g, tuple) and not in_box:
             assert all(a[0] <= b[0] and a[1] <= b[1]
                        for a, b in zip(g[0], g[0][1:])), (name, t, start)
             rising += 1
+        elif isinstance(g, tuple):
+            assert all(a[0] <= b[0] and a[1] <= b[1]
+                       for a, b in zip(g[0], g[0][1:])), (name, t, start)
+        elif g == "trace starts inside an obstacle's open box":
+            assert in_box, (name, t, start)
+            inside += 1
     assert rising > 1000
+    assert inside > 400
 
 
 def test_nearest_sections_match_the_scan_in_every_frame():

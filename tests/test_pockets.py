@@ -162,7 +162,7 @@ def test_ring_crossings_match_the_all_vertex_loop():
             continue
         world = build_world(inst.obstacles)
         for term in (inst.source, inst.target):
-            _, found, _ = _attachments(inst, term, _Lines(inst), world)
+            _, found, _, _ = _attachments(inst, term, _Lines(inst), world)
             for gs in found:
                 got = gs.crossings()
                 assert got == all_vertex_crossings(gs), seed
