@@ -277,107 +277,71 @@ def _rides(ring: Sequence[Point], a: int, v: int, sgn: int, c: int) -> bool:
     return on < cross
 
 
-class _RayPass:
-    """The candidate filter's state for one segment or polygon terminal:
-    the terminal vertex lines, the other terminal's box when it blocks, and
-    memos of what its rays learn of the obstacles they reach."""
+def _riding(world: World, obstacles: Sequence, other_box: Optional[tuple],
+            a: int, ahead: Sequence[tuple[int, int, list[int]]]
+            ) -> list[list[int]]:
+    """Per entry of ``ahead``, its positions along axis ``a`` whose ray
+    rides an obstacle side on its own line before it enters an obstacle or
+    the other terminal, whose doubled box (per axis) is ``other_box`` when
+    it blocks.
 
-    def __init__(self, instance: Instance, term: Terminal, other: Terminal,
-                 world: World):
-        self.world = world
-        self.obstacles = instance.obstacles
-        ends = term.coords() + other.coords()
-        self.lines = ({p[0] for p in ends}, {p[1] for p in ends})
-        # the other terminal blocks as a polygon whose closed box is clear
-        # of this terminal's, so that every ray starts outside it
-        self.other_box = None
-        if other.kind == POLYGON:
-            tb, ob = term.bbox, other.polygon.bbox
-            if tb.xhi < ob.xlo or ob.xhi < tb.xlo or tb.yhi < ob.ylo or ob.yhi < tb.ylo:
-                self.other_box = ((2 * ob.xlo, 2 * ob.xhi), (2 * ob.ylo, 2 * ob.yhi))
-        # per axis: each obstacle's vertex lines across it, and ``_rides``
-        # from outside the obstacle's box per (obstacle, line, direction)
-        self.box_lines: tuple[dict, dict] = ({}, {})
-        self.memo: tuple[dict, dict] = ({}, {})
-
-    def riding(self, a: int, ahead: Sequence[tuple[int, int, list[int]]]
-               ) -> list[list[int]]:
-        """Per entry of ``ahead``, its positions along axis ``a`` whose ray
-        rides an obstacle side on its own line before it enters an obstacle
-        or the other terminal.
-
-        ``ahead`` holds ``(sgn, c, test)``: the positions ``test``
-        (sorted) send their rays heading ``sgn`` along the other axis, and
-        every one starts at or behind the line at ``c`` of that axis, where
-        no obstacle box ahead of the line reaches behind the start.  Boxes
-        the line crosses are read too: a position can lie on the wall of
-        one of them.  One scan of the box index along ``a`` serves every
-        direction.
-        """
-        world = self.world
-        ax = 2 * a                   # the signed-axis index of +a, and of +b
-        keys, order = world.keys[ax], world.orders[ax]
-        alo, ahi = world.lows[ax], world.highs[ax]
-        blo, bhi = world.lows[2 - ax], world.highs[2 - ax]
-        lo2 = hi2 = 2 * ahead[0][2][0]
-        for _, _, test in ahead:
-            lo2, hi2 = min(lo2, 2 * test[0]), max(hi2, 2 * test[-1])
-        window = [i for i in order[bisect.bisect_left(keys, lo2 - world.widths[a]):
-                                   bisect.bisect_right(keys, hi2)]
-                  if ahi[i] >= lo2]
-        box_lines, memo, obstacles = self.box_lines[a], self.memo[a], self.obstacles
-        outs: list[list[int]] = []
-        for sgn, c, test in ahead:
-            out: list[int] = []
-            outs.append(out)
-            c2 = 2 * c
-            # the boxes ahead, keyed by how far the ray runs to reach them:
-            # negative for a box that the line at c crosses
-            if sgn > 0:
-                strip = [(blo[i] - c2, i) for i in window if bhi[i] > c2]
-            else:
-                strip = [(c2 - bhi[i], i) for i in window if blo[i] < c2]
-            if self.other_box is not None:
-                (olo, ohi), (oblo, obhi) = self.other_box[a], self.other_box[1 - a]
-                if olo <= hi2 and ohi >= lo2:
-                    if sgn > 0 and oblo > c2:
-                        strip.append((oblo - c2, -1))
-                    elif sgn < 0 and obhi < c2:
-                        strip.append((c2 - obhi, -1))
-            strip.sort()
-            # walk the positions through the boxes in that order: the first
-            # box whose closed span holds a position is the first the ray
-            # meets, and the ray can ride only the sides of the obstacle
-            # whose vertex line it runs on
-            rest = [2 * v for v in test]
-            for dist, i in strip:
-                lo, hi = (alo[i], ahi[i]) if i >= 0 else self.other_box[a]
-                s, e = bisect.bisect_left(rest, lo), bisect.bisect_right(rest, hi)
-                if s == e:
-                    continue
-                if i >= 0:
-                    lines = box_lines.get(i)
-                    if lines is None:
-                        lines = box_lines[i] = {p[a] for p in obstacles[i].vertices}
-                    for v2 in rest[s:e]:
-                        v = v2 // 2
-                        if v not in lines:
-                            continue
-                        if dist < 0:
-                            # the line at c crosses the box: v is on its wall
-                            ok = _rides(obstacles[i].vertices, a, v, sgn, c)
-                        else:
-                            # from outside the box the answer is c's alone
-                            ok = memo.get((i, v, sgn))
-                            if ok is None:
-                                ok = memo[i, v, sgn] = _rides(
-                                    obstacles[i].vertices, a, v, sgn, c)
-                        if ok:
-                            out.append(v)
-                del rest[s:e]
-                if not rest:
-                    break
-        return outs
+    ``ahead`` holds ``(sgn, c, test)``: the positions ``test`` (sorted)
+    send their rays heading ``sgn`` along the other axis, and every one
+    starts at or behind the line at ``c`` of that axis, where no obstacle
+    box ahead of the line reaches behind the start.  Boxes the line crosses
+    are read too: a position can lie on the wall of one of them.  One scan
+    of the box index along ``a`` serves every direction.
+    """
+    ax = 2 * a                   # the signed-axis index of +a, and of +b
+    keys, order = world.keys[ax], world.orders[ax]
+    alo, ahi = world.lows[ax], world.highs[ax]
+    blo, bhi = world.lows[2 - ax], world.highs[2 - ax]
+    lo2 = hi2 = 2 * ahead[0][2][0]
+    for _, _, test in ahead:
+        lo2, hi2 = min(lo2, 2 * test[0]), max(hi2, 2 * test[-1])
+    window = [i for i in order[bisect.bisect_left(keys, lo2 - world.widths[a]):
+                               bisect.bisect_right(keys, hi2)]
+              if ahi[i] >= lo2]
+    outs: list[list[int]] = []
+    for sgn, c, test in ahead:
+        out: list[int] = []
+        outs.append(out)
+        c2 = 2 * c
+        # the boxes ahead, keyed by how far the ray runs to reach them:
+        # negative for a box that the line at c crosses
+        if sgn > 0:
+            strip = [(blo[i] - c2, i) for i in window if bhi[i] > c2]
+        else:
+            strip = [(c2 - bhi[i], i) for i in window if blo[i] < c2]
+        if other_box is not None:
+            (olo, ohi), (oblo, obhi) = other_box[a], other_box[1 - a]
+            if olo <= hi2 and ohi >= lo2:
+                if sgn > 0 and oblo > c2:
+                    strip.append((oblo - c2, -1))
+                elif sgn < 0 and obhi < c2:
+                    strip.append((c2 - obhi, -1))
+        strip.sort()
+        # walk the positions through the boxes in that order: the first box
+        # whose closed span holds a position is the first the ray meets, and
+        # the ray can ride only the sides of the obstacle whose vertex line
+        # it runs on
+        rest = [2 * v for v in test]
+        for _, i in strip:
+            lo, hi = (alo[i], ahi[i]) if i >= 0 else other_box[a]
+            s, e = bisect.bisect_left(rest, lo), bisect.bisect_right(rest, hi)
+            if s == e:
+                continue
+            if i >= 0:
+                ring = obstacles[i].vertices
+                lines = {p[a] for p in ring}
+                for v2 in rest[s:e]:
+                    v = v2 // 2
+                    if v in lines and _rides(ring, a, v, sgn, c):
+                        out.append(v)
+            del rest[s:e]
+            if not rest:
+                break
+    return outs
 
 
 def _candidates(instance: Instance, term: Terminal, lines: _Lines, world: World
@@ -388,7 +352,13 @@ def _candidates(instance: Instance, term: Terminal, lines: _Lines, world: World
     and the counts (enumerated, kept).  See the module docstring for the
     rule and its ray passes."""
     other = instance.target if term is instance.source else instance.source
-    rays = _RayPass(instance, term, other, world)
+    ends = term.coords() + other.coords()
+    tlines = ({p[0] for p in ends}, {p[1] for p in ends})
+    # per axis, the (fixed coordinate, lo, hi, outward signs, inner
+    # positions) of each edge along it
+    runs: tuple[list, list] = ([], [])
+    boxed: dict[int, list[Point]] = {}
+    reach: list[Point] = []
     if term.kind == SEGMENT:
         p, q = sorted((term.segment.p, term.segment.q))
         a = 0 if p[1] == q[1] else 1
@@ -399,7 +369,6 @@ def _candidates(instance: Instance, term: Terminal, lines: _Lines, world: World
         # a valid segment enters a box only to end inside it, so its pocket
         # candidates are its ends' stretches in its ends' boxes
         boxes = world.frame(IDENTITY)
-        boxed: dict[int, list[Point]] = {}
         first, last = 0, len(pos)
         h = _host(boxes, p)
         if h is not None:
@@ -411,76 +380,79 @@ def _candidates(instance: Instance, term: Terminal, lines: _Lines, world: World
             box = instance.obstacles[h].bbox
             last = bisect.bisect_right(pos, box.xlo if a == 0 else box.ylo)
             boxed[h] = reach[last:]
-        keep = [v for v in (p[a], q[a])
-                if first < last and pos[first] <= v <= pos[last - 1]]
-        inner = pos[max(first, 1):min(last, len(pos) - 1)]
-        tl = rays.lines[a]
-        test = [v for v in inner if v not in tl]
-        if len(test) < len(inner):
-            keep.extend(tl.intersection(inner))
-        if test:
-            up, down = rays.riding(a, [(1, c, test), (-1, c, test)])
-            keep.extend(set(up).union(down))
-        keep.sort()
-        plain = [(v, c) for v in keep] if a == 0 else [(c, v) for v in keep]
-        return plain, boxed, reach, (len(pos), len(plain) + sum(map(len, boxed.values())))
-
-    # a polygon: its box meets no obstacle's closed box, so every candidate
-    # is plain and no search's box holds one
-    vs = term.polygon.vertices
-    plain_set = set(vs)
-    enumerated = -len(vs)            # every vertex ends two edges
-    # per axis, the (fixed coordinate, lo, hi, outward sign, test
-    # positions) of each edge along it
-    runs: tuple[list, list] = ([], [])
-    p = vs[-1]
-    for q in vs:
-        a = 0 if p[1] == q[1] else 1
-        c = p[1 - a]
-        # counterclockwise: the outward normal is on each edge's right
-        if p[a] < q[a]:
-            lo, hi, sgn = p[a], q[a], (-1 if a == 0 else 1)
-        else:
-            lo, hi, sgn = q[a], p[a], (1 if a == 0 else -1)
-        p = q
-        axis = lines.xs if a == 0 else lines.ys
-        i, j = bisect.bisect_left(axis, lo), bisect.bisect_right(axis, hi)
-        enumerated += j - i
-        test = ()
-        if j - i > 2:
-            inner = axis[i + 1:j - 1]
-            tl = rays.lines[a]
+        plain_set = {pt for pt in (p, q)
+                     if first < last and pos[first] <= pt[a] <= pos[last - 1]}
+        enumerated = len(pos)
+        span = ((p[0], q[0]), (p[1], q[1]))
+        runs[a].append((c, p[a], q[a], (1, -1),
+                        pos[max(first, 1):min(last, len(pos) - 1)]))
+    else:
+        # a polygon: its box meets no obstacle's closed box, so every
+        # candidate is plain and no search's box holds one
+        vs = term.polygon.vertices
+        plain_set = set(vs)
+        enumerated = -len(vs)            # every vertex ends two edges
+        bb = term.polygon.bbox
+        span = ((bb.xlo, bb.xhi), (bb.ylo, bb.yhi))
+        p = vs[-1]
+        for q in vs:
+            a = 0 if p[1] == q[1] else 1
+            # counterclockwise: the outward normal is on each edge's right
+            if p[a] < q[a]:
+                lo, hi, sgn = p[a], q[a], (-1 if a == 0 else 1)
+            else:
+                lo, hi, sgn = q[a], p[a], (1 if a == 0 else -1)
+            axis = lines.xs if a == 0 else lines.ys
+            i, j = bisect.bisect_left(axis, lo), bisect.bisect_right(axis, hi)
+            enumerated += j - i
+            runs[a].append((p[1 - a], lo, hi, (sgn,), axis[i + 1:j - 1]))
+            p = q
+    # the other terminal blocks as a polygon whose closed box is clear of
+    # this terminal's, so that every ray starts outside it
+    other_box = None
+    if other.kind == POLYGON:
+        (xlo, xhi), (ylo, yhi) = span
+        ob = other.polygon.bbox
+        if xhi < ob.xlo or ob.xhi < xlo or yhi < ob.ylo or ob.yhi < ylo:
+            other_box = ((2 * ob.xlo, 2 * ob.xhi), (2 * ob.ylo, 2 * ob.yhi))
+    for a, edges in enumerate(runs):
+        if not edges:
+            continue
+        # per outward sign, each edge's positions to test; a position on a
+        # terminal vertex line is kept, and a ray that meets its own polygon
+        # again crosses an edge along a ahead of its own
+        tl = tlines[a]
+        facing: dict[int, list[tuple[int, list[int]]]] = {1: [], -1: []}
+        for c, lo, hi, signs, inner in edges:
             test = [v for v in inner if v not in tl]
             if len(test) < len(inner):
                 plain_set.update([(v, c) for v in tl.intersection(inner)] if a == 0
                                  else [(c, v) for v in tl.intersection(inner)])
-        runs[a].append((c, lo, hi, sgn, test))
-    bb = term.polygon.bbox
-    for a, edges in enumerate(runs):
-        # per outward sign, the positions and their points; a ray that
-        # re-enters the polygon crosses an edge along a ahead of its own
-        facing: dict[int, dict[int, list[Point]]] = {1: {}, -1: {}}
-        for c, lo, hi, sgn, test in edges:
             if not test:
                 continue
-            over = [(elo, ehi) for ec, elo, ehi, _, _ in edges
-                    if sgn * (ec - c) > 0 and elo < hi and ehi > lo]
-            group = facing[sgn]
-            for v in test:
-                if not over or not any(elo < v < ehi for elo, ehi in over):
-                    group.setdefault(v, []).append((v, c) if a == 0 else (c, v))
+            for sgn in signs:
+                over = [(elo, ehi) for ec, elo, ehi, _, _ in edges
+                        if sgn * (ec - c) > 0 and elo < hi and ehi > lo]
+                clear = [v for v in test
+                         if not any(elo < v < ehi for elo, ehi in over)] if over else test
+                if clear:
+                    facing[sgn].append((c, clear))
         # one index scan per axis, and one walk per outward direction from
-        # the polygon box's side
-        ahead = [(sgn, (bb.yhi if sgn > 0 else bb.ylo) if a == 0
-                  else (bb.xhi if sgn > 0 else bb.xlo), sorted(group))
-                 for sgn, group in facing.items() if group]
+        # the terminal box's side
+        ahead = [(sgn, span[1 - a][sgn > 0],
+                  got[0][1] if len(got) == 1 else sorted(set().union(*(t for _, t in got))))
+                 for sgn, got in facing.items() if got]
         if ahead:
-            for (sgn, _, _), got in zip(ahead, rays.riding(a, ahead)):
-                group = facing[sgn]
-                for v in got:
-                    plain_set.update(group[v])
+            for (sgn, _, _), kept in zip(ahead, _riding(world, instance.obstacles,
+                                                        other_box, a, ahead)):
+                if not kept:
+                    continue
+                kept = set(kept)
+                for c, test in facing[sgn]:
+                    plain_set.update([(v, c) for v in kept.intersection(test)] if a == 0
+                                     else [(c, v) for v in kept.intersection(test)])
     plain = sorted(plain_set)
-    return plain, {}, [], (enumerated, len(plain))
+    return plain, boxed, reach, (enumerated, len(plain) + sum(map(len, boxed.values())))
 
 
 def _attachments(instance: Instance, term: Terminal, lines: _Lines,

@@ -1,10 +1,10 @@
 """Unfiltered candidate enumeration and a scanning ray test, kept as
 references for ``rectlink.frontend``.
 
-``candidate_points`` and ``host`` are the enumeration ``frontend`` used
-before it filtered candidates: every terminal vertex and every crossing of
-an instance line with a terminal edge, each hosted by the box that strictly
-contains it.  ``attachments`` builds a terminal's attachments from all of
+``candidate_points`` is the enumeration ``frontend`` used before it
+filtered candidates: every terminal vertex and every crossing of an
+instance line with a terminal edge, each hosted by the box that strictly
+contains it (``frontend._host``).  ``attachments`` builds a terminal's attachments from all of
 them, with ``frontend._attachments``'s return shape, so that it can stand in
 for it (``tests/pair_reference.py`` and the filtered-against-unfiltered test
 in ``tests/test_frontend.py`` do).
@@ -17,13 +17,12 @@ frontend's ray passes.
 from __future__ import annotations
 
 import bisect
-from typing import Optional
 
 from rectlink.engine import _double
-from rectlink.frontend import Attachment, _Lines
+from rectlink.frontend import Attachment, _host, _Lines
 from rectlink.geometry import IDENTITY, OrthoSegment, Point
 from rectlink.model import POINT, POLYGON, SEGMENT, Instance, Terminal
-from rectlink.partition import INF, FrameTables, World
+from rectlink.partition import INF, World
 from rectlink.pockets import BoxGrid, GridSearch
 
 
@@ -54,16 +53,6 @@ def on_segment(seg: OrthoSegment, xs: list[int], ys: list[int]) -> list[Point]:
     return sorted(pts)
 
 
-def host(boxes: FrameTables, p: Point) -> Optional[int]:
-    """The obstacle whose box strictly contains ``p``, if any, read from the
-    identity frame's index."""
-    x2, y2 = 2 * p[0], 2 * p[1]
-    for i in boxes.between(x2 - boxes.width, x2):
-        if x2 < boxes.xhi[i] and boxes.ylo[i] < y2 < boxes.yhi[i]:
-            return i
-    return None
-
-
 def attachments(instance: Instance, term: Terminal, lines: _Lines, world: World):
     """Every candidate's attachments, the per-box searches, the candidates
     and the counts (enumerated, kept), which are equal here."""
@@ -72,7 +61,7 @@ def attachments(instance: Instance, term: Terminal, lines: _Lines, world: World)
     atts: list[Attachment] = []
     boxed: dict[int, list[Point]] = {}
     for p in cands:
-        h = host(boxes, p)
+        h = _host(boxes, p)
         if h is None:
             atts.append(Attachment(junction2=_double(p), d2=0, links=0,
                                    out_dir=None))

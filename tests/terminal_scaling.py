@@ -2,11 +2,11 @@
 
 Usage (from the repository root; pytest does not collect this file):
 
-    PYTHONPATH=src python3 tests/terminal_scaling.py [--reps 3] [--sizes 100,200,400,800]
+    PYTHONPATH=src python3 tests/terminal_scaling.py [--reps 3]
 
 Instances: ``generate_instance(97*n + r, n, coord_limit=30*n,
 source_kind=k, target_kind=k)`` for k = point, segment and polygon, each
-n of ``--sizes`` and r = 0, 1, 2.  Each instance is solved ``--reps``
+n = 100, 200, 400, 800 and r = 0, 1, 2.  Each instance is solved ``--reps``
 times in one process; its time is the median wall time (``perf_counter``).
 A row per instance prints the candidates (``stats["candidates"]``, summed
 over both terminals, as enumerated/kept), the attachments
@@ -26,6 +26,7 @@ from rectlink.frontend import solve
 from rectlink.generator import generate_instance
 
 KINDS = ("point", "segment", "polygon")
+SIZES = (100, 200, 400, 800)
 RS = (0, 1, 2)
 
 
@@ -52,15 +53,12 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--reps", type=int, default=3,
                     help="solves per instance; the median counts")
-    ap.add_argument("--sizes", default="100,200,400,800",
-                    help="comma-separated obstacle counts")
     args = ap.parse_args()
-    sizes = [int(s) for s in args.sizes.split(",")]
     rows = []
     print(f"{'kind':<8} {'n':>5} {'r':>2} {'candidates':>11} {'attachments':>12} "
           f"{'middle':>7} {'solve s':>8}  answer", flush=True)
     for kind in KINDS:
-        for n in sizes:
+        for n in SIZES:
             for r in RS:
                 row = measure(kind, n, r, args.reps)
                 rows.append(row)
@@ -74,7 +72,7 @@ def main() -> None:
     print(f"{'kind':<8} {'n':>5} {'p50 s':>8} {'max s':>8}")
     table = []
     for kind in KINDS:
-        for n in sizes:
+        for n in SIZES:
             got = [row["solve_s"] for row in rows if row["kind"] == kind and row["n"] == n]
             entry = {"kind": kind, "n": n, "p50_s": statistics.median(got),
                      "max_s": max(got)}

@@ -425,10 +425,10 @@ def test_skipping_the_snap_is_exact(monkeypatch):
 
 def test_candidates_and_hosts_match_the_linear_scans():
     """The reference enumeration (``candidate_reference``: bisected
-    candidate lines, indexed host box) gives what the scans over every line
-    and every box give, on the pocket chain and the triangle-test
-    instances; the frontend counts the same candidates, and sends the same
-    ones to each box search."""
+    candidate lines) and the indexed host box (``frontend._host``) give
+    what the scans over every line and every box give, on the pocket chain
+    and the triangle-test instances; the frontend counts the same
+    candidates, and sends the same ones to each box search."""
     instances = [inst for _, inst in _pocket_instances(36)] \
         + _triangle_instances()[:90]
     hosted = 0
@@ -451,7 +451,7 @@ def test_candidates_and_hosts_match_the_linear_scans():
             for p in cands:
                 want = next((i for i, ob in enumerate(inst.obstacles)
                              if in_open_box(ob.bbox, p)), None)
-                assert candidate_reference.host(boxes, p) == want
+                assert frontend._host(boxes, p) == want
                 if want is not None:
                     boxed.setdefault(want, []).append(p)
                 hosted += want is not None
