@@ -139,10 +139,16 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
     stops = {"ru": tx, "ur": y_hi, "rd": tx, "dr": -y_lo}
     frames = {name: (f, wf.frame(f)) for name, f in TRACE_FRAMES.items()
               if name in stops}
+    # a leg start's curves, kept per name: the relaxation asks for each
+    # of them once per leg it tests
+    got: dict[str, dict[Point, StepCurve]] = {name: {} for name in stops}
 
     def curve(p: Point, name: str) -> StepCurve:
-        f, ft = frames[name]
-        return trace_ru(ft, f.apply(p), stops[name]).curve
+        c = got[name].get(p)
+        if c is None:
+            f, ft = frames[name]
+            c = got[name][p] = trace_ru(ft, f.apply(p), stops[name]).curve
+        return c
 
     # q east of p; the ur and dr curves are stored with x and y swapped
     def rises(p: Point, q: Point) -> bool:
