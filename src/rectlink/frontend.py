@@ -439,9 +439,8 @@ def _candidates(instance: Instance, term: Terminal, lines: _Lines, world: World
                     facing[sgn].append((c, clear))
         # one index scan per axis, and one walk per outward direction from
         # the terminal box's side
-        ahead = [(sgn, span[1 - a][sgn > 0],
-                  got[0][1] if len(got) == 1 else sorted(set().union(*(t for _, t in got))))
-                 for sgn, got in facing.items() if got]
+        ahead = [(sgn, span[1 - a][sgn > 0], sorted(set().union(*(t for _, t in tests))))
+                 for sgn, tests in facing.items() if tests]
         if ahead:
             for (sgn, _, _), kept in zip(ahead, _riding(world, instance.obstacles,
                                                         other_box, a, ahead)):
