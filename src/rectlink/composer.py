@@ -12,6 +12,14 @@ pair reads as an eastward x-case; vertical-case inputs arrive pre-swapped.
 One relaxation serves a whole class of pairs, those that ``classify`` reads
 as eastward x-cases in one frame: every source joins it as a node at
 distance 0, and every target is relaxed as a node; the nearest are read out.
+
+The relaxation is goal-directed, as A* is (Hart, Nilsson & Raphael, 1968):
+a path is never shorter than the L1 distance between its ends, so a chain
+through a midpoint q costs at least L1(q, nearest source) + L1(q, nearest
+target).  Only the midpoints whose bound is within a limit are relaxed, and
+the limit widens until it covers every target's distance; the midpoints a
+shortest chain can use all lie within it (``solve_x_case`` has the
+argument).
 """
 from __future__ import annotations
 
@@ -51,10 +59,18 @@ class _Node:
 @dataclass
 class SubregionDag:
     """Distance relaxation artifact: the midpoint nodes and the targets,
-    with their distances and links."""
+    with their distances and links.
+
+    ``nodes`` holds every midpoint enumerated in the strip (perfbench's
+    ``composer.midpoints`` counts them); ``relaxed`` counts those whose L1
+    bound is within the relaxation's final limit.
+    A midpoint beyond it keeps ``dist = INF`` and no ``preds``, even when
+    a chain reaches it: no shortest chain to a target passes through it.
+    """
 
     nodes: list[_Node]
     targets: list[_Node]
+    relaxed: int = 0
     regions: int = 0
     events: int = 0
 
@@ -91,6 +107,23 @@ def _midpoints(ft: FrameTables, sx: int, tx: int) -> list[_Node]:
     return nodes
 
 
+def _box(points: Sequence[Point]) -> tuple[int, int, int, int]:
+    """The bounding box of ``points``: (xlo, xhi, ylo, yhi)."""
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def _l1_to_box(p: Point, box: tuple[int, int, int, int]) -> int:
+    """L1 distance from ``p`` to ``box``, at most that to any point in it."""
+    xlo, xhi, ylo, yhi = box
+    return max(xlo - p[0], 0, p[0] - xhi) + max(ylo - p[1], 0, p[1] - yhi)
+
+
+def _l1_to_nearest(p: Point, points: Sequence[Point]) -> int:
+    """L1 distance from ``p`` to the nearest of ``points``."""
+    return min(abs(p[0] - x) + abs(p[1] - y) for x, y in points)
+
+
 def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
                  targets: Sequence[Point],
                  dir_links: Optional[dict[Point, float]] = None,
@@ -118,6 +151,22 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
     distance (INF when no chain reaches it).  Only the nearest targets are
     read out: a chain into a farther one cannot beat them, whatever its
     links, so its arrivals are left empty and no sweep is spent on it.
+
+    Each midpoint q gets the bound b(q) = min_s L1(s, q) + min_t L1(q, t)
+    over the sources s and targets t, and only the midpoints with
+    b(q) <= U are relaxed.  U starts at the least source-to-target L1 and
+    widens until every target's distance is at most U or every midpoint is
+    relaxed.  A distance in the hull world is at least the L1 distance, so
+    a chain through q costs at least b(q): every node on a shortest chain
+    to a target t with dist(t) <= U has b <= U and is relaxed, and so is
+    every predecessor that ties on such a node, since it lies on a shortest
+    chain to t as well.  A relaxation over fewer midpoints finds no shorter
+    chain, so every target's distance, the predecessors of every node on a
+    shortest chain, and with them the marked legs, the links and the
+    witnesses equal those of a relaxation over all midpoints.  A midpoint
+    beyond the final U keeps INF and no predecessors.  The curves that test
+    a leg are traced to stops set by every enumerated midpoint, so they do
+    not depend on U.
     """
     if dir_links is None:
         dir_links = {d: 1.0 for d in UNIT_DIRS}
@@ -193,7 +242,13 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
         else:
             bisect.insort(keyed[side], (nd.dist - kx - ky, ky, pred))
 
-    def relax(nd: _Node) -> None:
+    ahead = nodes + tgts
+    # leg tests, by (pred, node index in ``ahead``): a widened relaxation
+    # asks again for the legs of the narrower ones
+    tested: dict[tuple[Pred, int], bool] = {}
+
+    def relax(k: int) -> None:
+        nd = ahead[k]
         qx, qy = nd.point
         # in key order, a side's legs only get dearer: stop past the best
         # valid cost, but keep every valid leg that ties it
@@ -205,7 +260,12 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
                 d = key + offset
                 if d > best:
                     break
-                if (qy < lim) == falls and leg_ok(pred, nd):
+                if (qy < lim) != falls:
+                    continue
+                ok = tested.get((pred, k))
+                if ok is None:
+                    ok = tested[pred, k] = leg_ok(pred, nd)
+                if ok:
                     cands.append((d, pred))
                     best = d
         if not cands:
@@ -214,29 +274,77 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
         # midpoints by index, then sources by index
         nd.preds = sorted(p for d, p in cands if d == best)
 
+    # the bound of each midpoint (see the docstring).  Its floor, the L1
+    # distance to the sources' box plus that to the targets' box, takes
+    # O(1); the bound itself is measured only where the floor is within
+    # the limit
+    ends_s, ends_t = [nd.point for nd in srcs], [nd.point for nd in tgts]
+    box_s, box_t = _box(ends_s), _box(ends_t)
+    floor = [_l1_to_box(nd.point, box_s) + _l1_to_box(nd.point, box_t)
+             for nd in nodes]
+    bound: dict[int, int] = {}
+
+    def within(k: int, limit: float) -> bool:
+        if floor[k] > limit:
+            return False
+        if k not in bound:
+            q = nodes[k].point
+            bound[k] = _l1_to_nearest(q, ends_s) + _l1_to_nearest(q, ends_t)
+        return bound[k] <= limit
+
     # nodes are relaxed west to east, a target after the midpoints of its x;
     # a midpoint enters its list once every node with its x is relaxed, and
     # a source before the first node east of it, so each leg runs strictly
-    # west to east
-    ahead = nodes + tgts
+    # west to east.  Only the midpoints within the limit are relaxed; the
+    # rest keep INF and no predecessors.
+    order = sorted(range(len(ahead)), key=lambda k: ahead[k].point[0])
     west_first = sorted(range(len(srcs)), key=lambda i: srcs[i].point[0])
-    entered = 0
-    waiting: list[int] = []
-    for k in sorted(range(len(ahead)), key=lambda k: ahead[k].point[0]):
-        nd = ahead[k]
-        if waiting and nodes[waiting[0]].point[0] < nd.point[0]:
-            for w in waiting:
-                enter(nodes[w].side, ("mid", w), nodes[w])
-            waiting.clear()
-        while entered < len(srcs) \
-                and srcs[west_first[entered]].point[0] < nd.point[0]:
-            i = west_first[entered]
-            enter("top", ("src", i), srcs[i])
-            enter("bot", ("src", i), srcs[i])
-            entered += 1
-        relax(nd)
-        if k < len(nodes) and nd.dist < INF:
-            waiting.append(k)
+
+    def relax_within(limit: float) -> int:
+        """Relax the nodes within ``limit``; returns the midpoints relaxed."""
+        for nd in ahead:
+            nd.dist, nd.preds = INF, []
+        for side in keyed.values():
+            side.clear()
+        entered = relaxed = 0
+        waiting: list[int] = []
+        for k in order:
+            if k < len(nodes):
+                if not within(k, limit):
+                    continue
+                relaxed += 1
+            nd = ahead[k]
+            if waiting and nodes[waiting[0]].point[0] < nd.point[0]:
+                for w in waiting:
+                    enter(nodes[w].side, ("mid", w), nodes[w])
+                waiting.clear()
+            while entered < len(srcs) \
+                    and srcs[west_first[entered]].point[0] < nd.point[0]:
+                i = west_first[entered]
+                enter("top", ("src", i), srcs[i])
+                enter("bot", ("src", i), srcs[i])
+                entered += 1
+            relax(k)
+            if k < len(nodes) and nd.dist < INF:
+                waiting.append(k)
+        return relaxed
+
+    # while a target is beyond the limit and a midpoint is left out, the
+    # limit moves to the farthest target distance found or to the start
+    # plus a slack, whichever is less.  The slack starts at the least gap
+    # from the start up to a bound, or up to a floor where the bound was
+    # not measured (a midpoint left out has a gap), and doubles.
+    start = limit = min(_l1_to_nearest(t, ends_s) for t in ends_t)
+    relaxed = relax_within(limit)
+    gaps = [bound.get(k, f) - start for k, f in enumerate(floor)]
+    slack = min((g for g in gaps if g > 0), default=0)
+    while relaxed < len(nodes):
+        far = max(nd.dist for nd in tgts)
+        if far <= limit:
+            break
+        limit = min(far, start + slack)
+        slack *= 2
+        relaxed = relax_within(limit)
     near = min(nd.dist for nd in tgts)
     if near == INF:
         raise GeometryError("x-monotone pair with no winder chain to the source")
@@ -254,7 +362,7 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
                 marked.add(k)
                 frontier.append(nodes[k])
 
-    dag = SubregionDag(nodes=nodes, targets=tgts)
+    dag = SubregionDag(nodes=nodes, targets=tgts, relaxed=relaxed)
 
     def legs_into(nd: _Node):
         """(pred, sweep) of every leg into nd from an optimal predecessor."""

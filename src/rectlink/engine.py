@@ -95,6 +95,7 @@ def solve_pair_raw(world: World, s2: Point, t2: Point,
         return RawAnswer(dist2=dist2, arrivals=arrivals, case="xy", stats=stats)
     dist2, arrivals, dag = solve_x_case(world, frame, [s2], [t2],
                                         dir_links=dir_links)
-    stats = {"events": dag.events, "regions": dag.regions}
+    stats = {"events": dag.events, "regions": dag.regions,
+             "midpoints": (len(dag.nodes), dag.relaxed)}
     return RawAnswer(dist2=dist2, arrivals=arrivals[0], case="x", stats=stats)
 

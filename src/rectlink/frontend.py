@@ -581,7 +581,8 @@ def solve(instance: Instance) -> SolveReport:
         raise GeometryError("a terminal has no connection to the free plane")
 
     stats = {"middle_solves": 0, "classes": 0, "pairs_pruned": 0, "events": 0,
-             "regions": 0, "attachments": (len(atts_s), len(atts_t)),
+             "regions": 0, "midpoints": (0, 0),
+             "attachments": (len(atts_s), len(atts_t)),
              "candidates": (counts_s, counts_t)}
     # the least (d2, links, path) offered; a path is built only to break a
     # tie or to be returned
@@ -602,6 +603,9 @@ def solve(instance: Instance) -> SolveReport:
         stats["middle_solves"] += 1
         stats["events"] += solve_stats.get("events", 0)
         stats["regions"] += solve_stats.get("regions", 0)
+        enumerated, relaxed = solve_stats.get("midpoints", (0, 0))
+        stats["midpoints"] = (stats["midpoints"][0] + enumerated,
+                              stats["midpoints"][1] + relaxed)
 
     # in-box routes, to the other terminal's candidates in a search's box
     for searches, cands, forward in ((search_s, cands_t, True),
@@ -664,7 +668,8 @@ def solve(instance: Instance) -> SolveReport:
                     floors[frame] = {t: nd.dist
                                      for t, nd in zip(plain_t, dag.targets)}
                     stats["classes"] += 1
-                    count({"events": dag.events, "regions": dag.regions})
+                    count({"events": dag.events, "regions": dag.regions,
+                           "midpoints": (len(dag.nodes), dag.relaxed)})
                     for arrs in arrivals:
                         for lam, wit in arrs.values():
                             offer(dist2, lam, lambda w=wit: list(w))

@@ -11,9 +11,13 @@ times in one process; its time is the median wall time (``perf_counter``).
 A row per instance prints the candidates (``stats["candidates"]``, summed
 over both terminals, as enumerated/kept), the attachments
 (``stats["attachments"]``, source and target), the middle solves, the
-median time and the answer.  A closing table gives, per kind and n, the
+x-case midpoints (``stats["midpoints"]``, enumerated/relaxed), the median
+time and the answer.  A closing table gives, per kind and n, the
 p50 and the max of the instances' times.  The last line is one JSON
-object holding every row and the table.  Nothing is gated.
+object holding every row and the table.  The script gates nothing;
+``test_frontend.py::test_large_terminal_answers_match_the_bench_record``
+solves its segment and polygon instances in tier-1 and checks their
+answers against ``BENCH_terminals.json``.
 """
 from __future__ import annotations
 
@@ -24,15 +28,22 @@ import time
 
 from rectlink.frontend import solve
 from rectlink.generator import generate_instance
+from rectlink.model import Instance
 
 KINDS = ("point", "segment", "polygon")
 SIZES = (100, 200, 400, 800)
 RS = (0, 1, 2)
 
 
-def measure(kind: str, n: int, r: int, reps: int) -> dict:
-    inst = generate_instance(97 * n + r, n, coord_limit=30 * n,
+def instance(kind: str, n: int, r: int) -> Instance:
+    """The scaling instance of terminal kind ``kind``, size ``n`` and
+    repeat ``r``."""
+    return generate_instance(97 * n + r, n, coord_limit=30 * n,
                              source_kind=kind, target_kind=kind)
+
+
+def measure(kind: str, n: int, r: int, reps: int) -> dict:
+    inst = instance(kind, n, r)
     times = []
     for _ in range(reps):
         t = time.perf_counter()
@@ -41,10 +52,13 @@ def measure(kind: str, n: int, r: int, reps: int) -> dict:
     stats = report.stats
     # a checkout from before the candidate filter reports no counts
     cands = stats.get("candidates", ((None, None), (None, None)))
+    # and one from before the bounded x-case relaxation no midpoints
+    mids = stats.get("midpoints", (None, None))
     return {"kind": kind, "n": n, "r": r,
             "candidates": [list(c) for c in cands],
             "attachments": list(stats["attachments"]),
             "middle_solves": stats["middle_solves"],
+            "midpoints": list(mids),
             "solve_s": statistics.median(times),
             "answer": [report.distance, report.links]}
 
@@ -56,7 +70,7 @@ def main() -> None:
     args = ap.parse_args()
     rows = []
     print(f"{'kind':<8} {'n':>5} {'r':>2} {'candidates':>11} {'attachments':>12} "
-          f"{'middle':>7} {'solve s':>8}  answer", flush=True)
+          f"{'middle':>7} {'midpoints':>10} {'solve s':>8}  answer", flush=True)
     for kind in KINDS:
         for n in SIZES:
             for r in RS:
@@ -65,8 +79,10 @@ def main() -> None:
                 (es, ks), (et, kt) = row["candidates"]
                 cands = f"{es + et}/{ks + kt}" if es is not None else "-"
                 atts = "{}/{}".format(*row["attachments"])
+                mids = ("{}/{}".format(*row["midpoints"])
+                        if row["midpoints"][0] is not None else "-")
                 print(f"{kind:<8} {n:>5} {r:>2} {cands:>11} {atts:>12} "
-                      f"{row['middle_solves']:>7} {row['solve_s']:>8.3f}  "
+                      f"{row['middle_solves']:>7} {mids:>10} {row['solve_s']:>8.3f}  "
                       f"{row['answer']}", flush=True)
     print()
     print(f"{'kind':<8} {'n':>5} {'p50 s':>8} {'max s':>8}")

@@ -2,8 +2,10 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings
 
 import pair_reference
+from fuzz_instances import instances
 from rectlink import composer, engine, partition
 from rectlink.composer import solve_x_case
 from rectlink.engine import _double, build_world
@@ -324,11 +326,28 @@ def _recording(solves):
     return recording_x_case
 
 
+def _on_shortest_chains(relaxation, n_nodes):
+    """Indices of the midpoints on a shortest chain to some reached target,
+    read from ``_all_pairs_relaxation``'s predecessors."""
+    on = set()
+    frontier = [k for k in range(n_nodes, len(relaxation))
+                if relaxation[k][0] < INF]
+    while frontier:
+        for kind, j in relaxation[frontier.pop()][1]:
+            if kind == "mid" and j not in on:
+                on.add(j)
+                frontier.append(j)
+    return on
+
+
 def test_key_ordered_relaxation_matches_all_pairs(monkeypatch):
-    """Every node's and every target's distance and optimal predecessors, in
-    order, equal an all-pairs relaxation's, on every x-case solve of fixed
-    seeds: the class solves of ``solve`` and the single-pair solves of the
-    per-pair reference frontend."""
+    """On every x-case solve of fixed seeds (the class solves of ``solve``
+    and the single-pair solves of the per-pair reference frontend), every
+    target, and every midpoint on a shortest chain of an all-pairs
+    relaxation over every enumerated midpoint, has that relaxation's
+    distance and optimal predecessors, in order.  No other midpoint's
+    distance falls below the all-pairs one, and the L1 bound leaves fewer
+    midpoints relaxed than enumerated."""
     solves = []
     monkeypatch.setattr(engine, "solve_x_case", _recording(solves))
     for seed in range(60):
@@ -342,13 +361,98 @@ def test_key_ordered_relaxation_matches_all_pairs(monkeypatch):
     assert len(solves) >= 100
     assert sum(len(sources) * len(targets) > 1
                for _, _, sources, targets, _ in solves) >= 20
-    ties = 0
+    ties = enumerated = relaxed = 0
     for world, frame, sources, targets, (_, _, dag) in solves:
         want = _all_pairs_relaxation(world, frame, sources, targets, dag.nodes)
         got = [(nd.dist, nd.preds) for nd in dag.nodes + dag.targets]
-        assert got == want
-        ties += sum(len(preds) > 1 for _, preds in got)
+        n = len(dag.nodes)
+        assert got[n:] == want[n:]
+        on = _on_shortest_chains(want, n)
+        for k in range(n):
+            if k in on:
+                assert got[k] == want[k]
+            else:
+                assert got[k][0] >= want[k][0]
+        ties += sum(len(want[k][1]) > 1 for k in on) \
+            + sum(len(preds) > 1 for _, preds in got[n:])
+        enumerated += n
+        relaxed += dag.relaxed
     assert ties > 0
+    assert relaxed < enumerated
+
+
+def _readout(result):
+    """An x-case solve's readout: the nearest distance, every target's
+    distance and each arrival's links and witness."""
+    near, arrivals, dag = result
+    return near, [nd.dist for nd in dag.targets], arrivals
+
+
+def _checking_every_midpoint(checked, floors=False):
+    """An ``engine.solve_x_case`` that also solves each call with every
+    midpoint relaxed (its bound and the bound's floor read as 0), asserts
+    that both read out the same, or raise the same error, and records
+    (midpoints enumerated, relaxed) of each call in ``checked``.  With
+    ``floors``, a third solve reads only the floors as 0 and must read out
+    the same too: the floor only spares measuring bounds."""
+    x_case = engine.solve_x_case
+
+    def checking_x_case(world, frame, sources, targets, dir_links=None):
+        def run():
+            return x_case(world, frame, sources, targets, dir_links=dir_links)
+
+        def readout(*zeroed):
+            with pytest.MonkeyPatch.context() as mp:
+                for name in zeroed:
+                    mp.setattr(composer, name, lambda *args: 0)
+                try:
+                    return _readout(run())
+                except GeometryError as exc:
+                    return str(exc)
+
+        want = readout("_l1_to_box", "_l1_to_nearest")
+        if floors:
+            assert readout("_l1_to_box") == want
+        try:
+            got = run()
+        except GeometryError as exc:
+            assert str(exc) == want
+            raise
+        assert _readout(got) == want
+        checked.append((len(got[2].nodes), got[2].relaxed))
+        return got
+
+    return checking_x_case
+
+
+def test_bounded_relaxation_reads_out_as_every_midpoint_relaxed(monkeypatch):
+    """On the seeds of ``test_key_ordered_relaxation_matches_all_pairs``,
+    each x-case solve reads out the same with the L1 bound as with every
+    midpoint relaxed, and as with every floor read as 0."""
+    checked = []
+    monkeypatch.setattr(engine, "solve_x_case",
+                        _checking_every_midpoint(checked, floors=True))
+    for seed in range(60):
+        for kinds in (("point", "point"), ("polygon", "segment"),
+                      ("polygon", "polygon")):
+            inst = generate_instance(900 + seed, n_obstacles=20,
+                                     coord_limit=200, source_kind=kinds[0],
+                                     target_kind=kinds[1])
+            solve(inst)
+            pair_reference.solve(inst)
+    assert len(checked) >= 100
+    assert sum(relaxed < enumerated for enumerated, relaxed in checked) >= 400
+
+
+@settings(max_examples=200, deadline=5000, derandomize=True, database=None)
+@given(instances())
+def test_bounded_relaxation_reads_out_as_every_midpoint_relaxed_on_fuzzed_instances(inst):
+    """The same, on every x-case solve of ``solve`` and of the per-pair
+    reference frontend over ``fuzz_instances``' strategy."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "solve_x_case", _checking_every_midpoint([]))
+        solve(inst)
+        pair_reference.solve(inst)
 
 
 def test_a_class_solve_is_the_best_single_source_solve(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 import candidate_reference
 import pair_reference
+import terminal_scaling
 from rectlink import frontend
 from rectlink.engine import build_world
 from rectlink.frontend import Attachment, _attachments, _Lines, solve
@@ -367,6 +368,29 @@ def test_class_solves_match_the_per_pair_reference():
             got.distance, got.links, got.path) == [], k
         classes += got.stats["classes"]
     assert len(instances) >= 88 + 630 + 55 and classes > 40
+
+
+def test_large_terminal_answers_match_the_bench_record():
+    """The 24 segment and polygon instances of ``terminal_scaling.py``
+    (n = 100 ... 800, the slowest solves known) give the answers of the
+    latest parent rows in ``BENCH_terminals.json``, and every witness
+    re-measures to its answer."""
+    bench = json.loads((Path(__file__).resolve().parent.parent
+                        / "BENCH_terminals.json").read_text())
+    rows = bench["entries"][-1]["terminal_scaling"]["parent"][-1]["rows"]
+    want = {(row["kind"], row["n"], row["r"]): row["answer"] for row in rows}
+    checker = _perfbench("witness").WitnessChecker
+    checked = 0
+    for kind in ("segment", "polygon"):
+        for n in terminal_scaling.SIZES:
+            for r in terminal_scaling.RS:
+                inst = terminal_scaling.instance(kind, n, r)
+                got = solve(inst)
+                assert [got.distance, got.links] == want[kind, n, r], (kind, n, r)
+                assert checker(instance_to_obj(inst)).problems(
+                    got.distance, got.links, got.path) == [], (kind, n, r)
+                checked += 1
+    assert checked == 24
 
 
 def _align_on_doubled_lines(points, xs2, ys2):
