@@ -17,9 +17,10 @@ The relaxation is goal-directed, as A* is (Hart, Nilsson & Raphael, 1968):
 a path is never shorter than the L1 distance between its ends, so a chain
 through a midpoint q costs at least L1(q, nearest source) + L1(q, nearest
 target).  Only the midpoints whose bound is within a limit are relaxed, and
-the limit widens until it covers every target's distance; the midpoints a
-shortest chain can use all lie within it (``solve_x_case`` has the
-argument).
+the limit widens until it covers the nearest target's distance; the
+midpoints a shortest chain to a nearest target can use all lie within it
+(``solve_x_case`` has the argument).  Like A*, a solve then stops: a
+farther target may be left with no exact distance.
 """
 from __future__ import annotations
 
@@ -65,7 +66,10 @@ class SubregionDag:
     ``composer.midpoints`` counts them); ``relaxed`` counts those whose L1
     bound is within the relaxation's final limit.
     A midpoint beyond it keeps ``dist = INF`` and no ``preds``, even when
-    a chain reaches it: no shortest chain to a target passes through it.
+    a chain reaches it: no shortest chain to a nearest target passes
+    through it.  A target at the nearest distance has its exact ``dist``
+    and ``preds``; a farther target's ``dist`` is never below its true
+    distance, and may be INF.
     """
 
     nodes: list[_Node]
@@ -139,34 +143,42 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
     a path leaving a source in each unit direction (all 1 by default), which
     lets a caller continue a partial path through it.  Every chain is a real
     path, and every shortest path of a pair that ``classify`` reads as an
-    eastward x-case in ``frame`` is one, so a target's distance is at most
-    that of each such pair it is in, and its links at most the pair's at
-    that distance.  With one source and one target this is the pair's
-    answer.
+    eastward x-case in ``frame`` is one, so the nearest targets' distance
+    is at most that of each such pair, and a pair at that distance ends at
+    a nearest target, whose links are at most the pair's.  With one source
+    and one target this is the pair's answer.
 
     Returns the distance to the nearest targets; per target in order, for
     each direction a shortest chain can arrive at it with, the fewest links
     and a witness from its source, in unframed coordinates; and the
     relaxation's nodes, where ``dag.targets[j].dist`` is target ``j``'s
-    distance (INF when no chain reaches it).  Only the nearest targets are
-    read out: a chain into a farther one cannot beat them, whatever its
-    links, so its arrivals are left empty and no sweep is spent on it.
+    distance at the nearest targets, and elsewhere at least its distance
+    (INF when no chain reaches it or the solve stopped before it).  Only
+    the nearest targets are read out: a chain into a farther one cannot
+    beat them, whatever its links, so its arrivals are left empty and no
+    sweep is spent on it.
 
     Each midpoint q gets the bound b(q) = min_s L1(s, q) + min_t L1(q, t)
     over the sources s and targets t, and only the midpoints with
     b(q) <= U are relaxed.  U starts at the least source-to-target L1 and
-    widens until every target's distance is at most U or every midpoint is
-    relaxed.  A distance in the hull world is at least the L1 distance, so
-    a chain through q costs at least b(q): every node on a shortest chain
-    to a target t with dist(t) <= U has b <= U and is relaxed, and so is
-    every predecessor that ties on such a node, since it lies on a shortest
-    chain to t as well.  A relaxation over fewer midpoints finds no shorter
-    chain, so every target's distance, the predecessors of every node on a
-    shortest chain, and with them the marked legs, the links and the
-    witnesses equal those of a relaxation over all midpoints.  A midpoint
-    beyond the final U keeps INF and no predecessors.  The curves that test
-    a leg are traced to stops set by every enumerated midpoint, so they do
-    not depend on U.
+    widens until the nearest target's distance found, ``near``, is at most
+    U or every midpoint is relaxed.  A distance in the hull world is at
+    least the L1 distance, so a chain through q to a target costs at least
+    b(q): every chain to a target that costs at most U runs through
+    relaxed midpoints only.  So a target t with dist(t) <= U gets its
+    distance, and so does every node on a shortest chain to t, with all
+    its tied predecessors, since a chain that ties into such a node
+    continues to t at the same cost.  A relaxation over fewer midpoints
+    finds no shorter chain, so no node's distance falls below its value
+    over all midpoints.  Hence, once ``near <= U``, a target whose distance
+    is below ``near`` would have been found: ``near`` is the least target
+    distance, and the targets at it, the predecessors of every node on a
+    shortest chain into them, and with them the marked legs, the links and
+    the witnesses equal those of a relaxation over all midpoints.  A
+    farther target's distance is never below its own and may be INF; a
+    midpoint beyond the final U keeps INF and no predecessors.  The curves
+    that test a leg are traced to stops set by every enumerated midpoint,
+    so they do not depend on U.
     """
     if dir_links is None:
         dir_links = {d: 1.0 for d in UNIT_DIRS}
@@ -329,23 +341,21 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
                 waiting.append(k)
         return relaxed
 
-    # while a target is beyond the limit and a midpoint is left out, the
-    # limit moves to the farthest target distance found or to the start
-    # plus a slack, whichever is less.  The slack starts at the least gap
-    # from the start up to a bound, or up to a floor where the bound was
-    # not measured (a midpoint left out has a gap), and doubles.
+    # while the nearest target is beyond the limit and a midpoint is left
+    # out, the limit moves to the nearest target distance found or to the
+    # start plus a slack, whichever is less.  The slack starts at the least
+    # gap from the start up to a bound, or up to a floor where the bound
+    # was not measured (a midpoint left out has a gap), and doubles.
     start = limit = min(_l1_to_nearest(t, ends_s) for t in ends_t)
     relaxed = relax_within(limit)
     gaps = [bound.get(k, f) - start for k, f in enumerate(floor)]
     slack = min((g for g in gaps if g > 0), default=0)
-    while relaxed < len(nodes):
-        far = max(nd.dist for nd in tgts)
-        if far <= limit:
-            break
-        limit = min(far, start + slack)
+    near = min(nd.dist for nd in tgts)
+    while relaxed < len(nodes) and near > limit:
+        limit = min(near, start + slack)
         slack *= 2
         relaxed = relax_within(limit)
-    near = min(nd.dist for nd in tgts)
+        near = min(nd.dist for nd in tgts)
     if near == INF:
         raise GeometryError("x-monotone pair with no winder chain to the source")
     # a chain into a farther target loses to one into a nearest target

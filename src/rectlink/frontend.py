@@ -28,9 +28,10 @@ bounding box.  Everything else reduces to it by attachment enumeration:
   a closed obstacle box, so for a polygon there is none to read.
 
 The best combination over all source/target attachments is the answer.
-Pairs are tried in order of an obstacle-blind L1 lower bound, and a pair is
-skipped when a triangle bound through an already solved pair shows it cannot
-beat the best answer found so far.
+Pairs are tried in order of an obstacle-blind L1 lower bound.  A pair with a
+pocket attachment is also skipped when a triangle bound through an already
+solved pair that leaves through the same box walls shows it cannot beat the
+best answer found so far.
 
 The candidate filter.  Obstacles are open, so a path may ride their sides.
 A terminal is its point, its segment or its polygon's ring.  Take an
@@ -98,11 +99,12 @@ A pair of two plain attachments is classified first.  The first one that
 reads as an x-case in some frame makes one class solve: a single x-case
 relaxation from every plain source attachment to every plain target
 attachment in that frame, which covers every plain pair of that class, so
-every later pair of the class is skipped.  Each target's distance in it
-bounds every pair of the class into that target from below, which the
-triangle bound then reads.  All other pairs (xy and same-point plain pairs,
-and every pair with a pocket attachment) get a middle solve of their own; a
-plain pair's solve reuses the pair's classification.
+every later pair of the class is skipped.  The class solve stops at its
+nearest targets, so it bounds no other target and no pair from below; the
+triangle bound reads middle solves only.  All other pairs (xy and
+same-point plain pairs, and every pair with a pocket attachment) get a
+middle solve of their own; a plain pair's solve reuses the pair's
+classification.
 
 Ties are broken by a rule that does not depend on the order in which offers
 arrive: the least (doubled distance, links, point list) wins, point lists
@@ -178,26 +180,15 @@ class Attachment:
         hence no hull, so their hull-world distance is at most their L1
         distance.
 
-        All plain attachments of a terminal share one group.  A point has a
-        single one.  ``validate`` makes a polygon's box interior-disjoint
-        from every obstacle box, so the polygon's box holds a staircase
-        between any two of them.  A plain attachment of a segment lies on
-        the segment, outside every open box or on a box's boundary (a
-        candidate is plain only when no open box holds it).  ``validate``
-        rejects a segment that meets an obstacle's interior, and a connected
-        obstacle touches all four sides of its box, so a valid segment never
-        runs across a box: it enters a box only to end inside it.  The
-        segment's part between two plain attachments therefore meets no
-        open box.
-
-        Pocket attachments share a group when they leave through one box
-        wall: the same ``out_dir`` and the same junction coordinate along
-        it.  Their junctions sit half a unit outside that wall, and so does
-        the run joining them.  Boxes are interior-disjoint and no two
-        obstacles share a coordinate, so no open box reaches that run.
+        A plain attachment is its own group.  Pocket attachments share a
+        group when they leave through one box wall: the same ``out_dir``
+        and the same junction coordinate along it.  Their junctions sit
+        half a unit outside that wall, and so does the run joining them.
+        Boxes are interior-disjoint and no two obstacles share a coordinate,
+        so no open box reaches that run.
         """
         if self.out_dir is None:
-            return ()
+            return None, self.junction2
         return self.out_dir, self.junction2[0 if self.out_dir[0] else 1]
 
 
@@ -489,18 +480,19 @@ def _pair_bound(a: Attachment, b: Attachment,
                 solved: Sequence[tuple[Point, Point, float]]) -> float:
     """Lower bound on every cost the pair (a, b) can offer.
 
-    ``solved`` holds ``(ja, jb, d)`` for pairs whose source attachment
-    shares a free group with ``a`` and whose target attachment shares one
-    with ``b``, where ``d`` is at most the hull-world distance from ``ja``
-    to ``jb``: a middle solve's distance, or a class solve's distance to
-    ``jb`` for a pair of that class.  The hull-world distance is a metric,
-    and within a group it is at most L1, so
+    ``solved`` holds ``(ja, jb, d)`` for middle-solved pairs whose source
+    attachment shares a free group with ``a`` and whose target attachment
+    shares one with ``b``, where ``d`` is the hull-world distance from
+    ``ja`` to ``jb``.  The hull-world distance is a metric, and within a
+    group it is at most L1, so
     ``d <= L1(ja, a) + dist(a, b) + L1(b, jb)`` bounds ``dist(a, b)`` from
     below; so does the obstacle-blind ``L1(a, b)``.  Every cost the pair
     offers is ``a.d2 + dist(a, b) + b.d2``.  ``solve`` skips a pair whose
     bound exceeds the best distance found so far; that distance is at least
     the final one, so a skipped pair could never have reached the answer's
-    distance.
+    distance.  A plain attachment is its own group, and a middle solve of
+    two plain attachments is an xy sweep at its L1 bound, which is not
+    filed; so a plain pair's bound is its L1 bound.
     """
     (ax, ay), (bx, by) = a.junction2, b.junction2
     gap = _l1(a.junction2, b.junction2)
@@ -621,16 +613,11 @@ def solve(instance: Instance) -> SolveReport:
 
     plain_s = [a.junction2 for a in atts_s if a.out_dir is None]
     plain_t = [b.junction2 for b in atts_t if b.out_dir is None]
-    # per x-case class frame, each plain target's distance in the class
-    # solve: a lower bound on every pair of the class into that target
-    floors: dict[Xform, dict[Point, float]] = {}
+    # the x-case class frames already solved
+    classes: set[Xform] = set()
     # middle solves are filed under their pair's free groups; a pair's bound
-    # reads only the solves filed under its own groups.  A plain pair of a
-    # solved class is kept, with its floor, under its source's and its
-    # target's junction, where the bound of a plain pair through either end
-    # reads it: all plain attachments of a terminal share a group.
+    # reads only the solves filed under its own groups
     solved: dict[tuple, list[tuple[Point, Point, float]]] = {}
-    through: dict[Point, tuple[Point, Point, float]] = {}
     ends_t = [(*b.junction2, b.d2, j) for j, b in enumerate(atts_t)]
     pairs = sorted((a.d2 + abs(ax - bx) + abs(ay - by) + bd2, i, j)
                    for i, a in enumerate(atts_s) for ax, ay in [a.junction2]
@@ -650,35 +637,24 @@ def solve(instance: Instance) -> SolveReport:
                       lambda a=a, b=b: list(a.lead2) + list(reversed(b.lead2))[1:])
             continue
         key = (a.group, b.group)
-        known = solved.get(key, [])
-        plain = a.out_dir is None and b.out_dir is None
-        if plain:
-            known = known + [through[e] for e in (ja, jb) if e in through]
-        if best is not None and _pair_bound(a, b, known) > best[0]:
+        if best is not None and _pair_bound(a, b, solved.get(key, [])) > best[0]:
             stats["pairs_pruned"] += 1
             continue
         cls = None
-        if plain:
+        if a.out_dir is None and b.out_dir is None:
             cls = kind, frame = engine.classify(world, ja, jb)
             if kind == "x":
                 # one relaxation answers every plain pair of this class
-                if frame not in floors:
+                if frame not in classes:
+                    classes.add(frame)
                     dist2, arrivals, dag = engine.solve_x_case(
                         world, frame, plain_s, plain_t)
-                    floors[frame] = {t: nd.dist
-                                     for t, nd in zip(plain_t, dag.targets)}
                     stats["classes"] += 1
                     count({"events": dag.events, "regions": dag.regions,
                            "midpoints": (len(dag.nodes), dag.relaxed)})
                     for arrs in arrivals:
                         for lam, wit in arrs.values():
                             offer(dist2, lam, lambda w=wit: list(w))
-                floor = floors[frame][jb]
-                if floor == INF:
-                    raise GeometryError("a class solve missed a pair of its class")
-                for end in (ja, jb):
-                    if end not in through or through[end][2] < floor:
-                        through[end] = (ja, jb, floor)
                 continue
         raw = solve_pair_raw(world, ja, jb, dir_links=_seed_links(a), cls=cls)
         if raw.dist2 > _l1(ja, jb):

@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, IO
 
-from .geometry import RectPolygon
+from .geometry import Point, RectPolygon
 from .model import Instance, POINT, SEGMENT, Terminal
 
 
@@ -23,20 +24,28 @@ def terminal_to_obj(t: Terminal) -> dict[str, Any]:
     return {"kind": "polygon", "vertices": [list(v) for v in t.polygon.vertices]}
 
 
+def _points(seq: Any) -> list[Point]:
+    """The ``[x, y]`` pairs of ``seq`` as points.  A coordinate must be a
+    JSON integer: a float, a string or a bool would be read as a different
+    instance than the file holds."""
+    pts = [(x, y) for x, y in seq]
+    if not set(map(type, chain.from_iterable(pts))) <= {int}:
+        bad = next(v for v in chain.from_iterable(pts) if type(v) is not int)
+        raise FormatError(f"coordinate is not an integer: {bad!r}")
+    return pts
+
+
 def terminal_from_obj(obj: Any) -> Terminal:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError(f"terminal must be an object with a 'kind': {obj!r}")
     kind = obj["kind"]
     try:
         if kind == "point":
-            x, y = obj["at"]
-            return Terminal.of_point((int(x), int(y)))
+            return Terminal.of_point(_points([obj["at"]])[0])
         if kind == "segment":
-            px, py = obj["from"]
-            qx, qy = obj["to"]
-            return Terminal.of_segment((int(px), int(py)), (int(qx), int(qy)))
+            return Terminal.of_segment(*_points([obj["from"], obj["to"]]))
         if kind == "polygon":
-            return Terminal.of_polygon([(int(x), int(y)) for x, y in obj["vertices"]])
+            return Terminal.of_polygon(_points(obj["vertices"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed {kind} terminal: {exc}") from exc
     raise FormatError(f"unknown terminal kind {kind!r}")
@@ -59,7 +68,7 @@ def instance_from_obj(obj: Any) -> Instance:
         raise FormatError(f"unsupported or missing instance version: {version!r}")
     try:
         obstacles = tuple(
-            RectPolygon([(int(x), int(y)) for x, y in ring])
+            RectPolygon(_points(ring))
             for ring in obj.get("obstacles", [])
         )
     except (TypeError, ValueError) as exc:

@@ -20,9 +20,13 @@ attachments the kept candidates make.  The traffic columns are
 ``stats["traces_built"]`` (traces the world's memo computed) and
 ``StepCurve`` builds (counted by wrapping ``partition.StepCurve.__init__``
 while the pool is solved; a memoised trace builds its curve once, so
-builds above ``traces_built`` are curves of copies).  The per-instance
-counts come from the last of its ``--reps`` solves.  A row ends with the first 12 hex digits of a SHA-256 over every (distance, links,
-path), so the answers of two checkouts compare at a glance.
+builds above ``traces_built`` are curves of copies) and
+``stats["midpoints"]`` as enumerated/relaxed (the hull-side midpoints in
+the x-case solves' strips, and those the goal-directed relaxation
+relaxed).  The per-instance counts come from the last of its ``--reps``
+solves.  A row ends with the first 12 hex digits of a SHA-256 over every
+(distance, links, path), so the answers of two checkouts compare at a
+glance.
 """
 from __future__ import annotations
 
@@ -59,7 +63,7 @@ def census(instances, reps: int) -> dict:
     row = {"instances": len(instances), "enumerated": 0, "kept": 0,
            "attachments": 0, "middle_solves": 0, "classes": 0,
            "pairs_pruned": 0, "regions": 0, "traces_built": 0, "curves": 0,
-           "cpu_s": 0.0}
+           "enumerated_midpoints": 0, "relaxed_midpoints": 0, "cpu_s": 0.0}
     answers = []
     builds = [0]
     init = partition.StepCurve.__init__
@@ -82,6 +86,9 @@ def census(instances, reps: int) -> dict:
                         "traces_built"):
                 row[key] += report.stats[key]
             row["curves"] += builds[0]
+            enumerated, relaxed = report.stats["midpoints"]
+            row["enumerated_midpoints"] += enumerated
+            row["relaxed_midpoints"] += relaxed
             for enumerated, kept in report.stats["candidates"]:
                 row["enumerated"] += enumerated
                 row["kept"] += kept
@@ -102,16 +109,17 @@ def main() -> None:
     print(f"{'pool':<20} {'inst':>5} {'candidates':>11} {'atts':>6} "
           f"{'middle':>7} {'classes':>7} "
           f"{'pruned':>7} {'regions':>7} {'traces':>7} {'curves':>7} "
-          f"{'cpu s':>7}  answers",
+          f"{'midpoints':>11} {'cpu s':>7}  answers",
           flush=True)
     for name, instances in pools():
         row = census(instances, args.reps)
         cands = f"{row['enumerated']}/{row['kept']}"
+        mids = f"{row['enumerated_midpoints']}/{row['relaxed_midpoints']}"
         print(f"{name:<20} {row['instances']:5d} {cands:>11} {row['attachments']:6d} "
               f"{row['middle_solves']:7d} "
               f"{row['classes']:7d} {row['pairs_pruned']:7d} "
               f"{row['regions']:7d} {row['traces_built']:7d} {row['curves']:7d} "
-              f"{row['cpu_s']:7.3f}  {row['answers']}", flush=True)
+              f"{mids:>11} {row['cpu_s']:7.3f}  {row['answers']}", flush=True)
 
 
 if __name__ == "__main__":

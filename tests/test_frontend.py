@@ -12,7 +12,7 @@ import pair_reference
 import terminal_scaling
 from rectlink import frontend
 from rectlink.engine import build_world
-from rectlink.frontend import Attachment, _attachments, _Lines, solve
+from rectlink.frontend import _attachments, _Lines, solve
 from rectlink.generator import generate_instance
 from rectlink.geometry import IDENTITY, GeometryError, PathResult, RectPolygon
 from rectlink.io import instance_from_obj, instance_to_obj
@@ -242,25 +242,6 @@ def _triangle_instances():
         for k in range(630)]
 
 
-def test_triangle_pruning_keeps_every_answer(monkeypatch):
-    """Against a frontend that prunes on the plain L1 bound alone: the same
-    (distance, links, path) on all nine terminal-kind pairs, half of them
-    with nearly every obstacle corner carved, and never more middle
-    solves."""
-    instances = _triangle_instances()
-    pruned = [solve(inst) for inst in instances]
-    monkeypatch.setattr(frontend, "_pair_bound", lambda a, b, solved:
-                        a.d2 + frontend._l1(a.junction2, b.junction2) + b.d2)
-    fewer = 0
-    for k, (inst, got) in enumerate(zip(instances, pruned)):
-        ref = solve(inst)
-        assert _answer(got) == _answer(ref), k
-        assert got.stats["middle_solves"] <= ref.stats["middle_solves"], k
-        assert ref.stats["pairs_pruned"] == 0
-        fewer += got.stats["middle_solves"] < ref.stats["middle_solves"]
-    assert fewer > 0
-
-
 def test_pocket_attachments_group_by_box_wall():
     # a U-shaped obstacle; a segment starts in its notch and leaves
     # through the top opening, and a point sits deep in the notch
@@ -282,8 +263,9 @@ def test_pocket_attachments_group_by_box_wall():
                 assert a.junction2[axis] == 2 * wall[a.out_dir] + a.out_dir[axis]
                 assert a.group == (a.out_dir, a.junction2[axis])
             else:
-                # plain ones lie on the segment's piece above the box
-                assert term.kind == "segment" and a.group == ()
+                # plain ones lie on the segment's piece above the box, each
+                # its own group
+                assert term.kind == "segment" and a.group == (None, a.junction2)
                 assert a.junction2[0] == 32 and a.junction2[1] >= 36
                 plain += 1
         assert bool(plain) == (term.kind == "segment")
@@ -292,32 +274,20 @@ def test_pocket_attachments_group_by_box_wall():
             == {((1, 0), 45), ((-1, 0), 19), ((0, 1), 37), ((0, -1), 19)}
 
 
-def test_a_polygons_plain_attachments_form_one_group():
-    for seed in range(5):
-        inst = generate_instance(400 + seed, n_obstacles=8, coord_limit=120,
-                                 source_kind="polygon", target_kind="point")
-        atts, _, _, _ = _attachments(inst, inst.source, _Lines(inst),
-                                     build_world(inst.obstacles))
-        assert len(atts) >= 4
-        assert {a.group for a in atts} == {()}
-        pocket = Attachment(junction2=(1, 0), d2=3, links=1, out_dir=(1, 0))
-        assert pocket.group == ((1, 0), 1)
-
-
 def test_pruned_pairs_are_counted():
-    inst = generate_instance(150, n_obstacles=8, coord_limit=120,
-                             source_kind="polygon", target_kind="polygon")
+    # both points in box pockets, so wall groups bound the pairs
+    inst = dict(_pocket_instances(5))[4]
     stats = solve(inst).stats
     n_s, n_t = stats["attachments"]
     assert stats["pairs_pruned"] > 0
     assert stats["middle_solves"] + stats["pairs_pruned"] <= n_s * n_t
 
 
-
-def test_a_segments_plain_attachments_share_a_free_stretch():
-    """Why a segment's plain attachments form one free group: a valid
-    segment only ends inside the boxes it pierces, so the stretch between
-    its plain attachments meets no open box."""
+def test_a_segments_pocket_candidates_are_its_ends_stretches():
+    """``_candidates``' segment end-box rule: a valid segment only ends
+    inside the boxes it pierces, so its pocket candidates are its ends'
+    stretches in its ends' boxes, and its plain candidates lie on the
+    stretch between them."""
     low = RectPolygon([(10, 10), (22, 10), (22, 18), (18, 18),
                        (18, 13), (14, 13), (14, 18), (10, 18)])
     high = RectPolygon([(11, 40), (15, 40), (15, 45), (19, 45),

@@ -1,4 +1,5 @@
 import io as _io
+import re
 
 import pytest
 
@@ -42,6 +43,26 @@ def test_malformed_inputs():
     with pytest.raises(FormatError):
         instance_from_obj({"obstacles": [], "source": {"kind": "point", "at": [0, 0]},
                            "target": {"kind": "point", "at": [1, 1]}})
+    # a coordinate must be a JSON integer, not one that int() would coerce
+    point = {"kind": "point", "at": [0, 0]}
+    ring = [[10, 10], [20, 10], [20, 18], [10, 18]]
+    for bad, named in (({"kind": "point", "at": [-2.9, "1"]}, "-2.9"),
+                       ({"kind": "point", "at": [4, "1"]}, "'1'"),
+                       ({"kind": "point", "at": [4.7, 1]}, "4.7"),
+                       ({"kind": "point", "at": [4.0, 1]}, "4.0"),
+                       ({"kind": "point", "at": [True, 1]}, "True"),
+                       ({"kind": "segment", "from": [0, 5], "to": [9, 5.5]}, "5.5"),
+                       ({"kind": "polygon", "vertices": [[False, 3]] + ring[1:]},
+                        "False")):
+        with pytest.raises(FormatError, match=re.escape(named)):
+            instance_from_obj({"version": 1, "obstacles": [], "source": bad,
+                               "target": point})
+    for k in range(4):
+        bent = [list(v) for v in ring]
+        bent[k][k % 2] = [1.5, "7", True, None][k]
+        with pytest.raises(FormatError, match=re.escape(repr(bent[k][k % 2]))):
+            instance_from_obj({"version": 1, "obstacles": [bent],
+                               "source": point, "target": point})
 
 
 def test_result_obj():
