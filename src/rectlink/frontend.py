@@ -106,6 +106,27 @@ same-point plain pairs, and every pair with a pocket attachment) get a
 middle solve of their own; a plain pair's solve reuses the pair's
 classification.
 
+Two-link pairs.  A plain xy pair that is not collinear skips its staircase
+region and sweep when one of its two Ls is free (``free_corners``), and
+offers that L, through the least free corner, as its only answer:
+
+* the pair is not collinear, so every path between its ends has at least
+  two links;
+* a two-link path is an L, and there is exactly one per corner, so the
+  sweep's two-link arrivals are exactly the free Ls;
+* both ends are plain, so no arrival merges a link with a lead: every
+  arrival with three or more links loses to the L at the same distance,
+  and of two free Ls the greater corner loses the tie; leaving those out
+  changes no offer that can win;
+* ``free_corners`` reads the traces the region would be built from, so it
+  sees the sweep's own hull world and never disagrees with the sweep.
+
+A pair with a pocket end keeps its sweep: seeded first links and the merge
+at a pocket junction can tie a three-link arrival with the L.  So do the
+composer's legs, for the same reason, and a collinear pair keeps
+``solve_pair_raw``'s straight corridor.  A two-link pair counts as a middle
+solve.
+
 Ties are broken by a rule that does not depend on the order in which offers
 arrive: the least (doubled distance, links, point list) wins, point lists
 compared as Python lists.  A skip needs a bound strictly above the best
@@ -141,7 +162,7 @@ from .model import (
     Terminal,
     validate,
 )
-from .partition import INF, FrameTables, World
+from .partition import INF, FrameTables, World, free_corners
 from .pockets import BoxGrid, Crossing, GridSearch
 
 
@@ -572,8 +593,8 @@ def solve(instance: Instance) -> SolveReport:
     if not atts_s or not atts_t:
         raise GeometryError("a terminal has no connection to the free plane")
 
-    stats = {"middle_solves": 0, "classes": 0, "pairs_pruned": 0, "events": 0,
-             "regions": 0, "midpoints": (0, 0),
+    stats = {"middle_solves": 0, "two_link_pairs": 0, "classes": 0,
+             "pairs_pruned": 0, "events": 0, "regions": 0, "midpoints": (0, 0),
              "attachments": (len(atts_s), len(atts_t)),
              "candidates": (counts_s, counts_t)}
     # the least (d2, links, path) offered; a path is built only to break a
@@ -656,6 +677,15 @@ def solve(instance: Instance) -> SolveReport:
                         for lam, wit in arrs.values():
                             offer(dist2, lam, lambda w=wit: list(w))
                 continue
+            if kind == "xy" and ja[0] != jb[0] and ja[1] != jb[1]:
+                corners = free_corners(world, frame, ja, jb)
+                if corners:
+                    # a free L is the pair's least offer (see "Two-link
+                    # pairs" above)
+                    stats["two_link_pairs"] += 1
+                    count({})
+                    offer(_l1(ja, jb), 2, lambda ja=ja, c=corners[0], jb=jb: [ja, c, jb])
+                    continue
         raw = solve_pair_raw(world, ja, jb, dir_links=_seed_links(a), cls=cls)
         if raw.dist2 > _l1(ja, jb):
             # a solve at its L1 bound bounds no pair beyond its own L1

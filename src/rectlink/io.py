@@ -64,7 +64,8 @@ def instance_from_obj(obj: Any) -> Instance:
     if not isinstance(obj, dict):
         raise FormatError("instance must be a JSON object")
     version = obj.get("version")
-    if version != VERSION:
+    # a JSON integer: true and 1.0 compare equal to 1 but are not the version
+    if type(version) is not int or version != VERSION:
         raise FormatError(f"unsupported or missing instance version: {version!r}")
     try:
         obstacles = tuple(

@@ -500,6 +500,49 @@ def classify(world: World | FrameView, s: Point, t: Point) -> tuple[str, Xform]:
     return ("xy", q)
 
 
+def _region_trace(world: World | FrameView, frame: Xform, f: Xform,
+                  start: Point, stop: Point) -> Trace:
+    """The memoised trace of frame ``f`` within a region's ``frame``, from
+    ``start`` to the wall through ``stop`` (both in region coordinates)."""
+    return trace_ru(world.frame(frame.then(f)), f.apply(start), f.apply(stop)[0])
+
+
+def free_corners(world: World | FrameView, frame: Xform, s: Point, t: Point
+                 ) -> list[Point]:
+    """The corners, in world coordinates and in ascending order, of the
+    two-link paths from ``s`` to ``t`` that meet no hull.
+
+    The pair must classify as ("xy", frame) and must not be collinear.  In
+    ``frame``, t lies north-east of s, and there are two Ls:
+
+    * east then north, through (tx, sy): free iff the trace ru from s to
+      the wall x = tx and the trace dl from t to the wall y = sy are both
+      straight;
+    * north then east, through (sx, ty): free iff ur from s and ld from t
+      are both straight.
+
+    A trace runs straight to its wall unless a hull blocks its ray, and a
+    block always makes it climb to above the ray, so a trace is straight iff
+    its last point keeps its start's y.  These are the four traces
+    ``build_staircase_region`` reads, under the same memo keys, so a pair
+    whose Ls are blocked builds no trace twice.  Only the points are read;
+    no ``StepCurve`` is built.
+    """
+    sq, tq = frame.apply(s), frame.apply(t)
+
+    def straight(f: Xform, start: Point, stop: Point) -> bool:
+        pts = _region_trace(world, frame, f, start, stop).points
+        return pts[-1][1] == pts[0][1]
+
+    inv = frame.inverse()
+    corners = []
+    if straight(FRAME_RU, sq, tq) and straight(FRAME_DL, tq, sq):
+        corners.append(inv.apply((tq[0], sq[1])))
+    if straight(FRAME_UR, sq, tq) and straight(FRAME_LD, tq, sq):
+        corners.append(inv.apply((sq[0], tq[1])))
+    return sorted(corners)
+
+
 # ---------------------------------------------------------------------------
 # staircase regions and sweep events
 
@@ -589,16 +632,12 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
     tx, ty = tq
     # frame tables index hulls as the world does
     polys = world.frame(frame)
-
-    def trace(f: Xform, start: Point, stop: Point) -> Trace:
-        return trace_ru(world.frame(frame.then(f)), f.apply(start), f.apply(stop)[0])
-
     # the memoised traces, read in their own frames: in the region's, a
     # point (u, v) of ur is (v, u), of ld (-u, -v) and of dl (-v, -u)
-    ur = trace(FRAME_UR, sq, tq)
-    ld = trace(FRAME_LD, tq, sq)
-    ru = trace(FRAME_RU, sq, tq)
-    dl = trace(FRAME_DL, tq, sq)
+    ur = _region_trace(world, frame, FRAME_UR, sq, tq)
+    ld = _region_trace(world, frame, FRAME_LD, tq, sq)
+    ru = _region_trace(world, frame, FRAME_RU, sq, tq)
+    dl = _region_trace(world, frame, FRAME_DL, tq, sq)
 
     # the curves traced out of t run westward, so the value of one of their
     # vertical runs belongs to its west side; evaluate just east of x to get

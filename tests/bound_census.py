@@ -15,7 +15,9 @@ row sums ``SolveReport.stats`` over its instances and, per instance, the
 least ``time.process_time`` of ``--reps`` solves.  ``candidates`` sums
 ``stats["candidates"]`` over both terminals as enumerated/kept (the filter
 drops the rest), and ``atts`` sums ``stats["attachments"]``, the
-attachments the kept candidates make.  The traffic columns are
+attachments the kept candidates make.  ``two-link`` is
+``stats["two_link_pairs"]``, the plain xy pairs a free L answered without a
+region (each is also one of ``middle``).  The traffic columns are
 ``stats["regions"]`` (staircase regions swept, each built for its sweep),
 ``stats["traces_built"]`` (traces the world's memo computed) and
 ``StepCurve`` builds (counted by wrapping ``partition.StepCurve.__init__``
@@ -61,7 +63,7 @@ def pools():
 
 def census(instances, reps: int) -> dict:
     row = {"instances": len(instances), "enumerated": 0, "kept": 0,
-           "attachments": 0, "middle_solves": 0, "classes": 0,
+           "attachments": 0, "middle_solves": 0, "two_link_pairs": 0, "classes": 0,
            "pairs_pruned": 0, "regions": 0, "traces_built": 0, "curves": 0,
            "enumerated_midpoints": 0, "relaxed_midpoints": 0, "cpu_s": 0.0}
     answers = []
@@ -85,6 +87,8 @@ def census(instances, reps: int) -> dict:
             for key in ("middle_solves", "classes", "pairs_pruned", "regions",
                         "traces_built"):
                 row[key] += report.stats[key]
+            # a checkout from before the two-link rule reports none
+            row["two_link_pairs"] += report.stats.get("two_link_pairs", 0)
             row["curves"] += builds[0]
             enumerated, relaxed = report.stats["midpoints"]
             row["enumerated_midpoints"] += enumerated
@@ -107,7 +111,7 @@ def main() -> None:
                     help="solves per instance; the least CPU time counts")
     args = ap.parse_args()
     print(f"{'pool':<20} {'inst':>5} {'candidates':>11} {'atts':>6} "
-          f"{'middle':>7} {'classes':>7} "
+          f"{'middle':>7} {'two-link':>8} {'classes':>7} "
           f"{'pruned':>7} {'regions':>7} {'traces':>7} {'curves':>7} "
           f"{'midpoints':>11} {'cpu s':>7}  answers",
           flush=True)
@@ -116,7 +120,7 @@ def main() -> None:
         cands = f"{row['enumerated']}/{row['kept']}"
         mids = f"{row['enumerated_midpoints']}/{row['relaxed_midpoints']}"
         print(f"{name:<20} {row['instances']:5d} {cands:>11} {row['attachments']:6d} "
-              f"{row['middle_solves']:7d} "
+              f"{row['middle_solves']:7d} {row['two_link_pairs']:8d} "
               f"{row['classes']:7d} {row['pairs_pruned']:7d} "
               f"{row['regions']:7d} {row['traces_built']:7d} {row['curves']:7d} "
               f"{mids:>11} {row['cpu_s']:7.3f}  {row['answers']}", flush=True)

@@ -11,7 +11,8 @@ times in one process; its time is the median wall time (``perf_counter``).
 A row per instance prints the candidates (``stats["candidates"]``, summed
 over both terminals, as enumerated/kept), the attachments
 (``stats["attachments"]``, source and target), the middle solves, the
-x-case midpoints (``stats["midpoints"]``, enumerated/relaxed), the median
+two-link pairs among them (``stats["two_link_pairs"]``, the plain xy pairs
+a free L answered without a sweep), the x-case midpoints (``stats["midpoints"]``, enumerated/relaxed), the median
 time and the answer.  A closing table gives, per kind and n, the
 p50 and the max of the instances' times.  The last line is one JSON
 object holding every row and the table.  The script gates nothing;
@@ -54,10 +55,13 @@ def measure(kind: str, n: int, r: int, reps: int) -> dict:
     cands = stats.get("candidates", ((None, None), (None, None)))
     # and one from before the bounded x-case relaxation no midpoints
     mids = stats.get("midpoints", (None, None))
+    # and one from before the two-link rule no two-link pairs
+    two = stats.get("two_link_pairs")
     return {"kind": kind, "n": n, "r": r,
             "candidates": [list(c) for c in cands],
             "attachments": list(stats["attachments"]),
             "middle_solves": stats["middle_solves"],
+            "two_link_pairs": two,
             "midpoints": list(mids),
             "solve_s": statistics.median(times),
             "answer": [report.distance, report.links]}
@@ -70,7 +74,8 @@ def main() -> None:
     args = ap.parse_args()
     rows = []
     print(f"{'kind':<8} {'n':>5} {'r':>2} {'candidates':>11} {'attachments':>12} "
-          f"{'middle':>7} {'midpoints':>10} {'solve s':>8}  answer", flush=True)
+          f"{'middle':>7} {'two-link':>8} {'midpoints':>10} {'solve s':>8}  answer",
+          flush=True)
     for kind in KINDS:
         for n in SIZES:
             for r in RS:
@@ -81,8 +86,10 @@ def main() -> None:
                 atts = "{}/{}".format(*row["attachments"])
                 mids = ("{}/{}".format(*row["midpoints"])
                         if row["midpoints"][0] is not None else "-")
+                two = "-" if row["two_link_pairs"] is None else row["two_link_pairs"]
                 print(f"{kind:<8} {n:>5} {r:>2} {cands:>11} {atts:>12} "
-                      f"{row['middle_solves']:>7} {mids:>10} {row['solve_s']:>8.3f}  "
+                      f"{row['middle_solves']:>7} {two:>8} {mids:>10} "
+                      f"{row['solve_s']:>8.3f}  "
                       f"{row['answer']}", flush=True)
     print()
     print(f"{'kind':<8} {'n':>5} {'p50 s':>8} {'max s':>8}")

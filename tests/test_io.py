@@ -43,6 +43,12 @@ def test_malformed_inputs():
     with pytest.raises(FormatError):
         instance_from_obj({"obstacles": [], "source": {"kind": "point", "at": [0, 0]},
                            "target": {"kind": "point", "at": [1, 1]}})
+    # the version must be the JSON integer 1, not a value equal to it
+    for version in (True, 1.0):
+        with pytest.raises(FormatError, match=re.escape(repr(version))):
+            instance_from_obj({"version": version, "obstacles": [],
+                               "source": {"kind": "point", "at": [0, 0]},
+                               "target": {"kind": "point", "at": [1, 1]}})
     # a coordinate must be a JSON integer, not one that int() would coerce
     point = {"kind": "point", "at": [0, 0]}
     ring = [[10, 10], [20, 10], [20, 18], [10, 18]]
