@@ -24,7 +24,6 @@ class RawAnswer:
 
     ``arrivals`` maps the unit direction a shortest path can arrive at the
     target with to (links, witness corner list), all in doubled coordinates.
-    A zero-length pair uses the single key ``(0, 0)``.
     """
 
     dist2: int
@@ -57,13 +56,11 @@ def solve_pair_raw(world: World, s2: Point, t2: Point,
     unit direction (all 1 for a fresh source); this lets a caller continue
     a partial path straight through ``s2`` without paying an extra link.
     ``cls`` is the pair's ``classify(world, s2, t2)`` when the caller has
-    already computed it.
+    already computed it.  The points must differ: ``s2 != t2``.
     """
     if dir_links is None:
         dir_links = {d: 1.0 for d in UNIT_DIRS}
     kind, frame = classify(world, s2, t2) if cls is None else cls
-    if kind == "same":
-        return RawAnswer(dist2=0, arrivals={(0, 0): (0, [s2])}, case="same")
     inv = frame.inverse()
     if kind == "xy" and (s2[0] == t2[0] or s2[1] == t2[1]):
         # collinear pair classified monotone in both axes: the straight

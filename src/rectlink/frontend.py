@@ -14,9 +14,10 @@ bounding box.  Everything else reduces to it by attachment enumeration:
   for a segment) rides an obstacle side on p's own line before it enters
   an obstacle or a terminal polygon (see "The candidate filter" below);
 * a candidate inside some obstacle's bounding box connects to the outside
-  through a pocket of that box; the box-local grid search yields, per
-  boundary point and outward direction, the best inside lead path, and
-  the hand-over to the engine happens at a junction half a (doubled) unit
+  through a pocket of that box; the box-local grid search yields, per box
+  corner or door vertex and outward direction, the best inside lead path
+  (``pockets`` says why no other boundary point needs one), and the
+  hand-over to the engine happens at a junction half a (doubled) unit
   outside the box, where the direction-seeded link counts make the join
   exact;
 * candidates outside every box feed the engine directly;
@@ -28,10 +29,8 @@ bounding box.  Everything else reduces to it by attachment enumeration:
   a closed obstacle box, so for a polygon there is none to read.
 
 The best combination over all source/target attachments is the answer.
-Pairs are tried in order of an obstacle-blind L1 lower bound.  A pair with a
-pocket attachment is also skipped when a triangle bound through an already
-solved pair that leaves through the same box walls shows it cannot beat the
-best answer found so far.
+Pairs are tried in order of an obstacle-blind L1 lower bound, and the loop
+stops at the first pair whose bound exceeds the best distance found so far.
 
 The candidate filter.  Obstacles are open, so a path may ride their sides.
 A terminal is its point, its segment or its polygon's ring.  Take an
@@ -99,12 +98,9 @@ A pair of two plain attachments is classified first.  The first one that
 reads as an x-case in some frame makes one class solve: a single x-case
 relaxation from every plain source attachment to every plain target
 attachment in that frame, which covers every plain pair of that class, so
-every later pair of the class is skipped.  The class solve stops at its
-nearest targets, so it bounds no other target and no pair from below; the
-triangle bound reads middle solves only.  All other pairs (xy and
-same-point plain pairs, and every pair with a pocket attachment) get a
-middle solve of their own; a plain pair's solve reuses the pair's
-classification.
+every later pair of the class is skipped.  All other pairs (xy plain
+pairs, and every pair with a pocket attachment) get a middle solve of their
+own; a plain pair's solve reuses the pair's classification.
 
 Two-link pairs.  A plain xy pair that is not collinear skips its staircase
 region and sweep when one of its two Ls is free (``free_corners``), and
@@ -129,11 +125,12 @@ solve.
 
 Ties are broken by a rule that does not depend on the order in which offers
 arrive: the least (doubled distance, links, point list) wins, point lists
-compared as Python lists.  A skip needs a bound strictly above the best
-distance so far, so no skipped pair could have tied the final distance, and
-the witness is the least offer at the answer's (distance, links) among the
-solves that ran.  A witness's point list is built only to break a tie or to
-be returned.  Every witness is re-measured before it is returned.
+compared as Python lists.  The loop stops only at a bound strictly above the
+best distance so far, so no pair left out could have tied the final
+distance, and the witness is the least offer at the answer's (distance,
+links) among the solves that ran.  A witness's point list is built only to
+break a tie or to be returned.  Every witness is re-measured before it is
+returned.
 """
 from __future__ import annotations
 
@@ -193,24 +190,6 @@ class Attachment:
         if self.crossing is None:
             return (self.junction2,)
         return tuple(_double(v) for v in self.crossing.path) + (self.junction2,)
-
-    @property
-    def group(self) -> tuple:
-        """The attachment's free group: attachments of one terminal that
-        share it are joined by a staircase that meets no open obstacle box,
-        hence no hull, so their hull-world distance is at most their L1
-        distance.
-
-        A plain attachment is its own group.  Pocket attachments share a
-        group when they leave through one box wall: the same ``out_dir``
-        and the same junction coordinate along it.  Their junctions sit
-        half a unit outside that wall, and so does the run joining them.
-        Boxes are interior-disjoint and no two obstacles share a coordinate,
-        so no open box reaches that run.
-        """
-        if self.out_dir is None:
-            return None, self.junction2
-        return self.out_dir, self.junction2[0 if self.out_dir[0] else 1]
 
 
 @dataclass
@@ -497,32 +476,6 @@ def _attachments(instance: Instance, term: Terminal, lines: _Lines,
     return atts, searches, reach, counts
 
 
-def _pair_bound(a: Attachment, b: Attachment,
-                solved: Sequence[tuple[Point, Point, float]]) -> float:
-    """Lower bound on every cost the pair (a, b) can offer.
-
-    ``solved`` holds ``(ja, jb, d)`` for middle-solved pairs whose source
-    attachment shares a free group with ``a`` and whose target attachment
-    shares one with ``b``, where ``d`` is the hull-world distance from
-    ``ja`` to ``jb``.  The hull-world distance is a metric, and within a
-    group it is at most L1, so
-    ``d <= L1(ja, a) + dist(a, b) + L1(b, jb)`` bounds ``dist(a, b)`` from
-    below; so does the obstacle-blind ``L1(a, b)``.  Every cost the pair
-    offers is ``a.d2 + dist(a, b) + b.d2``.  ``solve`` skips a pair whose
-    bound exceeds the best distance found so far; that distance is at least
-    the final one, so a skipped pair could never have reached the answer's
-    distance.  A plain attachment is its own group, and a middle solve of
-    two plain attachments is an xy sweep at its L1 bound, which is not
-    filed; so a plain pair's bound is its L1 bound.
-    """
-    (ax, ay), (bx, by) = a.junction2, b.junction2
-    gap = _l1(a.junction2, b.junction2)
-    for (kx, ky), (lx, ly), d in solved:
-        gap = max(gap, d - abs(ax - kx) - abs(ay - ky)
-                  - abs(bx - lx) - abs(by - ly))
-    return a.d2 + gap + b.d2
-
-
 def _seed_links(att: Attachment) -> Optional[dict[Point, float]]:
     if att.out_dir is None:
         return None
@@ -594,7 +547,7 @@ def solve(instance: Instance) -> SolveReport:
         raise GeometryError("a terminal has no connection to the free plane")
 
     stats = {"middle_solves": 0, "two_link_pairs": 0, "classes": 0,
-             "pairs_pruned": 0, "events": 0, "regions": 0, "midpoints": (0, 0),
+             "events": 0, "regions": 0, "midpoints": (0, 0),
              "attachments": (len(atts_s), len(atts_t)),
              "candidates": (counts_s, counts_t)}
     # the least (d2, links, path) offered; a path is built only to break a
@@ -636,9 +589,6 @@ def solve(instance: Instance) -> SolveReport:
     plain_t = [b.junction2 for b in atts_t if b.out_dir is None]
     # the x-case class frames already solved
     classes: set[Xform] = set()
-    # middle solves are filed under their pair's free groups; a pair's bound
-    # reads only the solves filed under its own groups
-    solved: dict[tuple, list[tuple[Point, Point, float]]] = {}
     ends_t = [(*b.junction2, b.d2, j) for j, b in enumerate(atts_t)]
     pairs = sorted((a.d2 + abs(ax - bx) + abs(ay - by) + bd2, i, j)
                    for i, a in enumerate(atts_s) for ax, ay in [a.junction2]
@@ -656,10 +606,6 @@ def solve(instance: Instance) -> SolveReport:
                 merge = a.out_dir is not None
                 offer(a.d2 + b.d2, a.links + b.links - merge,
                       lambda a=a, b=b: list(a.lead2) + list(reversed(b.lead2))[1:])
-            continue
-        key = (a.group, b.group)
-        if best is not None and _pair_bound(a, b, solved.get(key, [])) > best[0]:
-            stats["pairs_pruned"] += 1
             continue
         cls = None
         if a.out_dir is None and b.out_dir is None:
@@ -687,9 +633,6 @@ def solve(instance: Instance) -> SolveReport:
                     offer(_l1(ja, jb), 2, lambda ja=ja, c=corners[0], jb=jb: [ja, c, jb])
                     continue
         raw = solve_pair_raw(world, ja, jb, dir_links=_seed_links(a), cls=cls)
-        if raw.dist2 > _l1(ja, jb):
-            # a solve at its L1 bound bounds no pair beyond its own L1
-            solved.setdefault(key, []).append((ja, jb, raw.dist2))
         count(raw.stats)
         for adir, (lam, wit) in raw.arrivals.items():
             if a.out_dir is not None and first_dir(wit) == _neg(a.out_dir):

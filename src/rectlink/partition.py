@@ -94,7 +94,7 @@ class _FramePoly:
     """
 
     __slots__ = ("box", "ring", "west_lo", "west_hi", "hug", "east_horiz",
-                 "hug_xs", "west", "horiz")
+                 "west", "horiz")
 
     box: Rect
     ring: tuple[Point, ...]  # counterclockwise, from the least vertex
@@ -102,7 +102,6 @@ class _FramePoly:
     west_hi: int
     hug: list[Point]      # west-side bottom up to the left end of the top side
     east_horiz: frozenset[Point]  # west ends of horizontal edges
-    hug_xs: frozenset[int]        # x of vertical steps in hug
     west: list[tuple[int, int, int]]   # west-facing vertical edges (x, lo, hi)
     horiz: list[tuple[int, int, int]]  # horizontal edges (xlo, xhi, y)
 
@@ -132,7 +131,6 @@ class _FramePoly:
         self.ring = tuple(vs)
         self.west_lo, self.west_hi = wlo, whi
         self.hug = hug
-        self.hug_xs = frozenset(a[0] for a, b in zip(hug, hug[1:]) if a[0] == b[0])
         self.east_horiz = frozenset([(xlo, y) for xlo, _, y in horiz])
         self.west = west
         self.horiz = horiz
@@ -401,7 +399,9 @@ def _trace_ru(polys: FrameTables, start: Point, x_stop: int) -> Trace:
             break
         idx, bx = blk
         fp = polys[idx]
-        if bx in fp.hug_xs:
+        if cur[1] > fp.west_lo:
+            # above the west wall's foot the ray meets the west wall or the
+            # upper-left staircase, both on the hug: climb it from there
             via = (bx, cur[1])
         elif bx == cur[0]:
             # standing against the lower-left staircase: nothing weakly
@@ -474,13 +474,11 @@ def _jump_xs(points: Sequence[Point], axis: int) -> set[int]:
 def classify(world: World | FrameView, s: Point, t: Point) -> tuple[str, Xform]:
     """Which monotonicity case the pair falls into.
 
-    Returns ("same", I), ("xy", f) or ("x", f): applying f maps the pair so
-    that t is weakly north-east of s (xy) or so that every shortest path is
-    x-monotone eastward (x).
+    Returns ("xy", f) or ("x", f): applying f maps the pair so that t is
+    weakly north-east of s (xy) or so that every shortest path is x-monotone
+    eastward (x).  The points must differ: ``s != t``.
     """
     dx, dy = t[0] - s[0], t[1] - s[1]
-    if dx == 0 and dy == 0:
-        return ("same", IDENTITY)
     if dx >= 0:
         q = IDENTITY if dy >= 0 else FLIP_Y
     else:

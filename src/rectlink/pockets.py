@@ -6,10 +6,33 @@ the closed obstacle.  Any path to the outside crosses the box boundary
 through a door, the part of a pocket's boundary lying on the box.  This
 module builds the box-local Hanan grid, runs a lexicographic (length,
 links) Dijkstra with direction states over it, and reports, for every
-grid point on the box boundary, the best way to arrive there about to
-leave the box.  The same search answers in-box queries: the best route from
+box corner and door vertex, the best way to arrive there about to leave
+the box.  The same search answers in-box queries: the best route from
 a terminal inside the box to any grid point of the box, such as the other
 terminal's points in the same box or on its ring.
+
+Only doors and box corners hand over.  A crossing ``(p, c)`` leaves the box
+at a ring vertex p heading c.  ``GridSearch.crossings`` keeps it only when
+p is a box corner or a door vertex, one whose grid edge into the box along
+``-c`` borders a free cell.  Dropping any other crossing loses no answer:
+
+* such a p lies inside a wall, and the obstacle fills both cells along
+  that edge, so the lead reaches p along the wall;
+* the lead's last segment starts at a vertex s of that wall, where the
+  lead arrives heading c: from inside the box through a free cell's edge,
+  so s is a door vertex, or along the perpendicular wall, so s is a
+  corner (no lead arrives from outside the box).  So s is kept, and its
+  crossing costs at most the lead's part up to s;
+* the dropped crossing turns at s and at p.  From s's junction, half a
+  unit outside the wall, the same two turns, with the run between them
+  half a unit outside the wall, give the same length and links.  That run
+  is free: boxes are interior-disjoint and no two obstacles share a
+  coordinate, so no open box reaches it;
+* the engine's solve from s's junction sees that route, and the pair's L1
+  bound is at most the route's cost, so the pair loop reaches it.
+
+Only the witness of a tie can change, since the tie rule picks among the
+offers made.
 """
 from __future__ import annotations
 
@@ -185,10 +208,11 @@ class GridSearch:
         return None if got is None else (got[0], got[1], self._walk(got[2]))
 
     def crossings(self) -> list[Crossing]:
-        """Profiles at every reachable boundary vertex, one per outward
-        direction whose adjacent boundary stretch borders the search area.
-        Only the grid's ring is read, column by column: the whole west and
-        east columns and the two ends of every other column."""
+        """Profiles at every reachable box corner and door vertex, one per
+        outward direction; a door vertex's is kept only where its grid edge
+        into the box borders a free cell (see the module docstring).  Only
+        the grid's ring is read, column by column: the whole west and east
+        columns and the two ends of every other column."""
         grid = self.grid
         nx, ny = len(grid.xs), len(grid.ys)
         out: list[Crossing] = []
@@ -203,8 +227,11 @@ class GridSearch:
                     sides.append((-1, 0))
                 if i == nx - 1:
                     sides.append((1, 0))
+                corner = len(sides) == 2
                 p = (grid.xs[i], grid.ys[j])
                 for c in sides:
+                    if not corner and not grid.step_ok(i, j, (-c[0], -c[1])):
+                        continue
                     got = self.best_at(p, heading=c)
                     if got is not None:
                         out.append(Crossing(point=p, out_dir=c, dist=got[0],

@@ -1,6 +1,6 @@
-"""Census of the pair loop's bound: candidates, attachments, middle solves,
-class solves, pruned pairs, memo traffic and CPU time of ``frontend.solve``
-on the pools that exercise it.
+"""Census of the pair loop: candidates, attachments, middle solves, class
+solves, memo traffic and CPU time of ``frontend.solve`` on the pools that
+exercise it.
 
 Usage (from the repository root; pytest does not collect this file):
 
@@ -64,7 +64,7 @@ def pools():
 def census(instances, reps: int) -> dict:
     row = {"instances": len(instances), "enumerated": 0, "kept": 0,
            "attachments": 0, "middle_solves": 0, "two_link_pairs": 0, "classes": 0,
-           "pairs_pruned": 0, "regions": 0, "traces_built": 0, "curves": 0,
+           "regions": 0, "traces_built": 0, "curves": 0,
            "enumerated_midpoints": 0, "relaxed_midpoints": 0, "cpu_s": 0.0}
     answers = []
     builds = [0]
@@ -84,8 +84,7 @@ def census(instances, reps: int) -> dict:
                 report = solve(inst)
                 times.append(time.process_time() - t0)
             row["cpu_s"] += min(times)
-            for key in ("middle_solves", "classes", "pairs_pruned", "regions",
-                        "traces_built"):
+            for key in ("middle_solves", "classes", "regions", "traces_built"):
                 row[key] += report.stats[key]
             # a checkout from before the two-link rule reports none
             row["two_link_pairs"] += report.stats.get("two_link_pairs", 0)
@@ -112,7 +111,7 @@ def main() -> None:
     args = ap.parse_args()
     print(f"{'pool':<20} {'inst':>5} {'candidates':>11} {'atts':>6} "
           f"{'middle':>7} {'two-link':>8} {'classes':>7} "
-          f"{'pruned':>7} {'regions':>7} {'traces':>7} {'curves':>7} "
+          f"{'regions':>7} {'traces':>7} {'curves':>7} "
           f"{'midpoints':>11} {'cpu s':>7}  answers",
           flush=True)
     for name, instances in pools():
@@ -121,7 +120,7 @@ def main() -> None:
         mids = f"{row['enumerated_midpoints']}/{row['relaxed_midpoints']}"
         print(f"{name:<20} {row['instances']:5d} {cands:>11} {row['attachments']:6d} "
               f"{row['middle_solves']:7d} {row['two_link_pairs']:8d} "
-              f"{row['classes']:7d} {row['pairs_pruned']:7d} "
+              f"{row['classes']:7d} "
               f"{row['regions']:7d} {row['traces_built']:7d} {row['curves']:7d} "
               f"{mids:>11} {row['cpu_s']:7.3f}  {row['answers']}", flush=True)
 

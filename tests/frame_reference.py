@@ -11,7 +11,7 @@ from rectlink.geometry import RectPolygon, bounding_box
 from shapes import horizontal_edges
 
 COLUMNS = ("box", "ring", "west_lo", "west_hi", "west", "horiz", "hug",
-           "hug_xs", "east_horiz")
+           "east_horiz")
 
 
 def mapped_polygon(hull, t):
@@ -43,7 +43,6 @@ def reference_tables(hull, t):
         "west": west,
         "horiz": horiz,
         "hug": hug,
-        "hug_xs": frozenset(a[0] for a, b in zip(hug, hug[1:]) if a[0] == b[0]),
         "east_horiz": frozenset((xlo, y) for xlo, _, y in horiz),
     }
 

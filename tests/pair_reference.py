@@ -1,7 +1,7 @@
 """The per-pair frontend loop, kept as a bound-free reference.
 
-``solve`` is ``frontend.solve`` without the candidate filter, without class
-solves and without triangle bounds: every attachment of every candidate
+``solve`` is ``frontend.solve`` without the candidate filter and without
+class solves: every attachment of every candidate
 (``tests/candidate_reference.py``), and every attachment pair, in order of
 its obstacle-blind L1 bound, gets its own middle solve until that bound
 exceeds the best distance found, and the first strict improvement wins.  It

@@ -9,7 +9,9 @@ crossings off the search.  The acceptance check on door properties and
 them independently of that search.  ``into_pocket`` moves a terminal of a
 generated instance into a pocket, which the generator itself never does.
 ``all_vertex_crossings`` is the crossing read-out that visits every grid
-vertex, the reference for ``GridSearch.crossings``, which reads the ring.
+vertex and keeps the box corners and the door vertices of the doors
+``find_pockets`` finds: the reference for ``GridSearch.crossings``, which
+reads the ring and tells a door vertex by the box grid's free cells.
 """
 from __future__ import annotations
 
@@ -170,10 +172,16 @@ def into_pocket(inst: Instance, end: str, kind: str, rng,
     return None
 
 
-def all_vertex_crossings(search: GridSearch) -> list[Crossing]:
+def all_vertex_crossings(search: GridSearch,
+                         blocker: Optional[RectPolygon] = None) -> list[Crossing]:
     """``search.crossings()`` read off every grid vertex in column-major
-    order, skipping the vertices on no box side."""
+    order: every box corner, and every vertex on a door of ``blocker``'s
+    pockets (``find_pockets``), once per box side it lies on.  With no
+    ``blocker``, every vertex on the box's ring."""
     grid = search.grid
+    doors = None if blocker is None else [
+        door for pk in find_pockets(blocker)
+        for door in (pk.door_h, pk.door_v) if door is not None]
     nx, ny = len(grid.xs), len(grid.ys)
     out: list[Crossing] = []
     for i in range(nx):
@@ -187,9 +195,10 @@ def all_vertex_crossings(search: GridSearch) -> list[Crossing]:
                 sides.append((-1, 0))
             if i == nx - 1:
                 sides.append((1, 0))
-            if not sides:
-                continue
             p = (grid.xs[i], grid.ys[j])
+            if doors is not None and len(sides) == 1 \
+                    and not any(door.contains(p) for door in doors):
+                continue
             for c in sides:
                 got = search.best_at(p, heading=c)
                 if got is not None:

@@ -2,6 +2,7 @@ import bisect
 import importlib
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from rectlink.geometry import IDENTITY, GeometryError, PathResult, RectPolygon
 from rectlink.io import instance_from_obj, instance_to_obj
 from rectlink.model import Instance, Terminal, validate
 from rectlink.oracle import GRID_CAP, oracle_solve
-from pocket_doors import into_pocket
+from pocket_doors import all_vertex_crossings, into_pocket
 from shapes import in_open_box
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -105,22 +106,21 @@ def test_pocket_terminals_match_oracle():
     assert checked >= 34
 
 
-def test_wall_groups_keep_every_pocket_answer(monkeypatch):
-    """Against a frontend that prunes on the plain L1 bound alone: pocket
-    instances give the same (distance, links, path) and never more middle
-    solves, and pruning through wall groups saves solves."""
-    instances = [inst for _, inst in _pocket_instances(60)]
-    pruned = [solve(inst) for inst in instances]
-    monkeypatch.setattr(frontend, "_pair_bound", lambda a, b, solved:
-                        a.d2 + frontend._l1(a.junction2, b.junction2) + b.d2)
-    saved = 0
-    for k, (inst, got) in enumerate(zip(instances, pruned)):
-        ref = solve(inst)
-        assert _answer(got) == _answer(ref), k
-        assert got.stats["middle_solves"] <= ref.stats["middle_solves"], k
-        saved += ref.stats["middle_solves"] - got.stats["middle_solves"]
-    assert len(instances) >= 55
-    assert saved > 100
+def test_doors_and_corners_keep_every_pocket_answer():
+    """The pocket chain hands over only at box corners and door vertices:
+    every answer keeps the oracle's (distance, links), with fewer
+    attachments than a crossing at every ring vertex
+    (``all_vertex_crossings`` with no blocker) would make."""
+    attached = every = 0
+    for seed, inst in _pocket_instances(60):
+        _check_against_oracle(inst, f"pocket seed {seed}")
+        world = build_world(inst.obstacles)
+        for term in (inst.source, inst.target):
+            atts, searches, _, _ = _attachments(inst, term, _Lines(inst), world)
+            attached += len(atts)
+            every += len(atts) + sum(len(all_vertex_crossings(gs)) - len(gs.crossings())
+                                     for gs in searches)
+    assert 0 < attached < every
 
 
 def test_facing_pockets_meet_at_one_junction():
@@ -248,6 +248,7 @@ def test_pocket_attachments_group_by_box_wall():
     ob = RectPolygon([(10, 10), (22, 10), (22, 18), (18, 18),
                       (18, 13), (14, 13), (14, 18), (10, 18)])
     target = Terminal.of_point((30, 25))
+    corners = {(10, 10), (22, 10), (22, 18), (10, 18)}
     for term in (Terminal.of_segment((16, 15), (16, 30)),
                  Terminal.of_point((16, 15))):
         inst = Instance(obstacles=(ob,), source=term, target=target)
@@ -261,26 +262,45 @@ def test_pocket_attachments_group_by_box_wall():
                 axis = 0 if a.out_dir[0] else 1
                 wall = {(1, 0): 22, (-1, 0): 10, (0, 1): 18, (0, -1): 10}
                 assert a.junction2[axis] == 2 * wall[a.out_dir] + a.out_dir[axis]
-                assert a.group == (a.out_dir, a.junction2[axis])
+                # off the box corners, only the notch's door hands over
+                if a.crossing.point not in corners:
+                    assert a.out_dir == (0, 1) and 14 <= a.crossing.point[0] <= 18
             else:
-                # plain ones lie on the segment's piece above the box, each
-                # its own group
-                assert term.kind == "segment" and a.group == (None, a.junction2)
+                # plain ones lie on the segment's piece above the box
+                assert term.kind == "segment"
                 assert a.junction2[0] == 32 and a.junction2[1] >= 36
                 plain += 1
         assert bool(plain) == (term.kind == "segment")
-        # the search rides the ring, so every wall holds one group
-        assert {a.group for a in atts if a.out_dir is not None} \
+        # the corners hand over, so every wall holds a junction line
+        assert {(a.out_dir, a.junction2[0 if a.out_dir[0] else 1])
+                for a in atts if a.out_dir is not None} \
             == {((1, 0), 45), ((-1, 0), 19), ((0, 1), 37), ((0, -1), 19)}
 
 
-def test_pruned_pairs_are_counted():
-    # both points in box pockets, so wall groups bound the pairs
-    inst = dict(_pocket_instances(5))[4]
-    stats = solve(inst).stats
-    n_s, n_t = stats["attachments"]
-    assert stats["pairs_pruned"] > 0
-    assert stats["middle_solves"] + stats["pairs_pruned"] <= n_s * n_t
+def _readme_stats_keys():
+    """The keys README's list of ``SolveReport.stats`` counters names: the
+    backquoted names before the colon of each of its bullets."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = text.index("`stats` dict of\ncounters:")
+    end = text.index("\n\n", text.index("\n- ", start))
+    keys = []
+    for item in text[start:end].split("\n- ")[1:]:
+        keys.extend(re.findall(r"`(\w+)`", item.split(":", 1)[0]))
+    return keys
+
+
+def test_readme_lists_every_stats_key():
+    """README's stats list names exactly the keys ``solve`` returns, for a
+    pair with pocket attachments and for a pair of points outside every
+    box, so a deleted counter cannot linger in the docs."""
+    keys = _readme_stats_keys()
+    assert len(keys) == len(set(keys))
+    pocket = dict(_pocket_instances(5))[4]
+    points = Instance(obstacles=(RectPolygon([(2, 2), (5, 2), (5, 4), (2, 4)]),),
+                      source=Terminal.of_point((0, 0)),
+                      target=Terminal.of_point((8, 6)))
+    for inst in (pocket, points):
+        assert sorted(solve(inst).stats) == sorted(keys)
 
 
 def test_a_segments_pocket_candidates_are_its_ends_stretches():
@@ -320,8 +340,8 @@ def _perfbench(module):
 
 
 def test_class_solves_match_the_per_pair_reference():
-    """One x-case relaxation per class and the triangle bound give the
-    (distance, links) of the bound-free per-pair frontend
+    """One x-case relaxation per class gives the (distance, links) of the
+    per-pair frontend
     (``pair_reference.solve``) on the attach-small pool, the
     triangle-pruning instances and the whole pocket chain, and every
     witness re-measures to the reported answer (``perfbench/witness.py``,

@@ -27,6 +27,7 @@ from rectlink.frontend import solve
 from rectlink.geometry import PathResult
 from rectlink.io import instance_from_obj, instance_to_obj
 from rectlink.oracle import oracle_solve
+from shapes import in_open_box
 
 DATA = Path(__file__).resolve().parent / "data"
 EXAMPLES = int(os.environ.get("RECTLINK_FUZZ_EXAMPLES", "500"))
@@ -53,6 +54,23 @@ def test_solve_matches_the_references_on_fuzzed_instances(inst):
         (DATA / "fuzz_failure.json").write_text(
             json.dumps(instance_to_obj(inst), indent=1) + "\n")
         raise
+
+
+def test_a_quarter_of_the_examples_have_a_pocket_terminal():
+    """The strategy moves a terminal into a box pocket often enough to test
+    the pocket search against the oracle: in at least 50 of 200 draws."""
+    pocketed = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(instances())
+    def draw(inst):
+        starts = [term.point if term.kind == "point" else term.segment.p
+                  for term in (inst.source, inst.target) if term.kind != "polygon"]
+        pocketed.append(any(in_open_box(ob.bbox, p)
+                            for ob in inst.obstacles for p in starts))
+
+    draw()
+    assert len(pocketed) == 200 and sum(pocketed) >= 50
 
 
 def test_fuzz_fixtures_keep_their_answers():

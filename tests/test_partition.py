@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rectlink import partition
 from rectlink.engine import _double, build_world
@@ -26,9 +26,13 @@ from rectlink.partition import (
 )
 from dents import dent_instance
 from frame_reference import columns, reference_tables
+from fuzz_instances import instances
 
 # instance coordinates; a world reads it doubled, as the box (4, 4)-(10, 8)
 RECT = RectPolygon([(2, 2), (5, 2), (5, 4), (2, 4)])
+
+
+_TRACE_RU = partition._trace_ru
 
 
 def _monotone(pts):
@@ -69,6 +73,18 @@ class TestTraceRu:
         assert tr.points[-1] == (20, 8)
         assert _monotone(tr.points)
 
+    def test_a_ray_below_the_west_wall_rises_past_equal_shoulders(self):
+        # a T lying on its side, stem west: the lower-left and upper-left
+        # steps share x = 4, so a ray below the west wall meets a
+        # lower-left edge at an x the hug also steps at, and must still
+        # climb the west wall
+        tee = RectPolygon([(0, 4), (4, 4), (4, 0), (12, 0), (12, 12), (4, 12),
+                           (4, 8), (0, 8)])
+        tr = trace_ru(World([tee]).frame(IDENTITY), (-10, 2), 40)
+        assert tr.points == [(-10, 2), (0, 2), (0, 8), (0, 16), (8, 16),
+                             (8, 24), (40, 24)]
+        assert _monotone(tr.points)
+
     def test_monotone_on_random_worlds(self):
         for seed in range(40):
             inst = generate_instance(seed, n_obstacles=10, coord_limit=150)
@@ -78,6 +94,23 @@ class TestTraceRu:
             assert _monotone(tr.points), f"seed {seed}"
             assert tr.points[0] == s2
 
+    @settings(max_examples=300, deadline=5000, derandomize=True, database=None)
+    @given(instances())
+    def test_every_trace_of_a_fuzzed_solve_is_monotone(self, inst):
+        # the strategy's boxes with both west corners carved are Ts with
+        # equal shoulders, and its pocket terminals send rays below their
+        # west walls
+        traced = []
+
+        def recording(polys, start, x_stop):
+            traced.append(_TRACE_RU(polys, start, x_stop))
+            return traced[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "_trace_ru", recording)
+            solve(inst)
+        assert all(_monotone(tr.points) for tr in traced)
+
 
 class TestClassify:
     def test_empty_world_is_xy(self):
@@ -85,9 +118,6 @@ class TestClassify:
         kind, frame = classify(w, (0, 0), (7, 3))
         assert kind == "xy"
         assert frame == IDENTITY
-
-    def test_same_point(self):
-        assert classify(World([]), (5, 5), (5, 5))[0] == "same"
 
     def test_wall_forces_x_case(self):
         wall = RectPolygon([(2, -10), (5, -10), (5, 10), (2, 10)])

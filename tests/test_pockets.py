@@ -165,7 +165,8 @@ def test_ring_crossings_match_the_all_vertex_loop():
             _, found, _, _ = _attachments(inst, term, _Lines(inst), world)
             for gs in found:
                 got = gs.crossings()
-                assert got == all_vertex_crossings(gs), seed
+                blocker, = [ob for ob in inst.obstacles if ob.bbox == gs.grid.box]
+                assert got == all_vertex_crossings(gs, blocker), seed
                 searches += 1
                 crossings += len(got)
     assert searches >= 30 and crossings > 1000, (searches, crossings)
