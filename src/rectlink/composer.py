@@ -20,7 +20,49 @@ target).  Only the midpoints whose bound is within a limit are relaxed, and
 the limit widens until it covers the nearest target's distance; the
 midpoints a shortest chain to a nearest target can use all lie within it
 (``solve_x_case`` has the argument).  Like A*, a solve then stops: a
-farther target may be left with no exact distance.
+farther target may be left with no exact distance.  The work around the
+relaxation follows the same bound: a hull's box floors every midpoint of
+its sides, so a hull's tables are built, and its midpoints admitted, only
+once the limit reaches that floor; and a widened pass resumes at the
+westmost midpoint it admits, since a node reads only what lies west of it.
+
+A frame and its y mirror.  ``classify`` picks an x-case frame by the signs
+of the pair's dx and dy, so one class of pairs can read as an eastward
+x-case both in a frame F and in F.then(FLIP_Y), which negates y.  One solve
+serves both, because the two admit the same chains as world paths:
+
+* the mirror maps the strip, the ends and every hull onto themselves as
+  world sets; a top side becomes a bottom side, and ``_midpoints`` reads
+  both alike, so the midpoints are the same world points;
+* the relaxation admits rising and falling legs alike: a top-side midpoint
+  starts falling legs and a bottom-side one rising legs, each level legs
+  included, and a source starts both.  A leg rising in F falls in the
+  mirror, and ``falls`` there reads the very traces ``rises`` reads in F
+  (rd of the mirror is ru of F, dr is ur), under the same memo keys, since
+  the stops come from the same boxes; ``classify`` gives the leg the same
+  total frame, so the same region and sweep;
+* L1 lengths and link counts do not see the mirror.
+
+So the nearest distance, the nearest targets and their links agree.  The
+witness could still differ where the frame's orientation breaks a tie, and
+it does so in two places, which the readout neutralises:
+
+* a chain's first leg, from a source into a midpoint level with it, is no
+  turnaround, yet the relaxation takes it into bottom-side midpoints only,
+  and those differ between F and its mirror.  The readout skips such legs.
+  Up to its first top-side midpoint, or its target, such a chain rises
+  from the source, so the source's own leg to that node is an optimal
+  predecessor of it too; that leg's sweep starts with the same seeds and
+  covers the chain's path, so it has no more links, and every nearest
+  target keeps its links;
+* midpoint indices follow the frame's (x, y) order, which the mirror
+  reverses within one x.  The readout tries the predecessors of a node by
+  x, then by world point, then sources by index, and keeps the first with
+  the fewest links.
+
+Every other choice of the readout reads world quantities, so a solve in F
+and one in its mirror return the same witnesses, arrival directions
+included, and ``frontend`` runs one class solve per mirror pair.
 """
 from __future__ import annotations
 
@@ -62,12 +104,15 @@ class SubregionDag:
     """Distance relaxation artifact: the midpoint nodes and the targets,
     with their distances and links.
 
-    ``nodes`` holds every midpoint enumerated in the strip (perfbench's
-    ``composer.midpoints`` counts them); ``relaxed`` counts those whose L1
-    bound is within the relaxation's final limit.
-    A midpoint beyond it keeps ``dist = INF`` and no ``preds``, even when
-    a chain reaches it: no shortest chain to a nearest target passes
-    through it.  A target at the nearest distance has its exact ``dist``
+    ``nodes`` holds the admitted midpoints, sorted by point: those of the
+    hulls in the strip whose box floor is within the relaxation's final
+    limit, not every midpoint of the strip (perfbench's
+    ``composer.midpoints`` and ``stats["midpoints"][0]`` count them).
+    ``relaxed`` counts those whose L1 bound is within that limit.  A
+    midpoint beyond it keeps ``dist = INF`` and no ``preds``, even when a
+    chain reaches it: no shortest chain to a nearest target passes through
+    it.  A midpoint that only chains the readout skips reach keeps INF
+    ``links``.  A target at the nearest distance has its exact ``dist``
     and ``preds``; a farther target's ``dist`` is never below its true
     distance, and may be INF.
     """
@@ -84,30 +129,35 @@ def _horiz_readout(res: SweepResult) -> float:
     return min(res.lam_h, res.lam_v + 1)
 
 
-def _midpoints(ft: FrameTables, sx: int, tx: int) -> list[_Node]:
-    """Side-midpoint nodes of the hull sides that fit in the strip [sx, tx],
-    sorted by point.
+def _strip(ft: FrameTables, sx: int, tx: int) -> list[int]:
+    """The hulls whose box meets the open strip (sx, tx), in frame-xlo order.
 
-    Only hulls whose box meets the open strip (sx, tx) can have such a
-    side; their xlo lies in the width window (sx - width, tx).  They are
-    read in hull order, so nodes that share a point keep it.
+    Only they can have a side that fits in the strip [sx, tx], and their
+    xlo lies in the width window (sx - width, tx).  Read from the frame's
+    box index alone: no hull table is built.
     """
+    return [i for i in ft.between(sx - ft.width, tx) if ft.xhi[i] > sx]
+
+
+def _midpoints(ft: FrameTables, hulls: Sequence[int], sx: int, tx: int
+               ) -> list[_Node]:
+    """Side-midpoint nodes of the sides of ``hulls`` that fit in the strip
+    [sx, tx], sorted by point (then hull).  Builds the tables of ``hulls``
+    only."""
     nodes: list[_Node] = []
-    for i in sorted(ft.between(sx - ft.width, tx)):
-        if ft.xhi[i] <= sx:
-            continue
+    for i in hulls:
         fp = ft[i]
         box = fp.box
-        tops = [e for e in fp.horiz if e[2] == box.yhi]
-        bots = [e for e in fp.horiz if e[2] == box.ylo]
-        for lo_x, hi_x, y in tops + bots:
+        for lo_x, hi_x, y in fp.horiz:
+            if y != box.yhi and y != box.ylo:
+                continue
             mx = (lo_x + hi_x) // 2
             # a winder contains the full side, so it must fit in the strip
             if (lo_x + hi_x) % 2 or lo_x < sx or hi_x > tx or not sx < mx < tx:
                 continue
             side = "top" if y == box.yhi else "bot"
             nodes.append(_Node(point=(mx, y), hull=i, side=side))
-    nodes.sort(key=lambda nd: nd.point)
+    nodes.sort(key=lambda nd: (nd.point, nd.hull))
     return nodes
 
 
@@ -117,15 +167,29 @@ def _box(points: Sequence[Point]) -> tuple[int, int, int, int]:
     return min(xs), max(xs), min(ys), max(ys)
 
 
-def _l1_to_box(p: Point, box: tuple[int, int, int, int]) -> int:
-    """L1 distance from ``p`` to ``box``, at most that to any point in it."""
-    xlo, xhi, ylo, yhi = box
-    return max(xlo - p[0], 0, p[0] - xhi) + max(ylo - p[1], 0, p[1] - yhi)
+def _l1_to_box(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> int:
+    """L1 distance between boxes ``a`` and ``b``, each (xlo, xhi, ylo, yhi):
+    at most that between any point of one and any point of the other.  A
+    point p is the box (px, px, py, py)."""
+    return max(b[0] - a[1], 0, a[0] - b[1]) + max(b[2] - a[3], 0, a[2] - b[3])
 
 
 def _l1_to_nearest(p: Point, points: Sequence[Point]) -> int:
     """L1 distance from ``p`` to the nearest of ``points``."""
     return min(abs(p[0] - x) + abs(p[1] - y) for x, y in points)
+
+
+def _resume_at(run: list[tuple[int, int]], x: int) -> int:
+    """Where a widened relaxation resumes: the index of the first entry of
+    ``run`` (the relaxed nodes as (x, key), in x order) at or east of ``x``,
+    the westmost midpoint the widening admitted.
+
+    A node reads only the sources and the relaxed midpoints strictly west of
+    it, and no midpoint west of ``x`` was admitted, so every node west of
+    ``x`` keeps its distance and its predecessors; the nodes from here on
+    are relaxed again.
+    """
+    return bisect.bisect_left(run, (x,))
 
 
 def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
@@ -176,27 +240,48 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
     shortest chain into them, and with them the marked legs, the links and
     the witnesses equal those of a relaxation over all midpoints.  A
     farther target's distance is never below its own and may be INF; a
-    midpoint beyond the final U keeps INF and no predecessors.  The curves
-    that test a leg are traced to stops set by every enumerated midpoint,
-    so they do not depend on U.
+    midpoint beyond the final U keeps INF and no predecessors.
+
+    The floor of a midpoint q, L1(q, sources' box) + L1(q, targets' box), is
+    at most b(q), and the floor of a hull's box, the L1 distance from that
+    box to the sources' box plus that to the targets' box, is at most the
+    floor of every midpoint on its sides.  So a hull's tables are built,
+    and its midpoints admitted to ``dag.nodes``, only once U reaches its
+    box's floor, and no midpoint within U is missed.  A widened pass
+    relaxes again only the nodes at or east of the westmost midpoint it
+    admits (``_resume_at``).  The curves that test a leg are traced to
+    stops set by the boxes of every hull in the strip, which hold every
+    midpoint, so they do not depend on U.
     """
     if dir_links is None:
         dir_links = {d: 1.0 for d in UNIT_DIRS}
     # the instance world seen in this frame; its cache serves every leg
     wf = FrameView(world, frame)
+    ft = wf.frame(IDENTITY)
     srcs = [_Node(point=frame.apply(s), hull=-1, dist=0.0) for s in sources]
     tgts = [_Node(point=frame.apply(t), hull=-1) for t in targets]
     sx = min(nd.point[0] for nd in srcs)
     tx = max(nd.point[0] for nd in tgts)
+    ends_s, ends_t = [nd.point for nd in srcs], [nd.point for nd in tgts]
+    box_s, box_t = _box(ends_s), _box(ends_t)
 
-    nodes = _midpoints(wf.frame(IDENTITY), sx, tx)
+    # the strip's hulls, by the floor their box sets on every midpoint of
+    # their sides (the L1 distance to the sources' box plus that to the
+    # targets' box); a hull's tables are built, and its midpoints admitted,
+    # once the limit reaches its floor
+    strip = _strip(ft, sx, tx)
+    hulls = sorted((_l1_to_box(box, box_s) + _l1_to_box(box, box_t), i)
+                   for i in strip
+                   for box in [(ft.xlo[i], ft.xhi[i], ft.ylo[i], ft.yhi[i])])
 
     # the extreme curves out of a leg's start decide whether the leg is
     # xy-monotone: ru and ur bound a rising leg, rd and dr a falling one.
     # Each is traced on first use, in its own trace frame, far enough to
     # cover every node, and read from the world's trace memo after that.
-    ends = [nd.point[1] for nd in nodes + tgts]
-    y_hi, y_lo = max(ends) + 1, min(ends) - 1
+    # The stops come from the strip's boxes, which hold every midpoint, so
+    # they do not depend on the limit
+    y_hi = max([nd.point[1] for nd in tgts] + [ft.yhi[i] for i in strip]) + 1
+    y_lo = min([nd.point[1] for nd in tgts] + [ft.ylo[i] for i in strip]) - 1
     stops = {"ru": tx, "ur": y_hi, "rd": tx, "dr": -y_lo}
     frames = {name: (f, wf.frame(f)) for name, f in TRACE_FRAMES.items()
               if name in stops}
@@ -220,12 +305,16 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
         return -q[1] >= curve(p, "rd").max_y_at(q[0]) \
             and q[0] >= curve(p, "dr").max_y_at(-q[1])
 
+    # the admitted midpoints, in the order they were admitted; during the
+    # relaxation a ("mid", k) predecessor indexes this list
+    mids: list[_Node] = []
+
     def leg_ok(pred: Pred, nd: _Node) -> bool:
         """Whether the leg from ``pred`` into ``nd`` is xy-monotone, its y
         direction already checked against the leg's list."""
         q = nd.point
         if pred[0] == "mid":
-            mu = nodes[pred[1]]
+            mu = mids[pred[1]]
             return falls(mu.point, q) if mu.side == "top" else rises(mu.point, q)
         s = srcs[pred[1]].point
         # the first turnaround of a chain is reached monotonically from its
@@ -254,13 +343,16 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
         else:
             bisect.insort(keyed[side], (nd.dist - kx - ky, ky, pred))
 
-    ahead = nodes + tgts
-    # leg tests, by (pred, node index in ``ahead``): a widened relaxation
-    # asks again for the legs of the narrower ones
+    def node(key: int) -> _Node:
+        """A relaxed midpoint by its index in ``mids``, target j by -1 - j."""
+        return mids[key] if key >= 0 else tgts[-1 - key]
+
+    # leg tests, by (pred, node key): a widened relaxation asks again for
+    # the legs of the narrower ones
     tested: dict[tuple[Pred, int], bool] = {}
 
-    def relax(k: int) -> None:
-        nd = ahead[k]
+    def relax(key: int) -> None:
+        nd = node(key)
         qx, qy = nd.point
         # in key order, a side's legs only get dearer: stop past the best
         # valid cost, but keep every valid leg that ties it
@@ -268,96 +360,139 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
         cands: list[tuple[float, Pred]] = []
         for side, offset in (("top", qx - qy), ("bot", qx + qy)):
             falls = side == "top"
-            for key, lim, pred in keyed[side]:
-                d = key + offset
+            for k, lim, pred in keyed[side]:
+                d = k + offset
                 if d > best:
                     break
                 if (qy < lim) != falls:
                     continue
-                ok = tested.get((pred, k))
+                ok = tested.get((pred, key))
                 if ok is None:
-                    ok = tested[pred, k] = leg_ok(pred, nd)
+                    ok = tested[pred, key] = leg_ok(pred, nd)
                 if ok:
                     cands.append((d, pred))
                     best = d
-        if not cands:
-            return
-        nd.dist = best
-        # midpoints by index, then sources by index
-        nd.preds = sorted(p for d, p in cands if d == best)
+        if cands:
+            nd.dist = best
+            nd.preds = [p for d, p in cands if d == best]
 
-    # the bound of each midpoint (see the docstring).  Its floor, the L1
-    # distance to the sources' box plus that to the targets' box, takes
-    # O(1); the bound itself is measured only where the floor is within
-    # the limit
-    ends_s, ends_t = [nd.point for nd in srcs], [nd.point for nd in tgts]
-    box_s, box_t = _box(ends_s), _box(ends_t)
-    floor = [_l1_to_box(nd.point, box_s) + _l1_to_box(nd.point, box_t)
-             for nd in nodes]
+    # the bound of each admitted midpoint (see the docstring).  Its floor,
+    # the L1 distance to the sources' box plus that to the targets' box,
+    # takes O(1); the bound itself is measured only where the floor is
+    # within the limit
+    floor: list[int] = []
     bound: dict[int, int] = {}
 
     def within(k: int, limit: float) -> bool:
         if floor[k] > limit:
             return False
         if k not in bound:
-            q = nodes[k].point
+            q = mids[k].point
             bound[k] = _l1_to_nearest(q, ends_s) + _l1_to_nearest(q, ends_t)
         return bound[k] <= limit
 
-    # nodes are relaxed west to east, a target after the midpoints of its x;
-    # a midpoint enters its list once every node with its x is relaxed, and
-    # a source before the first node east of it, so each leg runs strictly
-    # west to east.  Only the midpoints within the limit are relaxed; the
-    # rest keep INF and no predecessors.
-    order = sorted(range(len(ahead)), key=lambda k: ahead[k].point[0])
+    # the nodes in the relaxation, as (x, key) in x order: the targets and
+    # the midpoints within the limit.  They are relaxed west to east, one x
+    # at a time; the midpoints of an x enter their lists once every node
+    # with that x is relaxed, and a source before the first node east of
+    # it, so each leg runs strictly west to east.  Midpoints left out keep
+    # INF and no predecessors.
+    run = sorted((nd.point[0], -1 - j) for j, nd in enumerate(tgts))
     west_first = sorted(range(len(srcs)), key=lambda i: srcs[i].point[0])
+    src_xs = [srcs[i].point[0] for i in west_first]
+    entered = 0                 # sources entered: a prefix of west_first
+    pending: list[int] = []     # admitted midpoints beyond the limit
+    admitted = 0                # hulls admitted: a prefix of ``hulls``
 
-    def relax_within(limit: float) -> int:
-        """Relax the nodes within ``limit``; returns the midpoints relaxed."""
-        for nd in ahead:
-            nd.dist, nd.preds = INF, []
-        for side in keyed.values():
-            side.clear()
-        entered = relaxed = 0
-        waiting: list[int] = []
-        for k in order:
-            if k < len(nodes):
-                if not within(k, limit):
-                    continue
-                relaxed += 1
-            nd = ahead[k]
-            if waiting and nodes[waiting[0]].point[0] < nd.point[0]:
-                for w in waiting:
-                    enter(nodes[w].side, ("mid", w), nodes[w])
-                waiting.clear()
-            while entered < len(srcs) \
-                    and srcs[west_first[entered]].point[0] < nd.point[0]:
+    def leg_x(pred: Pred) -> int:
+        return (mids if pred[0] == "mid" else srcs)[pred[1]].point[0]
+
+    def relax_from(r: int) -> None:
+        """Relax ``run[r:]`` afresh, on what lies west of it."""
+        nonlocal entered
+        if r < len(run):
+            x_w = run[r][0]
+            for _, key in run[r:]:
+                nd = node(key)
+                nd.dist, nd.preds = INF, []
+            for side, entries in keyed.items():
+                keyed[side] = [e for e in entries if leg_x(e[2]) < x_w]
+            entered = min(entered, bisect.bisect_left(src_xs, x_w))
+        while r < len(run):
+            x = run[r][0]
+            while entered < len(srcs) and src_xs[entered] < x:
                 i = west_first[entered]
                 enter("top", ("src", i), srcs[i])
                 enter("bot", ("src", i), srcs[i])
                 entered += 1
-            relax(k)
-            if k < len(nodes) and nd.dist < INF:
-                waiting.append(k)
-        return relaxed
+            e = r
+            while e < len(run) and run[e][0] == x:
+                relax(run[e][1])
+                e += 1
+            for _, key in run[r:e]:
+                if key >= 0 and mids[key].dist < INF:
+                    enter(mids[key].side, ("mid", key), mids[key])
+            r = e
+
+    def widen(limit: float) -> list[int]:
+        """Admit the hulls whose floor is within ``limit`` and put the
+        midpoints within it in the relaxation; returns those midpoints."""
+        nonlocal admitted, pending
+        while admitted < len(hulls) and hulls[admitted][0] <= limit:
+            for nd in _midpoints(ft, [hulls[admitted][1]], sx, tx):
+                qx, qy = nd.point
+                q = (qx, qx, qy, qy)
+                pending.append(len(mids))
+                mids.append(nd)
+                floor.append(_l1_to_box(q, box_s) + _l1_to_box(q, box_t))
+            admitted += 1
+        new: list[int] = []
+        left: list[int] = []
+        for k in pending:
+            if within(k, limit):
+                new.append(k)
+                bisect.insort(run, (mids[k].point[0], k))
+            else:
+                left.append(k)
+        pending = left
+        return new
 
     # while the nearest target is beyond the limit and a midpoint is left
     # out, the limit moves to the nearest target distance found or to the
-    # start plus a slack, whichever is less.  The slack starts at the least
-    # gap from the start up to a bound, or up to a floor where the bound
-    # was not measured (a midpoint left out has a gap), and doubles.
+    # start plus a slack, whichever is less, and the relaxation resumes at
+    # the westmost midpoint that moved in.  The slack starts at the least
+    # gap from the start up to a left-out midpoint's bound, or up to its
+    # floor where the bound was not measured, or up to the floor of a hull
+    # not yet admitted, and doubles.
     start = limit = min(_l1_to_nearest(t, ends_s) for t in ends_t)
-    relaxed = relax_within(limit)
-    gaps = [bound.get(k, f) - start for k, f in enumerate(floor)]
+    widen(limit)
+    relax_from(0)
+    gaps = [bound.get(k, floor[k]) - start for k in pending]
+    if admitted < len(hulls):
+        gaps.append(hulls[admitted][0] - start)
     slack = min((g for g in gaps if g > 0), default=0)
     near = min(nd.dist for nd in tgts)
-    while relaxed < len(nodes) and near > limit:
+    while (pending or admitted < len(hulls)) and near > limit:
         limit = min(near, start + slack)
         slack *= 2
-        relaxed = relax_within(limit)
-        near = min(nd.dist for nd in tgts)
+        new = widen(limit)
+        if new:
+            relax_from(_resume_at(run, min(mids[k].point[0] for k in new)))
+            near = min(nd.dist for nd in tgts)
     if near == INF:
         raise GeometryError("x-monotone pair with no winder chain to the source")
+
+    # the admitted midpoints by point, and the predecessors by that order:
+    # midpoints by index, then sources by index
+    order = sorted(range(len(mids)), key=lambda k: (mids[k].point, mids[k].hull))
+    rank = [0] * len(mids)
+    for r, k in enumerate(order):
+        rank[k] = r
+    nodes = [mids[k] for k in order]
+    for nd in nodes + tgts:
+        if nd.preds:
+            nd.preds = sorted(("mid", rank[k]) if kind == "mid" else (kind, k)
+                              for kind, k in nd.preds)
     # a chain into a farther target loses to one into a nearest target
     # whatever its links, so only the nearest are read out
     reached = [nd for nd in tgts if nd.dist == near]
@@ -372,13 +507,27 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
                 marked.add(k)
                 frontier.append(nodes[k])
 
-    dag = SubregionDag(nodes=nodes, targets=tgts, relaxed=relaxed)
+    dag = SubregionDag(nodes=nodes, targets=tgts, relaxed=len(run) - len(tgts))
+    inv_frame = frame.inverse()
+
+    def readout_key(pred: Pred):
+        """The order the readout tries predecessors in: midpoints by x, one
+        x by world point, then sources by index (see "A frame and its y
+        mirror" above)."""
+        if pred[0] == "src":
+            return (1, pred[1])
+        q = nodes[pred[1]].point
+        return (0, q[0], inv_frame.apply(q))
 
     def legs_into(nd: _Node):
-        """(pred, sweep) of every leg into nd from an optimal predecessor."""
-        for pred in nd.preds:
+        """(pred, sweep) of every leg into nd from an optimal predecessor
+        that the readout takes."""
+        for pred in sorted(nd.preds, key=readout_key):
             if pred[0] == "src":
                 src_pt, seeds = srcs[pred[1]].point, None
+                if nd.hull >= 0 and src_pt[1] == nd.point[1]:
+                    # a level first leg into a midpoint is no turnaround
+                    continue
             else:
                 mu = nodes[pred[1]]
                 if mu.links == INF:
@@ -399,15 +548,14 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
             yield pred, run_sweep(region, seed_h=seeds[0], seed_v=seeds[1])
 
     # increasing x resolves predecessors first; a midpoint's leg is read
-    # out eastward
+    # out eastward.  A midpoint reached only by chains the readout does not
+    # take keeps INF links.
     for k in sorted(marked, key=lambda k: nodes[k].point):
         nd = nodes[k]
         for pred, res in legs_into(nd):
             lam = _horiz_readout(res)
             if lam < nd.links:
                 nd.links, nd.best_pred, nd.leg = lam, pred, res
-        if nd.links == INF:
-            raise GeometryError("no reachable predecessor on an optimal chain")
 
     def stitch(pred: Pred, res: SweepResult, arrival: str) -> list[Point]:
         # a midpoint's leg is read out eastward: along the top baseline, or
@@ -423,7 +571,6 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
             pts.extend(inv.apply(p) for p in reconstruct_path(leg, arr))
         return pts
 
-    inv_frame = frame.inverse()
     arrivals: list[dict[Point, tuple[int, list[Point]]]] = []
     for nd in tgts:
         got: dict[Point, tuple[int, list[Point]]] = {}

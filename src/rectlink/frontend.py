@@ -98,7 +98,10 @@ A pair of two plain attachments is classified first.  The first one that
 reads as an x-case in some frame makes one class solve: a single x-case
 relaxation from every plain source attachment to every plain target
 attachment in that frame, which covers every plain pair of that class, so
-every later pair of the class is skipped.  All other pairs (xy plain
+every later pair of the class is skipped.  A class is a frame together
+with its y mirror: a solve in either admits the same chains and returns
+the same witnesses (``composer``'s "A frame and its y mirror"), so the
+mirror's solve would only repeat its offers.  All other pairs (xy plain
 pairs, and every pair with a pocket attachment) get a middle solve of their
 own; a plain pair's solve reuses the pair's classification.
 
@@ -142,6 +145,7 @@ from typing import Callable, Optional, Sequence
 from . import engine
 from .engine import _double, build_world, solve_pair_raw
 from .geometry import (
+    FLIP_Y,
     IDENTITY,
     UNIT_DIRS,
     GeometryError,
@@ -587,7 +591,7 @@ def solve(instance: Instance) -> SolveReport:
 
     plain_s = [a.junction2 for a in atts_s if a.out_dir is None]
     plain_t = [b.junction2 for b in atts_t if b.out_dir is None]
-    # the x-case class frames already solved
+    # the x-case class frames already solved, each with its y mirror
     classes: set[Xform] = set()
     ends_t = [(*b.junction2, b.d2, j) for j, b in enumerate(atts_t)]
     pairs = sorted((a.d2 + abs(ax - bx) + abs(ay - by) + bd2, i, j)
@@ -613,7 +617,7 @@ def solve(instance: Instance) -> SolveReport:
             if kind == "x":
                 # one relaxation answers every plain pair of this class
                 if frame not in classes:
-                    classes.add(frame)
+                    classes.update((frame, frame.then(FLIP_Y)))
                     dist2, arrivals, dag = engine.solve_x_case(
                         world, frame, plain_s, plain_t)
                     stats["classes"] += 1

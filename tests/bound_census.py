@@ -23,10 +23,10 @@ region (each is also one of ``middle``).  The traffic columns are
 ``StepCurve`` builds (counted by wrapping ``partition.StepCurve.__init__``
 while the pool is solved; a memoised trace builds its curve once, so
 builds above ``traces_built`` are curves of copies) and
-``stats["midpoints"]`` as enumerated/relaxed (the hull-side midpoints in
-the x-case solves' strips, and those the goal-directed relaxation
-relaxed).  The per-instance counts come from the last of its ``--reps``
-solves.  A row ends with the first 12 hex digits of a SHA-256 over every
+``stats["midpoints"]`` as admitted/relaxed (the hull-side midpoints of
+the hulls whose box floor the x-case solves' limits reached, and those
+the goal-directed relaxation relaxed).  The per-instance counts come from
+the last of its ``--reps`` solves.  A row ends with the first 12 hex digits of a SHA-256 over every
 (distance, links, path), so the answers of two checkouts compare at a
 glance.
 """

@@ -15,10 +15,11 @@ from rectlink import frontend
 from rectlink.engine import build_world
 from rectlink.frontend import _attachments, _Lines, solve
 from rectlink.generator import generate_instance
-from rectlink.geometry import IDENTITY, GeometryError, PathResult, RectPolygon
+from rectlink.geometry import FLIP_Y, IDENTITY, GeometryError, PathResult, RectPolygon
 from rectlink.io import instance_from_obj, instance_to_obj
 from rectlink.model import Instance, Terminal, validate
 from rectlink.oracle import GRID_CAP, oracle_solve
+from rectlink.partition import classify
 from pocket_doors import all_vertex_crossings, into_pocket
 from shapes import in_open_box
 
@@ -343,12 +344,14 @@ def test_class_solves_match_the_per_pair_reference():
     """One x-case relaxation per class gives the (distance, links) of the
     per-pair frontend
     (``pair_reference.solve``) on the attach-small pool, the
-    triangle-pruning instances and the whole pocket chain, and every
-    witness re-measures to the reported answer (``perfbench/witness.py``,
-    which shares no code with the package)."""
-    instances = (_perfbench("workloads").base_pool("attach-small")
+    triangle-pruning instances, the whole pocket chain and the point-small
+    pool, and every witness re-measures to the reported answer
+    (``perfbench/witness.py``, which shares no code with the package)."""
+    workloads = _perfbench("workloads")
+    instances = (workloads.base_pool("attach-small")
                  + _triangle_instances()
-                 + [inst for _, inst in _pocket_instances(60)])
+                 + [inst for _, inst in _pocket_instances(60)]
+                 + workloads.base_pool("point-small"))
     checker = _perfbench("witness").WitnessChecker
     classes = 0
     for k, inst in enumerate(instances):
@@ -358,6 +361,31 @@ def test_class_solves_match_the_per_pair_reference():
             got.distance, got.links, got.path) == [], k
         classes += got.stats["classes"]
     assert len(instances) >= 88 + 630 + 55 and classes > 40
+
+
+@pytest.mark.parametrize("seed, n, kinds", [
+    (38, 8, ("point", "segment")),          # attach-small instance 27
+    (50029, 24, ("polygon", "segment")),    # attach-small instance 76
+])
+def test_a_frame_and_its_y_mirror_make_one_class_solve(seed, n, kinds):
+    """Two attach-small instances whose plain pairs read as x-cases both in
+    the identity frame and in its y mirror make one class solve, not two,
+    and still give the per-pair frontend's (distance, links) with a witness
+    that re-measures to it."""
+    inst = generate_instance(seed, n, coord_limit=200, source_kind=kinds[0],
+                             target_kind=kinds[1])
+    world = build_world(inst.obstacles)
+    atts_s, atts_t = (_attachments(inst, term, _Lines(inst), world)[0]
+                      for term in (inst.source, inst.target))
+    frames = {frame for a in atts_s for b in atts_t
+              for kind, frame in [classify(world, a.junction2, b.junction2)]
+              if kind == "x"}
+    assert frames == {IDENTITY, FLIP_Y}
+    got, want = solve(inst), pair_reference.solve(inst)
+    assert got.stats["classes"] == 1
+    assert (got.distance, got.links) == (want.distance, want.links)
+    assert _perfbench("witness").WitnessChecker(instance_to_obj(inst)).problems(
+        got.distance, got.links, got.path) == []
 
 
 def test_large_terminal_answers_match_the_bench_record():

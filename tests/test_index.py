@@ -10,7 +10,7 @@ and an indexed query may build the tables of no hull that the scan did not
 read.
 """
 from rectlink import partition
-from rectlink.composer import _midpoints
+from rectlink.composer import _midpoints, _strip
 from rectlink.engine import _double, build_world
 from rectlink.generator import generate_instance
 from rectlink.geometry import GeometryError, IDENTITY, RectPolygon, Xform
@@ -250,7 +250,7 @@ def test_midpoints_match_the_scan_in_every_frame():
                         continue
                     got_t, want_t = FrameTables(world, t), FrameTables(world, t)
                     got = [(nd.point, nd.hull, nd.side)
-                           for nd in _midpoints(got_t, sx, tx)]
+                           for nd in _midpoints(got_t, _strip(got_t, sx, tx), sx, tx)]
                     assert got == ref.midpoints(want_t, sx, tx), (name, t, sx, tx)
                     assert _built(got_t) <= _built(want_t)
                     nodes_seen += len(got)
