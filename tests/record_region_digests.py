@@ -6,8 +6,8 @@ Usage (from the repository root):
 
 writes ``tests/data/region_digests.json``.  The regions covered are the ones
 built while the bound-free per-pair reference frontend
-(``pair_reference.solve``) solves the ``point-small`` and ``attach-small``
-base pools of ``perfbench/workloads.py`` (in pool order, one per call of
+(``pair_reference.solve``) solves the ``point-small``, ``attach-small`` and
+``point-large`` base pools of ``perfbench/workloads.py`` (in pool order, one per call of
 ``build_staircase_region`` from ``engine`` or ``composer``: every call
 builds its region), the regions of ``test_index._xy_regions`` (all eight
 total frames) and ``diagonal.diagonal_region(250)``.
@@ -72,6 +72,7 @@ def all_digests() -> dict[str, list[str]]:
     return {
         "point-small": pool_region_digests("point-small"),
         "attach-small": pool_region_digests("attach-small"),
+        "point-large": pool_region_digests("point-large"),
         "xy_regions": [region_digest(r) for _, _, r in _xy_regions()],
         "diagonal_250": [region_digest(diagonal_region(250))],
     }
