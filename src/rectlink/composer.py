@@ -577,17 +577,21 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
         arrivals.append(got)
         if nd.dist != near:
             continue
-        # best leg into the target, kept separately per arrival direction
-        final_best: dict[str, tuple[float, Pred, SweepResult]] = {}
+        # best leg into the target, kept separately per world arrival
+        # direction: a rising and a falling leg both arrive "v" in their
+        # own frames, but from opposite sides
+        final_best: dict[Point, tuple[float, Pred, SweepResult, str]] = {}
         for pred, res in legs_into(nd):
-            for arr, lam in (("h", res.lam_h), ("v", res.lam_v)):
-                if lam < final_best.get(arr, (INF,))[0]:
-                    final_best[arr] = (lam, pred, res)
+            inv_total = frame.then(res.region.frame).inverse()
+            for arr, lam, d in (("h", res.lam_h, (1, 0)), ("v", res.lam_v, (0, 1))):
+                adir = inv_total.apply(d)
+                if lam < final_best.get(adir, (INF,))[0]:
+                    final_best[adir] = (lam, pred, res, arr)
             if res.lam < nd.links:
                 nd.links, nd.best_pred, nd.leg = res.lam, pred, res
         if nd.links == INF:
             raise GeometryError("no reachable predecessor on an optimal chain")
-        for arr, (lam, pred, res) in final_best.items():
+        for adir, (lam, pred, res, arr) in final_best.items():
             if lam == INF:
                 continue
             world_pts = [inv_frame.apply(p) for p in stitch(pred, res, arr)]
@@ -596,8 +600,6 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
             seeded = result.links - 1 + dir_links[first_dir(result.points)]
             if result.length != nd.dist or seeded != lam:
                 raise GeometryError("witness disagrees with the relaxation values")
-            inv_total = frame.then(res.region.frame).inverse()
-            adir = inv_total.apply((1, 0)) if arr == "h" else inv_total.apply((0, 1))
             got[adir] = (int(lam), result.points)
         if not got:
             raise GeometryError("no arrival at the target")

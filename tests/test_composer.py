@@ -15,7 +15,7 @@ from rectlink.composer import solve_x_case
 from rectlink.engine import _double, build_world
 from rectlink.frontend import _attachments, _Lines, solve
 from rectlink.generator import GenerationError, generate_instance
-from rectlink.geometry import FLIP_Y, GeometryError, RectPolygon
+from rectlink.geometry import FLIP_Y, GeometryError, RectPolygon, Xform
 from rectlink.io import instance_from_obj
 from rectlink.model import Instance, Terminal
 from rectlink.oracle import oracle_solve
@@ -607,3 +607,31 @@ def test_a_resumed_widening_matches_a_restarted_one(monkeypatch):
     assert relaxation(restarted) == relaxation(resumed)
     # several widened passes, and some resumed past the westmost node
     assert len(starts) >= 5 and max(starts) > 0
+
+
+def _arrival_links(arrivals):
+    """Arrival direction -> links, after checking that each witness's last
+    segment moves in its direction."""
+    for (dx, dy), (_, pts) in arrivals.items():
+        (ax, ay), (bx, by) = pts[-2:]
+        assert ((bx > ax) - (bx < ax), (by > ay) - (by < ay)) == (dx, dy)
+    return {d: lam for d, (lam, _) in arrivals.items()}
+
+
+def test_a_target_keeps_opposite_arrivals_along_one_axis():
+    """A target's best legs are kept per world arrival direction.  On
+    ``fuzz_mirror_level_legs.json``, in the frame that swaps x and y, a
+    rising leg (from (104, 144)) and a falling one (from (152, 144)) reach
+    the target (128, 264) moving +x and -x, each arriving "v" in its own
+    frame; both arrivals are kept, with 2 links each.  The pocket target
+    (128, 265), solved alone from (128, 144) with every first direction
+    charged one link, keeps its -x arrival (3 links) beside the +x one."""
+    frame = Xform(0, 1, 1, 0)
+    world, sources, targets, _ = _plain_x_frames(MIRROR_LEVEL_LEGS)
+    _, arrivals, _ = solve_x_case(world, frame, sources, targets)
+    got = _arrival_links(arrivals[targets.index((128, 264))])
+    assert got == {(1, 0): 2, (-1, 0): 2}
+    ones = {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1}
+    _, (pocket,), _ = solve_x_case(world, frame, [(128, 144)], [(128, 265)],
+                                   dir_links=ones)
+    assert _arrival_links(pocket) == {(0, 1): 4, (1, 0): 3, (-1, 0): 3}
