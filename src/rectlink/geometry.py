@@ -284,11 +284,19 @@ def _is_orthoconvex(vertices: Sequence[Point]) -> bool:
     parallel to it meets the polygon twice; without such an edge every
     axis-parallel line meets it in one interval.
     """
-    vs = list(vertices)
-    # a clockwise turn is reflex in a counterclockwise ring
-    reflex = [(bx - ax) * (cy - by) - (by - ay) * (cx - bx) < 0
-              for (ax, ay), (bx, by), (cx, cy) in zip(vs[-1:] + vs[:-1], vs, vs[1:] + vs[:1])]
-    return not any(p and q for p, q in zip(reflex, reflex[1:] + reflex[:1]))
+    (ax, ay), (bx, by) = vertices[-2], vertices[-1]
+    first = prev = None
+    for cx, cy in vertices:
+        # the turn at b; a clockwise turn is reflex in a counterclockwise ring
+        reflex = (bx - ax) * (cy - by) < (by - ay) * (cx - bx)
+        if reflex and prev:
+            return False
+        if first is None:
+            first = reflex
+        prev = reflex
+        ax, ay, bx, by = bx, by, cx, cy
+    # the turns ran from the last vertex round to the one before it
+    return not (prev and first)
 
 
 def rectilinear_convex_hull(poly: RectPolygon) -> RectPolygon:

@@ -35,7 +35,12 @@ with positive length.  So only the highest box wholly at or below the
 baseline can hold the top, only the lowest box wholly at or above it the
 bottom, and at most one box straddles it: an event reads at most two
 sections.  This needs disjoint boxes, which ``validate`` checks, and no
-general position.
+general position.  The read is one scan of the holes whose xlo lies in the
+width window west of x: it reads a straddler's section when it meets it,
+keeps the nearest box below and above by their box ends alone, and reads
+one of those sections only for an end that the event uses and no straddler
+gave.  A hole's tables hold its edges but no climb chain, which only a
+trace step builds, so a region pays one ring pass per hole.
 """
 from __future__ import annotations
 
@@ -78,7 +83,7 @@ TRACE_FRAMES = {
 
 
 class _FramePoly:
-    """One hull as seen in a trace frame, with its climb chain ready.
+    """One hull as seen in a trace frame.
 
     Built from the hull's vertex tuples, in instance coordinates, and the
     hull's doubled box in frame coordinates, which the frame reads from the
@@ -89,21 +94,28 @@ class _FramePoly:
     builds one only when a query first reaches its hull (see
     ``FrameTables``), so most hulls of a frame never get one.
 
-    The edge tables list edges in ring order as plain tuples, so the
-    per-event and per-step scans build no segment objects.
+    Every table has ``box``, ``ring``, ``west_lo``/``west_hi`` and the edge
+    tables ``west``, ``horiz`` and ``vertical``, filled by one pass over the
+    ring; they list edges in ring order as plain tuples, so the per-event
+    and per-step scans build no segment objects.  The climb chain, ``hug``
+    and ``east_horiz``, is built the first time a trace step reads it: a
+    region's holes are never climbed, so theirs is never built.
     """
 
-    __slots__ = ("box", "ring", "west_lo", "west_hi", "hug", "east_horiz",
-                 "west", "horiz")
+    __slots__ = ("box", "ring", "west_lo", "west_hi", "west", "horiz",
+                 "vertical", "hug", "east_horiz")
 
     box: Rect
     ring: tuple[Point, ...]  # counterclockwise, from the least vertex
     west_lo: int          # y-range of the vertical edge on the box west wall
     west_hi: int
-    hug: list[Point]      # west-side bottom up to the left end of the top side
-    east_horiz: frozenset[Point]  # west ends of horizontal edges
     west: list[tuple[int, int, int]]   # west-facing vertical edges (x, lo, hi)
     horiz: list[tuple[int, int, int]]  # horizontal edges (xlo, xhi, y)
+    # vertical edges (x, lo, hi, west-facing): a counterclockwise ring runs
+    # down its west-facing edges
+    vertical: list[tuple[int, int, int, bool]]
+    hug: list[Point]      # west-side bottom up to the left end of the top side
+    east_horiz: frozenset[Point]  # west ends of horizontal edges
 
     def __init__(self, hull: RectPolygon, t: Xform, box: Rect):
         self.box = box
@@ -112,48 +124,53 @@ class _FramePoly:
         if t.a * t.d - t.b * t.c < 0:
             vs.reverse()
         k = vs.index(min(vs))
-        vs = vs[k:] + vs[:k]
+        if k:
+            vs = vs[k:] + vs[:k]
         west: list[tuple[int, int, int]] = []
         horiz: list[tuple[int, int, int]] = []
-        for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+        vertical: list[tuple[int, int, int, bool]] = []
+        ax, ay = vs[0]
+        for bx, by in vs[1:] + vs[:1]:
             if ax == bx:
                 if by < ay:           # runs downwards: west-facing
                     west.append((ax, by, ay))
+                    vertical.append((ax, by, ay, True))
+                else:
+                    vertical.append((ax, ay, by, False))
             elif ax < bx:
                 horiz.append((ax, bx, ay))
             else:
                 horiz.append((bx, ax, ay))
-        side = [(lo, hi) for x, lo, hi in west if x == box.xlo]
-        if not side:
-            raise GeometryError("polygon does not touch the west wall of its box")
-        wlo, whi = side[0]
-        hug = _build_hug(vs, box, wlo, whi)
+            ax, ay = bx, by
         self.ring = tuple(vs)
-        self.west_lo, self.west_hi = wlo, whi
-        self.hug = hug
-        self.east_horiz = frozenset([(xlo, y) for xlo, _, y in horiz])
-        self.west = west
-        self.horiz = horiz
+        # the least vertex is the west side's bottom, and a counterclockwise
+        # ring reaches it down the west side, from its last vertex
+        self.west_lo, self.west_hi = vs[0][1], vs[-1][1]
+        self.west, self.horiz, self.vertical = west, horiz, vertical
+
+    def __getattr__(self, name: str):
+        # only an unfilled slot gets here: build the climb chain
+        if name != "hug" and name != "east_horiz":
+            raise AttributeError(name)
+        self.hug = _build_hug(self.ring, self.box.yhi)
+        self.east_horiz = frozenset([(xlo, y) for xlo, _, y in self.horiz])
+        return getattr(self, name)
 
 
-def _build_hug(verts: Sequence[Point], box: Rect, wlo: int, whi: int) -> list[Point]:
-    """Boundary corners from the west-side bottom to the top side's left end.
+def _build_hug(ring: Sequence[Point], yhi: int) -> list[Point]:
+    """Boundary corners from the west side's bottom to the top side's left end.
 
-    ``wlo``..``whi`` is the polygon's edge on the west wall of its box.
-    Valid for orthogonally convex polygons, whose upper-left boundary is a
+    ``ring`` is counterclockwise from its least vertex, the west side's
+    bottom, so the walk runs backwards: up the west side, then up the
+    upper-left boundary to the first vertex on the top wall ``yhi``.  Valid
+    for orthogonally convex polygons, whose upper-left boundary is a
     staircase rising to the east.
     """
-    n = len(verts)
-    start = verts.index((box.xlo, wlo))
-    # walk towards (box.xlo, whi) first; ring orientation decides the step
-    step = 1 if verts[(start + 1) % n] == (box.xlo, whi) else -1
-    chain = [(box.xlo, wlo)]
-    i = start
-    while chain[-1][1] < box.yhi:
-        i = (i + step) % n
-        chain.append(verts[i])
-    # chain now ends at the first vertex on the top wall: the top side's
-    # left end, since the staircase rises monotonely
+    chain = [ring[0]]
+    i = len(ring)
+    while chain[-1][1] < yhi:
+        i -= 1
+        chain.append(ring[i])
     return chain
 
 
@@ -583,19 +600,21 @@ def _hole_index(polys: FrameTables, holes: list[int]) -> tuple[list[int], list[i
 
 def _nearest_sections(polys: FrameTables, index: tuple[list[int], list[int], int],
                       x: int, y_lo: int, y_hi: int,
-                      skip: Optional[int] = None) -> tuple[Optional[int], Optional[int]]:
+                      skip: Optional[int] = None, want_top: bool = True,
+                      want_bottom: bool = True) -> tuple[Optional[int], Optional[int]]:
     """Of the sections that the holes of ``index`` other than ``skip`` cut
     from the line x, the highest top at or below ``y_lo`` and the lowest
-    bottom at or above ``y_hi >= y_lo`` (None where there is none).
+    bottom at or above ``y_hi >= y_lo`` (None where there is none, and for
+    an end not wanted).
 
     Only holes with xlo in the width window ``(x - width, x)`` can cross x.
-    Of those, the nearest box wholly below and the nearest wholly above (see
-    the module docstring) and the boxes between are read.
+    Of those, a box straddling the baselines is read as the scan meets it,
+    and the nearest box wholly below, or above, only for an end that no
+    straddler gave (see the module docstring).
     """
     by_x, xlos, width = index
     xhi, ylo, yhi = polys.xhi, polys.ylo, polys.yhi
-    below = above = None
-    between = []
+    below = above = top = bottom = None
     for h in by_x[bisect.bisect_right(xlos, x - width):bisect.bisect_left(xlos, x)]:
         if h == skip or xhi[h] <= x:
             continue
@@ -606,16 +625,17 @@ def _nearest_sections(polys: FrameTables, index: tuple[list[int], list[int], int
             if above is None or ylo[h] < ylo[above]:
                 above = h
         else:
-            between.append(h)
-
-    def section(h: int) -> list[int]:
-        return [y for lo, hi, y in polys[h].horiz if lo <= x <= hi]
-
-    cuts = [section(h) for h in between]
-    tops = [max(ys) for ys in cuts if max(ys) <= y_lo]
-    bottoms = [min(ys) for ys in cuts if min(ys) >= y_hi]
-    top = max(tops) if tops else None if below is None else max(section(below))
-    bottom = min(bottoms) if bottoms else None if above is None else min(section(above))
+            ys = [y for lo, hi, y in polys[h].horiz if lo <= x <= hi]
+            y = max(ys)
+            if y <= y_lo and (top is None or y > top):
+                top = y
+            y = min(ys)
+            if y >= y_hi and (bottom is None or y < bottom):
+                bottom = y
+    if want_top and top is None and below is not None:
+        top = max([y for lo, hi, y in polys[below].horiz if lo <= x <= hi])
+    if want_bottom and bottom is None and above is not None:
+        bottom = min([y for lo, hi, y in polys[above].horiz if lo <= x <= hi])
     return top, bottom
 
 
@@ -681,22 +701,27 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
     idx = {y: i for i, y in enumerate(baselines)}
     m = len(baselines)
 
-    def near(x: int, y_lo: int, y_hi: int, skip: Optional[int] = None) -> tuple[int, int]:
-        """Baselines of ``_nearest_sections``: 0 and m - 1 where there is none."""
-        top, bottom = _nearest_sections(polys, hole_index, x, y_lo, y_hi, skip)
+    def near(x: int, y_lo: int, y_hi: int, skip: Optional[int] = None,
+             want_top: bool = True, want_bottom: bool = True) -> tuple[int, int]:
+        """Baselines of ``_nearest_sections``: 0 and m - 1 where there is
+        none, or where that end is not wanted."""
+        top, bottom = _nearest_sections(polys, hole_index, x, y_lo, y_hi, skip,
+                                        want_top, want_bottom)
         return (0 if top is None else idx[top],
                 m - 1 if bottom is None else idx[bottom])
 
+    # events are built positionally: (x, kind, src, assign, assign_inf,
+    # chmin, deactivate)
     events: list[Event] = []
     originate_top = idx[top(sx)]
-    events.append(Event(x=sx, kind="originate", assign=(0, originate_top)))
+    events.append(Event(sx, "originate", None, (0, originate_top), None, None, None))
     # a hull wall can sit exactly on the source column; the bottom envelope
     # then rises at sx itself and everything below it is dead past the
     # originate climb
     first_bottom = bottom(sx)
     if first_bottom > sy:
-        events.append(Event(x=sx, kind="detach",
-                            deactivate=(0, idx[first_bottom] - 1)))
+        events.append(Event(sx, "detach", None, None, None, None,
+                            (0, idx[first_bottom] - 1)))
 
     for x in top_jumps:
         if x == sx:
@@ -704,11 +729,8 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
         y1, y2 = top(x - 1), top(x)
         if y1 == y2:
             continue
-        events.append(Event(
-            x=x, kind="attach",
-            src=(near(x, y1, y1)[0], idx[y1]),
-            assign=(idx[y1] + 1, idx[y2]),
-        ))
+        events.append(Event(x, "attach", (near(x, y1, y1, want_bottom=False)[0], idx[y1]),
+                            (idx[y1] + 1, idx[y2]), None, None, None))
     for x in bot_jumps:
         if x <= sx:
             continue  # the climb into t is the terminate readout, not an event
@@ -716,63 +738,38 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
         if y1 == y2:
             continue
         low, high = near(x, y2, y2)
-        events.append(Event(
-            x=x, kind="detach",
-            src=(max(idx[y1], low), idx[y2] - 1),
-            chmin=(idx[y2], high),
-            deactivate=(idx[y1], idx[y2] - 1),
-        ))
+        events.append(Event(x, "detach", (max(idx[y1], low), idx[y2] - 1), None,
+                            None, (idx[y2], high), (idx[y1], idx[y2] - 1)))
 
     for hi in holes:
         fp = polys[hi]
-        ring, box, wlo, whi = fp.ring, fp.box, fp.west_lo, fp.west_hi
-        # vertical edges (x, y low, y high, runs downwards) in ring order;
-        # the ring is counterclockwise, so the west-facing ones run downwards
-        vertical = [(ax, by, ay, True) if by < ay else (ax, ay, by, False)
-                    for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]) if ax == bx]
+        box, wlo, whi, vertical = fp.box, fp.west_lo, fp.west_hi, fp.vertical
         elo, ehi = next((lo, hi2) for x, lo, hi2, _ in vertical if x == box.xhi)
         for x, lo, hi2, west_facing in vertical:
             if west_facing:
                 if x == box.xlo:
                     low, high = near(x, wlo, whi, hi)
-                    events.append(Event(
-                        x=x, kind="split",
-                        src=(low, idx[whi] - 1),
-                        chmin=(idx[whi], high),
-                        deactivate=(idx[wlo] + 1, idx[whi] - 1),
-                    ))
+                    events.append(Event(x, "split", (low, idx[whi] - 1), None, None,
+                                        (idx[whi], high), (idx[wlo] + 1, idx[whi] - 1)))
                 elif lo >= whi:      # upper-left staircase: the top rises
-                    events.append(Event(
-                        x=x, kind="nw_step",
-                        src=(idx[lo], idx[hi2] - 1),
-                        chmin=(idx[hi2], near(x, hi2, hi2, hi)[1]),
-                        deactivate=(idx[lo], idx[hi2] - 1),
-                    ))
+                    events.append(Event(x, "nw_step", (idx[lo], idx[hi2] - 1), None, None,
+                                        (idx[hi2], near(x, hi2, hi2, hi, want_top=False)[1]),
+                                        (idx[lo], idx[hi2] - 1)))
                 else:                # lower-left staircase: the bottom drops
-                    events.append(Event(
-                        x=x, kind="sw_step",
-                        deactivate=(idx[lo] + 1, idx[hi2]),
-                    ))
+                    events.append(Event(x, "sw_step", None, None, None, None,
+                                        (idx[lo] + 1, idx[hi2])))
             else:
                 if x == box.xhi:
                     low, high = near(x, elo, ehi, hi)
-                    events.append(Event(
-                        x=x, kind="merge",
-                        src=(low, idx[elo]),
-                        assign=(idx[elo] + 1, idx[ehi] - 1),
-                        chmin=(idx[ehi], high),
-                    ))
+                    events.append(Event(x, "merge", (low, idx[elo]),
+                                        (idx[elo] + 1, idx[ehi] - 1), None,
+                                        (idx[ehi], high), None))
                 elif lo >= ehi:      # upper-right staircase: the top drops
-                    events.append(Event(
-                        x=x, kind="ne_step",
-                        assign_inf=(idx[lo], idx[hi2] - 1),
-                    ))
+                    events.append(Event(x, "ne_step", None, None,
+                                        (idx[lo], idx[hi2] - 1), None, None))
                 else:                # lower-right staircase: the bottom rises
-                    events.append(Event(
-                        x=x, kind="se_step",
-                        src=(near(x, lo, lo, hi)[0], idx[lo]),
-                        assign=(idx[lo] + 1, idx[hi2]),
-                    ))
+                    events.append(Event(x, "se_step", (near(x, lo, lo, hi, want_bottom=False)[0], idx[lo]),
+                                        (idx[lo] + 1, idx[hi2]), None, None, None))
 
     # stable: the originate, appended first, stays first at x = sx
     events.sort(key=lambda e: e.x)

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rectlink.geometry import (
     FLIP_X,
@@ -11,14 +13,19 @@ from rectlink.geometry import (
     Rect,
     RectPolygon,
     Xform,
+    _is_orthoconvex,
     _normalize_ring,
     _signed_area2,
     bounding_box,
     path_metrics,
     rectilinear_convex_hull,
 )
+from rectlink.generator import generate_instance
 from rectlink.partition import World, _FramePoly
+from dents import dent_instance
+from fuzz_instances import instances
 from shapes import area2, rect_polygon
+from test_frontend import _perfbench
 
 L_SHAPE = [(0, 0), (4, 0), (4, 2), (2, 2), (2, 5), (0, 5)]
 
@@ -297,6 +304,7 @@ def _notched_polys(draw):
 
 
 def _check_hull(poly):
+    _check_orthoconvex(poly.vertices)
     hull = rectilinear_convex_hull(poly)
     assert hull == _reference_hull(poly)
     assert (hull is poly) == _meets_every_line_once(poly)
@@ -327,6 +335,62 @@ PLUS = [(2, 0), (4, 0), (4, 2), (6, 2), (6, 4), (4, 4), (4, 6), (2, 6),
 def test_hull_takes_both_branches(ring, own_hull):
     poly = RectPolygon(ring)
     assert (_check_hull(poly) is poly) == own_hull
+
+
+def _reference_is_orthoconvex(vertices):
+    """The original check: reflex flags over three zipped copies of the
+    ring, then every cyclically consecutive pair of flags."""
+    vs = list(vertices)
+    reflex = [(bx - ax) * (cy - by) - (by - ay) * (cx - bx) < 0
+              for (ax, ay), (bx, by), (cx, cy) in zip(vs[-1:] + vs[:-1], vs, vs[1:] + vs[:1])]
+    return not any(p and q for p, q in zip(reflex, reflex[1:] + reflex[:1]))
+
+
+# counterclockwise rings whose only consecutive reflex pair is their last
+# and first vertex: a U dented from the top, a square dented from the west
+WRAPPED_DENTS = [
+    [(1, 1), (1, 3), (0, 3), (0, 0), (3, 0), (3, 3), (2, 3), (2, 1)],
+    [(2, 1), (0, 1), (0, 0), (4, 0), (4, 4), (0, 4), (0, 3), (2, 3)],
+]
+
+
+def _check_orthoconvex(vertices):
+    got = _is_orthoconvex(vertices)
+    assert got == _reference_is_orthoconvex(vertices), vertices
+    return got
+
+
+@pytest.mark.parametrize("ring", WRAPPED_DENTS)
+def test_convexity_check_reads_the_pair_across_the_ring_start(ring):
+    """A reflex pair straddling the ring's start, in every rotation."""
+    assert _signed_area2(ring) > 0
+    for k in range(len(ring)):
+        assert _check_orthoconvex(ring[k:] + ring[:k]) is False
+
+
+def test_convexity_check_matches_the_zipped_one_on_the_pools():
+    """Every obstacle of the three perfbench pools (all orthoconvex), and
+    the dented copies of generated instances (``dents.py``), read the same
+    as the zipped check."""
+    workloads = _perfbench("workloads")
+    rings = [ob.vertices for name in ("point-small", "attach-small", "point-large")
+             for inst in workloads.base_pool(name) for ob in inst.obstacles]
+    assert all(_check_orthoconvex(vs) for vs in rings)
+    dented = [ob.vertices for seed in range(40)
+              for ob in dent_instance(generate_instance(seed, n_obstacles=8,
+                                                        coord_limit=120, carve_prob=0.6),
+                                      random.Random(seed)).obstacles]
+    got = [_check_orthoconvex(vs) for vs in dented]
+    assert got.count(False) > 100 and got.count(True) > 0
+
+
+@settings(max_examples=100, deadline=5000, derandomize=True, database=None)
+@given(instances())
+def test_convexity_check_matches_the_zipped_one_on_fuzzed_obstacles(inst):
+    """The fuzz strategy's obstacles (``_check_hull`` also checks the
+    generated polygons above)."""
+    for ob in inst.obstacles:
+        _check_orthoconvex(ob.vertices)
 
 
 def _reference_normalize_ring(vertices):

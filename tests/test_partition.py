@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectlink import partition
+from rectlink import engine, partition
 from rectlink.engine import _double, build_world
 from rectlink.frontend import solve
 from rectlink.generator import generate_instance
@@ -25,7 +25,7 @@ from rectlink.partition import (
     trace_ru,
 )
 from dents import dent_instance
-from frame_reference import columns, reference_tables
+from frame_reference import columns, mapped_polygon, reference_tables
 from fuzz_instances import instances
 
 # instance coordinates; a world reads it doubled, as the box (4, 4)-(10, 8)
@@ -336,6 +336,14 @@ class TestInstanceCoordinates:
                 assert world.frame(t)[0].ring == want.vertices, (seed, t)
 
 
+def _vertical_edges(hull, t):
+    """(x, y low, y high, west-facing) of the vertical edges of ``hull``
+    seen in frame ``t``, in ring order; a counterclockwise ring runs down
+    its west-facing edges."""
+    return [(e.p[0], min(e.p[1], e.q[1]), max(e.p[1], e.q[1]), e.q[1] < e.p[1])
+            for e in mapped_polygon(hull, t).vertical_edges()]
+
+
 def _dented(seed, n_obstacles=8, coord_limit=120):
     inst = generate_instance(seed, n_obstacles=n_obstacles,
                              coord_limit=coord_limit, carve_prob=0.6)
@@ -384,8 +392,31 @@ class TestLazyHulls:
             ft = world.frame(t)
             for i, h in enumerate(eager):
                 assert columns(ft[i]) == reference_tables(h, t), (seed, t, i)
+                assert ft[i].vertical == _vertical_edges(h, t), (seed, t, i)
         assert len(hulled) == len(world.obstacles)
         assert [world.hull(i) for i in range(len(eager))] == eager
+
+    def test_region_holes_build_no_climb_chain(self, monkeypatch):
+        """On the first point-large instance of n = 800, the solve builds
+        one staircase region, with 265 holes and 1 834 events.  Every hole's
+        ``vertical`` table lists the mapped ring's vertical edges, and no
+        hole's climb chain is built: ``_build_hug`` never reads a hole's
+        ring."""
+        inst = generate_instance(97 * 800, 800, coord_limit=30 * 800)
+        chains, regions = [], []
+        build_hug, build = partition._build_hug, engine.build_staircase_region
+        monkeypatch.setattr(partition, "_build_hug",
+                            lambda ring, yhi: chains.append(ring) or build_hug(ring, yhi))
+        monkeypatch.setattr(engine, "build_staircase_region",
+                            lambda world, *args: regions.append(
+                                (world, build(world, *args))) or regions[-1][1])
+        solve(inst)
+        ((world, region),) = regions
+        assert (len(region.holes), len(region.events)) == (265, 1834)
+        polys = world.frame(region.frame)
+        assert chains and not {polys[h].ring for h in region.holes} & set(chains)
+        for h in region.holes:
+            assert polys[h].vertical == _vertical_edges(world.hull(h), region.frame)
 
     @given(st.integers(0, 10_000))
     def test_a_hull_keeps_the_obstacle_box(self, seed):
