@@ -124,8 +124,7 @@ class _FramePoly:
         if t.a * t.d - t.b * t.c < 0:
             vs.reverse()
         k = vs.index(min(vs))
-        if k:
-            vs = vs[k:] + vs[:k]
+        vs = vs[k:] + vs[:k]
         west: list[tuple[int, int, int]] = []
         horiz: list[tuple[int, int, int]] = []
         vertical: list[tuple[int, int, int, bool]] = []
@@ -729,8 +728,9 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
         y1, y2 = top(x - 1), top(x)
         if y1 == y2:
             continue
-        events.append(Event(x, "attach", (near(x, y1, y1, want_bottom=False)[0], idx[y1]),
-                            (idx[y1] + 1, idx[y2]), None, None, None))
+        below = near(x, y1, y1, want_bottom=False)[0]
+        events.append(Event(x, "attach", (below, idx[y1]), (idx[y1] + 1, idx[y2]),
+                            None, None, None))
     for x in bot_jumps:
         if x <= sx:
             continue  # the climb into t is the terminate readout, not an event
@@ -752,9 +752,9 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
                     events.append(Event(x, "split", (low, idx[whi] - 1), None, None,
                                         (idx[whi], high), (idx[wlo] + 1, idx[whi] - 1)))
                 elif lo >= whi:      # upper-left staircase: the top rises
+                    above = near(x, hi2, hi2, hi, want_top=False)[1]
                     events.append(Event(x, "nw_step", (idx[lo], idx[hi2] - 1), None, None,
-                                        (idx[hi2], near(x, hi2, hi2, hi, want_top=False)[1]),
-                                        (idx[lo], idx[hi2] - 1)))
+                                        (idx[hi2], above), (idx[lo], idx[hi2] - 1)))
                 else:                # lower-left staircase: the bottom drops
                     events.append(Event(x, "sw_step", None, None, None, None,
                                         (idx[lo] + 1, idx[hi2])))
@@ -768,7 +768,8 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
                     events.append(Event(x, "ne_step", None, None,
                                         (idx[lo], idx[hi2] - 1), None, None))
                 else:                # lower-right staircase: the bottom rises
-                    events.append(Event(x, "se_step", (near(x, lo, lo, hi, want_bottom=False)[0], idx[lo]),
+                    below = near(x, lo, lo, hi, want_bottom=False)[0]
+                    events.append(Event(x, "se_step", (below, idx[lo]),
                                         (idx[lo] + 1, idx[hi2]), None, None, None))
 
     # stable: the originate, appended first, stays first at x = sx
