@@ -94,31 +94,45 @@ segment enters a box only to end inside it, so its pocket candidates are
 its ends' stretches in its ends' boxes.  A point terminal skips all of
 this.
 
-A pair of two plain attachments is classified first.  The first one that
-reads as an x-case in some frame makes one class solve: a single x-case
-relaxation from every plain source attachment to every plain target
-attachment in that frame, which covers every plain pair of that class, so
-every later pair of the class is skipped.  A class is a frame together
-with its y mirror: a solve in either admits the same chains and returns
-the same witnesses (``composer``'s "A frame and its y mirror"), so the
-mirror's solve would only repeat its offers.  All other pairs (xy plain
-pairs, and every pair with a pocket attachment) get a middle solve of their
-own; a plain pair's solve reuses the pair's classification.
+A pair of two plain attachments that no free L answers (see "Two-link
+pairs" below) is classified.  The first one that reads as an x-case in
+some frame makes one class solve: a single x-case relaxation from every
+plain source attachment to every plain target attachment in that frame,
+which covers every plain pair of that class, so every later pair of the
+class is skipped.  A class is a frame together with its y mirror: a solve
+in either admits the same chains and returns the same witnesses
+(``composer``'s "A frame and its y mirror"), so the mirror's solve would
+only repeat its offers.  All other pairs (xy plain pairs, and every pair
+with a pocket attachment) get a middle solve of their own; a plain pair's
+solve reuses the pair's classification.
 
-Two-link pairs.  A plain xy pair that is not collinear skips its staircase
-region and sweep when one of its two Ls is free (``free_corners``), and
-offers that L, through the least free corner, as its only answer:
+Two-link pairs.  A plain pair that is not collinear skips its
+classification, staircase region and sweep when one of its two Ls is free
+(``free_corners``), and offers that L, through the least free corner, as
+its only answer:
 
 * the pair is not collinear, so every path between its ends has at least
-  two links;
+  two links, and a free L is an L1-shortest path with two;
+* a free L is an xy-monotone path, so classification would have read the
+  pair as ("xy", its quadrant frame): no class solve is skipped or made by
+  leaving it out;
 * a two-link path is an L, and there is exactly one per corner, so the
   sweep's two-link arrivals are exactly the free Ls;
 * both ends are plain, so no arrival merges a link with a lead: every
   arrival with three or more links loses to the L at the same distance,
   and of two free Ls the greater corner loses the tie; leaving those out
   changes no offer that can win;
-* ``free_corners`` reads the traces the region would be built from, so it
+* ``free_corners`` asks, per leg, the blocking query that starts the
+  trace the region would be built from, in the trace's own frame, so it
   sees the sweep's own hull world and never disagrees with the sweep.
+
+So the Ls are tested first, in the pair's quadrant frame, and the pair is
+classified only when neither is free.  The order flips when a class solve
+already covers the quadrant frame or its swap, the two frames an x-case
+pair's classification can return: the pair is then classified first and,
+if it is that class's, skipped without an L test; an xy pair tests its Ls
+after.  Pairs after a class solve are mostly of its class, so testing
+their Ls first would pay a failing test for each.
 
 A pair with a pocket end keeps its sweep: seeded first links and the merge
 at a pocket junction can tie a three-link arrival with the L.  So do the
@@ -147,6 +161,7 @@ from .engine import _double, build_world, solve_pair_raw
 from .geometry import (
     FLIP_Y,
     IDENTITY,
+    SWAP,
     UNIT_DIRS,
     GeometryError,
     PathResult,
@@ -163,7 +178,7 @@ from .model import (
     Terminal,
     validate,
 )
-from .partition import INF, FrameTables, World, free_corners
+from .partition import INF, FrameTables, World, free_corners, quadrant
 from .pockets import BoxGrid, Crossing, GridSearch
 
 
@@ -613,29 +628,37 @@ def solve(instance: Instance) -> SolveReport:
             continue
         cls = None
         if a.out_dir is None and b.out_dir is None:
-            cls = kind, frame = engine.classify(world, ja, jb)
-            if kind == "x":
-                # one relaxation answers every plain pair of this class
-                if frame not in classes:
-                    classes.update((frame, frame.then(FLIP_Y)))
-                    dist2, arrivals, dag = engine.solve_x_case(
-                        world, frame, plain_s, plain_t)
-                    stats["classes"] += 1
-                    count({"events": dag.events, "regions": dag.regions,
-                           "midpoints": (len(dag.nodes), dag.relaxed)})
-                    for arrs in arrivals:
-                        for lam, wit in arrs.values():
-                            offer(dist2, lam, lambda w=wit: list(w))
-                continue
-            if kind == "xy" and ja[0] != jb[0] and ja[1] != jb[1]:
-                corners = free_corners(world, frame, ja, jb)
-                if corners:
-                    # a free L is the pair's least offer (see "Two-link
-                    # pairs" above)
-                    stats["two_link_pairs"] += 1
-                    count({})
-                    offer(_l1(ja, jb), 2, lambda ja=ja, c=corners[0], jb=jb: [ja, c, jb])
+            # the Ls first, unless a class solve may already cover the pair
+            # (see "Two-link pairs" above); None is "not tested yet"
+            corners = None
+            bent = ja[0] != jb[0] and ja[1] != jb[1]
+            if bent:
+                q = quadrant(ja, jb)
+                if q not in classes and q.then(SWAP) not in classes:
+                    corners = free_corners(world, q, ja, jb)
+            if not corners:
+                cls = kind, frame = engine.classify(world, ja, jb)
+                if kind == "x":
+                    # one relaxation answers every plain pair of this class
+                    if frame not in classes:
+                        classes.update((frame, frame.then(FLIP_Y)))
+                        dist2, arrivals, dag = engine.solve_x_case(
+                            world, frame, plain_s, plain_t)
+                        stats["classes"] += 1
+                        count({"events": dag.events, "regions": dag.regions,
+                               "midpoints": (len(dag.nodes), dag.relaxed)})
+                        for arrs in arrivals:
+                            for lam, wit in arrs.values():
+                                offer(dist2, lam, lambda w=wit: list(w))
                     continue
+                if bent and corners is None:
+                    corners = free_corners(world, frame, ja, jb)
+            if corners:
+                # a free L is the pair's least offer
+                stats["two_link_pairs"] += 1
+                count({})
+                offer(_l1(ja, jb), 2, lambda ja=ja, c=corners[0], jb=jb: [ja, c, jb])
+                continue
         raw = solve_pair_raw(world, ja, jb, dir_links=_seed_links(a), cls=cls)
         count(raw.stats)
         for adir, (lam, wit) in raw.arrivals.items():

@@ -25,12 +25,19 @@ class GeometryError(ValueError):
 # ---------------------------------------------------------------------------
 # signed-permutation transforms (the 8 axis symmetries)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Xform:
     """Orthogonal transform ``(x, y) -> (a*x + b*y, c*x + d*y)``.
 
     Only the eight signed axis permutations are representable, which is all
-    the solver ever needs to map a subproblem into its canonical frame.
+    the solver ever needs to map a subproblem into its canonical frame;
+    other coefficients raise ``GeometryError``.
+
+    The eight are interned: ``Xform(a, b, c, d)``, pickling and copying
+    return the one shared instance, so equal transforms are the same object
+    and compare and hash by identity.  ``then`` and ``inverse`` read tables
+    filled when the module loads, so composing frames builds and hashes no
+    transform.
     """
 
     a: int
@@ -38,23 +45,47 @@ class Xform:
     c: int
     d: int
 
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "Xform":
+        got = _XFORMS.get((a, b, c, d))
+        if got is None:
+            raise GeometryError(f"not a signed axis permutation: {(a, b, c, d)}")
+        return got
+
+    def __reduce__(self):
+        return (Xform, (self.a, self.b, self.c, self.d))
+
     def apply(self, p: Point) -> Point:
         x, y = p
         return (self.a * x + self.b * y, self.c * x + self.d * y)
 
     def inverse(self) -> "Xform":
-        # signed permutation matrices are orthogonal: inverse == transpose
-        return Xform(self.a, self.c, self.b, self.d)
+        return self._inverse
 
     def then(self, other: "Xform") -> "Xform":
         """Composition: ``self.then(other).apply(p) == other.apply(self.apply(p))``."""
-        return Xform(
-            other.a * self.a + other.b * self.c,
-            other.a * self.b + other.b * self.d,
-            other.c * self.a + other.d * self.c,
-            other.c * self.b + other.d * self.d,
-        )
+        return self._then[other]
 
+
+def _intern_xforms() -> dict[tuple[int, int, int, int], Xform]:
+    """The eight transforms by coefficients, each holding its inverse and
+    its composition with every transform."""
+    table = {}
+    for m in ((1, 0, 0, 1), (-1, 0, 0, 1), (1, 0, 0, -1), (-1, 0, 0, -1),
+              (0, 1, 1, 0), (0, -1, 1, 0), (0, 1, -1, 0), (0, -1, -1, 0)):
+        f = table[m] = object.__new__(Xform)
+        for name, v in zip("abcd", m):
+            object.__setattr__(f, name, v)
+    for (a, b, c, d), f in table.items():
+        # signed permutation matrices are orthogonal: inverse == transpose
+        object.__setattr__(f, "_inverse", table[(a, c, b, d)])
+        object.__setattr__(f, "_then", {
+            g: table[(g.a * a + g.b * c, g.a * b + g.b * d,
+                      g.c * a + g.d * c, g.c * b + g.d * d)]
+            for g in table.values()})
+    return table
+
+
+_XFORMS = _intern_xforms()
 
 IDENTITY = Xform(1, 0, 0, 1)
 FLIP_X = Xform(-1, 0, 0, 1)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
@@ -285,7 +285,15 @@ class World:
     def __init__(self, obstacles: Sequence[RectPolygon]):
         obs = self.obstacles = tuple(obstacles)
         # hulled on first call; frames share it without holding the world
-        self.hull = cache(lambda i: rectilinear_convex_hull(obs[i]))
+        hulls: dict[int, RectPolygon] = {}
+
+        def hull(i: int) -> RectPolygon:
+            got = hulls.get(i)
+            if got is None:
+                got = hulls[i] = rectilinear_convex_hull(obs[i])
+            return got
+
+        self.hull = hull
         boxes = [o.bbox for o in obs]
         xlo, xhi = [2 * b.xlo for b in boxes], [2 * b.xhi for b in boxes]
         ylo, yhi = [2 * b.ylo for b in boxes], [2 * b.yhi for b in boxes]
@@ -487,18 +495,23 @@ def _jump_xs(points: Sequence[Point], axis: int) -> set[int]:
 # ---------------------------------------------------------------------------
 # classification
 
+def quadrant(s: Point, t: Point) -> Xform:
+    """The axis flip that maps ``t`` weakly north-east of ``s``."""
+    if t[0] >= s[0]:
+        return IDENTITY if t[1] >= s[1] else FLIP_Y
+    return FLIP_X if t[1] >= s[1] else FLIP_XY
+
+
 def classify(world: World | FrameView, s: Point, t: Point) -> tuple[str, Xform]:
     """Which monotonicity case the pair falls into.
 
     Returns ("xy", f) or ("x", f): applying f maps the pair so that t is
     weakly north-east of s (xy) or so that every shortest path is x-monotone
-    eastward (x).  The points must differ: ``s != t``.
+    eastward (x).  The points must differ: ``s != t``.  An xy pair's f is
+    its ``quadrant``, and an x pair's is the quadrant or the quadrant
+    followed by ``SWAP``.
     """
-    dx, dy = t[0] - s[0], t[1] - s[1]
-    if dx >= 0:
-        q = IDENTITY if dy >= 0 else FLIP_Y
-    else:
-        q = FLIP_X if dy >= 0 else FLIP_XY
+    q = quadrant(s, t)
     sq, tq = q.apply(s), q.apply(t)
 
     ru = trace_ru(world.frame(q), sq, tq[0])
@@ -526,33 +539,33 @@ def free_corners(world: World | FrameView, frame: Xform, s: Point, t: Point
     """The corners, in world coordinates and in ascending order, of the
     two-link paths from ``s`` to ``t`` that meet no hull.
 
-    The pair must classify as ("xy", frame) and must not be collinear.  In
-    ``frame``, t lies north-east of s, and there are two Ls:
+    ``frame`` must map t strictly north-east of s, as the pair's
+    ``quadrant`` does for a pair that is not collinear.  There are two Ls:
 
-    * east then north, through (tx, sy): free iff the trace ru from s to
-      the wall x = tx and the trace dl from t to the wall y = sy are both
-      straight;
-    * north then east, through (sx, ty): free iff ur from s and ld from t
-      are both straight.
+    * east then north, through (tx, sy): free iff the ray east from s in
+      trace frame ru meets no flank before the wall x = tx, and the ray
+      south from t in trace frame dl none before the wall y = sy;
+    * north then east, through (sx, ty): free iff the rays of ur from s and
+      ld from t are clear to their walls.
 
-    A trace runs straight to its wall unless a hull blocks its ray, and a
-    block always makes it climb to above the ray, so a trace is straight iff
-    its last point keeps its start's y.  These are the four traces
-    ``build_staircase_region`` reads, under the same memo keys, so a pair
-    whose Ls are blocked builds no trace twice.  Only the points are read;
-    no ``StepCurve`` is built.
+    Each leg is one ``_first_block`` query, the first step of the trace a
+    staircase region reads in that frame: a trace runs straight to its
+    wall iff that step finds no block, since a block makes it climb to
+    above the ray.  So this builds no ``Trace`` and no ``StepCurve``, and an
+    L is tested only while its first leg is clear.  A free L is an
+    xy-monotone path, so a pair with one classifies as ("xy", frame).
     """
     sq, tq = frame.apply(s), frame.apply(t)
 
-    def straight(f: Xform, start: Point, stop: Point) -> bool:
-        pts = _region_trace(world, frame, f, start, stop).points
-        return pts[-1][1] == pts[0][1]
+    def clear(f: Xform, start: Point, stop: Point) -> bool:
+        return _first_block(world.frame(frame.then(f)), f.apply(start),
+                            f.apply(stop)[0]) is None
 
     inv = frame.inverse()
     corners = []
-    if straight(FRAME_RU, sq, tq) and straight(FRAME_DL, tq, sq):
+    if clear(FRAME_RU, sq, tq) and clear(FRAME_DL, tq, sq):
         corners.append(inv.apply((tq[0], sq[1])))
-    if straight(FRAME_UR, sq, tq) and straight(FRAME_LD, tq, sq):
+    if clear(FRAME_UR, sq, tq) and clear(FRAME_LD, tq, sq):
         corners.append(inv.apply((sq[0], tq[1])))
     return sorted(corners)
 
@@ -669,11 +682,15 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
     holes: list[int] = []
     # a hole's box lies strictly inside the strip, so its xlo is in (sx, tx)
     for i in polys.between(sx, tx):
-        if i in touched or not (polys.xhi[i] < tx and sy < polys.ylo[i]
-                                and polys.yhi[i] < ty):
+        ylo, yhi = polys.ylo[i], polys.yhi[i]
+        if i in touched or not (polys.xhi[i] < tx and sy < ylo and yhi < ty):
             continue
-        vx, vy = polys[i].ring[0]
-        if bottom(vx) < vy < top(vx):
+        # the hull's least vertex lies on the box's west wall, at or above
+        # ylo and below yhi: an envelope that misses that range rules the
+        # box out without its tables
+        x = polys.xlo[i]
+        lo, hi = bottom(x), top(x)
+        if lo < yhi and hi > ylo and lo < polys[i].ring[0][1] < hi:
             holes.append(i)
     holes.sort()
     hole_index = _hole_index(polys, holes)

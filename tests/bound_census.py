@@ -19,10 +19,13 @@ attachments the kept candidates make.  ``two-link`` is
 ``stats["two_link_pairs"]``, the plain xy pairs a free L answered without a
 region (each is also one of ``middle``).  The traffic columns are
 ``stats["regions"]`` (staircase regions swept, each built for its sweep),
-``stats["traces_built"]`` (traces the world's memo computed) and
+``stats["traces_built"]`` (traces the world's memo computed),
 ``StepCurve`` builds (counted by wrapping ``partition.StepCurve.__init__``
 while the pool is solved; a memoised trace builds its curve once, so
-builds above ``traces_built`` are curves of copies) and
+builds above ``traces_built`` are curves of copies), ``classify`` (calls
+of ``engine.classify`` and ``composer.classify``, the frontend's and the
+pair engine's classifications and the composer legs', counted by wrapping
+both module attributes while the pool is solved) and
 ``stats["midpoints"]`` as admitted/relaxed (the hull-side midpoints of
 the hulls whose box floor the x-case solves' limits reached, and those
 the goal-directed relaxation relaxed).  The per-instance counts come from
@@ -43,7 +46,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 sys.path.append(str(HERE.parent / "perfbench"))
 
-from rectlink import partition
+from rectlink import composer, engine, partition
 from rectlink.frontend import solve
 from rectlink.generator import generate_instance
 
@@ -64,7 +67,7 @@ def pools():
 def census(instances, reps: int) -> dict:
     row = {"instances": len(instances), "enumerated": 0, "kept": 0,
            "attachments": 0, "middle_solves": 0, "two_link_pairs": 0, "classes": 0,
-           "regions": 0, "traces_built": 0, "curves": 0,
+           "regions": 0, "traces_built": 0, "curves": 0, "classify": 0,
            "enumerated_midpoints": 0, "relaxed_midpoints": 0, "cpu_s": 0.0}
     answers = []
     builds = [0]
@@ -74,12 +77,23 @@ def census(instances, reps: int) -> dict:
         builds[0] += 1
         init(self, points)
 
+    classifies = [0]
+    wrapped = {mod: mod.classify for mod in (engine, composer)}
+
+    def counting(classify):
+        def counted(*args):
+            classifies[0] += 1
+            return classify(*args)
+        return counted
+
     partition.StepCurve.__init__ = counting_init
+    for mod, classify in wrapped.items():
+        mod.classify = counting(classify)
     try:
         for inst in instances:
             times = []
             for _ in range(reps):
-                builds[0] = 0
+                builds[0] = classifies[0] = 0
                 t0 = time.process_time()
                 report = solve(inst)
                 times.append(time.process_time() - t0)
@@ -89,6 +103,7 @@ def census(instances, reps: int) -> dict:
             # a checkout from before the two-link rule reports none
             row["two_link_pairs"] += report.stats.get("two_link_pairs", 0)
             row["curves"] += builds[0]
+            row["classify"] += classifies[0]
             enumerated, relaxed = report.stats["midpoints"]
             row["enumerated_midpoints"] += enumerated
             row["relaxed_midpoints"] += relaxed
@@ -99,6 +114,8 @@ def census(instances, reps: int) -> dict:
             answers.append([report.distance, report.links, report.path])
     finally:
         partition.StepCurve.__init__ = init
+        for mod, classify in wrapped.items():
+            mod.classify = classify
     blob = json.dumps(answers, separators=(",", ":")).encode()
     row["answers"] = hashlib.sha256(blob).hexdigest()[:12]
     return row
@@ -111,7 +128,7 @@ def main() -> None:
     args = ap.parse_args()
     print(f"{'pool':<20} {'inst':>5} {'candidates':>11} {'atts':>6} "
           f"{'middle':>7} {'two-link':>8} {'classes':>7} "
-          f"{'regions':>7} {'traces':>7} {'curves':>7} "
+          f"{'regions':>7} {'traces':>7} {'curves':>7} {'classify':>8} "
           f"{'midpoints':>11} {'cpu s':>7}  answers",
           flush=True)
     for name, instances in pools():
@@ -122,6 +139,7 @@ def main() -> None:
               f"{row['middle_solves']:7d} {row['two_link_pairs']:8d} "
               f"{row['classes']:7d} "
               f"{row['regions']:7d} {row['traces_built']:7d} {row['curves']:7d} "
+              f"{row['classify']:8d} "
               f"{mids:>11} {row['cpu_s']:7.3f}  {row['answers']}", flush=True)
 
 

@@ -198,8 +198,9 @@ def test_report_carries_stats():
 
 
 def test_a_point_pair_is_classified_once(monkeypatch):
-    """The frontend hands its classification of a plain pair to the pair
-    engine, which then does not classify the pair again."""
+    """A point pair that a free L answers is never classified and builds no
+    trace; any other is classified once, by the frontend, which hands its
+    classification to the pair engine."""
     from rectlink import engine
 
     calls = []
@@ -207,12 +208,17 @@ def test_a_point_pair_is_classified_once(monkeypatch):
     monkeypatch.setattr(engine, "classify",
                         lambda *args: calls.append(args) or classify(*args))
     cases = set()
+    free = 0
     for k, inst in enumerate(_perfbench("workloads").base_pool("point-small")):
         calls.clear()
-        solve(inst)
+        report = solve(inst)
+        if report.stats["two_link_pairs"] == 1:
+            assert not calls and report.stats["traces_built"] == 0, k
+            free += 1
+            continue
         assert len(calls) == 1, k
         cases.add(classify(*calls[0])[0])
-    assert cases == {"xy", "x"}
+    assert cases == {"xy", "x"} and free == 206
 
 
 def test_path_is_on_the_instance_grid():

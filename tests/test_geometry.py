@@ -112,6 +112,41 @@ def test_xform_composition_order():
     assert t.apply(p) == FLIP_X.apply(SWAP.apply(p))
 
 
+def _matmul(f, g):
+    """``g @ f`` as a coefficient tuple: f is applied first."""
+    return (g.a * f.a + g.b * f.c, g.a * f.b + g.b * f.d,
+            g.c * f.a + g.d * f.c, g.c * f.b + g.d * f.d)
+
+
+def test_xforms_are_interned():
+    """The eight transforms are shared instances: composing, inverting,
+    rebuilding, pickling and copying return them, and equality, hashing
+    and sets read as they would for values."""
+    import copy
+    import pickle
+    from dataclasses import astuple
+
+    assert len(set(XFORMS)) == 8
+    for f in XFORMS:
+        assert Xform(*astuple(f)) is f
+        assert Xform(a=f.a, b=f.b, c=f.c, d=f.d) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+        assert copy.deepcopy([f, {f: f}]) == [f, {f: f}]
+        assert repr(f) == f"Xform(a={f.a}, b={f.b}, c={f.c}, d={f.d})"
+        inv = f.inverse()
+        assert inv is Xform(f.a, f.c, f.b, f.d) and f.then(inv) is IDENTITY
+        for g in XFORMS:
+            h = f.then(g)
+            assert astuple(h) == _matmul(f, g) and h is Xform(*_matmul(f, g))
+            assert (h == g) == (astuple(h) == astuple(g))
+            assert (h in {g}) == (h == g)
+        assert hash(f) == hash(Xform(*astuple(f))) and f in set(XFORMS)
+        assert f != astuple(f) and astuple(f) not in {f}
+    with pytest.raises(GeometryError):
+        Xform(2, 0, 0, 1)
+
+
 def test_path_metrics_single_point():
     assert path_metrics([(1, 1)]) == ([(1, 1)], 0, 0)
 

@@ -1,10 +1,15 @@
-"""The two-link rule: a plain, non-collinear xy pair with a free L is
-answered by that L, without a staircase region or a sweep.
+"""The two-link rule: a plain, non-collinear pair with a free L is
+answered by that L, without a classification, a staircase region or a
+sweep.
 
 Two checks against the sweep it replaces: ``solve`` with the rule switched
 off (``free_corners`` patched to find no corner) gives every
 (distance, links, path) unchanged, and, pair by pair, ``free_corners``
-finds exactly the middle points of the sweep's two-link witnesses.
+finds exactly the middle points of the sweep's two-link witnesses.  A
+third checks ``free_corners``, which makes one blocking query per leg,
+against ``_traced_free_corners``, which reads the legs' whole traces; the
+blocking query itself is checked against its scan in
+``test_index.test_blocking_queries_match_the_scans``.
 """
 from __future__ import annotations
 
@@ -15,8 +20,77 @@ from fuzz_instances import instances
 from rectlink import engine, frontend
 from rectlink.engine import build_world, solve_pair_raw
 from rectlink.frontend import _attachments, _Lines, solve
-from rectlink.partition import free_corners
+from rectlink.partition import (
+    FRAME_DL,
+    FRAME_LD,
+    FRAME_RU,
+    FRAME_UR,
+    _region_trace,
+    free_corners,
+    quadrant,
+)
 from test_frontend import _answer, _perfbench, _pocket_instances, _triangle_instances
+
+
+def _traced_free_corners(world, frame, s, t):
+    """``free_corners`` as it read traces: an L is free iff the traces of
+    both its legs, the ones a staircase region reads, end at their start's
+    y."""
+    sq, tq = frame.apply(s), frame.apply(t)
+
+    def straight(f, start, stop):
+        pts = _region_trace(world, frame, f, start, stop).points
+        return pts[-1][1] == pts[0][1]
+
+    inv = frame.inverse()
+    corners = []
+    if straight(FRAME_RU, sq, tq) and straight(FRAME_DL, tq, sq):
+        corners.append(inv.apply((tq[0], sq[1])))
+    if straight(FRAME_UR, sq, tq) and straight(FRAME_LD, tq, sq):
+        corners.append(inv.apply((sq[0], tq[1])))
+    return sorted(corners)
+
+
+def _check_free_corners(inst) -> tuple[int, int]:
+    """On every plain, non-collinear attachment pair of ``inst``, in its
+    quadrant frame: ``free_corners`` builds no trace and equals the traced
+    version, and a pair with a free corner classifies as xy in that frame.
+    Returns (pairs, pairs with a free corner)."""
+    world, lines = build_world(inst.obstacles), _Lines(inst)
+    ends = [[a.junction2 for a in _attachments(inst, term, lines, world)[0]
+             if a.out_dir is None] for term in (inst.source, inst.target)]
+    pairs = free = 0
+    for s in ends[0]:
+        for t in ends[1]:
+            if s[0] == t[0] or s[1] == t[1]:
+                continue
+            q = quadrant(s, t)
+            traces = world.traces_built
+            got = free_corners(world, q, s, t)
+            assert world.traces_built == traces, (s, t)
+            assert got == _traced_free_corners(world, q, s, t), (s, t)
+            if got:
+                assert engine.classify(world, s, t) == ("xy", q), (s, t)
+            pairs += 1
+            free += bool(got)
+    return pairs, free
+
+
+def test_free_corners_match_the_traced_ones():
+    """On the point-small and attach-small base pools and the
+    triangle-pruning instances, every plain, non-collinear pair."""
+    workloads = _perfbench("workloads")
+    pool = (workloads.base_pool("point-small")
+            + workloads.base_pool("attach-small") + _triangle_instances())
+    counts = [_check_free_corners(inst) for inst in pool]
+    pairs, free = sum(p for p, _ in counts), sum(f for _, f in counts)
+    assert pairs > 17_000 and pairs - free > 2_000 and free > 15_000
+
+
+@settings(max_examples=500, deadline=5000, derandomize=True, database=None)
+@given(instances())
+def test_free_corners_match_the_traced_ones_on_fuzzed_instances(inst):
+    _check_free_corners(inst)
 
 
 def _swept(inst):
