@@ -63,15 +63,52 @@ it does so in two places, which the readout neutralises:
 Every other choice of the readout reads world quantities, so a solve in F
 and one in its mirror return the same witnesses, arrival directions
 included, and ``frontend`` runs one class solve per mirror pair.
+
+Legs without a region.  Each leg the readout takes runs strictly east from
+p to q, and its sweep is seeded with ``(seed_h, seed_v)``, written h0 and
+v0 here: the links of a path that leaves p eastward, and northward then
+eastward, in the leg's ``quadrant`` frame, the frame ``classify`` returns
+for it.  Two kinds of leg are answered from ``_first_block`` queries alone
+(``free_leg``), with no classification, region or sweep:
+
+* a straight leg, level (p.y = q.y), whose ray east from p meets no flank
+  before q.x.  Its region would have the single baseline y = p.y, so its
+  values are ``lam_h = h0`` and ``lam_v = INF``, with the witness [p, q];
+* an L leg into a midpoint, with p and q not collinear, whose
+  north-then-east L is free (the rays ur from p and ld from q are clear,
+  the test ``free_corners`` makes), and with ``v0 <= h0 + 2``.  A path
+  that arrives horizontally leaves north, at least v0, or leaves east and
+  must turn north and east again, at least h0 + 2; so ``lam_h >= min(v0,
+  h0 + 2) = v0``, and the free L gives ``lam_h <= v0``: ``lam_h = v0``.
+  Likewise ``lam_v >= min(h0 + 1, v0 + 1)``, so ``lam_v + 1 >= v0`` and
+  ``_horiz_readout`` reads v0, arriving "h", with the witness
+  [p, (p.x, q.y), q].  ``lam_v`` itself is not computed, and no reader
+  takes it.  The guard always holds: a midpoint seeds (L, L + 2), a
+  source with default seeds (1, 2), and ``frontend._seed_links`` gives
+  the out direction L, its opposite L + 2 and the other two L + 1, so
+  north costs at most one more than east and ``v0 <= h0 + 2``.
+
+The L is tested in the leg's total frame, which a frame and its y mirror
+share, and a straight leg's ray is the same world ray in both, blocked
+alike (a grazed corner lets it pass iff an edge runs east from it), so a
+solve in either answers the same legs this way.  Either witness is the
+sweep's own: with the L free, the originate seeds the top baseline with v0
+and no later event lowers or overwrites it, and a single baseline holds
+only h0.  A target keeps its L legs' sweeps: its readout needs ``lam_h``
+and ``lam_v`` per arrival direction, and a pocket target's merge can make
+either one win.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geometry import IDENTITY, UNIT_DIRS, GeometryError, PathResult, Point, Xform, first_dir
 from .partition import (
+    FRAME_LD,
+    FRAME_RU,
+    FRAME_UR,
     INF,
     TRACE_FRAMES,
     FrameTables,
@@ -80,11 +117,56 @@ from .partition import (
     World,
     build_staircase_region,
     classify,
+    quadrant,
+    ray_clear,
     trace_ru,
 )
 from .sweep import SweepResult, reconstruct_path, run_sweep
 
 Pred = tuple[str, int]  # ("mid", node index) or ("src", source index)
+
+
+class LegEnds(NamedTuple):
+    """What a leg's ``StaircaseRegion`` would hold as ``frame``, ``s`` and
+    ``t``: the leg's quadrant frame and its ends in that frame."""
+
+    frame: Xform
+    s: Point
+    t: Point
+
+
+@dataclass
+class FreeLeg:
+    """A leg answered without a region (see "Legs without a region").
+
+    ``lam_h`` is exact.  ``lam_v`` is INF for a straight leg and None for
+    an L leg, whose rule does not compute it.  ``points`` is the witness,
+    arriving horizontally, in the frame of ``region``.
+    """
+
+    region: LegEnds
+    lam_h: float
+    lam_v: Optional[float]
+    points: list[Point]
+
+
+def free_leg(view: FrameView, quad: Xform, p: Point, q: Point,
+             seeds: tuple[float, float], midpoint: bool) -> Optional[FreeLeg]:
+    """The leg from ``p`` east to ``q`` as a straight leg or, into a
+    midpoint, an L leg, when blocking queries answer it (see "Legs without
+    a region"), else None.  ``quad`` is ``quadrant(p, q)`` and ``seeds``
+    the leg's (seed_h, seed_v) in it."""
+    sq, tq = quad.apply(p), quad.apply(q)
+    seed_h, seed_v = seeds
+    if sq[1] == tq[1]:
+        if ray_clear(view, quad, FRAME_RU, sq, tq):
+            return FreeLeg(LegEnds(quad, sq, tq), seed_h, INF, [sq, tq])
+    elif midpoint and seed_v <= seed_h + 2 \
+            and ray_clear(view, quad, FRAME_UR, sq, tq) \
+            and ray_clear(view, quad, FRAME_LD, tq, sq):
+        return FreeLeg(LegEnds(quad, sq, tq), seed_v, None,
+                       [sq, (sq[0], tq[1]), tq])
+    return None
 
 
 @dataclass
@@ -96,7 +178,7 @@ class _Node:
     links: float = INF
     preds: list[Pred] = field(default_factory=list)  # optimal predecessors
     best_pred: Optional[Pred] = None
-    leg: Optional[SweepResult] = None  # sweep of the best leg into it
+    leg: Optional[SweepResult | FreeLeg] = None  # the best leg into it
 
 
 @dataclass
@@ -122,11 +204,17 @@ class SubregionDag:
     relaxed: int = 0
     regions: int = 0
     events: int = 0
+    free_legs: int = 0     # legs answered without a region
 
 
-def _horiz_readout(res: SweepResult) -> float:
-    """Fewest links among shortest paths that leave the far end eastward."""
-    return min(res.lam_h, res.lam_v + 1)
+def _horiz_readout(leg: SweepResult | FreeLeg) -> tuple[float, str]:
+    """Fewest links among shortest paths that leave the leg's far end
+    eastward, and the arrival there that gives them: "h" along the top
+    baseline, or "v" up from a lower one and turning east.  An L leg reads
+    its ``lam_h`` (see "Legs without a region")."""
+    if leg.lam_v is None or leg.lam_h <= leg.lam_v + 1:
+        return leg.lam_h, "h"
+    return leg.lam_v + 1, "v"
 
 
 def _strip(ft: FrameTables, sx: int, tx: int) -> list[int]:
@@ -520,29 +608,37 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
         return (0, q[0], inv_frame.apply(q))
 
     def legs_into(nd: _Node):
-        """(pred, sweep) of every leg into nd from an optimal predecessor
-        that the readout takes."""
+        """(pred, leg) of every leg into nd from an optimal predecessor
+        that the readout takes: a ``FreeLeg`` where ``free_leg`` answers
+        it, else the leg's sweep."""
         for pred in sorted(nd.preds, key=readout_key):
             if pred[0] == "src":
-                src_pt, seeds = srcs[pred[1]].point, None
-                if nd.hull >= 0 and src_pt[1] == nd.point[1]:
+                p = srcs[pred[1]].point
+                if nd.hull >= 0 and p[1] == nd.point[1]:
                     # a level first leg into a midpoint is no turnaround
                     continue
+                quad = quadrant(p, nd.point)
+                # a leg out of a source continues whatever partial path
+                # enters there
+                inv_total = frame.then(quad).inverse()
+                seeds = (dir_links[inv_total.apply((1, 0))],
+                         dir_links[inv_total.apply((0, 1))] + 1)
             else:
                 mu = nodes[pred[1]]
                 if mu.links == INF:
                     continue
-                src_pt, seeds = mu.point, (mu.links, mu.links + 2)
-            kind, q = classify(wf, src_pt, nd.point)
-            if kind != "xy" or q.b != 0:
+                p, quad = mu.point, quadrant(mu.point, nd.point)
+                seeds = (mu.links, mu.links + 2)
+            leg = free_leg(wf, quad, p, nd.point, seeds, nd.hull >= 0)
+            if leg is not None:
+                dag.free_legs += 1
+                yield pred, leg
+                continue
+            # an xy pair's frame is its quadrant, in which the seeds are read
+            kind, q = classify(wf, p, nd.point)
+            if kind != "xy" or q != quad:
                 raise GeometryError("winder leg is not an axis-aligned xy pair")
-            if seeds is None:
-                # a leg out of a source continues whatever partial path
-                # enters there
-                inv_total = frame.then(q).inverse()
-                seeds = (dir_links[inv_total.apply((1, 0))],
-                         dir_links[inv_total.apply((0, 1))] + 1)
-            region = build_staircase_region(wf, q, src_pt, nd.point)
+            region = build_staircase_region(wf, q, p, nd.point)
             dag.regions += 1
             dag.events += len(region.events)
             yield pred, run_sweep(region, seed_h=seeds[0], seed_v=seeds[1])
@@ -552,23 +648,24 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
     # take keeps INF links.
     for k in sorted(marked, key=lambda k: nodes[k].point):
         nd = nodes[k]
-        for pred, res in legs_into(nd):
-            lam = _horiz_readout(res)
+        for pred, leg in legs_into(nd):
+            lam = _horiz_readout(leg)[0]
             if lam < nd.links:
-                nd.links, nd.best_pred, nd.leg = lam, pred, res
+                nd.links, nd.best_pred, nd.leg = lam, pred, leg
 
-    def stitch(pred: Pred, res: SweepResult, arrival: str) -> list[Point]:
-        # a midpoint's leg is read out eastward: along the top baseline, or
-        # up from a lower one and turning east (``_horiz_readout``)
+    def stitch(pred: Pred, res: SweepResult | FreeLeg, arrival: str
+               ) -> list[Point]:
+        # a midpoint's leg is read out eastward (``_horiz_readout``)
         legs = [(res, arrival)]
         while pred[0] == "mid":
             nd = nodes[pred[1]]
-            legs.append((nd.leg, "h" if nd.leg.lam_h <= nd.leg.lam_v + 1 else "v"))
+            legs.append((nd.leg, _horiz_readout(nd.leg)[1]))
             pred = nd.best_pred
         pts: list[Point] = []
         for leg, arr in reversed(legs):
             inv = leg.region.frame.inverse()
-            pts.extend(inv.apply(p) for p in reconstruct_path(leg, arr))
+            path = leg.points if isinstance(leg, FreeLeg) else reconstruct_path(leg, arr)
+            pts.extend(inv.apply(p) for p in path)
         return pts
 
     arrivals: list[dict[Point, tuple[int, list[Point]]]] = []
@@ -580,15 +677,18 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
         # best leg into the target, kept separately per world arrival
         # direction: a rising and a falling leg both arrive "v" in their
         # own frames, but from opposite sides
-        final_best: dict[Point, tuple[float, Pred, SweepResult, str]] = {}
+        # (a straight leg's values are its region's; an L leg never ends at
+        # a target)
+        final_best: dict[Point, tuple[float, Pred, SweepResult | FreeLeg, str]] = {}
         for pred, res in legs_into(nd):
             inv_total = frame.then(res.region.frame).inverse()
             for arr, lam, d in (("h", res.lam_h, (1, 0)), ("v", res.lam_v, (0, 1))):
                 adir = inv_total.apply(d)
                 if lam < final_best.get(adir, (INF,))[0]:
                     final_best[adir] = (lam, pred, res, arr)
-            if res.lam < nd.links:
-                nd.links, nd.best_pred, nd.leg = res.lam, pred, res
+            lam = min(res.lam_h, res.lam_v)
+            if lam < nd.links:
+                nd.links, nd.best_pred, nd.leg = lam, pred, res
         if nd.links == INF:
             raise GeometryError("no reachable predecessor on an optimal chain")
         for adir, (lam, pred, res, arr) in final_best.items():

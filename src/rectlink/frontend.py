@@ -566,7 +566,7 @@ def solve(instance: Instance) -> SolveReport:
         raise GeometryError("a terminal has no connection to the free plane")
 
     stats = {"middle_solves": 0, "two_link_pairs": 0, "classes": 0,
-             "events": 0, "regions": 0, "midpoints": (0, 0),
+             "events": 0, "regions": 0, "free_legs": 0, "midpoints": (0, 0),
              "attachments": (len(atts_s), len(atts_t)),
              "candidates": (counts_s, counts_t)}
     # the least (d2, links, path) offered; a path is built only to break a
@@ -588,6 +588,7 @@ def solve(instance: Instance) -> SolveReport:
         stats["middle_solves"] += 1
         stats["events"] += solve_stats.get("events", 0)
         stats["regions"] += solve_stats.get("regions", 0)
+        stats["free_legs"] += solve_stats.get("free_legs", 0)
         enumerated, relaxed = solve_stats.get("midpoints", (0, 0))
         stats["midpoints"] = (stats["midpoints"][0] + enumerated,
                               stats["midpoints"][1] + relaxed)
@@ -646,6 +647,7 @@ def solve(instance: Instance) -> SolveReport:
                             world, frame, plain_s, plain_t)
                         stats["classes"] += 1
                         count({"events": dag.events, "regions": dag.regions,
+                               "free_legs": dag.free_legs,
                                "midpoints": (len(dag.nodes), dag.relaxed)})
                         for arrs in arrivals:
                             for lam, wit in arrs.values():

@@ -1,6 +1,7 @@
 """Problem instances and their validation."""
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -122,12 +123,16 @@ def validate(instance: Instance) -> list[str]:
     too, and the loop finds nothing.
     """
     boxes = [ob.bbox for ob in instance.obstacles]
+    xlos = [b.xlo for b in boxes]
+    order = sorted(range(len(boxes)), key=xlos.__getitem__)
     problems = [f"obstacle boxes {i} and {j} overlap"
-                for i, j in _overlapping_boxes(boxes)]
+                for i, j in _overlapping_boxes(boxes, order)]
     if not _counted(instance, boxes):
         problems = _vertex_problems(instance, problems)
+    index = (order, [xlos[i] for i in order],
+             max([b.xhi - b.xlo for b in boxes], default=0))
     for name, term in (("source", instance.source), ("target", instance.target)):
-        problems.extend(_validate_terminal(name, term, instance, boxes))
+        problems.extend(_validate_terminal(name, term, instance, boxes, index))
     return problems
 
 
@@ -208,17 +213,19 @@ def _repeated_vertex(poly: RectPolygon) -> Optional[Point]:
     return None
 
 
-def _overlapping_boxes(boxes: Sequence[Rect]) -> list[tuple[int, int]]:
+def _overlapping_boxes(boxes: Sequence[Rect], order: Sequence[int]
+                       ) -> list[tuple[int, int]]:
     """Index pairs ``i < j`` of boxes whose interiors meet, in sorted order.
 
-    Sort and sweep on x: a box leaves the active list once its east side is
-    at or west of the sweep line, since no box still to come can then meet
-    its interior.  Every remaining active box is tested exactly, on plain
-    ints: the active list holds ``(index, xlo, xhi, ylo, yhi)`` tuples.
+    ``order`` lists the boxes by xlo.  Sweep on x: a box leaves the active
+    list once its east side is at or west of the sweep line, since no box
+    still to come can then meet its interior.  Every remaining active box
+    is tested exactly, on plain ints: the active list holds ``(index, xlo,
+    xhi, ylo, yhi)`` tuples.
     """
     pairs: list[tuple[int, int]] = []
     active: list[tuple[int, int, int, int, int]] = []
-    for j in sorted(range(len(boxes)), key=lambda k: boxes[k].xlo):
+    for j in order:
         b = boxes[j]
         xlo, xhi, ylo, yhi = b.xlo, b.xhi, b.ylo, b.yhi
         active = [a for a in active if a[2] > xlo]
@@ -232,20 +239,38 @@ def _overlapping_boxes(boxes: Sequence[Rect]) -> list[tuple[int, int]]:
     return pairs
 
 
+def _window(index: tuple[list[int], list[int], int], lo: int, hi: int
+            ) -> list[int]:
+    """The boxes, in index order, whose xlo lies in ``[lo - width, hi]``:
+    every box whose closed x-span meets ``[lo, hi]`` is among them.
+    ``index`` holds the boxes by xlo, their xlos in that order, and the
+    widest box's width."""
+    order, keys, width = index
+    return sorted(order[bisect.bisect_left(keys, lo - width):
+                        bisect.bisect_right(keys, hi)])
+
+
 def _validate_terminal(name: str, term: Terminal, instance: Instance,
-                       boxes: Sequence[Rect]) -> list[str]:
-    """Problems of one terminal; ``boxes`` are the obstacles' boxes."""
+                       boxes: Sequence[Rect],
+                       index: tuple[list[int], list[int], int]) -> list[str]:
+    """Problems of one terminal; ``boxes`` are the obstacles' boxes, and
+    ``index`` their xlo order for ``_window``.  A box that a terminal's
+    check can flag meets the terminal's closed x-span, so only the boxes
+    of that window are read, in index order."""
     problems: list[str] = []
     obs = instance.obstacles
     if term.kind == POINT:
-        for i, ob in enumerate(obs):
+        x = term.point[0]
+        for i in _window(index, x, x):
             # closed containment implies the closed box holds the point
-            if boxes[i].contains(term.point) and ob.contains(term.point):
+            if boxes[i].contains(term.point) and obs[i].contains(term.point):
                 problems.append(f"{name} point lies on obstacle {i}")
     elif term.kind == SEGMENT:
         seg = term.segment
         pierced = 0
-        for i, ob in enumerate(obs):
+        lo, hi = sorted((seg.p[0], seg.q[0]))
+        for i in _window(index, lo, hi):
+            ob = obs[i]
             if _segment_meets_interior(seg, ob):
                 problems.append(f"{name} segment crosses obstacle {i}")
             if _segment_meets_open_rect(seg, boxes[i]):
@@ -257,8 +282,8 @@ def _validate_terminal(name: str, term: Terminal, instance: Instance,
         if v is not None:
             problems.append(f"{name} polygon ring passes through vertex {v} twice")
         tb = term.bbox
-        for i, box in enumerate(boxes):
-            if not tb.interior_disjoint(box):
+        for i in _window(index, tb.xlo, tb.xhi):
+            if not tb.interior_disjoint(boxes[i]):
                 problems.append(f"{name} polygon box overlaps obstacle box {i}")
         other = instance.target
         if name == "source" and other.kind == POLYGON \

@@ -97,9 +97,12 @@ class _FramePoly:
     Every table has ``box``, ``ring``, ``west_lo``/``west_hi`` and the edge
     tables ``west``, ``horiz`` and ``vertical``, filled by one pass over the
     ring; they list edges in ring order as plain tuples, so the per-event
-    and per-step scans build no segment objects.  The climb chain, ``hug``
-    and ``east_horiz``, is built the first time a trace step reads it: a
-    region's holes are never climbed, so theirs is never built.
+    and per-step scans build no segment objects.  Two more are built on
+    first read, each on its own: the climb chain ``hug``, which only a
+    trace step reads, and ``east_horiz``, which every blocking query
+    reads.  A region's holes are never climbed, and neither is a hull that
+    an L or straight-run test only asks ``_first_block`` about, so no
+    chain is built for them.
     """
 
     __slots__ = ("box", "ring", "west_lo", "west_hi", "west", "horiz",
@@ -148,12 +151,14 @@ class _FramePoly:
         self.west, self.horiz, self.vertical = west, horiz, vertical
 
     def __getattr__(self, name: str):
-        # only an unfilled slot gets here: build the climb chain
-        if name != "hug" and name != "east_horiz":
-            raise AttributeError(name)
-        self.hug = _build_hug(self.ring, self.box.yhi)
-        self.east_horiz = frozenset([(xlo, y) for xlo, _, y in self.horiz])
-        return getattr(self, name)
+        # only an unfilled slot gets here: build that one
+        if name == "hug":
+            self.hug = _build_hug(self.ring, self.box.yhi)
+            return self.hug
+        if name == "east_horiz":
+            self.east_horiz = frozenset([(xlo, y) for xlo, _, y in self.horiz])
+            return self.east_horiz
+        raise AttributeError(name)
 
 
 def _build_hug(ring: Sequence[Point], yhi: int) -> list[Point]:
@@ -534,6 +539,20 @@ def _region_trace(world: World | FrameView, frame: Xform, f: Xform,
     return trace_ru(world.frame(frame.then(f)), f.apply(start), f.apply(stop)[0])
 
 
+def ray_clear(world: World | FrameView, frame: Xform, f: Xform,
+              start: Point, stop: Point) -> bool:
+    """Whether the trace of frame ``f`` within a region's ``frame``, from
+    ``start`` to the wall through ``stop`` (both in region coordinates),
+    runs straight to that wall.
+
+    That is its first step, one ``_first_block`` query, finding no block,
+    since a block makes the trace climb above the ray.  So this builds no
+    ``Trace``, no ``StepCurve`` and no climb chain.
+    """
+    return _first_block(world.frame(frame.then(f)), f.apply(start),
+                        f.apply(stop)[0]) is None
+
+
 def free_corners(world: World | FrameView, frame: Xform, s: Point, t: Point
                  ) -> list[Point]:
     """The corners, in world coordinates and in ascending order, of the
@@ -548,24 +567,19 @@ def free_corners(world: World | FrameView, frame: Xform, s: Point, t: Point
     * north then east, through (sx, ty): free iff the rays of ur from s and
       ld from t are clear to their walls.
 
-    Each leg is one ``_first_block`` query, the first step of the trace a
-    staircase region reads in that frame: a trace runs straight to its
-    wall iff that step finds no block, since a block makes it climb to
-    above the ray.  So this builds no ``Trace`` and no ``StepCurve``, and an
-    L is tested only while its first leg is clear.  A free L is an
-    xy-monotone path, so a pair with one classifies as ("xy", frame).
+    Each leg is one ``ray_clear`` query, on the trace a staircase region
+    reads in that frame, and an L is tested only while its first leg is
+    clear.  A free L is an xy-monotone path, so a pair with one classifies
+    as ("xy", frame).
     """
     sq, tq = frame.apply(s), frame.apply(t)
-
-    def clear(f: Xform, start: Point, stop: Point) -> bool:
-        return _first_block(world.frame(frame.then(f)), f.apply(start),
-                            f.apply(stop)[0]) is None
-
     inv = frame.inverse()
     corners = []
-    if clear(FRAME_RU, sq, tq) and clear(FRAME_DL, tq, sq):
+    if ray_clear(world, frame, FRAME_RU, sq, tq) \
+            and ray_clear(world, frame, FRAME_DL, tq, sq):
         corners.append(inv.apply((tq[0], sq[1])))
-    if clear(FRAME_UR, sq, tq) and clear(FRAME_LD, tq, sq):
+    if ray_clear(world, frame, FRAME_UR, sq, tq) \
+            and ray_clear(world, frame, FRAME_LD, tq, sq):
         corners.append(inv.apply((sq[0], tq[1])))
     return sorted(corners)
 

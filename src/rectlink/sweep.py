@@ -158,9 +158,9 @@ class RunStore:
 
 @dataclass
 class SweepResult:
-    lam: float                 # fewest links over all shortest monotone paths
-    lam_h: float               # restricted to paths arriving horizontally
-    lam_v: float               # restricted to paths arriving vertically
+    lam_h: float               # fewest links of shortest monotone paths
+                               # arriving horizontally
+    lam_v: float               # and of those arriving vertically
     event_values: list[float]  # per-event source minimum, in event order
     event_args: list[int]      # per-event lowest baseline holding it, or -1
     arg_v: int                 # lowest baseline of the vertical readout, or -1
@@ -211,7 +211,7 @@ def run_sweep(region: StaircaseRegion, store=None, seed_h: float = 1,
     best_v, arg_v = store.query(0, m - 2)
     lam_v = best_v + 1
     return SweepResult(
-        lam=min(lam_h, lam_v), lam_h=lam_h, lam_v=lam_v, event_values=values,
+        lam_h=lam_h, lam_v=lam_v, event_values=values,
         event_args=args, arg_v=arg_v, seed_v=seed_v, region=region,
     )
 

@@ -19,6 +19,8 @@ attachments the kept candidates make.  ``two-link`` is
 ``stats["two_link_pairs"]``, the plain xy pairs a free L answered without a
 region (each is also one of ``middle``).  The traffic columns are
 ``stats["regions"]`` (staircase regions swept, each built for its sweep),
+``free legs`` (``stats["free_legs"]``, the x-case legs that a straight run
+or a free L answered without a region; not among ``regions``),
 ``stats["traces_built"]`` (traces the world's memo computed),
 ``StepCurve`` builds (counted by wrapping ``partition.StepCurve.__init__``
 while the pool is solved; a memoised trace builds its curve once, so
@@ -67,7 +69,7 @@ def pools():
 def census(instances, reps: int) -> dict:
     row = {"instances": len(instances), "enumerated": 0, "kept": 0,
            "attachments": 0, "middle_solves": 0, "two_link_pairs": 0, "classes": 0,
-           "regions": 0, "traces_built": 0, "curves": 0, "classify": 0,
+           "regions": 0, "free_legs": 0, "traces_built": 0, "curves": 0, "classify": 0,
            "enumerated_midpoints": 0, "relaxed_midpoints": 0, "cpu_s": 0.0}
     answers = []
     builds = [0]
@@ -100,8 +102,9 @@ def census(instances, reps: int) -> dict:
             row["cpu_s"] += min(times)
             for key in ("middle_solves", "classes", "regions", "traces_built"):
                 row[key] += report.stats[key]
-            # a checkout from before the two-link rule reports none
+            # a checkout from before the two-link or free-leg rule reports none
             row["two_link_pairs"] += report.stats.get("two_link_pairs", 0)
+            row["free_legs"] += report.stats.get("free_legs", 0)
             row["curves"] += builds[0]
             row["classify"] += classifies[0]
             enumerated, relaxed = report.stats["midpoints"]
@@ -128,7 +131,7 @@ def main() -> None:
     args = ap.parse_args()
     print(f"{'pool':<20} {'inst':>5} {'candidates':>11} {'atts':>6} "
           f"{'middle':>7} {'two-link':>8} {'classes':>7} "
-          f"{'regions':>7} {'traces':>7} {'curves':>7} {'classify':>8} "
+          f"{'regions':>7} {'free legs':>9} {'traces':>7} {'curves':>7} {'classify':>8} "
           f"{'midpoints':>11} {'cpu s':>7}  answers",
           flush=True)
     for name, instances in pools():
@@ -138,7 +141,7 @@ def main() -> None:
         print(f"{name:<20} {row['instances']:5d} {cands:>11} {row['attachments']:6d} "
               f"{row['middle_solves']:7d} {row['two_link_pairs']:8d} "
               f"{row['classes']:7d} "
-              f"{row['regions']:7d} {row['traces_built']:7d} {row['curves']:7d} "
+              f"{row['regions']:7d} {row['free_legs']:9d} {row['traces_built']:7d} {row['curves']:7d} "
               f"{row['classify']:8d} "
               f"{mids:>11} {row['cpu_s']:7.3f}  {row['answers']}", flush=True)
 

@@ -13,6 +13,11 @@ builds its region), the regions of ``test_index._xy_regions`` (all eight
 total frames) and ``diagonal.diagonal_region(250)``.
 ``tests/test_region_digests.py`` recomputes them: a change to how regions
 are built must leave every region's events as they were.
+
+A composer leg that ``composer.free_leg`` answers builds no region, yet
+the recording was made when every leg built one.  So the recorder also
+builds the region of each leg ``free_leg`` answers, at that leg's place in
+the sequence, and every region the pools ask for is still checked.
 """
 from __future__ import annotations
 
@@ -42,10 +47,11 @@ def pool_region_digests(name: str) -> list[str]:
         sys.path.append(PERFBENCH)
     import workloads
     from pair_reference import solve
-    from rectlink import composer, engine
+    from rectlink import composer, engine, partition
 
     built = []
     originals = {mod: mod.build_staircase_region for mod in (engine, composer)}
+    free_leg = composer.free_leg
 
     def recording(build):
         def wrapper(*args):
@@ -54,14 +60,23 @@ def pool_region_digests(name: str) -> list[str]:
             return region
         return wrapper
 
+    def recording_free_leg(view, quad, p, q, seeds, midpoint):
+        leg = free_leg(view, quad, p, q, seeds, midpoint)
+        if leg is not None:
+            region = partition.build_staircase_region(view, quad, p, q)
+            built.append(region_digest(region))
+        return leg
+
     for mod, build in originals.items():
         mod.build_staircase_region = recording(build)
+    composer.free_leg = recording_free_leg
     try:
         for inst in workloads.base_pool(name):
             solve(inst)
     finally:
         for mod, build in originals.items():
             mod.build_staircase_region = build
+        composer.free_leg = free_leg
     return built
 
 

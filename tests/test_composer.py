@@ -15,14 +15,14 @@ from rectlink.composer import solve_x_case
 from rectlink.engine import _double, build_world
 from rectlink.frontend import _attachments, _Lines, solve
 from rectlink.generator import GenerationError, generate_instance
-from rectlink.geometry import FLIP_Y, GeometryError, RectPolygon, Xform
+from rectlink.geometry import FLIP_Y, GeometryError, PathResult, RectPolygon, Xform
 from rectlink.io import instance_from_obj
 from rectlink.model import Instance, Terminal
 from rectlink.oracle import oracle_solve
 from rectlink.partition import TRACE_FRAMES, FrameView, World, classify, trace_ru
-from rectlink.sweep import INF
+from rectlink.sweep import INF, reconstruct_path, run_sweep
 from shapes import in_open_box
-from test_frontend import _perfbench, _pocket_instances
+from test_frontend import _perfbench, _pocket_instances, _triangle_instances
 
 WALL = RectPolygon([(8, -40), (12, -40), (12, 40), (8, 40)])
 
@@ -635,3 +635,94 @@ def test_a_target_keeps_opposite_arrivals_along_one_axis():
     _, (pocket,), _ = solve_x_case(world, frame, [(128, 144)], [(128, 265)],
                                    dir_links=ones)
     assert _arrival_links(pocket) == {(0, 1): 4, (1, 0): 3, (-1, 0): 3}
+
+
+def _recording_free_legs(mp, legs):
+    """Record (view, quad, p, q, seeds, leg) of every leg ``free_leg``
+    answers while ``mp`` is active."""
+    answer = composer.free_leg
+
+    def recording(view, quad, p, q, seeds, midpoint):
+        leg = answer(view, quad, p, q, seeds, midpoint)
+        if leg is not None:
+            legs.append((view, quad, p, q, seeds, leg))
+        return leg
+
+    mp.setattr(composer, "free_leg", recording)
+
+
+def _check_free_leg(view, quad, p, q, seeds, leg) -> str:
+    """The region and sweep that ``leg`` replaces, with the same seeds,
+    give its values and its witness; returns the leg's kind."""
+    region = partition.build_staircase_region(view, quad, p, q)
+    res = run_sweep(region, seed_h=seeds[0], seed_v=seeds[1])
+    assert leg.region == (region.frame, region.s, region.t)
+    if leg.lam_v is None:
+        kind = "L"
+        assert p[1] != q[1] and leg.lam_h == seeds[1]
+        assert composer._horiz_readout(res) == (seeds[1], "h")
+    else:
+        kind = "straight"
+        assert p[1] == q[1]
+        assert (res.lam_h, res.lam_v) == (seeds[0], INF) == (leg.lam_h, leg.lam_v)
+    got = PathResult.from_points(leg.points)
+    want = PathResult.from_points(reconstruct_path(res, "h"))
+    assert (got.length, got.links) == (want.length, want.links)
+    assert got.points == want.points
+    return kind
+
+
+def _free_leg_kinds(pool) -> dict[str, int]:
+    legs = []
+    with pytest.MonkeyPatch.context() as mp:
+        _recording_free_legs(mp, legs)
+        for inst in pool:
+            solve(inst)
+    kinds = {"L": 0, "straight": 0}
+    for leg in legs:
+        kinds[_check_free_leg(*leg)] += 1
+    return kinds
+
+
+def test_free_legs_read_as_their_sweeps():
+    """Every leg that ``free_leg`` answers on the point-small and
+    attach-small base pools, the triangle-pruning instances and the pocket
+    chain: with the leg's seeds, its region's sweep reads an L leg's
+    ``seed_v`` eastward, arriving "h", and a straight leg's (seed_h, INF),
+    and gives the leg's witness (see composer's "Legs without a region")."""
+    workloads = _perfbench("workloads")
+    pool = (workloads.base_pool("point-small") + workloads.base_pool("attach-small")
+            + _triangle_instances() + [inst for _, inst in _pocket_instances(60)])
+    kinds = _free_leg_kinds(pool)
+    assert kinds["L"] > 100 and kinds["straight"] > 30, kinds
+
+
+@settings(max_examples=300, deadline=5000, derandomize=True, database=None)
+@given(instances())
+def test_free_legs_read_as_their_sweeps_on_fuzzed_instances(inst):
+    _free_leg_kinds([inst])
+
+
+def test_a_free_leg_is_neither_classified_nor_built(monkeypatch):
+    """Every leg the readout takes asks ``free_leg`` first; one it answers
+    reaches neither ``classify`` nor ``build_staircase_region``, and every
+    other reaches both once.  Point-small's x-case legs: 28 of 81 are
+    answered, and so are 14 of attach-small's 34."""
+    calls = {"free_leg": 0, "classify": 0, "build_staircase_region": 0}
+    for name in calls:
+        real = getattr(composer, name)
+        monkeypatch.setattr(composer, name, lambda *args, real=real, name=name:
+                            calls.__setitem__(name, calls[name] + 1) or real(*args))
+    workloads = _perfbench("workloads")
+    for pool, want in (("point-small", (28, 81)), ("attach-small", (14, 34))):
+        answered = legs = 0
+        for inst in workloads.base_pool(pool):
+            for name in calls:
+                calls[name] = 0
+            report = solve(inst)
+            free = report.stats["free_legs"]
+            assert calls["classify"] == calls["build_staircase_region"] \
+                == calls["free_leg"] - free
+            answered += free
+            legs += calls["free_leg"]
+        assert (answered, legs) == want, pool

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import validate_reference
 from rectlink.geometry import Rect, RectPolygon
 from rectlink.model import Instance, Terminal, validate
 from shapes import rect_polygon
@@ -99,6 +100,41 @@ def test_overlap_messages_match_all_pairs_reference():
         assert got == want
         overlapping += bool(want)
     assert 50 < overlapping < 300
+
+
+def _random_terminal(rng, span):
+    x, y = rng.randrange(span), rng.randrange(span)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Terminal.of_point((x, y))
+    if kind == 1:
+        d = rng.randrange(1, span // 2)
+        end = (x + d, y) if rng.random() < 0.5 else (x, y + d)
+        return Terminal.of_segment((x, y), end)
+    return Terminal.of_polygon(rect_polygon(
+        Rect(x, y, x + rng.randrange(1, 20), y + rng.randrange(1, 20))))
+
+
+def test_terminal_checks_match_the_all_boxes_reference():
+    """``validate`` tests a terminal only against the boxes of its
+    x-window; the reference tests it against every box.  Terminals here
+    land on, in and across boxes of every width."""
+    rng = random.Random(29)
+    flagged = 0
+    for _ in range(400):
+        span = rng.choice((40, 120, 400))
+        boxes = []
+        for _ in range(rng.randrange(0, 25)):
+            x, y = rng.randrange(span), rng.randrange(span)
+            boxes.append(rect_polygon(Rect(x, y, x + rng.randrange(1, 60),
+                                           y + rng.randrange(1, 30))))
+        inst = _inst(_random_terminal(rng, span), _random_terminal(rng, span),
+                     boxes)
+        want = validate_reference.validate(inst)
+        assert validate(inst) == want
+        flagged += any(e.startswith(("source", "target")) and "shares" not in e
+                       for e in want)
+    assert flagged > 100
 
 
 # a ring through (0, 1) twice: its normalised vertex tuple depends on where

@@ -27,6 +27,7 @@ from rectlink.partition import (
 from dents import dent_instance
 from frame_reference import columns, mapped_polygon, reference_tables
 from fuzz_instances import instances
+from test_frontend import _perfbench
 
 # instance coordinates; a world reads it doubled, as the box (4, 4)-(10, 8)
 RECT = RectPolygon([(2, 2), (5, 2), (5, 4), (2, 4)])
@@ -417,6 +418,34 @@ class TestLazyHulls:
         assert chains and not {polys[h].ring for h in region.holes} & set(chains)
         for h in region.holes:
             assert polys[h].vertical == _vertical_edges(world.hull(h), region.frame)
+
+    def test_blocking_queries_build_no_climb_chain(self, monkeypatch):
+        """Point-small's two-link solves read hull tables only through the
+        L tests' blocking queries, which read ``east_horiz`` and never
+        ``hug``: they build tables but no climb chain.  Each of the two is
+        built on its own, and equals its eager reference column."""
+        chains = []
+        build_hug = partition._build_hug
+        monkeypatch.setattr(partition, "_build_hug",
+                            lambda ring, yhi: chains.append(ring) or build_hug(ring, yhi))
+        two_link = tables = 0
+        for inst in _perfbench("workloads").base_pool("point-small"):
+            chains.clear()
+            report = solve(inst)
+            if report.stats["two_link_pairs"]:
+                assert chains == []
+                two_link += 1
+                tables += report.stats["hull_tables_built"]
+        assert two_link == 206 and tables > 50
+        world = build_world(_dented(0).obstacles)
+        for t in XFORMS:
+            ft = world.frame(t)
+            for i in range(len(world.obstacles)):
+                want = reference_tables(world.hull(i), t)
+                chains.clear()
+                assert ft[i].east_horiz == want["east_horiz"]
+                assert chains == []
+                assert ft[i].hug == want["hug"] and len(chains) == 1
 
     @given(st.integers(0, 10_000))
     def test_a_hull_keeps_the_obstacle_box(self, seed):

@@ -2,18 +2,59 @@
 reference.
 
 ``validate`` is that function verbatim: every obstacle vertex goes through
-the per-vertex loop, on valid input too.  It reads the helpers of
-``rectlink.model``, which the fast path left unchanged, so it differs from
-``model.validate`` only in how the per-vertex checks are made.
+the per-vertex loop, on valid input too.  ``_validate_terminal`` is the
+terminal check as it was before it read only the terminal's x-window of
+boxes: it tests the terminal against every box.  The other helpers it
+reads are ``rectlink.model``'s, which the fast path left unchanged, so it
+differs from ``model.validate`` only in how the per-vertex checks are made
+and in which boxes a terminal is tested against.
 ``tests/test_validate_reference.py`` checks that both return the same list.
 """
 from rectlink.geometry import COORD_LIMIT
 from rectlink.model import (
+    POINT,
+    POLYGON,
+    SEGMENT,
     Instance,
     _overlapping_boxes,
     _repeated_vertex,
-    _validate_terminal,
+    _segment_meets_interior,
+    _segment_meets_open_rect,
 )
+
+
+def _validate_terminal(name, term, instance, boxes):
+    """Problems of one terminal; ``boxes`` are the obstacles' boxes."""
+    problems = []
+    obs = instance.obstacles
+    if term.kind == POINT:
+        for i, ob in enumerate(obs):
+            # closed containment implies the closed box holds the point
+            if boxes[i].contains(term.point) and ob.contains(term.point):
+                problems.append(f"{name} point lies on obstacle {i}")
+    elif term.kind == SEGMENT:
+        seg = term.segment
+        pierced = 0
+        for i, ob in enumerate(obs):
+            if _segment_meets_interior(seg, ob):
+                problems.append(f"{name} segment crosses obstacle {i}")
+            if _segment_meets_open_rect(seg, boxes[i]):
+                pierced += 1
+        if pierced > 2:
+            problems.append(f"{name} segment pierces {pierced} bounding boxes")
+    else:
+        v = _repeated_vertex(term.polygon)
+        if v is not None:
+            problems.append(f"{name} polygon ring passes through vertex {v} twice")
+        tb = term.bbox
+        for i, box in enumerate(boxes):
+            if not tb.interior_disjoint(box):
+                problems.append(f"{name} polygon box overlaps obstacle box {i}")
+        other = instance.target
+        if name == "source" and other.kind == POLYGON \
+                and not tb.interior_disjoint(other.bbox):
+            problems.append("terminal polygon boxes overlap")
+    return problems
 
 
 def validate(instance: Instance) -> list[str]:
@@ -36,7 +77,8 @@ def validate(instance: Instance) -> list[str]:
             problems.append(f"obstacle {i} ring passes through vertex {v} twice")
 
     boxes = [ob.bbox for ob in obs]
-    for i, j in _overlapping_boxes(boxes):
+    for i, j in _overlapping_boxes(boxes, sorted(range(len(boxes)),
+                                                 key=lambda k: boxes[k].xlo)):
         problems.append(f"obstacle boxes {i} and {j} overlap")
 
     # general position: no two obstacles share a vertex x or y, and terminal

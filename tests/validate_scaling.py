@@ -49,7 +49,9 @@ def measure(n: int, r: int) -> dict:
         cold.append(_ms(validate, fresh))
     warm = [_ms(validate, inst) for _ in range(REPS)]
     boxes = [ob.bbox for ob in inst.obstacles]
-    overlap = [_ms(_overlapping_boxes, boxes) for _ in range(REPS)]
+    overlap = [_ms(lambda b: _overlapping_boxes(
+        b, sorted(range(len(b)), key=lambda k: b[k].xlo)), boxes)
+        for _ in range(REPS)]
     return {"n": n, "r": r, "vertices": vertices,
             "cold": statistics.median(cold), "warm": statistics.median(warm),
             "overlap": statistics.median(overlap)}
