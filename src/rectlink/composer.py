@@ -97,12 +97,16 @@ and no later event lowers or overwrites it, and a single baseline holds
 only h0.  A target keeps its L legs' sweeps: its readout needs ``lam_h``
 and ``lam_v`` per arrival direction, and a pocket target's merge can make
 either one win.
+
+One readout.  An xy pair's single leg (``engine.solve_pair_raw``) is read
+out by ``read_arrivals``, the code that reads a class solve's targets, and
+every middle solve's counters come from ``SubregionDag.stats``.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geometry import IDENTITY, UNIT_DIRS, GeometryError, PathResult, Point, Xform, first_dir
 from .partition import (
@@ -206,6 +210,16 @@ class SubregionDag:
     events: int = 0
     free_legs: int = 0     # legs answered without a region
 
+    def stats(self) -> dict:
+        """The counters ``frontend.solve`` sums into ``SolveReport.stats``."""
+        return {"events": self.events, "regions": self.regions, "free_legs": self.free_legs,
+                "midpoints": (len(self.nodes), self.relaxed)}
+
+
+def source_seeds(dir_links: dict[Point, float], inv: Xform) -> tuple[float, float]:
+    """(seed_h, seed_v) of a leg out of a source whose frame's inverse is ``inv``."""
+    return dir_links[inv.apply((1, 0))], dir_links[inv.apply((0, 1))] + 1
+
 
 def _horiz_readout(leg: SweepResult | FreeLeg) -> tuple[float, str]:
     """Fewest links among shortest paths that leave the leg's far end
@@ -280,6 +294,57 @@ def _resume_at(run: list[tuple[int, int]], x: int) -> int:
     return bisect.bisect_left(run, (x,))
 
 
+def stitch(frame: Xform, nodes: Sequence[_Node], pred: Pred,
+           leg: SweepResult | FreeLeg, arrival: str) -> list[Point]:
+    """The best chain from a source through ``pred`` and ``leg``, in world
+    coordinates; ``frame`` maps the world to ``nodes``' frame."""
+    # a midpoint's leg is read out eastward (``_horiz_readout``)
+    legs = [(leg, arrival)]
+    while pred[0] == "mid":
+        nd = nodes[pred[1]]
+        legs.append((nd.leg, _horiz_readout(nd.leg)[1]))
+        pred = nd.best_pred
+    pts: list[Point] = []
+    for leg, arr in reversed(legs):
+        inv = frame.then(leg.region.frame).inverse()
+        path = leg.points if isinstance(leg, FreeLeg) else reconstruct_path(leg, arr)
+        pts.extend(inv.apply(p) for p in path)
+    return pts
+
+
+def read_arrivals(frame: Xform, nodes: Sequence[_Node], target: _Node,
+                  legs: Iterable[tuple[Pred, SweepResult | FreeLeg]],
+                  dir_links: dict[Point, float]) -> dict[Point, tuple[int, list[Point]]]:
+    """The target's arrivals over ``legs``, its (pred, leg) pairs: per world
+    direction, the fewest links and a re-measured world witness.  ``frame``
+    maps the world to ``nodes``' and ``target``'s, whose best leg is kept."""
+    # per world arrival direction: a rising and a falling leg both arrive
+    # "v" in their own frames, but from opposite sides (a straight leg's
+    # values are its region's; an L leg never ends at a target)
+    best: dict[Point, tuple[float, Pred, SweepResult | FreeLeg, str]] = {}
+    for pred, leg in legs:
+        inv_total = frame.then(leg.region.frame).inverse()
+        for arr, lam, d in (("h", leg.lam_h, (1, 0)), ("v", leg.lam_v, (0, 1))):
+            adir = inv_total.apply(d)
+            if lam < best.get(adir, (INF,))[0]:
+                best[adir] = (lam, pred, leg, arr)
+            if lam < target.links:
+                target.links, target.best_pred, target.leg = lam, pred, leg
+    if target.links == INF:
+        raise GeometryError("no reachable predecessor on an optimal chain")
+    got: dict[Point, tuple[int, list[Point]]] = {}
+    for adir, (lam, pred, leg, arr) in best.items():
+        witness = PathResult.from_points(stitch(frame, nodes, pred, leg, arr))
+        # the first segment is charged its seeded link count, not 1
+        seeded = witness.links - 1 + dir_links[first_dir(witness.points)]
+        if witness.length != target.dist or seeded != lam:
+            raise GeometryError("witness disagrees with the sweep")
+        got[adir] = (int(lam), witness.points)
+    if not got:
+        raise GeometryError("no arrival at the target")
+    return got
+
+
 def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
                  targets: Sequence[Point],
                  dir_links: Optional[dict[Point, float]] = None,
@@ -293,7 +358,8 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
     at any source, at distance 0, and runs strictly eastward through
     midpoints to a target; ``dir_links`` optionally gives the link count of
     a path leaving a source in each unit direction (all 1 by default), which
-    lets a caller continue a partial path through it.  Every chain is a real
+    lets a caller continue a partial path through it, and is exact only as
+    ``engine.solve_pair_raw`` says.  Every chain is a real
     path, and every shortest path of a pair that ``classify`` reads as an
     eastward x-case in ``frame`` is one, so the nearest targets' distance
     is at most that of each such pair, and a pair at that distance ends at
@@ -618,11 +684,7 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
                     # a level first leg into a midpoint is no turnaround
                     continue
                 quad = quadrant(p, nd.point)
-                # a leg out of a source continues whatever partial path
-                # enters there
-                inv_total = frame.then(quad).inverse()
-                seeds = (dir_links[inv_total.apply((1, 0))],
-                         dir_links[inv_total.apply((0, 1))] + 1)
+                seeds = source_seeds(dir_links, frame.then(quad).inverse())
             else:
                 mu = nodes[pred[1]]
                 if mu.links == INF:
@@ -653,54 +715,6 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
             if lam < nd.links:
                 nd.links, nd.best_pred, nd.leg = lam, pred, leg
 
-    def stitch(pred: Pred, res: SweepResult | FreeLeg, arrival: str
-               ) -> list[Point]:
-        # a midpoint's leg is read out eastward (``_horiz_readout``)
-        legs = [(res, arrival)]
-        while pred[0] == "mid":
-            nd = nodes[pred[1]]
-            legs.append((nd.leg, _horiz_readout(nd.leg)[1]))
-            pred = nd.best_pred
-        pts: list[Point] = []
-        for leg, arr in reversed(legs):
-            inv = leg.region.frame.inverse()
-            path = leg.points if isinstance(leg, FreeLeg) else reconstruct_path(leg, arr)
-            pts.extend(inv.apply(p) for p in path)
-        return pts
-
-    arrivals: list[dict[Point, tuple[int, list[Point]]]] = []
-    for nd in tgts:
-        got: dict[Point, tuple[int, list[Point]]] = {}
-        arrivals.append(got)
-        if nd.dist != near:
-            continue
-        # best leg into the target, kept separately per world arrival
-        # direction: a rising and a falling leg both arrive "v" in their
-        # own frames, but from opposite sides
-        # (a straight leg's values are its region's; an L leg never ends at
-        # a target)
-        final_best: dict[Point, tuple[float, Pred, SweepResult | FreeLeg, str]] = {}
-        for pred, res in legs_into(nd):
-            inv_total = frame.then(res.region.frame).inverse()
-            for arr, lam, d in (("h", res.lam_h, (1, 0)), ("v", res.lam_v, (0, 1))):
-                adir = inv_total.apply(d)
-                if lam < final_best.get(adir, (INF,))[0]:
-                    final_best[adir] = (lam, pred, res, arr)
-            lam = min(res.lam_h, res.lam_v)
-            if lam < nd.links:
-                nd.links, nd.best_pred, nd.leg = lam, pred, res
-        if nd.links == INF:
-            raise GeometryError("no reachable predecessor on an optimal chain")
-        for adir, (lam, pred, res, arr) in final_best.items():
-            if lam == INF:
-                continue
-            world_pts = [inv_frame.apply(p) for p in stitch(pred, res, arr)]
-            result = PathResult.from_points(world_pts)
-            # the first segment is charged its seeded link count, not 1
-            seeded = result.links - 1 + dir_links[first_dir(result.points)]
-            if result.length != nd.dist or seeded != lam:
-                raise GeometryError("witness disagrees with the relaxation values")
-            got[adir] = (int(lam), result.points)
-        if not got:
-            raise GeometryError("no arrival at the target")
+    arrivals = [read_arrivals(frame, nodes, nd, legs_into(nd), dir_links)
+                if nd.dist == near else {} for nd in tgts]
     return int(near), arrivals, dag

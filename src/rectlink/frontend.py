@@ -157,6 +157,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import engine
+from .composer import SubregionDag
 from .engine import _double, build_world, solve_pair_raw
 from .geometry import (
     FLIP_Y,
@@ -566,7 +567,7 @@ def solve(instance: Instance) -> SolveReport:
         raise GeometryError("a terminal has no connection to the free plane")
 
     stats = {"middle_solves": 0, "two_link_pairs": 0, "classes": 0,
-             "events": 0, "regions": 0, "free_legs": 0, "midpoints": (0, 0),
+             **SubregionDag(nodes=[], targets=[]).stats(),
              "attachments": (len(atts_s), len(atts_t)),
              "candidates": (counts_s, counts_t)}
     # the least (d2, links, path) offered; a path is built only to break a
@@ -586,12 +587,9 @@ def solve(instance: Instance) -> SolveReport:
 
     def count(solve_stats: dict) -> None:
         stats["middle_solves"] += 1
-        stats["events"] += solve_stats.get("events", 0)
-        stats["regions"] += solve_stats.get("regions", 0)
-        stats["free_legs"] += solve_stats.get("free_legs", 0)
-        enumerated, relaxed = solve_stats.get("midpoints", (0, 0))
-        stats["midpoints"] = (stats["midpoints"][0] + enumerated,
-                              stats["midpoints"][1] + relaxed)
+        for key, v in solve_stats.items():
+            stats[key] = tuple(map(sum, zip(stats[key], v))) \
+                if isinstance(v, tuple) else stats[key] + v
 
     # in-box routes, to the other terminal's candidates in a search's box
     for searches, cands, forward in ((search_s, cands_t, True),
@@ -646,9 +644,7 @@ def solve(instance: Instance) -> SolveReport:
                         dist2, arrivals, dag = engine.solve_x_case(
                             world, frame, plain_s, plain_t)
                         stats["classes"] += 1
-                        count({"events": dag.events, "regions": dag.regions,
-                               "free_legs": dag.free_legs,
-                               "midpoints": (len(dag.nodes), dag.relaxed)})
+                        count(dag.stats())
                         for arrs in arrivals:
                             for lam, wit in arrs.values():
                                 offer(dist2, lam, lambda w=wit: list(w))

@@ -1,9 +1,9 @@
 import pytest
 
 from rectlink.engine import build_world, solve_pair_raw
-from rectlink.frontend import _align_runs, solve
+from rectlink.frontend import Attachment, _align_runs, _seed_links, solve
 from rectlink.generator import generate_instance
-from rectlink.geometry import GeometryError, PathResult, RectPolygon
+from rectlink.geometry import GeometryError, PathResult, RectPolygon, first_dir
 from rectlink.model import Instance, Terminal
 from rectlink.oracle import oracle_solve
 from shapes import in_open_box
@@ -125,3 +125,26 @@ def test_pair_matches_oracle(seed):
     assert (ans.distance, ans.links) == (ora.distance, ora.links), f"seed {seed}"
     got = PathResult.from_points(ans.path)
     assert (got.length, got.links) == (ans.distance, ans.links)
+
+
+@pytest.mark.parametrize("out, want", [
+    ((1, 0), {(1, 0): 3, (0, 1): 2}),
+    ((-1, 0), {(1, 0): 3, (0, 1): 4}),
+    ((0, 1), {(1, 0): 2, (0, 1): 3}),
+    ((0, -1), {(1, 0): 4, (0, 1): 3}),
+])
+def test_seeded_links_are_exact_for_the_pocket_seed_shapes(out, want):
+    """``solve_pair_raw``'s precondition holds for ``_seed_links``' seeds,
+    here with one link to the junction: in the empty world, (0, 0) to
+    (6, 4) arrives in each direction with the fewest links of the two- and
+    three-link paths, each charged its first run's seed."""
+    seeds = _seed_links(Attachment(junction2=(0, 0), d2=0, links=1, out_dir=out))
+    shapes = [[(0, 0), (6, 0), (6, 4)], [(0, 0), (0, 4), (6, 4)],
+              [(0, 0), (3, 0), (3, 4), (6, 4)], [(0, 0), (0, 2), (6, 2), (6, 4)]]
+    brute = {}
+    for pts in shapes:
+        arrive = first_dir(pts[-2:])
+        links = len(pts) - 2 + seeds[first_dir(pts)]
+        brute[arrive] = min(brute.get(arrive, links), links)
+    raw = solve_pair_raw(build_world([]), (0, 0), (6, 4), dir_links=seeds)
+    assert {d: lam for d, (lam, _) in raw.arrivals.items()} == brute == want

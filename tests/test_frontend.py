@@ -12,6 +12,7 @@ import candidate_reference
 import pair_reference
 import terminal_scaling
 from rectlink import frontend
+from rectlink.composer import SubregionDag
 from rectlink.engine import build_world
 from rectlink.frontend import _attachments, _Lines, solve
 from rectlink.generator import generate_instance
@@ -308,6 +309,36 @@ def test_readme_lists_every_stats_key():
                       target=Terminal.of_point((8, 6)))
     for inst in (pocket, points):
         assert sorted(solve(inst).stats) == sorted(keys)
+
+
+def test_a_middle_solve_counter_is_added_in_one_place(monkeypatch):
+    """``SubregionDag.stats`` is the one source of a middle solve's
+    counters: a key it returns is summed into ``SolveReport.stats`` over a
+    class solve (point-small instance 26) and over a pocket pair's xy and
+    x-case solves (the pocket chain's seed 0)."""
+    point = _perfbench("workloads").base_pool("point-small")[26]
+    pocket = dict(_pocket_instances(1))[0]
+    made, cases = [], set()
+    stats, pair = SubregionDag.stats, frontend.solve_pair_raw
+
+    def probed(dag):
+        made.append(dag)
+        return {**stats(dag), "probe": 1}
+
+    def traced(*args, **kw):
+        raw = pair(*args, **kw)
+        cases.add(raw.case)
+        return raw
+
+    monkeypatch.setattr(SubregionDag, "stats", probed)
+    monkeypatch.setattr(frontend, "solve_pair_raw", traced)
+    for inst, classes, want in ((point, 1, set()), (pocket, 0, {"xy", "x"})):
+        made.clear()
+        cases.clear()
+        got = solve(inst).stats
+        # the starting zeros, and one per class or swept pair solve
+        assert got["probe"] == len(made) > 1
+        assert got["classes"] == classes and cases == want
 
 
 def test_a_segments_pocket_candidates_are_its_ends_stretches():
