@@ -304,13 +304,14 @@ def _riding(world: World, obstacles: Sequence, other_box: Optional[tuple],
     of the box index along ``a`` serves every direction.
     """
     ax = 2 * a                   # the signed-axis index of +a, and of +b
-    keys, order = world.keys[ax], world.orders[ax]
-    alo, ahi = world.lows[ax], world.highs[ax]
-    blo, bhi = world.lows[2 - ax], world.highs[2 - ax]
+    index = world.index
+    keys, order = index.keys[ax], index.orders[ax]
+    alo, ahi = index.lows[ax], index.highs[ax]
+    blo, bhi = index.lows[2 - ax], index.highs[2 - ax]
     lo2 = hi2 = 2 * ahead[0][2][0]
     for _, _, test in ahead:
         lo2, hi2 = min(lo2, 2 * test[0]), max(hi2, 2 * test[-1])
-    window = [i for i in order[bisect.bisect_left(keys, lo2 - world.widths[a]):
+    window = [i for i in order[bisect.bisect_left(keys, lo2 - index.widths[a]):
                                bisect.bisect_right(keys, hi2)]
               if ahi[i] >= lo2]
     outs: list[list[int]] = []
@@ -554,11 +555,12 @@ def _align_runs(points: list[Point], xs: list[int], ys: list[int]) -> list[Point
 
 def solve(instance: Instance) -> SolveReport:
     """Shortest-distance, fewest-link path between the two terminals."""
-    problems = validate(instance)
+    # the world's box index is the solve's only one, and validate reads it
+    world = build_world(instance.obstacles)
+    problems = validate(instance, world.index)
     if problems:
         raise InvalidInstance(problems)
     lines = _Lines(instance)
-    world = build_world(instance.obstacles)
     atts_s, search_s, cands_s, counts_s = _attachments(
         instance, instance.source, lines, world)
     atts_t, search_t, cands_t, counts_t = _attachments(

@@ -17,6 +17,7 @@ from .geometry import (
     RectPolygon,
     bounding_box,
 )
+from .partition import BoxIndex
 
 POINT = "point"
 SEGMENT = "segment"
@@ -96,8 +97,24 @@ class InvalidInstance(GeometryError):
         self.problems = list(problems)
 
 
-def validate(instance: Instance) -> list[str]:
+def validate(instance: Instance, index: Optional[BoxIndex] = None) -> list[str]:
     """Return a list of problems; an empty list means the instance is legal.
+
+    ``index`` is the obstacles' ``BoxIndex``: a solve passes its world's,
+    so the boxes are sorted once per solve, and a call without one builds
+    its own.  The index holds the boxes doubled.  Doubling scales every
+    coordinate by the same positive factor, so it keeps the outcome of
+    every comparison below, strict or not.
+
+    The boxes' interiors are proved disjoint by one sweep over the index's
+    xlo order (ties by index).  A box leaves the active list once its xhi
+    is at or west of the sweep's xlo: every box still to come starts at or
+    east of that xlo, so none can meet its interior, and only active boxes
+    can meet the box at hand.  An active box's xlo is at most the current
+    one, ties included (a box of positive width stays active at its own
+    xlo), and its xhi lies east of it, as the current box's xhi does; so
+    the two x-spans meet in an open interval and the interiors meet iff
+    the y-spans' interiors meet.  That y test is the only one made.
 
     On a valid instance the per-vertex checks (coordinate limit, rings
     through a vertex twice, shared obstacle lines, terminals on obstacle
@@ -114,31 +131,47 @@ def validate(instance: Instance) -> list[str]:
     rule out a corner x or y shared by two obstacles, a terminal on an
     obstacle's line, and a ring through a vertex twice, since that vertex
     would end two distinct vertical edges with one x.  The least and the
-    greatest coordinate, read off the obstacle boxes and the terminals,
-    settle the limit.  The problems are then the box overlaps and the
-    terminals' own, in the loop's order.
+    greatest coordinate, read off the heads of the index's sorted keys and
+    the terminals, settle the limit.  The problems are then the box
+    overlaps and the terminals' own, in the loop's order.
 
     When a count falls short the loop runs as it always did and names the
     problems.  Shared xs inside one obstacle, which are legal, fall short
     too, and the loop finds nothing.
     """
-    boxes = [ob.bbox for ob in instance.obstacles]
-    xlos = [b.xlo for b in boxes]
-    order = sorted(range(len(boxes)), key=xlos.__getitem__)
-    problems = [f"obstacle boxes {i} and {j} overlap"
-                for i, j in _overlapping_boxes(boxes, order)]
-    if not _counted(instance, boxes):
+    if index is None:
+        index = BoxIndex(instance.obstacles)
+    problems = [f"obstacle boxes {i} and {j} overlap" for i, j in _overlaps(index)]
+    if not _counted(instance, index):
         problems = _vertex_problems(instance, problems)
-    index = (order, [xlos[i] for i in order],
-             max([b.xhi - b.xlo for b in boxes], default=0))
     for name, term in (("source", instance.source), ("target", instance.target)):
-        problems.extend(_validate_terminal(name, term, instance, boxes, index))
+        problems.extend(_validate_terminal(name, term, instance, index))
     return problems
 
 
-def _counted(instance: Instance, boxes: Sequence[Rect]) -> bool:
+def _overlaps(index: BoxIndex) -> list[tuple[int, int]]:
+    """Index pairs ``i < j`` of boxes whose interiors meet, in sorted
+    order: the sweep ``validate`` argues, on the index's int lists."""
+    xhi, ylo, yhi = index.highs[0], index.lows[2], index.highs[2]
+    pairs: list[tuple[int, int]] = []
+    active: list[int] = []
+    for j, xlo in zip(index.orders[0], index.keys[0]):
+        y0, y1 = ylo[j], yhi[j]
+        kept = []
+        for i in active:
+            if xhi[i] > xlo:
+                kept.append(i)
+                if ylo[i] < y1 and y0 < yhi[i]:
+                    pairs.append((i, j) if i < j else (j, i))
+        kept.append(j)
+        active = kept
+    pairs.sort()
+    return pairs
+
+
+def _counted(instance: Instance, index: BoxIndex) -> bool:
     """Do two set sizes per axis and the extreme coordinates prove every
-    per-vertex check?  See ``validate``; ``boxes`` are the obstacles'."""
+    per-vertex check?  See ``validate``; ``index`` is the obstacles'."""
     xs_all, ys_all = instance.all_coords()
     total = sum(map(len, map(attrgetter("vertices"), instance.obstacles)))
     ends = instance.source.coords() + instance.target.coords()
@@ -146,13 +179,15 @@ def _counted(instance: Instance, boxes: Sequence[Rect]) -> bool:
             or 2 * (len(ys_all) - len(set(map(itemgetter(1), ends)))) != total:
         # an odd total breaks the ring invariant, and no count holds then
         return False
-    # an obstacle's extreme coordinates are its box's sides, which are
-    # fewer to scan than the coordinate sets
-    lo = min(chain(map(attrgetter("xlo"), boxes), map(attrgetter("ylo"), boxes),
-                   chain.from_iterable(ends)))
-    hi = max(chain(map(attrgetter("xhi"), boxes), map(attrgetter("yhi"), boxes),
-                   chain.from_iterable(ends)))
-    return -COORD_LIMIT <= lo and hi <= COORD_LIMIT
+    # doubled, as the index is; its sorted keys start with the least xlo,
+    # -xhi, ylo and -yhi
+    lo = 2 * min(chain.from_iterable(ends))
+    hi = 2 * max(chain.from_iterable(ends))
+    keys = index.keys
+    if keys[0]:
+        lo = min(lo, keys[0][0], keys[2][0])
+        hi = max(hi, -keys[1][0], -keys[3][0])
+    return -2 * COORD_LIMIT <= lo and hi <= 2 * COORD_LIMIT
 
 
 def _vertex_problems(instance: Instance, overlaps: list[str]) -> list[str]:
@@ -213,57 +248,29 @@ def _repeated_vertex(poly: RectPolygon) -> Optional[Point]:
     return None
 
 
-def _overlapping_boxes(boxes: Sequence[Rect], order: Sequence[int]
-                       ) -> list[tuple[int, int]]:
-    """Index pairs ``i < j`` of boxes whose interiors meet, in sorted order.
-
-    ``order`` lists the boxes by xlo.  Sweep on x: a box leaves the active
-    list once its east side is at or west of the sweep line, since no box
-    still to come can then meet its interior.  Every remaining active box
-    is tested exactly, on plain ints: the active list holds ``(index, xlo,
-    xhi, ylo, yhi)`` tuples.
-    """
-    pairs: list[tuple[int, int]] = []
-    active: list[tuple[int, int, int, int, int]] = []
-    for j in order:
-        b = boxes[j]
-        xlo, xhi, ylo, yhi = b.xlo, b.xhi, b.ylo, b.yhi
-        active = [a for a in active if a[2] > xlo]
-        # an active box has xlo <= this xlo < its xhi; the interiors meet
-        # iff they also meet along x from this side and along y
-        for i, axlo, _, aylo, ayhi in active:
-            if axlo < xhi and aylo < yhi and ylo < ayhi:
-                pairs.append((i, j) if i < j else (j, i))
-        active.append((j, xlo, xhi, ylo, yhi))
-    pairs.sort()
-    return pairs
-
-
-def _window(index: tuple[list[int], list[int], int], lo: int, hi: int
-            ) -> list[int]:
-    """The boxes, in index order, whose xlo lies in ``[lo - width, hi]``:
-    every box whose closed x-span meets ``[lo, hi]`` is among them.
-    ``index`` holds the boxes by xlo, their xlos in that order, and the
-    widest box's width."""
-    order, keys, width = index
-    return sorted(order[bisect.bisect_left(keys, lo - width):
-                        bisect.bisect_right(keys, hi)])
+def _window(index: BoxIndex, lo: int, hi: int) -> list[int]:
+    """The boxes, in obstacle order, whose xlo lies in ``[lo - width, hi]``:
+    every box whose closed x-span meets ``[lo, hi]`` is among them.  The
+    index's keys are doubled xlos and its width the widest doubled box, so
+    the window is bisected from ``2 * lo - width`` to ``2 * hi``."""
+    keys = index.keys[0]
+    return sorted(index.orders[0][bisect.bisect_left(keys, 2 * lo - index.widths[0]):
+                                  bisect.bisect_right(keys, 2 * hi)])
 
 
 def _validate_terminal(name: str, term: Terminal, instance: Instance,
-                       boxes: Sequence[Rect],
-                       index: tuple[list[int], list[int], int]) -> list[str]:
-    """Problems of one terminal; ``boxes`` are the obstacles' boxes, and
-    ``index`` their xlo order for ``_window``.  A box that a terminal's
-    check can flag meets the terminal's closed x-span, so only the boxes
-    of that window are read, in index order."""
+                       index: BoxIndex) -> list[str]:
+    """Problems of one terminal; ``index`` is the obstacles' box index.  A
+    box that a terminal's check can flag meets the terminal's closed
+    x-span, so only the boxes of that window are read, in obstacle
+    order."""
     problems: list[str] = []
     obs = instance.obstacles
     if term.kind == POINT:
         x = term.point[0]
         for i in _window(index, x, x):
             # closed containment implies the closed box holds the point
-            if boxes[i].contains(term.point) and obs[i].contains(term.point):
+            if obs[i].bbox.contains(term.point) and obs[i].contains(term.point):
                 problems.append(f"{name} point lies on obstacle {i}")
     elif term.kind == SEGMENT:
         seg = term.segment
@@ -273,7 +280,7 @@ def _validate_terminal(name: str, term: Terminal, instance: Instance,
             ob = obs[i]
             if _segment_meets_interior(seg, ob):
                 problems.append(f"{name} segment crosses obstacle {i}")
-            if _segment_meets_open_rect(seg, boxes[i]):
+            if _segment_meets_open_rect(seg, ob.bbox):
                 pierced += 1
         if pierced > 2:
             problems.append(f"{name} segment pierces {pierced} bounding boxes")
@@ -283,7 +290,7 @@ def _validate_terminal(name: str, term: Terminal, instance: Instance,
             problems.append(f"{name} polygon ring passes through vertex {v} twice")
         tb = term.bbox
         for i in _window(index, tb.xlo, tb.xhi):
-            if not tb.interior_disjoint(boxes[i]):
+            if not tb.interior_disjoint(obs[i].bbox):
                 problems.append(f"{name} polygon box overlaps obstacle box {i}")
         other = instance.target
         if name == "source" and other.kind == POLYGON \

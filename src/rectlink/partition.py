@@ -186,6 +186,39 @@ def _axis(a: int, b: int) -> int:
     return 2 if b > 0 else 3
 
 
+class BoxIndex:
+    """The obstacles' doubled boxes, sorted along each signed axis.
+
+    Built from each obstacle's own box, in identity coordinates.  For each
+    signed axis ``k`` (0 for +x, 1 for -x, 2 for +y, 3 for -y, as ``_axis``
+    numbers them) it keeps, as plain int lists: every box's low and high
+    end along that axis in obstacle order (``lows[k]`` and ``highs[k]``;
+    the -x lows are the negated xhi), the obstacles sorted by that low end,
+    ties by index (``orders[k]``), and the sorted lows (``keys[k]``).
+    ``widths`` holds the widest box along the x and the y axis.  So
+    ``keys[0][0]`` and ``keys[2][0]`` are the least xlo and ylo, and
+    ``-keys[1][0]`` and ``-keys[3][0]`` the greatest xhi and yhi.
+
+    A world builds one and its frames read it; ``model.validate`` reads
+    the one a solve's world built, or builds its own when called alone.
+    """
+
+    __slots__ = ("lows", "highs", "orders", "keys", "widths")
+
+    def __init__(self, obstacles: Sequence[RectPolygon]):
+        boxes = [o.bbox for o in obstacles]
+        xlo, xhi = [2 * b.xlo for b in boxes], [2 * b.xhi for b in boxes]
+        ylo, yhi = [2 * b.ylo for b in boxes], [2 * b.yhi for b in boxes]
+        self.lows = (xlo, [-v for v in xhi], ylo, [-v for v in yhi])
+        self.highs = (xhi, [-v for v in xlo], yhi, [-v for v in ylo])
+        self.orders = tuple(sorted(range(len(boxes)), key=lo.__getitem__)
+                            for lo in self.lows)
+        self.keys = tuple([lo[i] for i in order]
+                          for lo, order in zip(self.lows, self.orders))
+        self.widths = (max(map(int.__sub__, xhi, xlo), default=0),
+                       max(map(int.__sub__, yhi, ylo), default=0))
+
+
 class FrameTables:
     """The hulls as seen in one frame, plus that frame's trace memo.
 
@@ -215,10 +248,11 @@ class FrameTables:
 
     def __init__(self, world: World, t: Xform):
         xa, ya = _axis(t.a, t.b), _axis(t.c, t.d)
-        self.xlo, self.xhi = world.lows[xa], world.highs[xa]
-        self.ylo, self.yhi = world.lows[ya], world.highs[ya]
-        self.order, self.keys = world.orders[xa], world.keys[xa]
-        self.width = world.widths[xa >> 1]
+        index = world.index
+        self.xlo, self.xhi = index.lows[xa], index.highs[xa]
+        self.ylo, self.yhi = index.lows[ya], index.highs[ya]
+        self.order, self.keys = index.orders[xa], index.keys[xa]
+        self.width = index.widths[xa >> 1]
         self._hull = world.hull
         self._t = t
         self._polys: dict[int, _FramePoly] = {}
@@ -254,16 +288,15 @@ class World:
     doubles box ends as plain ints, and a frame doubles a hull's vertices
     when it builds that hull's tables.
 
-    The index is built once, in identity coordinates, from each obstacle's
-    own box: an obstacle's orthogonal hull has the same box, so no hull is
-    needed for it.  For each signed axis (+x, -x, +y, -y) it keeps, as plain
-    int lists in obstacle order, every box's low and high end along that
-    axis (``lows`` and ``highs``; the -x lows are the negated xhi), the
-    obstacles sorted by that low end, ties by index (``orders``, with the
-    sorted lows in ``keys``), and the widest box along the x and the y axis
-    (``widths``).  Every frame is one of the eight signed axis permutations,
-    and its x and y each read one signed axis, so a frame reuses these
-    lists unchanged and no box is ever mapped.
+    The index (``index``, a ``BoxIndex``) is built once, in identity
+    coordinates, from each obstacle's own box: an obstacle's orthogonal
+    hull has the same box, so no hull is needed for it.  It keeps every
+    box's ends and the obstacles' sorted order along each signed axis.
+    Every frame is one of the eight signed axis permutations, and its x and
+    y each read one signed axis, so a frame reuses these lists unchanged
+    and no box is ever mapped.  It is the solve's only box index:
+    ``frontend.solve`` builds the world first and ``model.validate`` proves
+    the boxes disjoint on the world's index.
 
     ``hull(i)`` is obstacle ``i``'s hull (the obstacle itself when it is
     orthogonally convex), built the first time a frame's tables read the
@@ -299,17 +332,7 @@ class World:
             return got
 
         self.hull = hull
-        boxes = [o.bbox for o in obs]
-        xlo, xhi = [2 * b.xlo for b in boxes], [2 * b.xhi for b in boxes]
-        ylo, yhi = [2 * b.ylo for b in boxes], [2 * b.yhi for b in boxes]
-        self.lows = (xlo, [-v for v in xhi], ylo, [-v for v in yhi])
-        self.highs = (xhi, [-v for v in xlo], yhi, [-v for v in ylo])
-        self.orders = tuple(sorted(range(len(boxes)), key=lo.__getitem__)
-                            for lo in self.lows)
-        self.keys = tuple([lo[i] for i in order]
-                          for lo, order in zip(self.lows, self.orders))
-        self.widths = (max(map(int.__sub__, xhi, xlo), default=0),
-                       max(map(int.__sub__, yhi, ylo), default=0))
+        self.index = BoxIndex(obs)
         self._frames: dict[Xform, FrameTables] = {}
 
     def frame(self, t: Xform) -> FrameTables:

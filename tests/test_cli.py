@@ -103,8 +103,8 @@ def test_solving_an_invalid_file_validates_once(argv, tmp_path, monkeypatch,
     path.write_text(json.dumps(OVERLAPPING))
     calls = []
     for mod in (cli, frontend):
-        monkeypatch.setattr(mod, "validate", lambda inst, orig=mod.validate:
-                            calls.append(inst) or orig(inst))
+        monkeypatch.setattr(mod, "validate", lambda inst, *rest, orig=mod.validate:
+                            calls.append(inst) or orig(inst, *rest))
     assert main([argv[0], str(path), *argv[1:]]) == 1
     assert capsys.readouterr().err == "invalid: obstacle boxes 0 and 1 overlap\n"
     assert len(calls) == 1

@@ -16,11 +16,18 @@ from rectlink.composer import SubregionDag
 from rectlink.engine import build_world
 from rectlink.frontend import _attachments, _Lines, solve
 from rectlink.generator import generate_instance
-from rectlink.geometry import FLIP_Y, IDENTITY, GeometryError, PathResult, RectPolygon
+from rectlink.geometry import (
+    COORD_LIMIT,
+    FLIP_Y,
+    IDENTITY,
+    GeometryError,
+    PathResult,
+    RectPolygon,
+)
 from rectlink.io import instance_from_obj, instance_to_obj
-from rectlink.model import Instance, Terminal, validate
+from rectlink.model import Instance, InvalidInstance, Terminal, validate
 from rectlink.oracle import GRID_CAP, oracle_solve
-from rectlink.partition import classify
+from rectlink.partition import BoxIndex, World, classify
 from pocket_doors import all_vertex_crossings, into_pocket
 from shapes import in_open_box
 
@@ -618,3 +625,76 @@ def test_a_dropped_candidate_can_start_a_one_link_optimum():
     report = _check_against_oracle(inst)
     assert (report.distance, report.links) == (48 - 24, 1)
     assert report.path == [(96, 24), (96, 48)]
+
+
+def test_a_solve_builds_one_box_index_and_validate_reads_it(monkeypatch):
+    """A solve builds one ``BoxIndex``, inside its one world, and passes
+    that index to ``validate``; ``validate`` called alone builds its own
+    index and no world.  The instances are generated before the patches,
+    since the generator validates what it makes."""
+    insts = _perfbench("workloads").base_pool("point-small")[:30] \
+        + _perfbench("workloads").base_pool("attach-small")[:30]
+    indexes, worlds, read = [], [], []
+    index_init, world_init, check = BoxIndex.__init__, World.__init__, frontend.validate
+
+    def recording_index(self, obstacles):
+        indexes.append(self)
+        index_init(self, obstacles)
+
+    def recording_world(self, obstacles):
+        worlds.append(self)
+        world_init(self, obstacles)
+
+    def recording_validate(inst, *rest):
+        read.append(rest)
+        return check(inst, *rest)
+
+    monkeypatch.setattr(BoxIndex, "__init__", recording_index)
+    monkeypatch.setattr(World, "__init__", recording_world)
+    monkeypatch.setattr(frontend, "validate", recording_validate)
+    for k, inst in enumerate(insts):
+        indexes.clear(), worlds.clear(), read.clear()
+        solve(inst)
+        (index,), (world,) = indexes, worlds
+        assert world.index is index and read == [(index,)], k
+        indexes.clear(), worlds.clear()
+        assert validate(inst) == []
+        assert len(indexes) == 1 and worlds == [], k
+
+
+def _validate_reference_mutations():
+    """The mutated instances of ``test_validate_reference``'s mutation
+    test, from the same bases and in the same order."""
+    # imported here: that module imports this one
+    import test_validate_reference as ref
+
+    pool = _perfbench("workloads").base_pool
+    bases = pool("point-small")[:40] + pool("attach-small") + pool("point-large")[:2]
+    for inst in bases:
+        for _, mutated in ref._merges(inst):
+            yield mutated
+        yield ref._far(inst, ref.FIGURE_EIGHT)
+        yield ref._far(inst, ref.C_SHAPE)
+        yield ref._remap(inst, (lambda c: c + COORD_LIMIT), ref._same)
+        yield ref._remap(inst, ref._same, (lambda c: c - 2 * COORD_LIMIT))
+        for sx, sy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+            yield ref._far(inst, ref.SQUARE, sx, sy)
+        copy = [(4 * x + 1, 4 * y + 1) for x, y in inst.obstacles[0].vertices]
+        yield ref._remap(inst, (lambda c: 4 * c), (lambda c: 4 * c), [copy])
+        yield Instance((), inst.source, inst.target)
+
+
+def test_solve_rejects_the_mutated_instances_with_validates_list():
+    """``solve`` validates on its world's index: on every mutated instance
+    of the validate reference test that ``validate`` rejects, ``solve``
+    raises with exactly ``validate``'s list, in its order."""
+    rejected = 0
+    for k, inst in enumerate(_validate_reference_mutations()):
+        want = validate(inst)
+        if not want:
+            continue
+        with pytest.raises(InvalidInstance) as got:
+            solve(inst)
+        assert got.value.problems == want, k
+        rejected += 1
+    assert rejected > 1000

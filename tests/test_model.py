@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import validate_reference
+from rectlink import model
 from rectlink.geometry import Rect, RectPolygon
 from rectlink.model import Instance, Terminal, validate
+from rectlink.partition import BoxIndex
 from shapes import rect_polygon
 
 BOX = rect_polygon(Rect(10, 10, 20, 20))
@@ -100,6 +103,31 @@ def test_overlap_messages_match_all_pairs_reference():
         assert got == want
         overlapping += bool(want)
     assert 50 < overlapping < 300
+
+
+# boxes on a 7 x 7 grid, at most 4 wide and tall: equal xlos, boxes
+# touching along a side or at a corner, and nested boxes are all common
+_GRID_BOXES = st.lists(
+    st.builds(lambda x, y, w, h: Rect(x, y, x + w, y + h),
+              st.integers(0, 6), st.integers(0, 6),
+              st.integers(1, 4), st.integers(1, 4)),
+    max_size=8)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_GRID_BOXES)
+@example([])
+@example([Rect(0, 0, 2, 2)])
+@example([Rect(0, 0, 2, 2), Rect(0, 3, 2, 5), Rect(0, 1, 1, 4)])  # equal xlos
+@example([Rect(0, 0, 2, 2), Rect(2, 0, 4, 2), Rect(0, 2, 2, 4)])  # sides touch
+@example([Rect(0, 0, 2, 2), Rect(2, 2, 4, 4), Rect(2, -2, 3, 0)])  # corners touch
+@example([Rect(0, 0, 6, 6), Rect(1, 1, 3, 3), Rect(2, 2, 3, 3)])   # nested
+def test_the_index_overlap_proof_equals_an_all_pairs_test(boxes):
+    """The sweep on the box index's doubled int lists names exactly the
+    pairs whose interiors meet, in index order."""
+    index = BoxIndex([rect_polygon(b) for b in boxes])
+    assert [f"obstacle boxes {i} and {j} overlap" for i, j in model._overlaps(index)] \
+        == _all_pairs_overlaps(boxes)
 
 
 def _random_terminal(rng, span):

@@ -1,13 +1,15 @@
 """``model.validate`` as it was before its counting fast path, kept as a
 reference.
 
-``validate`` is that function verbatim: every obstacle vertex goes through
-the per-vertex loop, on valid input too.  ``_validate_terminal`` is the
-terminal check as it was before it read only the terminal's x-window of
-boxes: it tests the terminal against every box.  The other helpers it
+``validate`` is that function, but for its box overlaps: every obstacle
+vertex goes through the per-vertex loop, on valid input too, and every
+pair of boxes is tested for meeting interiors, with no sweep.
+``_validate_terminal`` is the terminal check as it was before it read
+only the terminal's x-window of boxes: it tests the terminal against
+every box.  The other helpers it
 reads are ``rectlink.model``'s, which the fast path left unchanged, so it
-differs from ``model.validate`` only in how the per-vertex checks are made
-and in which boxes a terminal is tested against.
+differs from ``model.validate`` only in how the per-vertex checks and the
+box overlaps are made and in which boxes a terminal is tested against.
 ``tests/test_validate_reference.py`` checks that both return the same list.
 """
 from rectlink.geometry import COORD_LIMIT
@@ -16,7 +18,6 @@ from rectlink.model import (
     POLYGON,
     SEGMENT,
     Instance,
-    _overlapping_boxes,
     _repeated_vertex,
     _segment_meets_interior,
     _segment_meets_open_rect,
@@ -77,9 +78,11 @@ def validate(instance: Instance) -> list[str]:
             problems.append(f"obstacle {i} ring passes through vertex {v} twice")
 
     boxes = [ob.bbox for ob in obs]
-    for i, j in _overlapping_boxes(boxes, sorted(range(len(boxes)),
-                                                 key=lambda k: boxes[k].xlo)):
-        problems.append(f"obstacle boxes {i} and {j} overlap")
+    # every pair, tested directly: no sweep, no sorted order
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            if not boxes[i].interior_disjoint(boxes[j]):
+                problems.append(f"obstacle boxes {i} and {j} overlap")
 
     # general position: no two obstacles share a vertex x or y, and terminal
     # coordinates stay off every obstacle's coordinate lines

@@ -6,18 +6,22 @@ Usage (from the repository root; pytest does not collect this file):
 
 Instances: point pairs by ``rectlink bench``'s rule, ``generate_instance(
 97*n + r, n, coord_limit=30*n)`` for n = 800 … 12 800 and r = 0, 1, 2.
-Each row prints the median of five ``validate`` wall times in two forms:
+Each row prints the median of five ``validate`` wall times.  Called
+alone, ``validate`` builds the obstacles' ``BoxIndex`` itself, so each time
+covers the index build and the checks on it: what a solve pays for both,
+since a solve builds the index in its world and ``validate`` reads it.
+There are two forms:
 
 * cold: on an instance freshly decoded from its JSON object, so the shared
   coordinate sets (``Instance.all_coords``) and the obstacle boxes are
-  built inside the call, as in a single ``rectlink solve``;
+  built inside the timing, as in a single ``rectlink solve``;
 * warm: on an instance that has been validated before, as in the
   benchmark, which reuses its instance objects.
 
-It also prints ``_overlapping_boxes``'s median time on the warm boxes and
-its share of the warm and cold times.  A closing table gives, per n, the
-median over r of the milliseconds per 1 000 vertices and their ratio to
-n = 800.  Nothing is gated.
+It also prints the overlap proof's (``model._overlaps``) median time on a
+built index and its share of the warm and cold times.  A closing table
+gives, per n, the median over r of the milliseconds per 1 000 vertices
+and their ratio to n = 800.  Nothing is gated.
 """
 from __future__ import annotations
 
@@ -26,7 +30,8 @@ import time
 
 from rectlink.generator import generate_instance
 from rectlink.io import instance_from_obj, instance_to_obj
-from rectlink.model import _overlapping_boxes, validate
+from rectlink.model import _overlaps, validate
+from rectlink.partition import BoxIndex
 
 SIZES = (800, 1600, 3200, 6400, 12800)
 RS = (0, 1, 2)
@@ -48,10 +53,8 @@ def measure(n: int, r: int) -> dict:
         fresh = instance_from_obj(obj)
         cold.append(_ms(validate, fresh))
     warm = [_ms(validate, inst) for _ in range(REPS)]
-    boxes = [ob.bbox for ob in inst.obstacles]
-    overlap = [_ms(lambda b: _overlapping_boxes(
-        b, sorted(range(len(b)), key=lambda k: b[k].xlo)), boxes)
-        for _ in range(REPS)]
+    index = BoxIndex(inst.obstacles)
+    overlap = [_ms(_overlaps, index) for _ in range(REPS)]
     return {"n": n, "r": r, "vertices": vertices,
             "cold": statistics.median(cold), "warm": statistics.median(warm),
             "overlap": statistics.median(overlap)}
