@@ -131,8 +131,18 @@ class OrthoSegment:
         return x0 <= x <= x1 and y0 <= y <= y1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rect:
+    """Closed axis-parallel box; ``Rect(...)`` rejects an empty one.
+
+    Two callers build boxes through ``from_ordered``, which skips that
+    check, because their ends are ordered by construction and they build
+    many: ``bounding_box`` (the min and max of a non-empty point set) and
+    ``partition.FrameTables``, whose table boxes are the world's index
+    boxes, each an obstacle's bounding box in some frame.  The fields are
+    slots, so a box holds no instance dict.
+    """
+
     xlo: int
     ylo: int
     xhi: int
@@ -141,6 +151,19 @@ class Rect:
     def __post_init__(self) -> None:
         if self.xlo > self.xhi or self.ylo > self.yhi:
             raise GeometryError(f"empty rect {self}")
+
+    @classmethod
+    def from_ordered(cls, xlo: int, ylo: int, xhi: int, yhi: int) -> "Rect":
+        """A box with ``xlo <= xhi`` and ``ylo <= yhi``, which the caller
+        vouches for: nothing is checked, and the slots are filled through
+        their own setters, skipping the dataclass ``__init__``.  Equality
+        and hashing are those of ``Rect(...)``."""
+        out = object.__new__(cls)
+        _SET_XLO(out, xlo)
+        _SET_YLO(out, ylo)
+        _SET_XHI(out, xhi)
+        _SET_YHI(out, yhi)
+        return out
 
     def contains(self, p: Point) -> bool:
         return self.xlo <= p[0] <= self.xhi and self.ylo <= p[1] <= self.yhi
@@ -163,13 +186,17 @@ class Rect:
         )
 
 
+# the slot descriptors' setters, which the frozen ``__setattr__`` does not guard
+_SET_XLO, _SET_YLO, _SET_XHI, _SET_YHI = (
+    getattr(Rect, f).__set__ for f in ("xlo", "ylo", "xhi", "yhi"))
+
+
 def bounding_box(points: Iterable[Point]) -> Rect:
-    pts = list(points)
-    if not pts:
-        raise GeometryError("bounding_box of empty point set")
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    return Rect(min(xs), min(ys), max(xs), max(ys))
+    try:
+        xs, ys = zip(*points)
+    except ValueError:
+        raise GeometryError("bounding_box of empty point set") from None
+    return Rect.from_ordered(min(xs), min(ys), max(xs), max(ys))
 
 
 # ---------------------------------------------------------------------------

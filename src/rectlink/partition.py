@@ -41,6 +41,17 @@ keeps the nearest box below and above by their box ends alone, and reads
 one of those sections only for an end that the event uses and no straddler
 gave.  A hole's tables hold its edges but no climb chain, which only a
 trace step builds, so a region pays one ring pass per hole.
+
+A region build makes one Python call per section read: ``_section_reader``
+builds, once per region, a closure over the holes sorted by xlo, their
+edge tables, the frame's box lists and the baseline index, and the closure
+scans the window and returns baselines, not ys.  The envelope reads
+``top`` and ``bottom`` call the four curves' bound methods from locals.
+Events are plain tuples made by ``tuple.__new__(Event, ...)`` with all
+seven fields in order, which skips NamedTuple's Python-level ``__new__``,
+and are sorted by ``itemgetter(0)``.  A region's events run to thousands
+(1 834 in the largest point-large region), so these per-event steps are
+most of its build.
 """
 from __future__ import annotations
 
@@ -48,7 +59,8 @@ import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence
+from operator import itemgetter, sub
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .geometry import (
     FLIP_X,
@@ -122,8 +134,13 @@ class _FramePoly:
 
     def __init__(self, hull: RectPolygon, t: Xform, box: Rect):
         self.box = box
-        a, b, c, d = 2 * t.a, 2 * t.b, 2 * t.c, 2 * t.d
-        vs = [(a * x + b * y, c * x + d * y) for x, y in hull.vertices]
+        # a signed axis permutation keeps one term of each coordinate
+        if t.b:
+            b, c = 2 * t.b, 2 * t.c
+            vs = [(b * y, c * x) for x, y in hull.vertices]
+        else:
+            a, d = 2 * t.a, 2 * t.d
+            vs = [(a * x, d * y) for x, y in hull.vertices]
         if t.a * t.d - t.b * t.c < 0:
             vs.reverse()
         k = vs.index(min(vs))
@@ -215,8 +232,8 @@ class BoxIndex:
                             for lo in self.lows)
         self.keys = tuple([lo[i] for i in order]
                           for lo, order in zip(self.lows, self.orders))
-        self.widths = (max(map(int.__sub__, xhi, xlo), default=0),
-                       max(map(int.__sub__, yhi, ylo), default=0))
+        self.widths = (max(map(sub, xhi, xlo), default=0),
+                       max(map(sub, yhi, ylo), default=0))
 
 
 class FrameTables:
@@ -264,7 +281,8 @@ class FrameTables:
     def __getitem__(self, i: int) -> _FramePoly:
         fp = self._polys.get(i)
         if fp is None:
-            box = Rect(self.xlo[i], self.ylo[i], self.xhi[i], self.yhi[i])
+            # an index box is an obstacle's bounding box, never empty
+            box = Rect.from_ordered(self.xlo[i], self.ylo[i], self.xhi[i], self.yhi[i])
             fp = self._polys[i] = _FramePoly(self._hull(i), self._t, box)
         return fp
 
@@ -611,15 +629,24 @@ def free_corners(world: World | FrameView, frame: Xform, s: Point, t: Point
 # staircase regions and sweep events
 
 class Event(NamedTuple):
-    """One sweep event.  Ranges are inclusive baseline index pairs."""
+    """One sweep event.  Ranges are inclusive baseline index pairs; a field
+    an event does not use is None.
+
+    ``build_staircase_region`` makes each event with
+    ``tuple.__new__(Event, (x, kind, src, assign, assign_inf, chmin,
+    deactivate))``, every field in order, so no NamedTuple ``__new__``
+    runs.  The range ends that reach a neighbouring hole come straight from
+    the region's section reader (``_section_reader``), which returns
+    baselines.
+    """
 
     x: int
     kind: str
-    src: Optional[tuple[int, int]] = None          # climb sources
-    assign: Optional[tuple[int, int]] = None       # activate with v + 2
-    assign_inf: Optional[tuple[int, int]] = None   # activate unreachable
-    chmin: Optional[tuple[int, int]] = None        # fold v + 2 into actives
-    deactivate: Optional[tuple[int, int]] = None
+    src: Optional[tuple[int, int]]          # climb sources
+    assign: Optional[tuple[int, int]]       # activate with v + 2
+    assign_inf: Optional[tuple[int, int]]   # activate unreachable
+    chmin: Optional[tuple[int, int]]        # fold v + 2 into actives
+    deactivate: Optional[tuple[int, int]]
 
 
 @dataclass
@@ -639,53 +666,70 @@ class StaircaseRegion:
         return len(self.baselines)
 
 
-def _hole_index(polys: FrameTables, holes: list[int]) -> tuple[list[int], list[int], int]:
-    """A region's holes (given in hull order) sorted by frame xlo, ties by
-    index; their xlos; and the widest hole's width, for ``_nearest_sections``."""
-    by_x = sorted(holes, key=polys.xlo.__getitem__)
-    return (by_x, [polys.xlo[h] for h in by_x],
-            max((polys.xhi[h] - polys.xlo[h] for h in holes), default=0))
 
 
-def _nearest_sections(polys: FrameTables, index: tuple[list[int], list[int], int],
-                      x: int, y_lo: int, y_hi: int,
-                      skip: Optional[int] = None, want_top: bool = True,
-                      want_bottom: bool = True) -> tuple[Optional[int], Optional[int]]:
-    """Of the sections that the holes of ``index`` other than ``skip`` cut
-    from the line x, the highest top at or below ``y_lo`` and the lowest
-    bottom at or above ``y_hi >= y_lo`` (None where there is none, and for
-    an end not wanted).
+def _section_reader(polys: FrameTables, holes: list[int], idx: dict[int, int]
+                    ) -> Callable[..., tuple[int, int]]:
+    """A region's section read, as one closure over its holes and the
+    frame's lists.
 
-    Only holes with xlo in the width window ``(x - width, x)`` can cross x.
-    Of those, a box straddling the baselines is read as the scan meets it,
-    and the nearest box wholly below, or above, only for an end that no
-    straddler gave (see the module docstring).
+    ``near(x, y_lo, y_hi, skip=None, want_top=True, want_bottom=True)``
+    finds, of the sections that the holes other than ``skip`` cut from the
+    line x, the highest top at or below ``y_lo`` and the lowest bottom at or
+    above ``y_hi >= y_lo``, and returns their baselines by ``idx``: 0 and
+    ``len(idx) - 1`` where there is none, and for an end not wanted.  Every
+    section end must be a key of ``idx``.  The holes' tables are built here,
+    if a caller has not built them already, as a region build has.
+
+    The holes are sorted by frame xlo, ties by index, so only those with
+    xlo in the width window ``(x - width, x)`` are scanned.  Of those, a box
+    straddling the baselines is read as the scan meets it, and the nearest
+    box wholly below, or above, only for an end that no straddler gave (see
+    the module docstring).
     """
-    by_x, xlos, width = index
-    xhi, ylo, yhi = polys.xhi, polys.ylo, polys.yhi
-    below = above = top = bottom = None
-    for h in by_x[bisect.bisect_right(xlos, x - width):bisect.bisect_left(xlos, x)]:
-        if h == skip or xhi[h] <= x:
-            continue
-        if yhi[h] <= y_lo:
-            if below is None or yhi[h] > yhi[below]:
-                below = h
-        elif ylo[h] >= y_hi:
-            if above is None or ylo[h] < ylo[above]:
-                above = h
+    xlo, xhi, ylo, yhi = polys.xlo, polys.xhi, polys.ylo, polys.yhi
+    by_x = sorted(holes, key=xlo.__getitem__)
+    xlos = [xlo[h] for h in by_x]
+    width = max([xhi[h] - xlo[h] for h in holes], default=0)
+    horiz = {h: polys[h].horiz for h in holes}
+    last = len(idx) - 1
+    west, east = bisect.bisect_right, bisect.bisect_left
+
+    def near(x: int, y_lo: int, y_hi: int, skip: Optional[int] = None,
+             want_top: bool = True, want_bottom: bool = True) -> tuple[int, int]:
+        below = above = top = bottom = None
+        for h in by_x[west(xlos, x - width):east(xlos, x)]:
+            if h == skip or xhi[h] <= x:
+                continue
+            if yhi[h] <= y_lo:
+                if below is None or yhi[h] > yhi[below]:
+                    below = h
+            elif ylo[h] >= y_hi:
+                if above is None or ylo[h] < ylo[above]:
+                    above = h
+            else:
+                ys = [y for lo, hi, y in horiz[h] if lo <= x <= hi]
+                y = max(ys)
+                if y <= y_lo and (top is None or y > top):
+                    top = y
+                y = min(ys)
+                if y >= y_hi and (bottom is None or y < bottom):
+                    bottom = y
+        if top is not None:
+            top = idx[top]
+        elif want_top and below is not None:
+            top = idx[max([y for lo, hi, y in horiz[below] if lo <= x <= hi])]
         else:
-            ys = [y for lo, hi, y in polys[h].horiz if lo <= x <= hi]
-            y = max(ys)
-            if y <= y_lo and (top is None or y > top):
-                top = y
-            y = min(ys)
-            if y >= y_hi and (bottom is None or y < bottom):
-                bottom = y
-    if want_top and top is None and below is not None:
-        top = max([y for lo, hi, y in polys[below].horiz if lo <= x <= hi])
-    if want_bottom and bottom is None and above is not None:
-        bottom = min([y for lo, hi, y in polys[above].horiz if lo <= x <= hi])
-    return top, bottom
+            top = 0
+        if bottom is not None:
+            bottom = idx[bottom]
+        elif want_bottom and above is not None:
+            bottom = idx[min([y for lo, hi, y in horiz[above] if lo <= x <= hi])]
+        else:
+            bottom = last
+        return top, bottom
+
+    return near
 
 
 def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: Point) -> StaircaseRegion:
@@ -699,38 +743,41 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
     tx, ty = tq
     # frame tables index hulls as the world does
     polys = world.frame(frame)
+    xlo, xhi, ylo, yhi = polys.xlo, polys.xhi, polys.ylo, polys.yhi
     # the memoised traces, read in their own frames: in the region's, a
     # point (u, v) of ur is (v, u), of ld (-u, -v) and of dl (-v, -u)
     ur = _region_trace(world, frame, FRAME_UR, sq, tq)
     ld = _region_trace(world, frame, FRAME_LD, tq, sq)
     ru = _region_trace(world, frame, FRAME_RU, sq, tq)
     dl = _region_trace(world, frame, FRAME_DL, tq, sq)
+    ur_x, ld_y = ur.curve.max_x_to, ld.curve.max_y_at
+    ru_y, dl_x = ru.curve.max_y_at, dl.curve.max_x_to
 
     # the curves traced out of t run westward, so the value of one of their
     # vertical runs belongs to its west side; evaluate just east of x to get
     # the bound that holds on the column (x, x + 1)
     def top(x: int) -> int:
-        return int(min(ur.curve.max_x_to(x), -ld.curve.max_y_at(-x - 1), ty))
+        return int(min(ur_x(x), -ld_y(-x - 1), ty))
 
     def bottom(x: int) -> int:
-        return int(max(ru.curve.max_y_at(x), -dl.curve.max_x_to(-x - 1), sy))
+        return int(max(ru_y(x), -dl_x(-x - 1), sy))
 
     touched = set(ur.touched) | set(ld.touched) | set(ru.touched) | set(dl.touched)
     holes: list[int] = []
     # a hole's box lies strictly inside the strip, so its xlo is in (sx, tx)
     for i in polys.between(sx, tx):
-        ylo, yhi = polys.ylo[i], polys.yhi[i]
-        if i in touched or not (polys.xhi[i] < tx and sy < ylo and yhi < ty):
+        lo_y, hi_y = ylo[i], yhi[i]
+        if i in touched or not (xhi[i] < tx and sy < lo_y and hi_y < ty):
             continue
         # the hull's least vertex lies on the box's west wall, at or above
         # ylo and below yhi: an envelope that misses that range rules the
         # box out without its tables
-        x = polys.xlo[i]
+        x = xlo[i]
         lo, hi = bottom(x), top(x)
-        if lo < yhi and hi > ylo and lo < polys[i].ring[0][1] < hi:
+        if lo < hi_y and hi > lo_y and lo < polys[i].ring[0][1] < hi:
             holes.append(i)
     holes.sort()
-    hole_index = _hole_index(polys, holes)
+    tables = [polys[h] for h in holes]
 
     ys = {sy, ty}
     # traces can overshoot the strip (the final hug keeps going past x_stop),
@@ -748,33 +795,24 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
         ys.add(bottom(x))
         if x > sx:
             ys.add(bottom(x - 1))
-    for hi in holes:
-        ys.update(y for _, _, y in polys[hi].horiz)
+    ys.update([y for fp in tables for _, _, y in fp.horiz])
     baselines = sorted(y for y in ys if sy <= y <= ty)
     idx = {y: i for i, y in enumerate(baselines)}
-    m = len(baselines)
+    near = _section_reader(polys, holes, idx)
 
-    def near(x: int, y_lo: int, y_hi: int, skip: Optional[int] = None,
-             want_top: bool = True, want_bottom: bool = True) -> tuple[int, int]:
-        """Baselines of ``_nearest_sections``: 0 and m - 1 where there is
-        none, or where that end is not wanted."""
-        top, bottom = _nearest_sections(polys, hole_index, x, y_lo, y_hi, skip,
-                                        want_top, want_bottom)
-        return (0 if top is None else idx[top],
-                m - 1 if bottom is None else idx[bottom])
-
-    # events are built positionally: (x, kind, src, assign, assign_inf,
-    # chmin, deactivate)
+    # events are built positionally, skipping NamedTuple's __new__:
+    # (x, kind, src, assign, assign_inf, chmin, deactivate)
+    new = tuple.__new__
     events: list[Event] = []
-    originate_top = idx[top(sx)]
-    events.append(Event(sx, "originate", None, (0, originate_top), None, None, None))
+    add = events.append
+    add(new(Event, (sx, "originate", None, (0, idx[top(sx)]), None, None, None)))
     # a hull wall can sit exactly on the source column; the bottom envelope
     # then rises at sx itself and everything below it is dead past the
     # originate climb
     first_bottom = bottom(sx)
     if first_bottom > sy:
-        events.append(Event(sx, "detach", None, None, None, None,
-                            (0, idx[first_bottom] - 1)))
+        add(new(Event, (sx, "detach", None, None, None, None,
+                        (0, idx[first_bottom] - 1))))
 
     for x in top_jumps:
         if x == sx:
@@ -782,51 +820,58 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
         y1, y2 = top(x - 1), top(x)
         if y1 == y2:
             continue
-        below = near(x, y1, y1, want_bottom=False)[0]
-        events.append(Event(x, "attach", (below, idx[y1]), (idx[y1] + 1, idx[y2]),
-                            None, None, None))
+        i1 = idx[y1]
+        below = near(x, y1, y1, None, True, False)[0]
+        add(new(Event, (x, "attach", (below, i1), (i1 + 1, idx[y2]),
+                        None, None, None)))
     for x in bot_jumps:
         if x <= sx:
             continue  # the climb into t is the terminate readout, not an event
         y1, y2 = bottom(x - 1), bottom(x)
         if y1 == y2:
             continue
+        i1, i2 = idx[y1], idx[y2]
         low, high = near(x, y2, y2)
-        events.append(Event(x, "detach", (max(idx[y1], low), idx[y2] - 1), None,
-                            None, (idx[y2], high), (idx[y1], idx[y2] - 1)))
+        add(new(Event, (x, "detach", (max(i1, low), i2 - 1), None,
+                        None, (i2, high), (i1, i2 - 1))))
 
-    for hi in holes:
-        fp = polys[hi]
-        box, wlo, whi, vertical = fp.box, fp.west_lo, fp.west_hi, fp.vertical
-        elo, ehi = next((lo, hi2) for x, lo, hi2, _ in vertical if x == box.xhi)
-        for x, lo, hi2, west_facing in vertical:
+    for hi, fp in zip(holes, tables):
+        wlo, whi = fp.west_lo, fp.west_hi
+        bxlo, bxhi = fp.box.xlo, fp.box.xhi
+        # the ring runs counterclockwise from the west wall's foot, so of the
+        # east-facing edges, those below the east wall come before it and
+        # those above it after
+        above_east = False
+        for x, lo, hi2, west_facing in fp.vertical:
             if west_facing:
-                if x == box.xlo:
+                if x == bxlo:
                     low, high = near(x, wlo, whi, hi)
-                    events.append(Event(x, "split", (low, idx[whi] - 1), None, None,
-                                        (idx[whi], high), (idx[wlo] + 1, idx[whi] - 1)))
+                    i1, i2 = idx[wlo], idx[whi]
+                    add(new(Event, (x, "split", (low, i2 - 1), None, None,
+                                    (i2, high), (i1 + 1, i2 - 1))))
                 elif lo >= whi:      # upper-left staircase: the top rises
-                    above = near(x, hi2, hi2, hi, want_top=False)[1]
-                    events.append(Event(x, "nw_step", (idx[lo], idx[hi2] - 1), None, None,
-                                        (idx[hi2], above), (idx[lo], idx[hi2] - 1)))
+                    above = near(x, hi2, hi2, hi, False, True)[1]
+                    i1, i2 = idx[lo], idx[hi2]
+                    add(new(Event, (x, "nw_step", (i1, i2 - 1), None, None,
+                                    (i2, above), (i1, i2 - 1))))
                 else:                # lower-left staircase: the bottom drops
-                    events.append(Event(x, "sw_step", None, None, None, None,
-                                        (idx[lo] + 1, idx[hi2])))
-            else:
-                if x == box.xhi:
-                    low, high = near(x, elo, ehi, hi)
-                    events.append(Event(x, "merge", (low, idx[elo]),
-                                        (idx[elo] + 1, idx[ehi] - 1), None,
-                                        (idx[ehi], high), None))
-                elif lo >= ehi:      # upper-right staircase: the top drops
-                    events.append(Event(x, "ne_step", None, None,
-                                        (idx[lo], idx[hi2] - 1), None, None))
-                else:                # lower-right staircase: the bottom rises
-                    below = near(x, lo, lo, hi, want_bottom=False)[0]
-                    events.append(Event(x, "se_step", (below, idx[lo]),
-                                        (idx[lo] + 1, idx[hi2]), None, None, None))
+                    add(new(Event, (x, "sw_step", None, None, None, None,
+                                    (idx[lo] + 1, idx[hi2]))))
+            elif x == bxhi:
+                low, high = near(x, lo, hi2, hi)
+                i1, i2 = idx[lo], idx[hi2]
+                add(new(Event, (x, "merge", (low, i1), (i1 + 1, i2 - 1), None,
+                                (i2, high), None)))
+                above_east = True
+            elif above_east:         # upper-right staircase: the top drops
+                add(new(Event, (x, "ne_step", None, None,
+                                (idx[lo], idx[hi2] - 1), None, None)))
+            else:                    # lower-right staircase: the bottom rises
+                below = near(x, lo, lo, hi, True, False)[0]
+                add(new(Event, (x, "se_step", (below, idx[lo]),
+                                (idx[lo] + 1, idx[hi2]), None, None, None)))
 
     # stable: the originate, appended first, stays first at x = sx
-    events.sort(key=lambda e: e.x)
+    events.sort(key=itemgetter(0))
     return StaircaseRegion(frame=frame, s=sq, t=tq, baselines=baselines,
                            events=events, holes=holes)

@@ -4,7 +4,8 @@ Each function visits every hull of a frame in hull order, as the package
 did before ``partition.World`` kept a box index: the two blocking scans
 of a trace step (``blocking`` composes them into the step's one query),
 the hole sections of a region event (and the nearest section
-ends that an event reads from them), a region's hole selection and the
+ends that an event reads from them, with ``baseline_ends`` giving those
+ends as the event's baselines), a region's hole selection and the
 midpoint enumeration of an x-case solve.  They read the frame's
 boxes from ``FrameTables`` and a hull's edge tables through ``polys[i]``,
 so a reference builds the tables of exactly the hulls the old scan read.
@@ -93,6 +94,15 @@ def nearest_ends(sections, y_lo, y_hi):
     full list of ``(bottom, top)`` sections as the region build once did."""
     return (max((top for _, top in sections if top <= y_lo), default=None),
             min((bottom for bottom, _ in sections if bottom >= y_hi), default=None))
+
+
+def baseline_ends(idx, ends):
+    """``nearest_ends``' answer as the region build's section read gives it:
+    each end's baseline by ``idx``, with 0 for no top and the last baseline
+    for no bottom."""
+    top, bottom = ends
+    return (0 if top is None else idx[top],
+            len(idx) - 1 if bottom is None else idx[bottom])
 
 
 def region_holes(world, frame, sq, tq):

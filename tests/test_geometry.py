@@ -225,17 +225,36 @@ XFORMS = ([Xform(sx, 0, 0, sy) for sx in (1, -1) for sy in (1, -1)]
 @given(_rect_polys())
 def test_transform_matches_normalising_the_mapped_ring(poly):
     """A hull's frame ring, and its frame box as a world's index serves
-    it, equal the vertices and box of ``RectPolygon`` of the ring mapped
-    through the doubling and the frame; the doubled ring has four times
-    the area."""
+    it (and as the frame's own tables build it, unchecked), equal the
+    vertices and box of ``RectPolygon`` of the ring mapped through the
+    doubling and the frame; the doubled ring has four times the area."""
     assert poly.bbox == bounding_box(poly.vertices)
     for t in XFORMS:
         want = RectPolygon([t.apply((2 * x, 2 * y)) for x, y in poly.vertices])
         ft = World([poly]).frame(t)
         fp = _FramePoly(poly, t, Rect(ft.xlo[0], ft.ylo[0], ft.xhi[0], ft.yhi[0]))
-        assert fp.box == bounding_box(want.vertices)
+        assert fp.box == bounding_box(want.vertices) == ft[0].box
         assert fp.ring == want.vertices
         assert _signed_area2(fp.ring) == 4 * area2(poly)
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(0, 40),
+       st.integers(0, 40))
+def test_an_ordered_box_equals_the_checked_one(xlo, ylo, w, h):
+    """``Rect.from_ordered`` skips only the emptiness check: the box equals,
+    hashes, prints and stays frozen as ``Rect(...)`` does."""
+    got, want = Rect.from_ordered(xlo, ylo, xlo + w, ylo + h), Rect(xlo, ylo, xlo + w, ylo + h)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert {got: 1}[want] == 1
+    with pytest.raises(AttributeError):
+        got.xlo = 0
+
+
+def test_bounding_box_of_no_points_is_an_error():
+    with pytest.raises(GeometryError):
+        bounding_box([])
+    with pytest.raises(GeometryError):
+        bounding_box(iter(()))
 
 
 def _reference_staircase(points, sx, sy):

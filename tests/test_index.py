@@ -19,8 +19,7 @@ from rectlink.partition import (
     FrameView,
     World,
     _first_block,
-    _hole_index,
-    _nearest_sections,
+    _section_reader,
     _trace_ru,
     build_staircase_region,
     classify,
@@ -166,6 +165,13 @@ def test_traces_match_scanning_traces(monkeypatch):
     assert inside > 400
 
 
+def _sentinel_baselines(polys, holes):
+    """Baselines of every section end of ``holes``, between one below the
+    lowest and one above the highest, which no section reaches."""
+    ys = sorted({y for h in holes for _, _, y in polys[h].horiz})
+    return {y: i for i, y in enumerate([ys[0] - 1] + ys + [ys[-1] + 1])}
+
+
 def test_nearest_sections_match_the_scan_in_every_frame():
     """Every hull of a frame as a hole, at every box wall and one unit
     either side of it, skipping none or one hull; every section end and box
@@ -176,7 +182,8 @@ def test_nearest_sections_match_the_scan_in_every_frame():
         for t in XFORMS:
             polys = FrameTables(world, t)
             holes = list(range(len(polys)))
-            index = _hole_index(polys, holes)
+            idx = _sentinel_baselines(polys, holes)
+            near = _section_reader(polys, holes, idx)
             xs = sorted({x + d for x in polys.xlo + polys.xhi for d in (-1, 0, 1)})
             for x in xs:
                 for skip in (None, x % len(holes)):
@@ -187,8 +194,8 @@ def test_nearest_sections_match_the_scan_in_every_frame():
                     ys = sorted({y + d for y in ends for d in (-1, 0, 1)}) or [0]
                     for y_lo, y_hi in ([(y, y) for y in ys] + list(zip(ys, ys[1:]))
                                        + [(ys[0], ys[-1])]):
-                        assert _nearest_sections(polys, index, x, y_lo, y_hi, skip) \
-                            == ref.nearest_ends(secs, y_lo, y_hi), (name, t, x, y_lo, y_hi)
+                        assert near(x, y_lo, y_hi, skip) == ref.baseline_ends(
+                            idx, ref.nearest_ends(secs, y_lo, y_hi)), (name, t, x, y_lo, y_hi)
                     checked += len(secs)
     assert checked > 1000
 
@@ -223,14 +230,15 @@ def test_region_holes_and_sections_match_the_scans():
             continue  # the same region, reached through another view
         seen.add((id(world), total, region.s, region.t))
         polys = world.frame(total)
-        index = _hole_index(polys, region.holes)
         ys = region.baselines
+        idx = {y: i for i, y in enumerate(ys)}
+        near = _section_reader(polys, region.holes, idx)
         for x in range(region.s[0] - 1, region.t[0] + 2):
             for skip in [None] + region.holes:
                 secs = ref.hole_sections(polys, region.holes, x, skip)
                 for y_lo, y_hi in [(y, y) for y in ys] + [(ys[0], ys[-1])]:
-                    assert _nearest_sections(polys, index, x, y_lo, y_hi, skip) \
-                        == ref.nearest_ends(secs, y_lo, y_hi)
+                    assert near(x, y_lo, y_hi, skip) \
+                        == ref.baseline_ends(idx, ref.nearest_ends(secs, y_lo, y_hi))
         holes_seen += len(region.holes)
     assert frames == set(XFORMS)
     assert holes_seen > 20

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from rectlink.engine import _double, build_world
 from rectlink.generator import generate_instance
 from rectlink.partition import (
-    _hole_index,
-    _nearest_sections,
+    _section_reader,
     build_staircase_region,
     classify,
 )
@@ -15,7 +14,7 @@ from rectlink.sweep import INF, RunStore, provenance, reconstruct_path, run_swee
 from rectlink.geometry import PathResult, bounding_box
 from diagonal import diagonal_region
 from frame_reference import columns, mapped_polygon, reference_tables
-from scan_reference import nearest_ends
+from scan_reference import baseline_ends, nearest_ends
 from shapes import horizontal_edges
 from store_reference import LoopStore
 from tree_store import ActiveRanges, TreeStore, assert_stores_agree, final_state
@@ -335,15 +334,16 @@ def test_nearest_sections_match_transformed_hulls():
                 == reference_tables(world.hull(hi), region.frame), seed
         # the region build already built every hole's tables
         assert polys.tables_built == built, seed
-        index = _hole_index(polys, region.holes)
         ys = region.baselines
+        idx = {y: i for i, y in enumerate(ys)}
+        near = _section_reader(polys, region.holes, idx)
         for x in range(region.s[0] - 1, region.t[0] + 2):
             for skip in [None] + region.holes:
                 secs = _reference_sections(world, region.frame, region.holes,
                                            x, skip)
                 for y_lo, y_hi in [(y, y) for y in ys] + [(ys[0], ys[-1])]:
-                    got = _nearest_sections(polys, index, x, y_lo, y_hi, skip)
-                    assert got == nearest_ends(secs, y_lo, y_hi), \
+                    got = near(x, y_lo, y_hi, skip)
+                    assert got == baseline_ends(idx, nearest_ends(secs, y_lo, y_hi)), \
                         f"seed {seed}, x {x}, y {y_lo}, skip {skip}"
                 checked += len(secs)
     assert checked > 0
