@@ -146,8 +146,18 @@ compared as Python lists.  The loop stops only at a bound strictly above the
 best distance so far, so no pair left out could have tied the final
 distance, and the witness is the least offer at the answer's (distance,
 links) among the solves that ran.  A witness's point list is built only to
-break a tie or to be returned.  Every witness is re-measured before it is
-returned.
+break a tie or to be returned.
+
+Every witness is measured once before it is returned, in instance
+coordinates: its length must be half the doubled distance, its links the
+answer's, and every corner must lie on an instance line.  ``_on_grid``
+reads the doubled witness as it was offered.  When every point is even and
+halves onto instance lines, the witness is halved and measured: halving
+commutes with ``path_metrics`` when every coordinate is even, and the
+measured corners are some of those points, so they lie on lines.  Otherwise
+the witness is first normalised (``path_metrics`` in doubled coordinates)
+and its off-grid runs moved onto lines by ``_align_runs``; it is then
+halved and measured, and its corners are checked against the lines.
 """
 from __future__ import annotations
 
@@ -161,14 +171,13 @@ from .composer import SubregionDag
 from .engine import _double, build_world, solve_pair_raw
 from .geometry import (
     FLIP_Y,
-    IDENTITY,
     SWAP,
     UNIT_DIRS,
     GeometryError,
-    PathResult,
     Point,
     Xform,
     first_dir,
+    path_metrics,
 )
 from .model import (
     POINT,
@@ -179,7 +188,7 @@ from .model import (
     Terminal,
     validate,
 )
-from .partition import INF, FrameTables, World, free_corners, quadrant
+from .partition import INF, BoxIndex, World, free_corners, quadrant
 from .pockets import BoxGrid, Crossing, GridSearch
 
 
@@ -245,16 +254,18 @@ class _Lines:
         return sorted(self.ys_set)
 
 
-def _host(boxes: FrameTables, p: Point) -> Optional[int]:
+def _host(index: BoxIndex, p: Point) -> Optional[int]:
     """The obstacle whose box strictly contains ``p``, if any.
 
     Boxes are interior-disjoint, so at most one does.  Its doubled xlo lies
-    in the width window ``(2 px - width, 2 px)``, which the identity
-    frame's index bisects.
+    in the width window ``(2 px - width, 2 px)``, which the box index's +x
+    order bisects; no frame is made for it.
     """
     x2, y2 = 2 * p[0], 2 * p[1]
-    for i in boxes.between(x2 - boxes.width, x2):
-        if x2 < boxes.xhi[i] and boxes.ylo[i] < y2 < boxes.yhi[i]:
+    keys, xhi, ylo, yhi = index.keys[0], index.highs[0], index.lows[2], index.highs[2]
+    for i in index.orders[0][bisect.bisect_right(keys, x2 - index.widths[0]):
+                             bisect.bisect_left(keys, x2)]:
+        if x2 < xhi[i] and ylo[i] < y2 < yhi[i]:
             return i
     return None
 
@@ -380,14 +391,13 @@ def _candidates(instance: Instance, term: Terminal, lines: _Lines, world: World
         reach = [(v, c) for v in pos] if a == 0 else [(c, v) for v in pos]
         # a valid segment enters a box only to end inside it, so its pocket
         # candidates are its ends' stretches in its ends' boxes
-        boxes = world.frame(IDENTITY)
         first, last = 0, len(pos)
-        h = _host(boxes, p)
+        h = _host(world.index, p)
         if h is not None:
             box = instance.obstacles[h].bbox
             first = bisect.bisect_left(pos, box.xhi if a == 0 else box.yhi)
             boxed[h] = reach[:first]
-        h = _host(boxes, q)
+        h = _host(world.index, q)
         if h is not None:
             box = instance.obstacles[h].bbox
             last = bisect.bisect_right(pos, box.xlo if a == 0 else box.ylo)
@@ -475,7 +485,7 @@ def _attachments(instance: Instance, term: Terminal, lines: _Lines,
     (enumerated, kept)."""
     if term.kind == POINT:
         p = term.point
-        host = _host(world.frame(IDENTITY), p)
+        host = _host(world.index, p)
         plain = [p] if host is None else []
         boxed = {} if host is None else {host: [p]}
         reach, counts = [p], (1, 1)
@@ -510,8 +520,10 @@ def _on_grid(points: Sequence[Point], xs_set: frozenset[int],
              ys_set: frozenset[int]) -> bool:
     """Does every point of the doubled witness lie on doubled instance
     lines?  ``_align_runs`` then moves nothing."""
-    return all(x % 2 == 0 and y % 2 == 0 and x // 2 in xs_set and y // 2 in ys_set
-               for x, y in points)
+    for x, y in points:
+        if x % 2 or y % 2 or x // 2 not in xs_set or y // 2 not in ys_set:
+            return False
+    return True
 
 
 def _align_runs(points: list[Point], xs: list[int], ys: list[int]) -> list[Point]:
@@ -610,9 +622,10 @@ def solve(instance: Instance) -> SolveReport:
     # the x-case class frames already solved, each with its y mirror
     classes: set[Xform] = set()
     ends_t = [(*b.junction2, b.d2, j) for j, b in enumerate(atts_t)]
-    pairs = sorted((a.d2 + abs(ax - bx) + abs(ay - by) + bd2, i, j)
-                   for i, a in enumerate(atts_s) for ax, ay in [a.junction2]
-                   for bx, by, bd2, j in ends_t)
+    pairs = [(a.d2 + abs(ax - bx) + abs(ay - by) + bd2, i, j)
+             for i, a in enumerate(atts_s) for ax, ay in [a.junction2]
+             for bx, by, bd2, j in ends_t]
+    pairs.sort()
     for lb, i, j in pairs:
         if best is not None and lb > best[0]:
             break
@@ -685,13 +698,15 @@ def solve(instance: Instance) -> SolveReport:
     if len(pts2) == 1:
         path = [(pts2[0][0] // 2, pts2[0][1] // 2)]
     else:
-        pts2 = PathResult.from_points(pts2).points
-        if not _on_grid(pts2, lines.xs_set, lines.ys_set):
-            pts2 = _align_runs(pts2, lines.xs, lines.ys)
-        check = PathResult.from_points([(x // 2, y // 2) for x, y in pts2])
-        if check.length * 2 != d2 or check.links != links \
-                or any(p[0] not in lines.xs_set or p[1] not in lines.ys_set
-                       for p in check.points):
+        xs_set, ys_set = lines.xs_set, lines.ys_set
+        # on the grid, every point is even and halves onto instance lines,
+        # so every corner does, and halving commutes with path_metrics
+        on_grid = _on_grid(pts2, xs_set, ys_set)
+        if not on_grid:
+            pts2 = _align_runs(path_metrics(pts2)[0], lines.xs, lines.ys)
+        path, length, n = path_metrics([(x // 2, y // 2) for x, y in pts2])
+        if length * 2 != d2 or n != links \
+                or not on_grid and any(p[0] not in xs_set or p[1] not in ys_set
+                                       for p in path):
             raise GeometryError("witness disagrees with the combined costs")
-        path = list(check.points)
     return SolveReport(distance=d2 // 2, links=links, path=path, stats=stats)

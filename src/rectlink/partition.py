@@ -203,6 +203,10 @@ def _axis(a: int, b: int) -> int:
     return 2 if b > 0 else 3
 
 
+# each frame's x and y as signed axes, so that making a frame calls nothing
+_FRAME_AXES = {t: (_axis(t.a, t.b), _axis(t.c, t.d)) for t in TRACE_FRAMES.values()}
+
+
 class BoxIndex:
     """The obstacles' doubled boxes, sorted along each signed axis.
 
@@ -216,8 +220,9 @@ class BoxIndex:
     ``keys[0][0]`` and ``keys[2][0]`` are the least xlo and ylo, and
     ``-keys[1][0]`` and ``-keys[3][0]`` the greatest xhi and yhi.
 
-    A world builds one and its frames read it; ``model.validate`` reads
-    the one a solve's world built, or builds its own when called alone.
+    A world builds one and its frames read it, as ``frontend._host`` does;
+    ``model.validate`` reads the one a solve's world built, or builds its
+    own when called alone.
     """
 
     __slots__ = ("lows", "highs", "orders", "keys", "widths")
@@ -261,10 +266,17 @@ class FrameTables:
     ``traces`` maps ``(start, x_stop)`` to the ``Trace`` that ``trace_ru``
     returned for it in this frame; regions and the x-case relaxation read
     its memoised ``curve`` in this frame.
+
+    A frame's attributes are slots, and its axes come from a table: a solve
+    makes one frame per signed axis permutation it reads, up to four for a
+    two-link pair's L test, so a frame's set-up is part of every solve.
     """
 
+    __slots__ = ("xlo", "xhi", "ylo", "yhi", "order", "keys", "width",
+                 "_hull", "_t", "_polys", "traces")
+
     def __init__(self, world: World, t: Xform):
-        xa, ya = _axis(t.a, t.b), _axis(t.c, t.d)
+        xa, ya = _FRAME_AXES[t]
         index = world.index
         self.xlo, self.xhi = index.lows[xa], index.highs[xa]
         self.ylo, self.yhi = index.lows[ya], index.highs[ya]
@@ -362,12 +374,12 @@ class World:
     @property
     def traces_built(self) -> int:
         """Distinct traces computed so far, over all frames."""
-        return sum(len(ft.traces) for ft in self._frames.values())
+        return sum([len(ft.traces) for ft in self._frames.values()])
 
     @property
     def hull_tables_built(self) -> int:
         """(frame, hull) table fills so far, over all frames."""
-        return sum(ft.tables_built for ft in self._frames.values())
+        return sum([ft.tables_built for ft in self._frames.values()])
 
 
 class FrameView:
@@ -673,13 +685,23 @@ def _section_reader(polys: FrameTables, holes: list[int], idx: dict[int, int]
     """A region's section read, as one closure over its holes and the
     frame's lists.
 
-    ``near(x, y_lo, y_hi, skip=None, want_top=True, want_bottom=True)``
-    finds, of the sections that the holes other than ``skip`` cut from the
-    line x, the highest top at or below ``y_lo`` and the lowest bottom at or
-    above ``y_hi >= y_lo``, and returns their baselines by ``idx``: 0 and
-    ``len(idx) - 1`` where there is none, and for an end not wanted.  Every
-    section end must be a key of ``idx``.  The holes' tables are built here,
-    if a caller has not built them already, as a region build has.
+    ``near(x, y_lo, y_hi, want_top=True, want_bottom=True)`` finds, of the
+    sections that the holes cut from the line x, the highest top at or below
+    ``y_lo`` and the lowest bottom at or above ``y_hi >= y_lo``, and returns
+    their baselines by ``idx``: 0 and ``len(idx) - 1`` where there is none,
+    and for an end not wanted.  Every section end must be a key of ``idx``.
+    The holes' tables are built here, if a caller has not built them
+    already, as a region build has.
+
+    A read at one of a hole's own edges needs no way to leave that hole
+    out.  A split or merge read sits on the hole's own box wall, where the
+    scan does not reach it: its xlo is not west of the split's x, and its
+    xhi is not east of the merge's.  Only nw- and se-step reads see their
+    own hole, and there it gives only the end the read does not use: at an
+    nw step, which uses the bottom, its section's top is the step's upper
+    end ``y_hi``, and none of its section lies above that; at an se step,
+    which uses the top, its section's bottom is the step's lower end
+    ``y_lo``, and none of it lies below.
 
     The holes are sorted by frame xlo, ties by index, so only those with
     xlo in the width window ``(x - width, x)`` are scanned.  Of those, a box
@@ -695,11 +717,11 @@ def _section_reader(polys: FrameTables, holes: list[int], idx: dict[int, int]
     last = len(idx) - 1
     west, east = bisect.bisect_right, bisect.bisect_left
 
-    def near(x: int, y_lo: int, y_hi: int, skip: Optional[int] = None,
+    def near(x: int, y_lo: int, y_hi: int,
              want_top: bool = True, want_bottom: bool = True) -> tuple[int, int]:
         below = above = top = bottom = None
         for h in by_x[west(xlos, x - width):east(xlos, x)]:
-            if h == skip or xhi[h] <= x:
+            if xhi[h] <= x:
                 continue
             if yhi[h] <= y_lo:
                 if below is None or yhi[h] > yhi[below]:
@@ -821,7 +843,7 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
         if y1 == y2:
             continue
         i1 = idx[y1]
-        below = near(x, y1, y1, None, True, False)[0]
+        below = near(x, y1, y1, True, False)[0]
         add(new(Event, (x, "attach", (below, i1), (i1 + 1, idx[y2]),
                         None, None, None)))
     for x in bot_jumps:
@@ -845,12 +867,12 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
         for x, lo, hi2, west_facing in fp.vertical:
             if west_facing:
                 if x == bxlo:
-                    low, high = near(x, wlo, whi, hi)
+                    low, high = near(x, wlo, whi)
                     i1, i2 = idx[wlo], idx[whi]
                     add(new(Event, (x, "split", (low, i2 - 1), None, None,
                                     (i2, high), (i1 + 1, i2 - 1))))
                 elif lo >= whi:      # upper-left staircase: the top rises
-                    above = near(x, hi2, hi2, hi, False, True)[1]
+                    above = near(x, hi2, hi2, False, True)[1]
                     i1, i2 = idx[lo], idx[hi2]
                     add(new(Event, (x, "nw_step", (i1, i2 - 1), None, None,
                                     (i2, above), (i1, i2 - 1))))
@@ -858,7 +880,7 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
                     add(new(Event, (x, "sw_step", None, None, None, None,
                                     (idx[lo] + 1, idx[hi2]))))
             elif x == bxhi:
-                low, high = near(x, lo, hi2, hi)
+                low, high = near(x, lo, hi2)
                 i1, i2 = idx[lo], idx[hi2]
                 add(new(Event, (x, "merge", (low, i1), (i1 + 1, i2 - 1), None,
                                 (i2, high), None)))
@@ -867,7 +889,7 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
                 add(new(Event, (x, "ne_step", None, None,
                                 (idx[lo], idx[hi2] - 1), None, None)))
             else:                    # lower-right staircase: the bottom rises
-                below = near(x, lo, lo, hi, True, False)[0]
+                below = near(x, lo, lo, True, False)[0]
                 add(new(Event, (x, "se_step", (below, idx[lo]),
                                 (idx[lo] + 1, idx[hi2]), None, None, None)))
 

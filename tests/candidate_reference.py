@@ -20,7 +20,7 @@ import bisect
 
 from rectlink.engine import _double
 from rectlink.frontend import Attachment, _host, _Lines
-from rectlink.geometry import IDENTITY, OrthoSegment, Point
+from rectlink.geometry import OrthoSegment, Point
 from rectlink.model import POINT, POLYGON, SEGMENT, Instance, Terminal
 from rectlink.partition import INF, World
 from rectlink.pockets import BoxGrid, GridSearch
@@ -57,11 +57,10 @@ def attachments(instance: Instance, term: Terminal, lines: _Lines, world: World)
     """Every candidate's attachments, the per-box searches, the candidates
     and the counts (enumerated, kept), which are equal here."""
     cands = candidate_points(term, lines)
-    boxes = world.frame(IDENTITY)
     atts: list[Attachment] = []
     boxed: dict[int, list[Point]] = {}
     for p in cands:
-        h = _host(boxes, p)
+        h = _host(world.index, p)
         if h is None:
             atts.append(Attachment(junction2=_double(p), d2=0, links=0,
                                    out_dir=None))

@@ -23,6 +23,7 @@ from rectlink.geometry import (
     GeometryError,
     PathResult,
     RectPolygon,
+    path_metrics,
 )
 from rectlink.io import instance_from_obj, instance_to_obj
 from rectlink.model import Instance, InvalidInstance, Terminal, validate
@@ -484,8 +485,9 @@ def test_skipping_the_snap_is_exact(monkeypatch):
     """``solve`` snaps a witness only when ``_on_grid`` rejects it.  On the
     point-small and attach-small pools and the pocket chain, every witness
     it accepts is one the unconditional snap on the doubled lines left as
-    it was, and on every witness it rejects the snap on the undoubled lines
-    gives what the snap on the doubled lines gave."""
+    it was, and on every witness it rejects, normalised first as ``solve``
+    does, the snap on the undoubled lines gives what the snap on the
+    doubled lines gave."""
     seen = []
     on_grid = frontend._on_grid
     monkeypatch.setattr(frontend, "_on_grid", lambda pts, xs_set, ys_set: seen.append(
@@ -504,6 +506,8 @@ def test_skipping_the_snap_is_exact(monkeypatch):
             assert want == pts, k
             accepted += 1
         else:
+            pts = path_metrics(pts)[0]
+            want = _align_on_doubled_lines(pts, [2 * x for x in xs], [2 * y for y in ys])
             assert frontend._align_runs(pts, xs, ys) == want, k
     assert len(instances) >= 300 + 88 + 55
     assert len(seen) == len(instances) and 0 < accepted < len(seen)
@@ -522,7 +526,6 @@ def test_candidates_and_hosts_match_the_linear_scans():
         lines = _Lines(inst)
         xs, ys = lines.xs, lines.ys
         world = build_world(inst.obstacles)
-        boxes = world.frame(IDENTITY)
         for term in (inst.source, inst.target):
             segs = [term.segment] if term.kind == "segment" else \
                 list(term.polygon.edges()) if term.kind == "polygon" else []
@@ -537,7 +540,7 @@ def test_candidates_and_hosts_match_the_linear_scans():
             for p in cands:
                 want = next((i for i, ob in enumerate(inst.obstacles)
                              if in_open_box(ob.bbox, p)), None)
-                assert frontend._host(boxes, p) == want
+                assert frontend._host(world.index, p) == want
                 if want is not None:
                     boxed.setdefault(want, []).append(p)
                 hosted += want is not None

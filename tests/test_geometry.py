@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rectlink.geometry import (
     FLIP_X,
@@ -173,6 +173,35 @@ def test_path_metrics_drops_zero_steps():
 def test_path_metrics_rejects_diagonal():
     with pytest.raises(GeometryError):
         path_metrics([(0, 0), (1, 1)])
+
+
+@st.composite
+def _even_polylines(draw):
+    """A rectilinear polyline with even coordinates: steps along a drawn
+    axis by a drawn even amount, zero included, so zero-length steps,
+    collinear runs and reversals all occur."""
+    x, y = (2 * draw(st.integers(-50, 50)) for _ in range(2))
+    pts = [(x, y)]
+    for axis, d in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(-4, 4)),
+                                 max_size=12)):
+        x, y = (x + 2 * d, y) if axis == 0 else (x, y + 2 * d)
+        pts.append((x, y))
+    return pts
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_even_polylines())
+@example([(0, 0), (0, 0), (4, 0), (4, 0)])            # zero-length steps
+@example([(0, 0), (2, 0), (6, 0), (6, 4), (6, 10)])   # collinear runs
+@example([(0, 0), (8, 0), (2, 0), (2, 6), (2, -4)])   # reversals
+@example([(-6, 4)])
+def test_halving_commutes_with_path_metrics(pts2):
+    """``solve`` measures an on-grid doubled witness once, after halving it:
+    for even coordinates, ``path_metrics`` of the halved points is the
+    halved ``path_metrics`` of the doubled ones."""
+    pts, length, links = path_metrics(pts2)
+    assert path_metrics([(x // 2, y // 2) for x, y in pts2]) \
+        == ([(x // 2, y // 2) for x, y in pts], length // 2, links)
 
 
 def test_segment_contains():

@@ -174,9 +174,9 @@ def _sentinel_baselines(polys, holes):
 
 def test_nearest_sections_match_the_scan_in_every_frame():
     """Every hull of a frame as a hole, at every box wall and one unit
-    either side of it, skipping none or one hull; every section end and box
-    end of the crossing hulls, one unit either side, as ``y_lo = y_hi``, and
-    consecutive and outermost pairs of them as ``y_lo < y_hi``."""
+    either side of it; every section end and box end of the crossing hulls,
+    one unit either side, as ``y_lo = y_hi``, and consecutive and outermost
+    pairs of them as ``y_lo < y_hi``."""
     checked = 0
     for name, world in _worlds():
         for t in XFORMS:
@@ -186,17 +186,16 @@ def test_nearest_sections_match_the_scan_in_every_frame():
             near = _section_reader(polys, holes, idx)
             xs = sorted({x + d for x in polys.xlo + polys.xhi for d in (-1, 0, 1)})
             for x in xs:
-                for skip in (None, x % len(holes)):
-                    secs = ref.hole_sections(polys, holes, x, skip)
-                    ends = {y for h in holes if h != skip and polys.xlo[h] < x < polys.xhi[h]
-                            for y in (polys.ylo[h], polys.yhi[h])}
-                    ends |= {y for sec in secs for y in sec}
-                    ys = sorted({y + d for y in ends for d in (-1, 0, 1)}) or [0]
-                    for y_lo, y_hi in ([(y, y) for y in ys] + list(zip(ys, ys[1:]))
-                                       + [(ys[0], ys[-1])]):
-                        assert near(x, y_lo, y_hi, skip) == ref.baseline_ends(
-                            idx, ref.nearest_ends(secs, y_lo, y_hi)), (name, t, x, y_lo, y_hi)
-                    checked += len(secs)
+                secs = ref.hole_sections(polys, holes, x, skip=None)
+                ends = {y for h in holes if polys.xlo[h] < x < polys.xhi[h]
+                        for y in (polys.ylo[h], polys.yhi[h])}
+                ends |= {y for sec in secs for y in sec}
+                ys = sorted({y + d for y in ends for d in (-1, 0, 1)}) or [0]
+                for y_lo, y_hi in ([(y, y) for y in ys] + list(zip(ys, ys[1:]))
+                                   + [(ys[0], ys[-1])]):
+                    assert near(x, y_lo, y_hi) == ref.baseline_ends(
+                        idx, ref.nearest_ends(secs, y_lo, y_hi)), (name, t, x, y_lo, y_hi)
+                checked += len(secs)
     assert checked > 1000
 
 
@@ -221,7 +220,7 @@ def _xy_regions():
 
 def test_region_holes_and_sections_match_the_scans():
     """Each region's holes, and its nearest sections at every strip column
-    and one either side, every baseline, skipping none or each hole."""
+    and one either side, every baseline."""
     frames, holes_seen, seen = set(), 0, set()
     for world, total, region in _xy_regions():
         assert region.holes == ref.region_holes(world, total, region.s, region.t)
@@ -234,11 +233,10 @@ def test_region_holes_and_sections_match_the_scans():
         idx = {y: i for i, y in enumerate(ys)}
         near = _section_reader(polys, region.holes, idx)
         for x in range(region.s[0] - 1, region.t[0] + 2):
-            for skip in [None] + region.holes:
-                secs = ref.hole_sections(polys, region.holes, x, skip)
-                for y_lo, y_hi in [(y, y) for y in ys] + [(ys[0], ys[-1])]:
-                    assert near(x, y_lo, y_hi, skip) \
-                        == ref.baseline_ends(idx, ref.nearest_ends(secs, y_lo, y_hi))
+            secs = ref.hole_sections(polys, region.holes, x, skip=None)
+            for y_lo, y_hi in [(y, y) for y in ys] + [(ys[0], ys[-1])]:
+                assert near(x, y_lo, y_hi) \
+                    == ref.baseline_ends(idx, ref.nearest_ends(secs, y_lo, y_hi))
         holes_seen += len(region.holes)
     assert frames == set(XFORMS)
     assert holes_seen > 20

@@ -307,12 +307,10 @@ def test_reseeding_shifts_both_readouts():
         assert bumped.lam_v == base.lam_v + 3
 
 
-def _reference_sections(world, frame, holes, x, skip):
+def _reference_sections(world, frame, holes, x):
     """Hole sections from freshly normalised mapped hull polygons."""
     out = []
     for hi in holes:
-        if hi == skip:
-            continue
         p = mapped_polygon(world.hull(hi), frame)
         box = bounding_box(p.vertices)
         if not (box.xlo < x < box.xhi):
@@ -338,12 +336,10 @@ def test_nearest_sections_match_transformed_hulls():
         idx = {y: i for i, y in enumerate(ys)}
         near = _section_reader(polys, region.holes, idx)
         for x in range(region.s[0] - 1, region.t[0] + 2):
-            for skip in [None] + region.holes:
-                secs = _reference_sections(world, region.frame, region.holes,
-                                           x, skip)
-                for y_lo, y_hi in [(y, y) for y in ys] + [(ys[0], ys[-1])]:
-                    got = near(x, y_lo, y_hi, skip)
-                    assert got == baseline_ends(idx, nearest_ends(secs, y_lo, y_hi)), \
-                        f"seed {seed}, x {x}, y {y_lo}, skip {skip}"
-                checked += len(secs)
+            secs = _reference_sections(world, region.frame, region.holes, x)
+            for y_lo, y_hi in [(y, y) for y in ys] + [(ys[0], ys[-1])]:
+                got = near(x, y_lo, y_hi)
+                assert got == baseline_ends(idx, nearest_ends(secs, y_lo, y_hi)), \
+                    f"seed {seed}, x {x}, y {y_lo}"
+            checked += len(secs)
     assert checked > 0

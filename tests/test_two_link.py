@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from fuzz_instances import instances
-from rectlink import engine, frontend
+from rectlink import engine, frontend, geometry
 from rectlink.engine import build_world, solve_pair_raw
 from rectlink.frontend import _attachments, _Lines, solve
 from rectlink.partition import (
@@ -125,6 +125,30 @@ def test_the_rule_keeps_every_answer():
 @given(instances())
 def test_the_rule_keeps_every_fuzzed_answer(inst):
     assert _answer(solve(inst)) == _answer(_swept(inst))
+
+
+def test_a_two_link_solve_measures_its_witness_once(monkeypatch):
+    """A free L's witness lies on the grid, so ``solve`` measures it once,
+    halved: ``geometry.path_metrics`` runs once per two-link solve of a
+    point-small pair."""
+    measure = geometry.path_metrics
+    calls = []
+
+    def counted(points):
+        calls.append(list(points))
+        return measure(points)
+
+    # ``solve`` may call it through ``PathResult`` or by its own import
+    monkeypatch.setattr(geometry, "path_metrics", counted)
+    monkeypatch.setattr(frontend, "path_metrics", counted, raising=False)
+    solved = 0
+    for inst in _perfbench("workloads").base_pool("point-small")[:40]:
+        calls.clear()
+        got = solve(inst)
+        if got.stats["two_link_pairs"] == 1 and got.stats["middle_solves"] == 1:
+            assert len(calls) == 1 and got.links == 2
+            solved += 1
+    assert solved > 10
 
 
 def test_free_corners_are_the_sweeps_two_link_witnesses():
