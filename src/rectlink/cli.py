@@ -65,16 +65,22 @@ def _emit_json(obj, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_solve(args) -> int:
-    # ``solve`` validates the instance itself
-    inst = _load(args.file)
+def _solved(path: str):
+    """The instance at ``path`` and its solve report; a failed solve exits
+    as ``_load`` and ``_invalid`` do.  ``solve`` validates the instance
+    itself."""
+    inst = _load(path)
     try:
-        report = solve_instance(inst)
+        return inst, solve_instance(inst)
     except InvalidInstance as exc:
         _invalid(exc.problems)
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise SystemExit(EXIT_INVALID)
+
+
+def _cmd_solve(args) -> int:
+    inst, report = _solved(args.file)
     obj = result_to_obj(report.distance, report.links, report.path, report.stats)
     _emit_json(obj, args.json)
     if args.svg:
@@ -143,14 +149,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if args.solve:
-        inst = _load(args.file)
-        try:
-            result = solve_instance(inst)
-        except InvalidInstance as exc:
-            _invalid(exc.problems)
-    else:
-        inst, result = _validated(args.file), None
+    inst, result = _solved(args.file) if args.solve else (_validated(args.file), None)
     svg = render(inst, result)
     if args.out:
         with open(args.out, "w") as fp:

@@ -23,8 +23,9 @@ midpoints a shortest chain to a nearest target can use all lie within it
 farther target may be left with no exact distance.  The work around the
 relaxation follows the same bound: a hull's box floors every midpoint of
 its sides, so a hull's tables are built, and its midpoints admitted, only
-once the limit reaches that floor; and a widened pass resumes at the
-westmost midpoint it admits, since a node reads only what lies west of it.
+once the limit reaches that floor.  A widened pass relaxes afresh from the
+west.  That is cheap: a relaxation pays for its leg tests, and each leg is
+tested once per solve, since the tests are kept across passes.
 
 A frame and its y mirror.  ``classify`` picks an x-case frame by the signs
 of the pair's dx and dy, so one class of pairs can read as an eastward
@@ -241,25 +242,22 @@ def _strip(ft: FrameTables, sx: int, tx: int) -> list[int]:
     return [i for i in ft.between(sx - ft.width, tx) if ft.xhi[i] > sx]
 
 
-def _midpoints(ft: FrameTables, hulls: Sequence[int], sx: int, tx: int
-               ) -> list[_Node]:
-    """Side-midpoint nodes of the sides of ``hulls`` that fit in the strip
-    [sx, tx], sorted by point (then hull).  Builds the tables of ``hulls``
-    only."""
+def _midpoints(ft: FrameTables, i: int, sx: int, tx: int) -> list[_Node]:
+    """Side-midpoint nodes of the sides of hull ``i`` that fit in the strip
+    [sx, tx], sorted by point.  Builds hull ``i``'s tables only."""
+    fp = ft[i]
+    box = fp.box
     nodes: list[_Node] = []
-    for i in hulls:
-        fp = ft[i]
-        box = fp.box
-        for lo_x, hi_x, y in fp.horiz:
-            if y != box.yhi and y != box.ylo:
-                continue
-            mx = (lo_x + hi_x) // 2
-            # a winder contains the full side, so it must fit in the strip
-            if (lo_x + hi_x) % 2 or lo_x < sx or hi_x > tx or not sx < mx < tx:
-                continue
-            side = "top" if y == box.yhi else "bot"
-            nodes.append(_Node(point=(mx, y), hull=i, side=side))
-    nodes.sort(key=lambda nd: (nd.point, nd.hull))
+    for lo_x, hi_x, y in fp.horiz:
+        if y != box.yhi and y != box.ylo:
+            continue
+        mx = (lo_x + hi_x) // 2
+        # a winder contains the full side, so it must fit in the strip
+        if (lo_x + hi_x) % 2 or lo_x < sx or hi_x > tx or not sx < mx < tx:
+            continue
+        side = "top" if y == box.yhi else "bot"
+        nodes.append(_Node(point=(mx, y), hull=i, side=side))
+    nodes.sort(key=lambda nd: nd.point)
     return nodes
 
 
@@ -279,19 +277,6 @@ def _l1_to_box(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> in
 def _l1_to_nearest(p: Point, points: Sequence[Point]) -> int:
     """L1 distance from ``p`` to the nearest of ``points``."""
     return min(abs(p[0] - x) + abs(p[1] - y) for x, y in points)
-
-
-def _resume_at(run: list[tuple[int, int]], x: int) -> int:
-    """Where a widened relaxation resumes: the index of the first entry of
-    ``run`` (the relaxed nodes as (x, key), in x order) at or east of ``x``,
-    the westmost midpoint the widening admitted.
-
-    A node reads only the sources and the relaxed midpoints strictly west of
-    it, and no midpoint west of ``x`` was admitted, so every node west of
-    ``x`` keeps its distance and its predecessors; the nodes from here on
-    are relaxed again.
-    """
-    return bisect.bisect_left(run, (x,))
 
 
 def stitch(frame: Xform, nodes: Sequence[_Node], pred: Pred,
@@ -401,11 +386,12 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
     box to the sources' box plus that to the targets' box, is at most the
     floor of every midpoint on its sides.  So a hull's tables are built,
     and its midpoints admitted to ``dag.nodes``, only once U reaches its
-    box's floor, and no midpoint within U is missed.  A widened pass
-    relaxes again only the nodes at or east of the westmost midpoint it
-    admits (``_resume_at``).  The curves that test a leg are traced to
-    stops set by the boxes of every hull in the strip, which hold every
-    midpoint, so they do not depend on U.
+    box's floor, and no midpoint within U is missed.  A widening that
+    brings a midpoint within U relaxes every node afresh from the west; it
+    repeats no leg test, since ``tested`` keeps them all across passes.
+    The curves that test a leg are traced to stops set by the boxes of
+    every hull in the strip, which hold every midpoint, so they do not
+    depend on U.
     """
     if dir_links is None:
         dir_links = {d: 1.0 for d in UNIT_DIRS}
@@ -483,17 +469,17 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
     # out of k reaches q at dist(k) - kx + ky + (qx - qy), a rising one at
     # dist(k) - kx - ky + (qx + qy).  Top-side midpoints start falling legs,
     # bottom-side ones rising legs, and sources both: falling legs to points
-    # below them, rising ones to the rest.  Each entry carries the y limit
-    # of its legs' ends: a falling leg ends below ``lim``, a rising one at
-    # or above it.
+    # below them, rising ones to the rest.  Each entry carries the least
+    # signed y of its legs' ends: a falling leg ends where -qy >= ``lo``, a
+    # rising one where qy >= ``lo``.
     keyed: dict[str, list[tuple[float, int, Pred]]] = {"top": [], "bot": []}
 
     def enter(side: str, pred: Pred, nd: _Node) -> None:
         kx, ky = nd.point
         if side == "top":
             # a midpoint's falling legs may end level with it, a source's not
-            lim = ky + (pred[0] == "mid")
-            bisect.insort(keyed[side], (nd.dist - kx + ky, lim, pred))
+            lo = (pred[0] != "mid") - ky
+            bisect.insort(keyed[side], (nd.dist - kx + ky, lo, pred))
         else:
             bisect.insort(keyed[side], (nd.dist - kx - ky, ky, pred))
 
@@ -509,26 +495,25 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
         nd = node(key)
         qx, qy = nd.point
         # in key order, a side's legs only get dearer: stop past the best
-        # valid cost, but keep every valid leg that ties it
+        # valid cost (a key above ``cap``), but keep every valid leg that
+        # ties it
         best = INF
         cands: list[tuple[float, Pred]] = []
-        for side, offset in (("top", qx - qy), ("bot", qx + qy)):
-            falls = side == "top"
-            for k, lim, pred in keyed[side]:
-                d = k + offset
-                if d > best:
+        for side, offset, y in (("top", qx - qy, -qy), ("bot", qx + qy, qy)):
+            cap = best - offset
+            for k, lo, pred in keyed[side]:
+                if k > cap:
                     break
-                if (qy < lim) != falls:
+                if y < lo:
                     continue
                 ok = tested.get((pred, key))
                 if ok is None:
                     ok = tested[pred, key] = leg_ok(pred, nd)
                 if ok:
-                    cands.append((d, pred))
-                    best = d
-        if cands:
-            nd.dist = best
-            nd.preds = [p for d, p in cands if d == best]
+                    cap, best = k, k + offset
+                    cands.append((best, pred))
+        nd.dist = best
+        nd.preds = [p for d, p in cands if d == best]
 
     # the bound of each admitted midpoint (see the docstring).  Its floor,
     # the L1 distance to the sources' box plus that to the targets' box,
@@ -545,37 +530,43 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
             bound[k] = _l1_to_nearest(q, ends_s) + _l1_to_nearest(q, ends_t)
         return bound[k] <= limit
 
-    # the nodes in the relaxation, as (x, key) in x order: the targets and
-    # the midpoints within the limit.  They are relaxed west to east, one x
-    # at a time; the midpoints of an x enter their lists once every node
-    # with that x is relaxed, and a source before the first node east of
-    # it, so each leg runs strictly west to east.  Midpoints left out keep
-    # INF and no predecessors.
-    run = sorted((nd.point[0], -1 - j) for j, nd in enumerate(tgts))
-    west_first = sorted(range(len(srcs)), key=lambda i: srcs[i].point[0])
-    src_xs = [srcs[i].point[0] for i in west_first]
-    entered = 0                 # sources entered: a prefix of west_first
-    pending: list[int] = []     # admitted midpoints beyond the limit
+    west_first = sorted((nd.point[0], i) for i, nd in enumerate(srcs))
     admitted = 0                # hulls admitted: a prefix of ``hulls``
+    # the nodes in the relaxation, as (x, key) in x order: the targets and
+    # the midpoints within the limit
+    run: list[tuple[int, int]] = []
 
-    def leg_x(pred: Pred) -> int:
-        return (mids if pred[0] == "mid" else srcs)[pred[1]].point[0]
+    def relax_within(limit: float) -> None:
+        """Admit the hulls whose floor is within ``limit``, then relax the
+        targets and the midpoints within it afresh, unless no midpoint
+        moved in.
 
-    def relax_from(r: int) -> None:
-        """Relax ``run[r:]`` afresh, on what lies west of it."""
-        nonlocal entered
-        if r < len(run):
-            x_w = run[r][0]
-            for _, key in run[r:]:
-                nd = node(key)
-                nd.dist, nd.preds = INF, []
-            for side, entries in keyed.items():
-                keyed[side] = [e for e in entries if leg_x(e[2]) < x_w]
-            entered = min(entered, bisect.bisect_left(src_xs, x_w))
+        They are relaxed west to east, one x at a time; the midpoints of an
+        x enter their lists once every node with that x is relaxed, and a
+        source before the first node east of it, so each leg runs strictly
+        west to east.  Midpoints left out keep INF and no predecessors.
+        """
+        nonlocal admitted, run
+        while admitted < len(hulls) and hulls[admitted][0] <= limit:
+            for nd in _midpoints(ft, hulls[admitted][1], sx, tx):
+                qx, qy = nd.point
+                q = (qx, qx, qy, qy)
+                mids.append(nd)
+                floor.append(_l1_to_box(q, box_s) + _l1_to_box(q, box_t))
+            admitted += 1
+        fresh = sorted([(nd.point[0], -1 - j) for j, nd in enumerate(tgts)]
+                       + [(nd.point[0], k) for k, nd in enumerate(mids) if within(k, limit)])
+        if len(fresh) == len(run):
+            return
+        run = fresh
+        for entries in keyed.values():
+            entries.clear()
+        entered = 0             # sources entered: a prefix of west_first
+        r = 0
         while r < len(run):
             x = run[r][0]
-            while entered < len(srcs) and src_xs[entered] < x:
-                i = west_first[entered]
+            while entered < len(srcs) and west_first[entered][0] < x:
+                i = west_first[entered][1]
                 enter("top", ("src", i), srcs[i])
                 enter("bot", ("src", i), srcs[i])
                 entered += 1
@@ -588,51 +579,23 @@ def solve_x_case(world: World, frame: Xform, sources: Sequence[Point],
                     enter(mids[key].side, ("mid", key), mids[key])
             r = e
 
-    def widen(limit: float) -> list[int]:
-        """Admit the hulls whose floor is within ``limit`` and put the
-        midpoints within it in the relaxation; returns those midpoints."""
-        nonlocal admitted, pending
-        while admitted < len(hulls) and hulls[admitted][0] <= limit:
-            for nd in _midpoints(ft, [hulls[admitted][1]], sx, tx):
-                qx, qy = nd.point
-                q = (qx, qx, qy, qy)
-                pending.append(len(mids))
-                mids.append(nd)
-                floor.append(_l1_to_box(q, box_s) + _l1_to_box(q, box_t))
-            admitted += 1
-        new: list[int] = []
-        left: list[int] = []
-        for k in pending:
-            if within(k, limit):
-                new.append(k)
-                bisect.insort(run, (mids[k].point[0], k))
-            else:
-                left.append(k)
-        pending = left
-        return new
-
     # while the nearest target is beyond the limit and a midpoint is left
     # out, the limit moves to the nearest target distance found or to the
-    # start plus a slack, whichever is less, and the relaxation resumes at
-    # the westmost midpoint that moved in.  The slack starts at the least
-    # gap from the start up to a left-out midpoint's bound, or up to its
-    # floor where the bound was not measured, or up to the floor of a hull
-    # not yet admitted, and doubles.
+    # start plus a slack, whichever is less, and the relaxation runs again.
+    # The slack starts at the least gap from the start up to a left-out
+    # midpoint's bound, or up to its floor where the bound was not
+    # measured, or up to the floor of a hull not yet admitted, and doubles
+    # (the relaxed midpoints and the admitted hulls lie within the start).
     start = limit = min(_l1_to_nearest(t, ends_s) for t in ends_t)
-    widen(limit)
-    relax_from(0)
-    gaps = [bound.get(k, floor[k]) - start for k in pending]
-    if admitted < len(hulls):
-        gaps.append(hulls[admitted][0] - start)
-    slack = min((g for g in gaps if g > 0), default=0)
+    relax_within(limit)
+    gaps = [bound.get(k, f) for k, f in enumerate(floor)] + [f for f, _ in hulls]
+    slack = min((g - start for g in gaps if g > start), default=0)
     near = min(nd.dist for nd in tgts)
-    while (pending or admitted < len(hulls)) and near > limit:
+    while (len(run) < len(tgts) + len(mids) or admitted < len(hulls)) and near > limit:
         limit = min(near, start + slack)
         slack *= 2
-        new = widen(limit)
-        if new:
-            relax_from(_resume_at(run, min(mids[k].point[0] for k in new)))
-            near = min(nd.dist for nd in tgts)
+        relax_within(limit)
+        near = min(nd.dist for nd in tgts)
     if near == INF:
         raise GeometryError("x-monotone pair with no winder chain to the source")
 

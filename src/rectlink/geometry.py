@@ -418,35 +418,35 @@ def first_dir(points: Sequence[Point]) -> Point:
 def path_metrics(points: Sequence[Point]) -> tuple[list[Point], int, int]:
     """Normalize a rectilinear polyline and measure it.
 
-    Returns ``(vertices, length, links)`` where *vertices* has zero-length
-    steps dropped and collinear runs merged, *length* is the total L1 length
-    and *links* the number of maximal segments.  Raises on diagonal steps.
+    Returns ``(vertices, length, links)`` where *vertices*, as tuples, has
+    zero-length steps dropped and each run of steps in one direction merged
+    (a reversal ends a link), *length* is the total L1 length and *links*
+    the number of maximal segments.  Raises on diagonal steps.  One pass;
+    ``tests/path_metrics_reference.py`` keeps a two-pass reference.
     """
     if not points:
         raise GeometryError("empty polyline")
-    pts = [tuple(p) for p in points]
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p == out[-1]:
-            continue
-        if p[0] != out[-1][0] and p[1] != out[-1][1]:
-            raise GeometryError(f"diagonal step {out[-1]} -> {p}")
-        out.append(p)
-    merged = [out[0]]
-    for p in out[1:]:
-        if len(merged) >= 2:
-            a, b = merged[-2], merged[-1]
-            same_axis = (a[0] == b[0] == p[0]) or (a[1] == b[1] == p[1])
-            if same_axis:
-                # merge only if the direction is preserved; a reversal ends a link
-                forward = (p[0] - b[0]) * (b[0] - a[0]) + (p[1] - b[1]) * (b[1] - a[1]) > 0
-                if forward:
-                    merged[-1] = p
-                    continue
-        merged.append(p)
+    bx, by = points[0]
+    out = [(bx, by)]
+    last = 0                    # the last link's direction: +-1 in x, +-2 in y
     length = 0
-    links = 0
-    for a, b in zip(merged, merged[1:]):
-        length += abs(a[0] - b[0]) + abs(a[1] - b[1])
-        links += 1
-    return merged, length, links
+    for x, y in points[1:]:
+        if x == bx:
+            if y == by:
+                continue
+            d = 2 if y > by else -2
+            length += abs(y - by)
+        elif y == by:
+            d = 1 if x > bx else -1
+            length += abs(x - bx)
+        else:
+            raise GeometryError(f"diagonal step {(bx, by)} -> {(x, y)}")
+        # a step on in the last link's direction extends it; a reversal
+        # or a turn starts a new one
+        if d == last:
+            out[-1] = (x, y)
+        else:
+            out.append((x, y))
+            last = d
+        bx, by = x, y
+    return out, length, len(out) - 1

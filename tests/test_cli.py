@@ -115,6 +115,24 @@ def test_solving_an_invalid_file_validates_once(argv, tmp_path, monkeypatch,
     assert got.value.problems == ["obstacle boxes 0 and 1 overlap"]
 
 
+@pytest.mark.parametrize("argv", [["solve"], ["render", "--solve"]])
+def test_a_solver_error_exits_with_its_message(argv, inst_file, monkeypatch,
+                                               capsys):
+    """A ``GeometryError`` from ``solve`` that is not an ``InvalidInstance``
+    exits 1 with its message on stderr, and no traceback, from both
+    subcommands that solve."""
+    path, _ = inst_file
+
+    def failing(inst):
+        raise GeometryError("terminals are not connected")
+
+    monkeypatch.setattr(cli, "solve_instance", failing)
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: terminals are not connected\n"
+    assert captured.out == ""
+
+
 def test_oracle_refuses_oversized_grids(tmp_path):
     # 260 rectangles contribute 520 distinct x coordinates: beyond the cap
     obstacles = []

@@ -15,12 +15,12 @@ from rectlink.composer import solve_x_case
 from rectlink.engine import _double, build_world
 from rectlink.frontend import _attachments, _Lines, solve
 from rectlink.generator import GenerationError, generate_instance
-from rectlink.geometry import FLIP_Y, GeometryError, PathResult, RectPolygon, Xform
+from rectlink.geometry import FLIP_Y, IDENTITY, GeometryError, PathResult, RectPolygon, Xform
 from rectlink.io import instance_from_obj
 from rectlink.model import Instance, Terminal
 from rectlink.oracle import oracle_solve
 from rectlink.partition import TRACE_FRAMES, FrameView, World, classify, trace_ru
-from rectlink.sweep import INF, reconstruct_path, run_sweep
+from rectlink.sweep import INF, SweepResult, reconstruct_path, run_sweep
 from shapes import in_open_box
 from test_frontend import _perfbench, _pocket_instances, _triangle_instances
 
@@ -578,35 +578,18 @@ def test_a_frame_and_its_y_mirror_solve_alike(inst):
             == _solved_or_error(world, frame.then(FLIP_Y), sources, targets)
 
 
-def test_a_resumed_widening_matches_a_restarted_one(monkeypatch):
-    """On polygon n = 800 r = 1 of ``terminal_scaling.py``, whose class
-    solve widens its limit many times, each widened pass resumes at its
-    westmost new midpoint (``composer._resume_at``).  Relaxing every pass
-    afresh from the west gives every target and every midpoint the same
-    distance and predecessors, and the same readout."""
-    solves = []
-    monkeypatch.setattr(engine, "solve_x_case", _recording(solves))
+def test_the_most_widened_class_solve_reads_out_as_every_midpoint_relaxed(monkeypatch):
+    """Polygon n = 800 r = 1 of ``terminal_scaling.py`` is the class solve
+    that widens its limit most often, and every widening that brings a
+    midpoint within the limit relaxes afresh.  It reads out the same with
+    the L1 bound as with every midpoint relaxed, and as with every floor
+    read as 0."""
+    checked = []
+    monkeypatch.setattr(engine, "solve_x_case",
+                        _checking_every_midpoint(checked, floors=True))
     solve(terminal_scaling.instance("polygon", 800, 1))
-    monkeypatch.undo()
-    ((world, frame, sources, targets, resumed),) = solves
-    starts = []
-    resume_at = composer._resume_at
-
-    def restart(run, x):
-        starts.append(resume_at(run, x))
-        return 0
-
-    monkeypatch.setattr(composer, "_resume_at", restart)
-    restarted = solve_x_case(world, frame, sources, targets)
-
-    def relaxation(result):
-        near, arrivals, dag = result
-        return (near, arrivals, [(nd.dist, nd.preds) for nd in dag.targets],
-                [(nd.point, nd.dist, nd.preds) for nd in dag.nodes])
-
-    assert relaxation(restarted) == relaxation(resumed)
-    # several widened passes, and some resumed past the westmost node
-    assert len(starts) >= 5 and max(starts) > 0
+    ((enumerated, relaxed),) = checked
+    assert relaxed < enumerated
 
 
 def _arrival_links(arrivals):
@@ -635,6 +618,24 @@ def test_a_target_keeps_opposite_arrivals_along_one_axis():
     _, (pocket,), _ = solve_x_case(world, frame, [(128, 144)], [(128, 265)],
                                    dir_links=ones)
     assert _arrival_links(pocket) == {(0, 1): 4, (1, 0): 3, (-1, 0): 3}
+
+
+def test_the_eastward_readout_turns_east_from_a_vertical_arrival():
+    """``_horiz_readout`` reads a leg's far end as left eastward: along the
+    top baseline ("h", ``lam_h``), or up from a lower one and turning east
+    ("v", ``lam_v + 1``), whichever has fewer links, "h" at a tie.  No leg
+    into a midpoint of the test pools reads "v", so hand-built sweep
+    results take that branch."""
+    def leg(lam_h, lam_v):
+        return SweepResult(lam_h=lam_h, lam_v=lam_v, event_values=[],
+                           event_args=[], arg_v=0, seed_v=2, region=None)
+
+    assert composer._horiz_readout(leg(5, 3)) == (4, "v")
+    assert composer._horiz_readout(leg(4, 3)) == (4, "h")
+    assert composer._horiz_readout(leg(3, INF)) == (3, "h")
+    free = composer.FreeLeg(composer.LegEnds(IDENTITY, (0, 0), (4, 2)),
+                            3, None, [(0, 0), (0, 2), (4, 2)])
+    assert composer._horiz_readout(free) == (3, "h")
 
 
 def _recording_free_legs(mp, legs):

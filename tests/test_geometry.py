@@ -22,6 +22,7 @@ from rectlink.geometry import (
 )
 from rectlink.generator import generate_instance
 from rectlink.partition import World, _FramePoly
+import path_metrics_reference
 from dents import dent_instance
 from fuzz_instances import instances
 from shapes import area2, rect_polygon
@@ -202,6 +203,44 @@ def test_halving_commutes_with_path_metrics(pts2):
     pts, length, links = path_metrics(pts2)
     assert path_metrics([(x // 2, y // 2) for x, y in pts2]) \
         == ([(x // 2, y // 2) for x, y in pts], length // 2, links)
+
+
+@st.composite
+def _polylines(draw):
+    """A polyline whose steps are drawn along x, along y or, rarely,
+    diagonally, by -3 to 3, zero included; each point is a tuple or a
+    list."""
+    x, y = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+    pts = [(x, y)]
+    for axis, d in draw(st.lists(st.tuples(st.sampled_from("xxxyyyd"),
+                                           st.integers(-3, 3)), max_size=10)):
+        x, y = x + d * (axis != "y"), y + d * (axis != "x")
+        pts.append((x, y))
+    return [list(p) if draw(st.booleans()) else p for p in pts]
+
+
+def _measured(measure, points):
+    try:
+        return measure(points)
+    except GeometryError as exc:
+        return str(exc)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_polylines())
+@example([])                                           # no point
+@example([[3, 4]])                                     # a single list point
+@example([(0, 0), [0, 0], (3, 0), [3, 0], (3, 0)])     # zero-length steps
+@example([(0, 0), (4, 0), [2, 0], (2, 0), (6, 0)])     # reversals
+@example([(0, 0), (2, 0), (2, 0), (5, 0), (5, -1)])    # a run across a zero step
+@example([[0, 0], (0, 2), [1, 3]])                     # a diagonal after a step
+def test_path_metrics_matches_the_two_pass_reference(points):
+    """The one-pass ``path_metrics`` gives the points, length, links and
+    errors of ``tests/path_metrics_reference.py``, and tuples throughout."""
+    got = _measured(path_metrics, points)
+    assert got == _measured(path_metrics_reference.path_metrics, points)
+    if not isinstance(got, str):
+        assert all(type(p) is tuple for p in got[0])
 
 
 def test_segment_contains():
