@@ -19,9 +19,9 @@ obstacles sorted along each; an obstacle and its hull share a box, so the
 index needs no hull.  A frame reads the lists of the axes its x and y map
 onto, so no box is mapped per frame.  A trace step makes one query, for
 the nearest flank at or east of its point (a flank through the point is
-the one it stands against).  That query, a region event and an x-case
-solve bisect the frame's xlo order and read only a window of it: a box
-whose xlo is at most x minus the widest box's width ends at or before x.
+the one it stands against).  That query and an x-case solve bisect the
+frame's xlo order and read only a window of it: a box whose xlo is at most
+x minus the widest box's width ends at or before x.
 An obstacle is hulled the first time a frame reads it, and a hull's ring
 and edge tables in a frame are built when a query first reaches it, so a
 solve pays only for the hulls its traces and regions touch.  Frame tables
@@ -31,25 +31,27 @@ A region event at column x reads the highest top at or below a baseline,
 and the lowest bottom at or above one, of the sections that holes cut from
 the line x.  The boxes of the holes crossing x have disjoint interiors and
 all cross x, so they are ordered in y, and a hull's section lies in its box
-with positive length.  So only the highest box wholly at or below the
-baseline can hold the top, only the lowest box wholly at or above it the
-bottom, and at most one box straddles it: an event reads at most two
-sections.  This needs disjoint boxes, which ``validate`` checks, and no
-general position.  The read is one scan of the holes whose xlo lies in the
-width window west of x: it reads a straddler's section when it meets it,
-keeps the nearest box below and above by their box ends alone, and reads
-one of those sections only for an end that the event uses and no straddler
-gave.  A hole's tables hold its edges but no climb chain, which only a
-trace step builds, so a region pays one ring pass per hole.
+with positive length: the sections are ordered in y too, tops and bottoms
+alike.  ``build_staircase_region`` therefore sweeps once in x and keeps the
+holes crossing the sweep line as two parallel lists, bottom up, of their
+sections' bottom and top baselines.  A read is one bisect per end it uses:
+the highest top at or below a baseline is the last at or under it, the
+lowest bottom at or above one the first at or over it, and no read scans a
+window of holes or a hole's edge table.  A hole enters the lists at its
+west wall, leaves them at its east wall, and moves one section end at each
+of its other vertical edges.  This needs disjoint boxes, which
+``validate`` checks, and no general position: where vertical edges of
+several holes, their box walls and the envelope jumps share an x, every
+read there sees the holes whose boxes cross x strictly, each by its closed
+section at x (its lowest bottom and highest top on either side of x), so
+a hole's own split or merge read never sees that hole.  A hole's tables
+hold its edges but no climb chain, which only a trace step builds, so a
+region pays one ring pass per hole.
 
-A region build makes one Python call per section read: ``_section_reader``
-builds, once per region, a closure over the holes sorted by xlo, their
-edge tables, the frame's box lists and the baseline index, and the closure
-scans the window and returns baselines, not ys.  The envelope reads
-``top`` and ``bottom`` call the four curves' bound methods from locals.
-Events are plain tuples made by ``tuple.__new__(Event, ...)`` with all
-seven fields in order, which skips NamedTuple's Python-level ``__new__``,
-and are sorted by ``itemgetter(0)``.  A region's events run to thousands
+The envelope reads ``top`` and ``bottom`` call the four curves' bound
+methods from locals.  Events are plain tuples made by
+``tuple.__new__(Event, ...)`` with all seven fields in order, which skips
+NamedTuple's Python-level ``__new__``.  A region's events run to thousands
 (1 834 in the largest point-large region), so these per-event steps are
 most of its build.
 """
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter, sub
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geometry import (
     FLIP_X,
@@ -647,9 +649,8 @@ class Event(NamedTuple):
     ``build_staircase_region`` makes each event with
     ``tuple.__new__(Event, (x, kind, src, assign, assign_inf, chmin,
     deactivate))``, every field in order, so no NamedTuple ``__new__``
-    runs.  The range ends that reach a neighbouring hole come straight from
-    the region's section reader (``_section_reader``), which returns
-    baselines.
+    runs.  The range ends that reach a neighbouring hole are section reads
+    of the region build's sweep, which keeps baselines.
     """
 
     x: int
@@ -680,85 +681,22 @@ class StaircaseRegion:
 
 
 
-def _section_reader(polys: FrameTables, holes: list[int], idx: dict[int, int]
-                    ) -> Callable[..., tuple[int, int]]:
-    """A region's section read, as one closure over its holes and the
-    frame's lists.
-
-    ``near(x, y_lo, y_hi, want_top=True, want_bottom=True)`` finds, of the
-    sections that the holes cut from the line x, the highest top at or below
-    ``y_lo`` and the lowest bottom at or above ``y_hi >= y_lo``, and returns
-    their baselines by ``idx``: 0 and ``len(idx) - 1`` where there is none,
-    and for an end not wanted.  Every section end must be a key of ``idx``.
-    The holes' tables are built here, if a caller has not built them
-    already, as a region build has.
-
-    A read at one of a hole's own edges needs no way to leave that hole
-    out.  A split or merge read sits on the hole's own box wall, where the
-    scan does not reach it: its xlo is not west of the split's x, and its
-    xhi is not east of the merge's.  Only nw- and se-step reads see their
-    own hole, and there it gives only the end the read does not use: at an
-    nw step, which uses the bottom, its section's top is the step's upper
-    end ``y_hi``, and none of its section lies above that; at an se step,
-    which uses the top, its section's bottom is the step's lower end
-    ``y_lo``, and none of it lies below.
-
-    The holes are sorted by frame xlo, ties by index, so only those with
-    xlo in the width window ``(x - width, x)`` are scanned.  Of those, a box
-    straddling the baselines is read as the scan meets it, and the nearest
-    box wholly below, or above, only for an end that no straddler gave (see
-    the module docstring).
-    """
-    xlo, xhi, ylo, yhi = polys.xlo, polys.xhi, polys.ylo, polys.yhi
-    by_x = sorted(holes, key=xlo.__getitem__)
-    xlos = [xlo[h] for h in by_x]
-    width = max([xhi[h] - xlo[h] for h in holes], default=0)
-    horiz = {h: polys[h].horiz for h in holes}
-    last = len(idx) - 1
-    west, east = bisect.bisect_right, bisect.bisect_left
-
-    def near(x: int, y_lo: int, y_hi: int,
-             want_top: bool = True, want_bottom: bool = True) -> tuple[int, int]:
-        below = above = top = bottom = None
-        for h in by_x[west(xlos, x - width):east(xlos, x)]:
-            if xhi[h] <= x:
-                continue
-            if yhi[h] <= y_lo:
-                if below is None or yhi[h] > yhi[below]:
-                    below = h
-            elif ylo[h] >= y_hi:
-                if above is None or ylo[h] < ylo[above]:
-                    above = h
-            else:
-                ys = [y for lo, hi, y in horiz[h] if lo <= x <= hi]
-                y = max(ys)
-                if y <= y_lo and (top is None or y > top):
-                    top = y
-                y = min(ys)
-                if y >= y_hi and (bottom is None or y < bottom):
-                    bottom = y
-        if top is not None:
-            top = idx[top]
-        elif want_top and below is not None:
-            top = idx[max([y for lo, hi, y in horiz[below] if lo <= x <= hi])]
-        else:
-            top = 0
-        if bottom is not None:
-            bottom = idx[bottom]
-        elif want_bottom and above is not None:
-            bottom = idx[min([y for lo, hi, y in horiz[above] if lo <= x <= hi])]
-        else:
-            bottom = last
-        return top, bottom
-
-    return near
-
-
 def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: Point) -> StaircaseRegion:
     """Staircase region of an xy-monotone pair, with its sweep events.
 
     ``s`` and ``t`` are world points; the pair must classify as ("xy", frame).
     Each call builds a new region.
+
+    The events east of s come from one sweep in x over steps: the envelope
+    jumps, then each hole's vertical edges in ring order, sorted stably by
+    x, so that at a shared x they keep that order.  A step that reads no
+    section is its event already.  Each hole edge also changes that hole's
+    entry in the y-ordered lists of the holes crossing the sweep line (see
+    the module docstring).  A change that widens a section or takes a hole
+    out (an nw or sw step, an east wall) is made before the reads at its x,
+    and one that narrows a section or puts a hole in (an ne or se step, a
+    west wall) after them, so every read at x sees the closed sections of
+    the holes whose boxes cross x strictly.
     """
     sq, tq = frame.apply(s), frame.apply(t)
     sx, sy = sq
@@ -820,80 +758,125 @@ def build_staircase_region(world: World | FrameView, frame: Xform, s: Point, t: 
     ys.update([y for fp in tables for _, _, y in fp.horiz])
     baselines = sorted(y for y in ys if sy <= y <= ty)
     idx = {y: i for i, y in enumerate(baselines)}
-    near = _section_reader(polys, holes, idx)
+    last = len(baselines) - 1
 
     # events are built positionally, skipping NamedTuple's __new__:
     # (x, kind, src, assign, assign_inf, chmin, deactivate)
     new = tuple.__new__
-    events: list[Event] = []
-    add = events.append
-    add(new(Event, (sx, "originate", None, (0, idx[top(sx)]), None, None, None)))
+    events: list[Event] = [new(Event, (sx, "originate", None, (0, idx[top(sx)]),
+                                       None, None, None))]
     # a hull wall can sit exactly on the source column; the bottom envelope
     # then rises at sx itself and everything below it is dead past the
     # originate climb
     first_bottom = bottom(sx)
     if first_bottom > sy:
-        add(new(Event, (sx, "detach", None, None, None, None,
-                        (0, idx[first_bottom] - 1))))
+        events.append(new(Event, (sx, "detach", None, None, None, None,
+                                  (0, idx[first_bottom] - 1))))
 
+    # the steps east of sx, each (x, kind, i1, i2), or its event where it
+    # reads no section: i1 and i2 are the baselines of the envelope just
+    # west of x and at x, or of a hole edge's lower and upper end
+    steps: list[tuple] = []
+    push = steps.append
     for x in top_jumps:
         if x == sx:
             continue
         y1, y2 = top(x - 1), top(x)
-        if y1 == y2:
-            continue
-        i1 = idx[y1]
-        below = near(x, y1, y1, True, False)[0]
-        add(new(Event, (x, "attach", (below, i1), (i1 + 1, idx[y2]),
-                        None, None, None)))
+        if y1 != y2:
+            push((x, "attach", idx[y1], idx[y2]))
     for x in bot_jumps:
         if x <= sx:
             continue  # the climb into t is the terminate readout, not an event
         y1, y2 = bottom(x - 1), bottom(x)
-        if y1 == y2:
-            continue
-        i1, i2 = idx[y1], idx[y2]
-        low, high = near(x, y2, y2)
-        add(new(Event, (x, "detach", (max(i1, low), i2 - 1), None,
-                        None, (i2, high), (i1, i2 - 1))))
-
-    for hi, fp in zip(holes, tables):
-        wlo, whi = fp.west_lo, fp.west_hi
-        bxlo, bxhi = fp.box.xlo, fp.box.xhi
+        if y1 != y2:
+            push((x, "detach", idx[y1], idx[y2]))
+    # each hole edge's change, as (key, end, old, new): key 2x before the
+    # reads at x, 2x + 1 after them; end 0 moves a top from old to new, 1 a
+    # bottom, 2 puts the hole in with section (old, new) and 3 takes out
+    # the hole whose bottom is old
+    changes: list[tuple[int, int, int, int]] = []
+    change = changes.append
+    for fp in tables:
+        whi, bxlo, bxhi = fp.west_hi, fp.box.xlo, fp.box.xhi
         # the ring runs counterclockwise from the west wall's foot, so of the
         # east-facing edges, those below the east wall come before it and
         # those above it after
         above_east = False
-        for x, lo, hi2, west_facing in fp.vertical:
+        for x, lo, hi, west_facing in fp.vertical:
+            i1, i2 = idx[lo], idx[hi]
             if west_facing:
                 if x == bxlo:
-                    low, high = near(x, wlo, whi)
-                    i1, i2 = idx[wlo], idx[whi]
-                    add(new(Event, (x, "split", (low, i2 - 1), None, None,
-                                    (i2, high), (i1 + 1, i2 - 1))))
+                    push((x, "split", i1, i2))
+                    change((2 * x + 1, 2, i1, i2))
                 elif lo >= whi:      # upper-left staircase: the top rises
-                    above = near(x, hi2, hi2, False, True)[1]
-                    i1, i2 = idx[lo], idx[hi2]
-                    add(new(Event, (x, "nw_step", (i1, i2 - 1), None, None,
-                                    (i2, above), (i1, i2 - 1))))
+                    push((x, "nw_step", i1, i2))
+                    change((2 * x, 0, i1, i2))
                 else:                # lower-left staircase: the bottom drops
-                    add(new(Event, (x, "sw_step", None, None, None, None,
-                                    (idx[lo] + 1, idx[hi2]))))
+                    push(new(Event, (x, "sw_step", None, None, None, None,
+                                     (i1 + 1, i2))))
+                    change((2 * x, 1, i2, i1))
             elif x == bxhi:
-                low, high = near(x, lo, hi2)
-                i1, i2 = idx[lo], idx[hi2]
-                add(new(Event, (x, "merge", (low, i1), (i1 + 1, i2 - 1), None,
-                                (i2, high), None)))
+                push((x, "merge", i1, i2))
+                change((2 * x, 3, i1, i2))
                 above_east = True
             elif above_east:         # upper-right staircase: the top drops
-                add(new(Event, (x, "ne_step", None, None,
-                                (idx[lo], idx[hi2] - 1), None, None)))
+                push(new(Event, (x, "ne_step", None, None, (i1, i2 - 1),
+                                 None, None)))
+                change((2 * x + 1, 0, i2, i1))
             else:                    # lower-right staircase: the bottom rises
-                below = near(x, lo, lo, True, False)[0]
-                add(new(Event, (x, "se_step", (below, idx[lo]),
-                                (idx[lo] + 1, idx[hi2]), None, None, None)))
+                push((x, "se_step", i1, i2))
+                change((2 * x + 1, 1, i1, i2))
+    first = itemgetter(0)
+    steps.sort(key=first)
+    changes.sort(key=first)
+    changes.append((INF, 0, 0, 0))
 
-    # stable: the originate, appended first, stays first at x = sx
-    events.sort(key=itemgetter(0))
+    # the holes crossing the sweep line, bottom up, as their sections'
+    # baselines, both ends strictly rising, between two ends that no hole
+    # has: the first top (0) and the last bottom (last) are what a read
+    # returns where no hole gives one, and the other two are never read
+    tops, bots = [0, INF], [-1, last]
+    right, left = bisect.bisect_right, bisect.bisect_left
+    add = events.append
+    k = 0
+    due = changes[0][0]
+    for step in steps:
+        x = step[0]
+        while due <= 2 * x:
+            _, end, old, to = changes[k]
+            if end == 0:
+                tops[left(tops, old)] = to
+            elif end == 1:
+                bots[left(bots, old)] = to
+            elif end == 2:
+                j = left(bots, old)
+                bots.insert(j, old)
+                tops.insert(j, to)
+            else:
+                j = left(bots, old)
+                del bots[j], tops[j]
+            k += 1
+            due = changes[k][0]
+        if type(step) is Event:
+            add(step)
+            continue
+        _, kind, i1, i2 = step
+        if kind == "nw_step":
+            add(new(Event, (x, kind, (i1, i2 - 1), None, None,
+                            (i2, bots[left(bots, i2)]), (i1, i2 - 1))))
+        elif kind == "se_step" or kind == "attach":
+            add(new(Event, (x, kind, (tops[right(tops, i1) - 1], i1),
+                            (i1 + 1, i2), None, None, None)))
+        elif kind == "split":
+            add(new(Event, (x, kind, (tops[right(tops, i1) - 1], i2 - 1), None,
+                            None, (i2, bots[left(bots, i2)]), (i1 + 1, i2 - 1))))
+        elif kind == "merge":
+            add(new(Event, (x, kind, (tops[right(tops, i1) - 1], i1),
+                            (i1 + 1, i2 - 1), None, (i2, bots[left(bots, i2)]),
+                            None)))
+        else:                        # a detach
+            low = tops[right(tops, i2) - 1]
+            add(new(Event, (x, kind, (max(i1, low), i2 - 1), None, None,
+                            (i2, bots[left(bots, i2)]), (i1, i2 - 1))))
     return StaircaseRegion(frame=frame, s=sq, t=tq, baselines=baselines,
                            events=events, holes=holes)

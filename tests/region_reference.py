@@ -5,7 +5,7 @@ closure of the build, kept as a reference.
 ``near`` wrapper for every section read, reads the frame's lists as
 attributes and builds each ``Event`` by NamedTuple's ``__new__``.  It shares
 the traces, the frame tables and ``_jump_xs`` with the package, but none of
-the package's hole filter, section scan or event loop.
+the package's hole filter, section reads or event loop.
 ``tests/test_region_reference.py`` checks that every region a solve builds
 equals this one's baselines, holes and events.
 """

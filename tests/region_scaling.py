@@ -5,17 +5,20 @@ Usage (from the repository root; pytest does not collect this file):
     PYTHONPATH=src python3 tests/region_scaling.py [--reps 3]
 
 Instances: the point pairs ``generate_instance(97*n + r, n,
-coord_limit=30*n)`` for n = 200, 400, 800, 1 600 and 3 200 and r = 0..2
-(the benchmark's point-large rule, extended).  Each is solved ``--reps``
+coord_limit=30*n)`` for n = 200, 400, 800, 1 600, 3 200, 6 400 and 12 800
+and r = 0..2 (the benchmark's point-large rule, extended; generating one
+instance takes about 15 s at n = 12 800).  Each is solved ``--reps``
 times by ``frontend.solve``, every solve in a world of its own, with
 ``build_staircase_region`` and ``run_sweep`` timed by ``perf_counter``
 where ``engine`` and ``composer`` call them.  A row prints, summed over
 the solve's regions: holes, events, the hull tables (``_FramePoly``) and
 climb chains (``_build_hug`` calls) built while the regions were built,
-and each stage's least-of-reps time in microseconds per event.  The last
-lines print each stage's log-log slope from n = 200 to 3 200, of its
-time (summed over r) against n and against the events (summed over r):
-1 is linear growth.
+and each stage's least-of-reps time in microseconds per event.  Then one
+line per size gives each stage's time per event over that size's three
+instances (their times summed over their events summed), and the last
+lines each stage's log-log slope from n = 200 to 12 800, of its time
+(summed over r) against n and against the events (summed over r): 1 is
+linear growth.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from rectlink import sweep as sweep_module
 from rectlink.frontend import solve
 from rectlink.generator import generate_instance
 
-SIZES = (200, 400, 800, 1600, 3200)
+SIZES = (200, 400, 800, 1600, 3200, 6400, 12800)
 SEEDS = range(3)
 
 
@@ -107,6 +110,11 @@ def main() -> None:
             print(f"{n:5d} {r:1d} {row['holes']:6d} {ev:6d} {row['tables']:6d}"
                   f" {row['chains']:6d} {1e6 * region_s / max(ev, 1):12.2f}"
                   f" {1e6 * sweep_s / max(ev, 1):11.2f}", flush=True)
+    print(f"{'n':>5} {'events':>6} {'region us/ev':>12} {'sweep us/ev':>11}")
+    for n, tot in totals.items():
+        ev = max(tot["events"], 1)
+        print(f"{n:5d} {tot['events']:6d} {1e6 * tot['region_s'] / ev:12.2f}"
+              f" {1e6 * tot['sweep_s'] / ev:11.2f}")
     lo, hi = totals[SIZES[0]], totals[SIZES[-1]]
     for stage in ("region_s", "sweep_s"):
         print(f"{stage[:-2]:>6} slope n={SIZES[0]}..{SIZES[-1]}:"

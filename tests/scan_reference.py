@@ -5,7 +5,8 @@ did before ``partition.World`` kept a box index: the two blocking scans
 of a trace step (``blocking`` composes them into the step's one query),
 the hole sections of a region event (and the nearest section
 ends that an event reads from them, with ``baseline_ends`` giving those
-ends as the event's baselines), a region's hole selection and the
+ends as the event's baselines, and ``reread_events`` a region's events
+with every read redone so), a region's hole selection and the
 midpoint enumeration of an x-case solve.  They read the frame's
 boxes from ``FrameTables`` and a hull's edge tables through ``polys[i]``,
 so a reference builds the tables of exactly the hulls the old scan read.
@@ -103,6 +104,47 @@ def baseline_ends(idx, ends):
     top, bottom = ends
     return (0 if top is None else idx[top],
             len(idx) - 1 if bottom is None else idx[bottom])
+
+
+def reread_events(region, sections):
+    """``region.events`` with each section read redone from ``sections(x)``,
+    the ``(bottom, top)`` sections that the region's holes cut from the line
+    x, by ``nearest_ends`` and ``baseline_ends``.
+
+    An event keeps what it read in fixed fields, and the others give the
+    baselines it asked about: an attach or se step reads the top at or
+    below ``src[1]`` into ``src[0]``; an nw step the bottom at or above
+    ``chmin[0]`` into ``chmin[1]``; a split (asking about
+    ``deactivate[0] - 1`` and ``chmin[0]``) and a merge (``src[1]`` and
+    ``chmin[0]``) both ends, into ``src[0]`` and ``chmin[1]``; a detach
+    east of s both ends at ``chmin[0]``, its top clamped from below to
+    ``deactivate[0]`` in ``src[0]``.  Equal to ``region.events`` iff every
+    read the build made equals the scan's.
+    """
+    ys = region.baselines
+    idx = {y: i for i, y in enumerate(ys)}
+    out = []
+    for e in region.events:
+        def ends(lo, hi):
+            return baseline_ends(idx, nearest_ends(sections(e.x), ys[lo], ys[hi]))
+
+        if e.kind in ("attach", "se_step"):
+            i = e.src[1]
+            e = e._replace(src=(ends(i, i)[0], i))
+        elif e.kind == "nw_step":
+            i = e.chmin[0]
+            e = e._replace(chmin=(i, ends(i, i)[1]))
+        elif e.kind in ("split", "merge"):
+            i1 = e.deactivate[0] - 1 if e.kind == "split" else e.src[1]
+            i2 = e.chmin[0]
+            low, high = ends(i1, i2)
+            e = e._replace(src=(low, e.src[1]), chmin=(i2, high))
+        elif e.kind == "detach" and e.src is not None:
+            i = e.chmin[0]
+            low, high = ends(i, i)
+            e = e._replace(src=(max(e.deactivate[0], low), e.src[1]), chmin=(i, high))
+        out.append(e)
+    return out
 
 
 def region_holes(world, frame, sq, tq):

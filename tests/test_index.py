@@ -19,7 +19,6 @@ from rectlink.partition import (
     FrameView,
     World,
     _first_block,
-    _section_reader,
     _trace_ru,
     build_staircase_region,
     classify,
@@ -165,37 +164,31 @@ def test_traces_match_scanning_traces(monkeypatch):
     assert inside > 400
 
 
-def _sentinel_baselines(polys, holes):
-    """Baselines of every section end of ``holes``, between one below the
-    lowest and one above the highest, which no section reaches."""
-    ys = sorted({y for h in holes for _, _, y in polys[h].horiz})
-    return {y: i for i, y in enumerate([ys[0] - 1] + ys + [ys[-1] + 1])}
+def _whole_frame_region(world, t):
+    """The region of frame ``t`` between corners outside every box, so that
+    no trace meets a hull and every hull is a hole."""
+    polys = FrameTables(world, t)
+    inv = t.inverse()
+    s = inv.apply((min(polys.xlo) - 3, min(polys.ylo) - 3))
+    u = inv.apply((max(polys.xhi) + 3, max(polys.yhi) + 3))
+    return build_staircase_region(world, t, s, u)
 
 
 def test_nearest_sections_match_the_scan_in_every_frame():
-    """Every hull of a frame as a hole, at every box wall and one unit
-    either side of it; every section end and box end of the crossing hulls,
-    one unit either side, as ``y_lo = y_hi``, and consecutive and outermost
-    pairs of them as ``y_lo < y_hi``."""
+    """Every hull of a frame as a hole of one region: each section read of
+    its events, at every box wall and every staircase step, equals the
+    scan's nearest sections of the holes crossing that line."""
     checked = 0
     for name, world in _worlds():
         for t in XFORMS:
-            polys = FrameTables(world, t)
+            region = _whole_frame_region(world, t)
+            polys = world.frame(t)
             holes = list(range(len(polys)))
-            idx = _sentinel_baselines(polys, holes)
-            near = _section_reader(polys, holes, idx)
-            xs = sorted({x + d for x in polys.xlo + polys.xhi for d in (-1, 0, 1)})
-            for x in xs:
-                secs = ref.hole_sections(polys, holes, x, skip=None)
-                ends = {y for h in holes if polys.xlo[h] < x < polys.xhi[h]
-                        for y in (polys.ylo[h], polys.yhi[h])}
-                ends |= {y for sec in secs for y in sec}
-                ys = sorted({y + d for y in ends for d in (-1, 0, 1)}) or [0]
-                for y_lo, y_hi in ([(y, y) for y in ys] + list(zip(ys, ys[1:]))
-                                   + [(ys[0], ys[-1])]):
-                    assert near(x, y_lo, y_hi) == ref.baseline_ends(
-                        idx, ref.nearest_ends(secs, y_lo, y_hi)), (name, t, x, y_lo, y_hi)
-                checked += len(secs)
+            assert region.holes == holes, (name, t)
+            assert ref.reread_events(
+                region, lambda x: ref.hole_sections(polys, holes, x)) \
+                == region.events, (name, t)
+            checked += len(region.events)
     assert checked > 1000
 
 
@@ -219,8 +212,7 @@ def _xy_regions():
 
 
 def test_region_holes_and_sections_match_the_scans():
-    """Each region's holes, and its nearest sections at every strip column
-    and one either side, every baseline."""
+    """Each region's holes, and every section read of its events."""
     frames, holes_seen, seen = set(), 0, set()
     for world, total, region in _xy_regions():
         assert region.holes == ref.region_holes(world, total, region.s, region.t)
@@ -229,14 +221,9 @@ def test_region_holes_and_sections_match_the_scans():
             continue  # the same region, reached through another view
         seen.add((id(world), total, region.s, region.t))
         polys = world.frame(total)
-        ys = region.baselines
-        idx = {y: i for i, y in enumerate(ys)}
-        near = _section_reader(polys, region.holes, idx)
-        for x in range(region.s[0] - 1, region.t[0] + 2):
-            secs = ref.hole_sections(polys, region.holes, x, skip=None)
-            for y_lo, y_hi in [(y, y) for y in ys] + [(ys[0], ys[-1])]:
-                assert near(x, y_lo, y_hi) \
-                    == ref.baseline_ends(idx, ref.nearest_ends(secs, y_lo, y_hi))
+        assert ref.reread_events(
+            region, lambda x: ref.hole_sections(polys, region.holes, x)) \
+            == region.events
         holes_seen += len(region.holes)
     assert frames == set(XFORMS)
     assert holes_seen > 20

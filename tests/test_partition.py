@@ -27,6 +27,8 @@ from rectlink.partition import (
 from dents import dent_instance
 from frame_reference import columns, mapped_polygon, reference_tables
 from fuzz_instances import instances
+import region_reference
+import scan_reference
 from test_frontend import _perfbench
 
 # instance coordinates; a world reads it doubled, as the box (4, 4)-(10, 8)
@@ -172,6 +174,93 @@ class TestStaircaseRegion:
             for r in (e.src, e.assign, e.assign_inf, e.chmin, e.deactivate):
                 if r is not None and r[0] <= r[1]:
                     assert 0 <= r[0] and r[1] < region.m
+
+
+def _shared_x_world():
+    """Holes that break general position, as ``validate`` would not let a
+    solve build them (instance coordinates; the world doubles them).
+
+    The pair (0, 0)-(100, 100) has one touched obstacle, C: the trace east
+    from the source climbs its west wall at x = 40, so the bottom envelope
+    jumps there.  Holes, in world order: H1 with se and nw steps at x = 40
+    and nw at 30, ne at 50; H2 above it with an sw step at 30 (shared with
+    H1's nw) and its east wall at 40 (shared with H1's steps and C's wall);
+    H4 whose west wall is at 50 (shared with H1's ne and H3's se); H3 with
+    an se step at 50; and two boxes east of them, H6 resting on H5, so that
+    one's section ends where the other's begins.  At 30 and 40 a hole's
+    change after the read of an earlier hole must show already, and at 50
+    a hole's change before the read of a later one must not yet.  Events
+    read these xs doubled: 60, 80 and 100."""
+    return World([
+        RectPolygon([(40, -10), (50, -10), (50, 10), (40, 10)]),            # C
+        RectPolygon([(20, 20), (40, 20), (40, 24), (60, 24), (60, 36),      # H1
+                     (50, 36), (50, 44), (40, 44), (40, 38), (30, 38),
+                     (30, 34), (20, 34)]),
+        RectPolygon([(10, 55), (30, 55), (30, 50), (40, 50), (40, 70),      # H2
+                     (10, 70)]),
+        RectPolygon([(50, 46), (56, 46), (56, 50), (50, 50)]),              # H4
+        RectPolygon([(45, 52), (50, 52), (50, 56), (58, 56), (58, 66),      # H3
+                     (45, 66)]),
+        RectPolygon([(62, 30), (70, 30), (70, 40), (62, 40)]),              # H5
+        RectPolygon([(64, 40), (68, 40), (68, 48), (64, 48)]),              # H6
+    ])
+
+
+def _plus_world():
+    """A plus-shaped hole (the bars 30..70 x 45..55 and 45..55 x 30..70),
+    orthogonally convex, with two west-facing edges at x = 45 (an sw and an
+    nw step) and two east-facing ones at 55, and a box above it."""
+    return World([
+        RectPolygon([(30, 45), (45, 45), (45, 30), (55, 30), (55, 45), (70, 45),
+                     (70, 55), (55, 55), (55, 70), (45, 70), (45, 55), (30, 55)]),
+        RectPolygon([(40, 80), (60, 80), (60, 90), (40, 90)]),
+    ])
+
+
+def _region_and_reference(world, s, t):
+    region = build_staircase_region(world, IDENTITY, s, t)
+    want = region_reference.build_staircase_region(world, IDENTITY, s, t)
+    assert (region.baselines, region.holes, region.events) \
+        == (want.baselines, want.holes, want.events)
+    return region
+
+
+class TestRegionTies:
+    def test_a_region_needs_only_disjoint_boxes(self):
+        """Edges of different holes, a box wall and an envelope jump share
+        xs: the region equals the reference build's, and every read at a
+        shared x is the closed read of the holes crossing that line."""
+        world = _shared_x_world()
+        region = _region_and_reference(world, (0, 0), (200, 200))
+        assert region.holes == [1, 2, 3, 4, 5, 6]
+        polys = world.frame(IDENTITY)
+        assert scan_reference.reread_events(
+            region, lambda x: scan_reference.hole_sections(polys, region.holes, x)) \
+            == region.events
+        at = {x: [e.kind for e in region.events if e.x == x] for x in (60, 80, 100)}
+        assert at == {60: ["nw_step", "sw_step"],
+                      80: ["detach", "se_step", "nw_step", "merge"],
+                      100: ["ne_step", "split", "se_step"]}
+        # the reads that a change made at its own step would get wrong
+        idx = {y: i for i, y in enumerate(region.baselines)}
+        by_kind = {(e.x, e.kind): e for e in region.events}
+        assert by_kind[60, "nw_step"].chmin == (idx[76], idx[100])      # H2 at 100, not 110
+        assert by_kind[80, "nw_step"].chmin == (idx[88], len(idx) - 1)  # H2 gone
+        assert by_kind[100, "split"].src[0] == idx[88]                  # H1 at 88, not 72
+        assert by_kind[100, "se_step"].src[0] == idx[88]                # H4 not yet in
+        assert by_kind[128, "split"].src[0] == idx[80]                  # H5's top
+
+    def test_a_plus_keeps_ring_order_at_a_shared_x(self):
+        """The plus's sw and nw steps at one x keep ring order, as its se
+        and ne steps do, and the region equals the reference build's."""
+        world = _plus_world()
+        region = _region_and_reference(world, (0, 0), (200, 200))
+        assert region.holes == [0, 1]
+        assert [e.kind for e in region.events if e.x == 90] == ["sw_step", "nw_step"]
+        assert [e.kind for e in region.events if e.x == 110] == ["se_step", "ne_step"]
+        idx = {y: i for i, y in enumerate(region.baselines)}
+        nw = next(e for e in region.events if e.kind == "nw_step")
+        assert nw.chmin == (idx[140], idx[160])                         # the box above
 
 
 class TestStepCurve:
